@@ -4,6 +4,11 @@ Each stage reads the same JSON config, writes its outputs under the
 workdir, and stamps them with a hash of the config sections it depends
 on; a later stage refuses artifacts whose stamp disagrees with the
 current config.
+
+Ablations: --no-gat, --no-dcn and --no-ilp set `model.disable_gat`,
+`model.disable_dcn` and `selection.disable_ilp`, the same fields a config
+file may set.  A config without `paths.sentence_vectors` averages word
+vectors into sentence vectors.
 """
 
 from __future__ import annotations
@@ -12,10 +17,7 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import metrics
 from .archive import load_tensors
@@ -34,8 +36,8 @@ from .corpus import (
 from .features import NodeFeatureProvider, graph_inputs, load_vector_file
 from .graphs import build_pair_graph
 from .model import Model
-from .selector import SelectConfig, TfidfVectorizer, objective, select_for_pair
-from .training import Trainer, TrainingError
+from .selector import TfidfVectorizer, select_for_pair
+from .training import Trainer, TrainingError, checkpoint_params
 
 log = logging.getLogger(__name__)
 
@@ -94,23 +96,10 @@ def _build_provider(cfg: PipelineConfig) -> NodeFeatureProvider:
     sentence_table = None
     if cfg.paths.sentence_vectors:
         sentence_table = load_vector_file(cfg.paths.sentence_vectors)
-    return NodeFeatureProvider(
-        hidden=cfg.model.hidden,
-        word_table=word_table,
-        sentence_table=sentence_table,
-        use_avg_word_embeddings=cfg.ablations.use_avg_word_embeddings,
-    )
-
-
-def _apply_ablations(cfg: PipelineConfig) -> PipelineConfig:
-    cfg.model.disable_gat = cfg.model.disable_gat or cfg.ablations.disable_gat
-    cfg.model.disable_dcn = cfg.model.disable_dcn or cfg.ablations.disable_dcn
-    cfg.selection.disable_ilp = cfg.selection.disable_ilp or cfg.ablations.disable_ilp
-    return cfg
+    return NodeFeatureProvider(hidden=cfg.model.hidden, word_table=word_table, sentence_table=sentence_table)
 
 
 def cmd_train(cfg: PipelineConfig, resume: str | None = None):
-    cfg = _apply_ablations(cfg)
     cfg.validate_stage("train")
     corpus = _load_processed(cfg)
     provider = _build_provider(cfg)
@@ -143,21 +132,15 @@ def _best_checkpoint(cfg: PipelineConfig) -> Path:
 
 
 def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
-    cfg = _apply_ablations(cfg)
     cfg.validate_stage("select")
     corpus = _load_processed(cfg)
-    provider = _build_provider(cfg)
-    model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
     ckpt_path = Path(checkpoint) if checkpoint else _best_checkpoint(cfg)
     tensors, meta = load_tensors(ckpt_path)
     if not checkpoint:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")
-    params = {}
-    for name, init in model.init_params(cfg.seed).items():
-        key = f"param.{name}"
-        if key not in tensors or tensors[key].shape != init.shape:
-            raise StalenessError(f"checkpoint tensor {key!r} missing or misshapen")
-        params[name] = tensors[key]
+    provider = _build_provider(cfg)
+    model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
+    params = checkpoint_params(tensors, model.init_params(cfg.seed))
     user_rows = {u: i for i, u in enumerate(corpus.users)}
     item_rows = {c: i for i, c in enumerate(corpus.items)}
     train_words = [
@@ -194,11 +177,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         }
 
     pairs = corpus.pairs("test")
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(one_pair, pairs))
-    else:
-        results = [one_pair(p) for p in pairs]
+    results = [one_pair(p) for p in pairs]
     out = Path(cfg.paths.workdir) / "selections.jsonl"
     skipped = 0
     with open(out, "w", encoding="utf-8") as fh:
@@ -212,43 +191,42 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.EvalReport:
-    cfg = _apply_ablations(cfg)
     cfg.validate_stage("evaluate")
     corpus = _load_processed(cfg)
     path = Path(selections) if selections else Path(cfg.paths.workdir) / "selections.jsonl"
     if not path.exists():
         raise StalenessError(f"no selections at {path}; run select first")
+    with open(path, encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh if line.strip()]
+    # line 1 is a hash header, not a record, when it names no pair
+    header = {}
+    if entries and isinstance(entries[0], dict) and "config_hash" in entries[0] and "user_id" not in entries[0]:
+        header = entries.pop(0)
+    if not selections:
+        _check_hash(header.get("config_hash"), cfg.select_hash(), "select")
     records = []
     missing = 0
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() and not selections:
-            doc = json.loads(header)
-            _check_hash(doc.get("config_hash"), cfg.select_hash(), "select")
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            truth_ids = corpus.ground_truth_sentences(rec["user_id"], rec["item_id"], "test")
-            if not truth_ids:
-                missing += 1
-                continue
-            pred_sents = [list(corpus.sentences[s].words) for s in rec["sentence_ids"]]
-            truth_sents = [list(corpus.sentences[s].words) for s in truth_ids]
-            pred_attrs: set[int] = set()
-            for sid in rec["sentence_ids"]:
-                pred_attrs |= corpus.sentences[sid].attributes
-            truth_attrs: set[int] = set()
-            for sid in truth_ids:
-                truth_attrs |= corpus.sentences[sid].attributes
-            records.append(
-                {
-                    "pred_sentences": pred_sents,
-                    "truth_sentences": truth_sents,
-                    "pred_attrs": pred_attrs,
-                    "truth_attrs": truth_attrs,
-                }
-            )
+    for rec in entries:
+        truth_ids = corpus.ground_truth_sentences(rec["user_id"], rec["item_id"], "test")
+        if not truth_ids:
+            missing += 1
+            continue
+        pred_sents = [list(corpus.sentences[s].words) for s in rec["sentence_ids"]]
+        truth_sents = [list(corpus.sentences[s].words) for s in truth_ids]
+        pred_attrs: set[int] = set()
+        for sid in rec["sentence_ids"]:
+            pred_attrs |= corpus.sentences[sid].attributes
+        truth_attrs: set[int] = set()
+        for sid in truth_ids:
+            truth_attrs |= corpus.sentences[sid].attributes
+        records.append(
+            {
+                "pred_sentences": pred_sents,
+                "truth_sentences": truth_sents,
+                "pred_attrs": pred_attrs,
+                "truth_attrs": truth_attrs,
+            }
+        )
     report = metrics.evaluate_pairs(records)
     report.excluded = missing
     out = Path(cfg.paths.workdir) / "evaluation.json"
@@ -268,15 +246,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("select", "pick top-K explanation sentences per test pair"),
         ("evaluate", "score selections against held-out reviews"),
     ]:
-        sp = sub.add_parser(name, help=desc)
+        sp = sub.add_parser(
+            name, help=desc,
+            epilog="The average-word-embedding ablation has no flag: leave paths.sentence_vectors empty.",
+        )
         sp.add_argument("--config", required=True, help="path to the JSON pipeline config")
         sp.add_argument("--workdir", help="override paths.workdir")
         sp.add_argument("--seed", type=int, help="override the pipeline seed")
-        sp.add_argument("--workers", type=int, help="parallel workers (must not change results)")
-        sp.add_argument("--no-gat", action="store_true", help="drop the graph attention stack")
-        sp.add_argument("--no-dcn", action="store_true", help="replace feature crossing with one linear layer")
-        sp.add_argument("--no-ilp", action="store_true", help="select by descending score only")
-        sp.add_argument("--avg-word-embeddings", action="store_true", help="average word vectors instead of sentence vectors")
+        sp.add_argument("--no-gat", action="store_true", help="set model.disable_gat: drop the graph attention stack")
+        sp.add_argument("--no-dcn", action="store_true", help="set model.disable_dcn: replace feature crossing with one linear layer")
+        sp.add_argument("--no-ilp", action="store_true", help="set selection.disable_ilp: select by descending score only")
         if name == "train":
             sp.add_argument("--resume", help="checkpoint to resume from")
         if name == "select":
@@ -292,16 +271,12 @@ def _load_config(args) -> PipelineConfig:
         cfg.paths.workdir = args.workdir
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.no_gat:
-        cfg.ablations.disable_gat = True
+        cfg.model.disable_gat = True
     if args.no_dcn:
-        cfg.ablations.disable_dcn = True
+        cfg.model.disable_dcn = True
     if args.no_ilp:
-        cfg.ablations.disable_ilp = True
-    if args.avg_word_embeddings:
-        cfg.ablations.use_avg_word_embeddings = True
+        cfg.selection.disable_ilp = True
     return cfg
 
 

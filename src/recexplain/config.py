@@ -6,6 +6,12 @@ Adam at 2e-4 with batch 16, K=5, alpha=2.0, candidate pool 100), so a
 config that only fills in paths runs the reference pipeline.  Stage
 outputs carry a hash of the config sections they depend on; downstream
 stages refuse to consume artifacts whose hash disagrees.
+
+Each of the paper's ablation settings lives in one field, which a CLI flag
+also sets: `model.disable_gat` (--no-gat), `model.disable_dcn` (--no-dcn)
+and `selection.disable_ilp` (--no-ilp).  Leaving
+`paths.sentence_vectors` empty selects the fourth ablation, sentence
+vectors averaged from the word vectors in `paths.attribute_vectors`.
 """
 
 from __future__ import annotations
@@ -48,14 +54,6 @@ class GraphConfig:
     restrict_to_item_attributes: bool = True
 
 
-@dataclass
-class AblationConfig:
-    disable_gat: bool = False
-    disable_dcn: bool = False
-    disable_ilp: bool = False
-    use_avg_word_embeddings: bool = False
-
-
 _JSON_KEYS = {"lam": "lambda"}
 _FIELD_KEYS = {"lambda": "lam"}
 
@@ -91,9 +89,7 @@ class PipelineConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     selection: SelectConfig = field(default_factory=SelectConfig)
-    ablations: AblationConfig = field(default_factory=AblationConfig)
     seed: int = 0
-    workers: int = 1
 
     _SECTIONS = {
         "paths": PathsConfig,
@@ -102,7 +98,6 @@ class PipelineConfig:
         "model": ModelConfig,
         "training": TrainConfig,
         "selection": SelectConfig,
-        "ablations": AblationConfig,
     }
 
     @classmethod
@@ -111,7 +106,7 @@ class PipelineConfig:
         for key, value in data.items():
             if key in cls._SECTIONS:
                 kwargs[key] = _from_dict(cls._SECTIONS[key], value, key)
-            elif key in ("seed", "workers"):
+            elif key == "seed":
                 kwargs[key] = int(value)
             else:
                 raise ConfigError(f"unknown config section {key!r}")
@@ -128,7 +123,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         out = {name: _to_dict(getattr(self, name)) for name in self._SECTIONS}
         out["seed"] = self.seed
-        out["workers"] = self.workers
         return out
 
     def save(self, path) -> None:
@@ -159,10 +153,6 @@ class PipelineConfig:
                     raise ConfigError(f"{dotted} does not exist: {getattr(getattr(self, section), name)}")
         if stage == "train":
             self.training.validate()
-            if not self.ablations.use_avg_word_embeddings and not self.paths.sentence_vectors:
-                pass  # average-word fallback kicks in; a word table is still required
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     # -- staleness hashes ----------------------------------------------------
 
@@ -181,7 +171,6 @@ class PipelineConfig:
         )
 
     def train_hash(self) -> str:
-        ab = _to_dict(self.ablations)
         return self._hash(
             {
                 "preprocess": self.preprocess_hash(),
@@ -189,7 +178,6 @@ class PipelineConfig:
                 "model": _to_dict(self.model),
                 "training": _to_dict(self.training),
                 "vectors": [self.paths.attribute_vectors, self.paths.sentence_vectors],
-                "ablations": {k: ab[k] for k in ("disable_gat", "disable_dcn", "use_avg_word_embeddings")},
                 "seed": self.seed,
             }
         )
@@ -199,6 +187,5 @@ class PipelineConfig:
             {
                 "train": self.train_hash(),
                 "selection": _to_dict(self.selection),
-                "disable_ilp": self.ablations.disable_ilp,
             }
         )

@@ -54,15 +54,11 @@ class AttributeLexicon:
     """Item-property surface strings with dense, stable ids.
 
     Entries may span several tokens; those match as contiguous runs.
-    `lowercase=True` (the default) folds entries to match the tokenizer's
-    lowercase output; `False` keeps surfaces verbatim.
+    Entries and tokens are case-folded, like the tokenizer's output.
     """
 
-    def __init__(self, surfaces: list[str], lowercase: bool = True):
-        self.lowercase = lowercase
-        self.surfaces: tuple[str, ...] = tuple(
-            s.lower().strip() if lowercase else s.strip() for s in surfaces
-        )
+    def __init__(self, surfaces: list[str]):
+        self.surfaces: tuple[str, ...] = tuple(s.lower().strip() for s in surfaces)
         seen = set()
         for s in self.surfaces:
             if not s:
@@ -87,7 +83,7 @@ class AttributeLexicon:
 
     def match(self, tokens) -> frozenset[int]:
         """Ids of every lexicon attribute present in the token list."""
-        toks = [t.lower() for t in tokens] if self.lowercase else list(tokens)
+        toks = [t.lower() for t in tokens]
         hits = {self._single[t] for t in toks if t in self._single}
         for parts, fid in self._multi:
             span = len(parts)
@@ -112,16 +108,11 @@ class AttributeLexicon:
         return cls(surfaces)
 
 
-def load_attribute_lexicon(path, lowercase: bool = True) -> AttributeLexicon:
+def load_attribute_lexicon(path) -> AttributeLexicon:
     """Read a plain-text lexicon, one attribute per line (may be multiword)."""
     with open(path, encoding="utf-8") as fh:
         surfaces = [line.strip() for line in fh if line.strip()]
-    return AttributeLexicon(surfaces, lowercase=lowercase)
-
-
-def tag_attributes(tokens, lexicon: AttributeLexicon) -> frozenset[int]:
-    """Attribute ids mentioned by a tokenized sentence (may be empty)."""
-    return lexicon.match(tokens)
+    return AttributeLexicon(surfaces)
 
 
 class Vocabulary:
@@ -439,7 +430,7 @@ def build_corpus(
         rid = f"r{idx}"
         kept = []
         for k, words in enumerate(segment_and_tokenize(rec.text)):
-            attrs = tag_attributes(words, lexicon)
+            attrs = lexicon.match(words)
             if attrs:
                 kept.append((f"{rid}.s{k}", words, attrs))
         if kept:

@@ -1,8 +1,8 @@
 """Embedding tables and per-graph node input assembly.
 
 Word/attribute and sentence vectors are consumed from text files (they
-are produced elsewhere); user and item tables are trainable and
-initialized here.  Vector file format: first line `<count> <dim>`, then
+are produced elsewhere); the trainable user and item tables live with the
+model parameters.  Vector file format: first line `<count> <dim>`, then
 `<id> <v1> ... <vdim>` per line, whitespace separated.
 """
 
@@ -26,7 +26,6 @@ class VectorFileError(Exception):
 class EmbeddingTable:
     vectors: np.ndarray  # (count, dim)
     index: dict[str, int] | None = None  # id -> row; None for positional tables
-    trainable: bool = False
 
     @property
     def dim(self) -> int:
@@ -43,7 +42,7 @@ class EmbeddingTable:
 
 
 def load_vector_file(path) -> EmbeddingTable:
-    """Parse a vector file into a non-trainable table.
+    """Parse a vector file into a table.
 
     Row-length mismatches and duplicate ids are fatal; a completely empty
     file yields an empty table with a warning.
@@ -87,14 +86,6 @@ def save_vector_file(path, index: dict[str, int], vectors: np.ndarray) -> None:
             fh.write(f"{key} {vals}\n")
 
 
-def init_trainable_table(count: int, dim: int, seed: int, scale: float) -> EmbeddingTable:
-    """Seeded Uniform(-scale, +scale) trainable table."""
-    if count <= 0 or dim <= 0:
-        raise ValueError("count and dim must be positive")
-    rng = np.random.default_rng(seed)
-    return EmbeddingTable(rng.uniform(-scale, scale, size=(count, dim)), trainable=True)
-
-
 def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray:
     """Mean of the word vectors; unknown words contribute the unknown-token
     vector (or zero when the table has none).  Empty input gives zeros.
@@ -116,14 +107,13 @@ class NodeFeatureProvider:
     Attribute node vectors come from the word table (attributes are
     vocabulary words; multiword surfaces average their constituents) and
     must match `hidden`.  Sentence vectors come from the sentence table
-    when present, else from average word embeddings; both fall back with
-    counted warnings on missing ids.
+    when present; without one (the average-word-embedding ablation) they
+    average word vectors.  Missing ids fall back with counted warnings.
     """
 
     hidden: int
     word_table: EmbeddingTable | None = None
     sentence_table: EmbeddingTable | None = None
-    use_avg_word_embeddings: bool = False
     missing_attr: int = field(default=0, init=False)
     missing_sent: int = field(default=0, init=False)
 
@@ -132,17 +122,14 @@ class NodeFeatureProvider:
             raise VectorFileError(
                 f"attribute/word vectors have dim {self.word_table.dim}, expected {self.hidden}"
             )
-        if self._use_sentence_table() and len(self.sentence_table) == 0:
+        if self.sentence_table is not None and len(self.sentence_table) == 0:
             raise VectorFileError("sentence vector table is empty")
-        if not self._use_sentence_table() and self.word_table is None:
+        if self.sentence_table is None and self.word_table is None:
             raise VectorFileError("need a word table for average-word sentence embeddings")
-
-    def _use_sentence_table(self) -> bool:
-        return self.sentence_table is not None and not self.use_avg_word_embeddings
 
     @property
     def sentence_dim(self) -> int:
-        if self._use_sentence_table():
+        if self.sentence_table is not None:
             return self.sentence_table.dim
         return self.word_table.dim
 
@@ -162,7 +149,7 @@ class NodeFeatureProvider:
         return np.mean(rows, axis=0)
 
     def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        if self._use_sentence_table():
+        if self.sentence_table is not None:
             row = self.sentence_table.lookup(sentence.sentence_id)
             if row is not None:
                 return row

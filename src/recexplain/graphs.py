@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -22,13 +21,6 @@ log = logging.getLogger(__name__)
 
 USER_NODE = 0
 ITEM_NODE = 1
-
-
-class NodeKind(Enum):
-    USER = "user"
-    ITEM = "item"
-    ATTRIBUTE = "attribute"
-    SENTENCE = "sentence"
 
 
 class GraphError(Exception):
@@ -58,17 +50,6 @@ class PairGraph:
     @property
     def sent_slice(self) -> slice:
         return slice(2 + len(self.attribute_ids), self.n_nodes)
-
-    def kind(self, node: int) -> NodeKind:
-        if node == USER_NODE:
-            return NodeKind.USER
-        if node == ITEM_NODE:
-            return NodeKind.ITEM
-        if node < 2 + len(self.attribute_ids):
-            return NodeKind.ATTRIBUTE
-        if node < self.n_nodes:
-            return NodeKind.SENTENCE
-        raise GraphError(f"unknown node index {node}")
 
     def neighbor_view(self, node: int) -> np.ndarray:
         """Neighbors of `node`, including itself when self-loops are on."""

@@ -187,23 +187,6 @@ def set_prf(predicted: set, truth: set) -> tuple[float, float, float]:
     return precision, recall, _f1(precision, recall)
 
 
-def attribute_prf(predicted_sentences: list[Tokens], ground_truth_review: list[Tokens], lexicon):
-    """Attribute-set precision/recall/F1 for one pair, or None when the
-    ground truth mentions no attribute (the pair is excluded upstream).
-
-    `lexicon` is any object with a `match(tokens) -> set` method.
-    """
-    predicted: set = set()
-    for sent in predicted_sentences:
-        predicted |= lexicon.match(sent)
-    truth: set = set()
-    for sent in ground_truth_review:
-        truth |= lexicon.match(sent)
-    if not truth:
-        return None
-    return set_prf(predicted, truth)
-
-
 @dataclass
 class EvalReport:
     """Explanation-quality summary over a set of evaluated pairs.

@@ -239,13 +239,6 @@ class ForwardTrace:
     attr_logits: np.ndarray  # (M,)
     attr_probs: np.ndarray  # (M,)
 
-    def attention_rows(self):
-        """Yields (layer, head, alpha, centers) for normalization checks."""
-        for l, lt in enumerate(self.layer_traces):
-            centers, _, _ = self.graph.edge_arrays()
-            for h, ht in enumerate(lt.heads):
-                yield l, h, ht.alpha, centers
-
 
 class Model:
     """Binds a config to concrete tensor shapes and drives forward/backward."""

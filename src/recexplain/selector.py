@@ -208,10 +208,6 @@ class TfidfVectorizer:
         return sim
 
 
-def tfidf_cosine_matrix(sentences: list[list[str]], vectorizer: TfidfVectorizer) -> np.ndarray:
-    return vectorizer.matrix(sentences)
-
-
 @dataclass
 class SelectConfig:
     k: int = 5

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,8 @@ class TrainConfig:
     def validate(self):
         if not 0.0 <= self.lam <= 1.0:
             raise TrainingError(f"lambda must be in [0, 1], got {self.lam}")
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def relevance_targets(candidates, ground_truth) -> np.ndarray:
@@ -230,9 +232,7 @@ class Trainer:
         self.params = self.model.init_params(seed)
         self.adam = AdamState.init(self.params)
         self.start_epoch = 0
-        self.best_epoch = -1
-        self.best_metric = -np.inf
-        self.log_lines: list[str] = []
+        self.best: EpochRecord | None = None
 
         self.train_pairs = self._assemble("train", self_loops, restrict_to_item_attributes)
         self.valid_pairs = self._assemble("valid", self_loops, restrict_to_item_attributes)
@@ -313,12 +313,10 @@ class Trainer:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         log_path = self.workdir / "train_log.txt"
         mode = "a" if self.start_epoch > 0 else "w"
-        best_record: EpochRecord | None = None
         with open(log_path, mode, encoding="utf-8") as fh:
             if self.start_epoch == 0:
                 fh.write("# epoch train_loss rank_loss attr_loss val_bleu1 val_bleu2 val_bleu4\n")
                 fh.write("# validation: smoothed sentence BLEU of descending-score top-5 vs ground truth; model selected on BLEU-4\n")
-            stale = 0
             for epoch in range(self.start_epoch, cfg.epochs):
                 order = np.random.default_rng([self.seed, 1, epoch]).permutation(len(self.train_pairs))
                 losses, rank_losses, attr_losses = [], [], []
@@ -358,25 +356,20 @@ class Trainer:
                 )
                 fh.write(line + "\n")
                 fh.flush()
+                if self.best is None or record.val_bleu4 > self.best.val_bleu4:
+                    self.best = record
                 self._save_checkpoint(ckpt_dir / f"epoch_{epoch}.ntar", record)
-                if record.val_bleu4 > self.best_metric:
-                    self.best_metric = record.val_bleu4
-                    self.best_epoch = epoch
-                    best_record = record
-                    stale = 0
-                else:
-                    stale += 1
-                if stale > cfg.patience:
+                if epoch - self.best.epoch > cfg.patience:
                     log.info("early stop at epoch %d (patience %d)", epoch, cfg.patience)
                     break
         best_doc = {
-            "epoch": self.best_epoch,
-            "metric": self.best_metric,
-            "checkpoint": f"epoch_{self.best_epoch}.ntar",
+            "epoch": self.best.epoch,
+            "metric": self.best.val_bleu4,
+            "checkpoint": f"epoch_{self.best.epoch}.ntar",
             "config_hash": self.config_hash,
         }
         (ckpt_dir / "best.json").write_text(json.dumps(best_doc, sort_keys=True), encoding="utf-8")
-        return best_record if best_record is not None else record
+        return self.best
 
     # -- checkpointing ------------------------------------------------------
 
@@ -391,8 +384,7 @@ class Trainer:
         meta = {
             "epoch": record.epoch,
             "adam_t": self.adam.t,
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric if math.isfinite(self.best_metric) else None,
+            "best": asdict(self.best),
             "val_bleu4": record.val_bleu4,
             "config_hash": self.config_hash,
             "seed": self.seed,
@@ -407,17 +399,26 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint config hash {meta['config_hash']} does not match current config"
             )
-        for name, p in self.params.items():
-            key = f"param.{name}"
-            if key not in tensors or tensors[key].shape != p.shape:
-                raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
-            self.params[name] = tensors[key]
+        self.params.update(checkpoint_params(tensors, self.params))
         if resume:
             for name in self.adam.m:
                 self.adam.m[name] = tensors[f"adam.m.{name}"]
                 self.adam.v[name] = tensors[f"adam.v.{name}"]
             self.adam.t = meta["adam_t"]
             self.start_epoch = meta["epoch"] + 1
-            self.best_epoch = meta["best_epoch"]
-            self.best_metric = meta["best_metric"] if meta["best_metric"] is not None else -np.inf
+            self.best = EpochRecord(**meta["best"])
         return meta
+
+
+def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The checkpoint's `param.*` tensors, one per entry of `like` and of
+    the same shape; anything else means the checkpoint belongs to another
+    model config.
+    """
+    params = {}
+    for name, p in like.items():
+        key = f"param.{name}"
+        if key not in tensors or tensors[key].shape != p.shape:
+            raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
+        params[name] = tensors[key]
+    return params

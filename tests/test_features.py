@@ -21,7 +21,6 @@ class TestLoadVectorFile:
         assert len(table) == 2 and table.dim == 3
         assert np.array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
         assert table.lookup("zz") is None
-        assert not table.trainable
 
     def test_row_length_mismatch_names_row(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -55,27 +54,6 @@ class TestLoadVectorFile:
         ft.save_vector_file(path, {"x": 0, "y": 1}, vecs)
         table = ft.load_vector_file(path)
         assert np.array_equal(table.vectors, vecs)
-
-
-class TestInitTrainableTable:
-    def test_scale_zero_all_zero(self):
-        table = ft.init_trainable_table(3, 4, seed=0, scale=0.0)
-        assert np.all(table.vectors == 0.0)
-
-    def test_same_seed_identical(self):
-        a = ft.init_trainable_table(5, 6, seed=9, scale=0.1)
-        b = ft.init_trainable_table(5, 6, seed=9, scale=0.1)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert a.trainable
-
-    def test_shape_and_bounds(self):
-        table = ft.init_trainable_table(7, 256, seed=1, scale=0.1)
-        assert table.vectors.shape == (7, 256)
-        assert np.all(np.abs(table.vectors) <= 0.1)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            ft.init_trainable_table(0, 4, 0, 0.1)
 
 
 def word_table():
@@ -136,10 +114,8 @@ class TestNodeFeatureProvider:
         assert prov.missing_sent == 1
 
     def test_avg_word_mode_ignores_sentence_table(self):
-        st = ft.EmbeddingTable(np.array([[9.0, 9.0, 9.0]]), index={"s1": 0})
-        prov = ft.NodeFeatureProvider(
-            hidden=2, word_table=word_table(), sentence_table=st, use_avg_word_embeddings=True
-        )
+        # the average-word ablation is a provider given no sentence table
+        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=None)
         assert prov.sentence_dim == 2
         out = prov.sent_matrix([_sentence("s1", ["b"])])
         assert np.array_equal(out, [[0.0, 1.0]])

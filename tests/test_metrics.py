@@ -139,29 +139,28 @@ class TestRouge:
 
 
 class TestAttributePrf:
-    class Lex:
-        def __init__(self, table):
-            self.table = table
+    """Attribute P/R/F1 as `evaluate_pairs` computes it from attribute sets."""
 
-        def match(self, tokens):
-            return {self.table[t] for t in tokens if t in self.table}
+    @staticmethod
+    def attr_scores(*pairs):
+        records = [
+            {"pred_sentences": [["w"]], "truth_sentences": [["w"]], "pred_attrs": pred, "truth_attrs": truth}
+            for pred, truth in pairs
+        ]
+        report = metrics.evaluate_pairs(records)
+        return report.attr_precision, report.attr_recall, report.attr_f1, report.attr_pairs
 
     def test_set_arithmetic(self):
-        lex = self.Lex({"a": 0, "b": 1, "c": 2})
-        out = metrics.attribute_prf([["a", "b"]], [["b", "c"]], lex)
-        assert out == (0.5, 0.5, 0.5)
+        assert self.attr_scores(({0, 1}, {1, 2})) == (0.5, 0.5, 0.5, 1)
 
     def test_exact_match(self):
-        lex = self.Lex({"a": 0})
-        assert metrics.attribute_prf([["a"]], [["a"]], lex) == (1.0, 1.0, 1.0)
+        assert self.attr_scores(({0}, {0})) == (1.0, 1.0, 1.0, 1)
 
     def test_empty_prediction(self):
-        lex = self.Lex({"a": 0})
-        assert metrics.attribute_prf([["x"]], [["a"]], lex) == (0.0, 0.0, 0.0)
+        assert self.attr_scores((set(), {0})) == (0.0, 0.0, 0.0, 1)
 
     def test_empty_truth_excluded(self):
-        lex = self.Lex({"a": 0})
-        assert metrics.attribute_prf([["a"]], [["x"]], lex) is None
+        assert self.attr_scores(({0}, {0}), ({0}, set())) == (1.0, 1.0, 1.0, 1)
 
 
 class TestEvalReport:

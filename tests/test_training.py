@@ -263,6 +263,40 @@ class TestTrainer:
         got = (tmp_path / "part" / "checkpoints" / "epoch_3.ntar").read_bytes()
         assert ref == got
 
+    def test_zero_epochs_rejected(self, tmp_path):
+        with pytest.raises(tr.TrainingError, match="epochs"):
+            make_trainer(tmp_path, epochs=0)
+
+    def test_resume_from_final_epoch_trains_nothing(self, tmp_path):
+        full = make_trainer(tmp_path, epochs=3, seed=2)
+        best = full.run()
+        ckpt_dir = tmp_path / "checkpoints"
+        written = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+        log = (tmp_path / "train_log.txt").read_bytes()
+
+        resumed = make_trainer(tmp_path, epochs=3, seed=2)
+        resumed.load_checkpoint(ckpt_dir / "epoch_2.ntar", resume=True)
+        assert resumed.run() == best
+        assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == written
+        assert (tmp_path / "train_log.txt").read_bytes() == log
+
+    def test_resume_keeps_early_stop_count(self, tmp_path):
+        def trainer(name, epochs):
+            out = make_trainer(tmp_path / name, epochs=epochs, seed=2)
+            out.train_cfg.patience = 1
+            return out
+
+        trainer("full", 8).run()
+        trained = len((tmp_path / "full" / "train_log.txt").read_text().splitlines()) - 2
+        assert trained < 8  # stopped early, after two epochs without a new best
+
+        trainer("part", trained - 1).run()
+        resumed = trainer("part", 8)
+        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / f"epoch_{trained - 2}.ntar", resume=True)
+        resumed.run()
+        for name in ("train_log.txt", "checkpoints/best.json"):
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
     def test_validation_pairs_use_eval_pools(self, tmp_path):
         trainer = make_trainer(tmp_path / "c")
         for pair in trainer.valid_pairs:
