@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import metrics
-from .archive import load_tensors
+from .archive import ArchiveError, load_tensors
 from .config import ConfigError, PipelineConfig
 from .corpus import (
     Corpus,
@@ -33,7 +33,7 @@ from .corpus import (
     load_meta,
     save_corpus,
 )
-from .features import NodeFeatureProvider, graph_inputs, load_vector_file
+from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file
 from .graphs import build_pair_graph
 from .model import Model
 from .selector import TfidfVectorizer, select_for_pair
@@ -66,7 +66,6 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         records,
         lexicon,
         min_activity=cfg.corpus.min_activity,
-        vocab_size=cfg.corpus.vocab_size,
         ratios=cfg.corpus.ratios,
         seed=cfg.seed,
     )
@@ -143,12 +142,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     params = checkpoint_params(tensors, model.init_params(cfg.seed))
     user_rows = {u: i for i, u in enumerate(corpus.users)}
     item_rows = {c: i for i, c in enumerate(corpus.items)}
-    train_words = [
-        list(corpus.sentences[sid].words)
-        for rid in sorted(corpus.split.train)
-        for sid in corpus.reviews[rid].sentence_ids
-    ]
-    vectorizer = TfidfVectorizer(train_words)
+    vectorizer = TfidfVectorizer(corpus.train_words())
 
     def one_pair(pair):
         user_id, item_id = pair
@@ -300,7 +294,9 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             report = cmd_evaluate(cfg, selections=getattr(args, "selections", None))
             print(report.format_table())
-    except (ConfigError, CorpusError, StalenessError, TrainingError, OSError) as exc:
+    except (
+        ArchiveError, ConfigError, CorpusError, StalenessError, TrainingError, VectorFileError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

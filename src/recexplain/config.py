@@ -44,7 +44,6 @@ class PathsConfig:
 class CorpusConfig:
     rating_threshold: float | None = None
     min_activity: int = 15
-    vocab_size: int = 20000
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
 

@@ -21,7 +21,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 UNK_TOKEN = "<unk>"
-UNK_ID = 0
 
 
 class CorpusError(Exception):
@@ -115,64 +114,12 @@ def load_attribute_lexicon(path) -> AttributeLexicon:
     return AttributeLexicon(surfaces)
 
 
-class Vocabulary:
-    """Token ids by descending training-split frequency, ties lexicographic.
-
-    Id 0 is reserved for the unknown token; out-of-vocabulary words encode
-    to it.
-    """
-
-    def __init__(self, tokens: list[str], freqs: dict[str, int] | None = None):
-        if not tokens or tokens[0] != UNK_TOKEN:
-            raise CorpusError("vocabulary must start with the unknown token")
-        self.tokens: tuple[str, ...] = tuple(tokens)
-        self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.token_to_id) != len(self.tokens):
-            raise CorpusError("vocabulary contains duplicate tokens")
-        self.freqs = freqs
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.tokens == other.tokens
-
-    def encode(self, words) -> tuple[int, ...]:
-        return tuple(self.token_to_id.get(w, UNK_ID) for w in words)
-
-    @classmethod
-    def build(cls, sentences: list[list[str]], max_size: int) -> "Vocabulary":
-        counts = Counter()
-        for words in sentences:
-            counts.update(words)
-        counts.pop(UNK_TOKEN, None)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-        return cls([UNK_TOKEN] + [t for t, _ in ranked], freqs=dict(ranked))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.tokens):
-                fh.write(f"{tok}\t{i}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        tokens = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                tok, idx = line.rstrip("\n").split("\t")
-                if int(idx) != len(tokens):
-                    raise CorpusError(f"vocabulary ids not dense at {tok!r}")
-                tokens.append(tok)
-        return cls(tokens)
-
-
 @dataclass(frozen=True)
 class Sentence:
     sentence_id: str
     review_id: str
     words: tuple[str, ...]
     attributes: frozenset[int]
-    token_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -214,6 +161,9 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
                 item_id = str(obj["item_id"])
                 rating = float(obj["rating"])
                 text = str(obj["text"])
+                for name, value in (("user_id", user_id), ("item_id", item_id)):
+                    if "\t" in value or "\n" in value or "\r" in value:
+                        raise ValueError(f"{name} contains a tab or line break")
             except (KeyError, TypeError, ValueError) as exc:
                 missing = exc.args[0] if isinstance(exc, KeyError) else exc
                 errors.append(f"line {line_no}: bad record ({missing})")
@@ -298,13 +248,11 @@ class Corpus:
         reviews: dict[str, Review],
         sentences: dict[str, Sentence],
         lexicon: AttributeLexicon,
-        vocab: Vocabulary,
         split: CorpusSplit,
     ):
         self.reviews = reviews
         self.sentences = sentences
         self.lexicon = lexicon
-        self.vocab = vocab
         self.split = split
         self.users = sorted({r.user_id for r in reviews.values()})
         self.items = sorted({r.item_id for r in reviews.values()})
@@ -378,6 +326,14 @@ class Corpus:
                 raise CorpusError(f"train pool for ({user_id}, {item_id}) misses target sentences")
         return tuple(pool)
 
+    def train_words(self) -> list[tuple[str, ...]]:
+        """Words of every training-split sentence, in review-id order."""
+        return [
+            self.sentences[sid].words
+            for rid in sorted(self.split.train)
+            for sid in self.reviews[rid].sentence_ids
+        ]
+
     def pairs(self, part: str) -> list[tuple[str, str]]:
         """Distinct (user, item) pairs with at least one review in `part`."""
         return sorted(pair for pair, buckets in self._pair_reviews.items() if part in buckets)
@@ -416,7 +372,6 @@ def build_corpus(
     records: list[RawRecord],
     lexicon: AttributeLexicon,
     min_activity: int,
-    vocab_size: int,
     ratios,
     seed: int,
 ) -> Corpus:
@@ -437,10 +392,6 @@ def build_corpus(
             drafts.append(_Draft(rid, rec.user_id, rec.item_id, rec.rating, kept))
     drafts = filter_min_activity(drafts, min_activity)
     split = split_corpus([d.review_id for d in drafts], ratios, seed)
-    train_words = [
-        words for d in drafts if d.review_id in split.train for _, words, _ in d.sentences
-    ]
-    vocab = Vocabulary.build(train_words, vocab_size)
     reviews: dict[str, Review] = {}
     sentences: dict[str, Sentence] = {}
     for d in drafts:
@@ -451,11 +402,10 @@ def build_corpus(
                 review_id=d.review_id,
                 words=tuple(words),
                 attributes=attrs,
-                token_ids=vocab.encode(words),
             )
             sids.append(sid)
         reviews[d.review_id] = Review(d.review_id, d.user_id, d.item_id, d.rating, tuple(sids))
-    return Corpus(reviews, sentences, lexicon, vocab, split)
+    return Corpus(reviews, sentences, lexicon, split)
 
 
 # -- persistence -----------------------------------------------------------
@@ -463,7 +413,6 @@ def build_corpus(
 def save_corpus(corpus: Corpus, dirpath, extra_meta: dict | None = None) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    corpus.vocab.save(dirpath / "vocab.tsv")
     corpus.lexicon.save(dirpath / "attributes.tsv")
     with open(dirpath / "sentences.tsv", "w", encoding="utf-8") as fh:
         for sid in sorted(corpus.sentences):
@@ -491,7 +440,6 @@ def save_corpus(corpus: Corpus, dirpath, extra_meta: dict | None = None) -> None
 
 def load_corpus(dirpath) -> Corpus:
     dirpath = Path(dirpath)
-    vocab = Vocabulary.load(dirpath / "vocab.tsv")
     lexicon = AttributeLexicon.load_table(dirpath / "attributes.tsv")
     split_doc = json.loads((dirpath / "splits.json").read_text(encoding="utf-8"))
     split = CorpusSplit(
@@ -505,20 +453,18 @@ def load_corpus(dirpath) -> Corpus:
     with open(dirpath / "sentences.tsv", encoding="utf-8") as fh:
         for line in fh:
             sid, rid, attrs, words_str = line.rstrip("\n").split("\t")
-            words = tuple(words_str.split(" "))
             sentences[sid] = Sentence(
                 sentence_id=sid,
                 review_id=rid,
-                words=words,
+                words=tuple(words_str.split(" ")),
                 attributes=frozenset(int(a) for a in attrs.split(",") if a),
-                token_ids=vocab.encode(words),
             )
     reviews: dict[str, Review] = {}
     with open(dirpath / "reviews.tsv", encoding="utf-8") as fh:
         for line in fh:
             rid, uid, cid, rating, sids = line.rstrip("\n").split("\t")
             reviews[rid] = Review(rid, uid, cid, float(rating), tuple(sids.split(" ")))
-    return Corpus(reviews, sentences, lexicon, vocab, split)
+    return Corpus(reviews, sentences, lexicon, split)
 
 
 def load_meta(dirpath) -> dict:

@@ -15,30 +15,38 @@ from dataclasses import dataclass, field
 log = logging.getLogger(__name__)
 
 Tokens = list[str]
+Profile = tuple[int, tuple[Counter, ...]]
 
 
 def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_matches(candidate, references, n: int) -> tuple[int, int]:
+def ngram_profile(tokens, max_n: int = 4) -> Profile:
+    """A sentence's length and its n-gram counts for orders 1..max_n, all
+    that BLEU reads of it."""
+    tokens = tuple(tokens)
+    return len(tokens), tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1))
+
+
+def _clipped_matches(candidate: Profile, references: list[Profile], n: int) -> tuple[int, int]:
     """Modified n-gram precision counts: (clipped matches, candidate total)."""
-    total = max(len(candidate) - n + 1, 0)
+    total = max(candidate[0] - n + 1, 0)
     if total == 0:
         return 0, 0
-    cand = _ngram_counts(candidate, n)
-    ref_max: Counter = Counter()
-    for ref in references:
-        for gram, cnt in _ngram_counts(ref, n).items():
-            if cnt > ref_max[gram]:
-                ref_max[gram] = cnt
-    matches = sum(min(cnt, ref_max[gram]) for gram, cnt in cand.items())
+    cand = candidate[1][n - 1]
+    ref_max = references[0][1][n - 1]
+    for ref in references[1:]:
+        ref_max = ref_max | ref[1][n - 1]
+    matches = 0
+    for gram in cand.keys() & ref_max.keys():
+        matches += min(cand[gram], ref_max[gram])
     return matches, total
 
 
-def _closest_ref_len(cand_len: int, references) -> int:
+def _closest_ref_len(cand_len: int, references: list[Profile]) -> int:
     # standard convention: closest reference length, ties toward the shorter
-    return min((len(r) for r in references), key=lambda rl: (abs(rl - cand_len), rl))
+    return min((r[0] for r in references), key=lambda rl: (abs(rl - cand_len), rl))
 
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
@@ -47,18 +55,18 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def sentence_bleu(candidate: Tokens, references: list[Tokens], max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU in [0, 1].
+def profile_bleu(candidate: Profile, references: list[Profile], max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU in [0, 1] over n-gram profiles.
 
     Geometric mean of modified n-gram precisions up to `max_n`, times the
     brevity penalty.  Smoothing: orders >= 2 with a zero match count fall
     back to add-one, 1/(total+1); orders the candidate is too short for
     count as vacuously 1.  A candidate with no unigram overlap scores 0 --
-    smoothing never manufactures similarity out of nothing.
+    smoothing never manufactures similarity out of nothing.  Empty
+    references are ignored.
     """
-    candidate = list(candidate)
-    references = [list(r) for r in references if r]
-    if not candidate:
+    references = [r for r in references if r[0]]
+    if not candidate[0]:
         log.warning("sentence_bleu: empty candidate scored 0")
         return 0.0
     if not references:
@@ -73,8 +81,15 @@ def sentence_bleu(candidate: Tokens, references: list[Tokens], max_n: int = 4) -
         else:
             p = 1.0 / (total + 1)
         log_sum += math.log(p)
-    bp = _brevity_penalty(len(candidate), _closest_ref_len(len(candidate), references))
+    bp = _brevity_penalty(candidate[0], _closest_ref_len(candidate[0], references))
     return bp * math.exp(log_sum / max_n)
+
+
+def sentence_bleu(candidate: Tokens, references: list[Tokens], max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU of token lists; see `profile_bleu`."""
+    return profile_bleu(
+        ngram_profile(candidate, max_n), [ngram_profile(r, max_n) for r in references], max_n
+    )
 
 
 def corpus_bleu(pairs: list[tuple[Tokens, list[Tokens]]], max_n: int = 4) -> float:
@@ -92,13 +107,13 @@ def corpus_bleu(pairs: list[tuple[Tokens, list[Tokens]]], max_n: int = 4) -> flo
     cand_len = 0
     ref_len = 0
     for candidate, references in pairs:
-        candidate = list(candidate)
-        references = [list(r) for r in references if r]
+        references = [ngram_profile(r, max_n) for r in references if r]
         if not references:
             continue
-        cand_len += len(candidate)
-        ref_len += _closest_ref_len(len(candidate), references)
-        if not candidate:
+        candidate = ngram_profile(candidate, max_n)
+        cand_len += candidate[0]
+        ref_len += _closest_ref_len(candidate[0], references)
+        if not candidate[0]:
             continue
         for n in range(1, max_n + 1):
             m, t = _clipped_matches(candidate, references, n)

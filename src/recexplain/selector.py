@@ -191,21 +191,34 @@ class TfidfVectorizer:
         return {tok: v / norm for tok, v in vec.items()}
 
     def matrix(self, sentences: list[list[str]]) -> np.ndarray:
-        """Pairwise cosine similarity with a forced zero diagonal."""
+        """Pairwise cosine similarity with a forced zero diagonal.
+
+        Cell (i, j), i < j, is the dot product summed over the tokens of
+        row i in their `vector` order, and mirrored below the diagonal.
+        The sum runs one token slot at a time across all pairs: slot l adds
+        the l-th term of every row's sum, so each cell sees the same
+        additions in the same order as a per-pair loop, bit for bit.
+        """
         vecs = [self.vector(words) for words in sentences]
         for i, v in enumerate(vecs):
             if not v:
                 log.warning("sentence %d has no tf-idf mass; similarity 0 to everything", i)
         n = len(vecs)
+        columns: dict[str, int] = {}
+        width = max((len(v) for v in vecs), default=0)
+        weights = np.zeros((n, width))  # slot l of row i: its l-th token's weight
+        slots = np.full((n, width), -1, dtype=np.intp)  # ... and its column; -1 pads
+        for i, v in enumerate(vecs):
+            for l, (tok, w) in enumerate(v.items()):
+                weights[i, l] = w
+                slots[i, l] = columns.setdefault(tok, len(columns))
+        dense = np.zeros((n, len(columns) + 1))  # the last column stays zero
+        dense[np.arange(n)[:, None], slots] = weights
         sim = np.zeros((n, n))
-        for i in range(n):
-            vi = vecs[i]
-            if not vi:
-                continue
-            for j in range(i + 1, n):
-                s = sum(w * vecs[j].get(tok, 0.0) for tok, w in vi.items())
-                sim[i, j] = sim[j, i] = s
-        return sim
+        for l in range(width):
+            sim += weights[:, l : l + 1] * dense[:, slots[:, l]].T
+        sim = np.triu(sim, k=1)
+        return sim + sim.T
 
 
 @dataclass

@@ -55,16 +55,28 @@ class TrainConfig:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def relevance_targets(candidates, ground_truth) -> np.ndarray:
+def relevance_targets(candidates, ground_truth, profiles: dict | None = None) -> np.ndarray:
     """Max smoothed sentence-BLEU of each candidate against the target
     review's sentences.  `candidates`/`ground_truth` are lists of word
-    tuples; targets are cacheable and deterministic.
+    tuples.  `profiles` memoises each sentence's n-gram profile, keyed on
+    its words; the trainer passes one memo per split it assembles and drops
+    it afterwards, so a sentence that recurs across pools is counted once.
     """
     if not ground_truth:
         raise TrainingError("relevance targets need a non-empty ground truth")
-    refs = [list(g) for g in ground_truth]
+    if profiles is None:
+        profiles = {}
+
+    def profile(words):
+        words = tuple(words)
+        found = profiles.get(words)
+        if found is None:
+            found = profiles[words] = metrics.ngram_profile(words)
+        return found
+
+    refs = [[profile(g)] for g in ground_truth]
     return np.array(
-        [max(metrics.sentence_bleu(list(c), [r]) for r in refs) for c in candidates]
+        [max(metrics.profile_bleu(profile(c), r) for r in refs) for c in candidates]
     )
 
 
@@ -243,6 +255,7 @@ class Trainer:
         mode = "train" if part == "train" else "eval"
         out: list[TrainPair] = []
         skipped = 0
+        profiles: dict = {}
         for user_id, item_id in self.corpus.pairs(part):
             truth_ids = self.corpus.ground_truth_sentences(user_id, item_id, part)
             truth_words = [self.corpus.sentences[s].words for s in truth_ids]
@@ -264,7 +277,7 @@ class Trainer:
             targets = None
             if part == "train":
                 cand_words = [self.corpus.sentences[s].words for s in graph.sentence_ids]
-                targets = relevance_targets(cand_words, truth_words)
+                targets = relevance_targets(cand_words, truth_words, profiles)
             out.append(TrainPair(user_id, item_id, graph, inputs, targets, truth_words))
         if skipped:
             log.warning("%s: skipped %d pairs with empty pools or ground truth", part, skipped)

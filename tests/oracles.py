@@ -149,6 +149,23 @@ def tfidf_cosine_oracle(sentences, train_sentences):
     return out
 
 
+def tfidf_pair_loop(vectorizer, sentences):
+    """The per-pair similarity loop over `vectorizer.vector` rows: cell
+    (i, j), i < j, sums w * v_j[tok] over row i's tokens in their order,
+    and (j, i) copies it.  The reference for bit-exact comparisons.
+    """
+    vecs = [vectorizer.vector(words) for words in sentences]
+    out = [[0.0] * len(vecs) for _ in vecs]
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            dot = 0.0
+            for tok, w in vecs[i].items():
+                dot += w * vecs[j].get(tok, 0.0)
+            out[i][j] = dot
+            out[j][i] = dot
+    return out
+
+
 def enumerate_best_subset(scores, sim, k, alpha):
     """Exhaustive subset search; ties go to the lexicographically smallest
     index tuple.  Returns (best objective, best tuple).

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from recexplain.corpus import load_corpus
+from recexplain.corpus import UNK_TOKEN, load_corpus
 from recexplain.features import save_vector_file
 
 N_USERS = 8
@@ -119,7 +119,7 @@ def write_vector_files(corpus_dir, out_dir, hidden: int, sent_dim: int = 16, see
     """
     out_dir = Path(out_dir)
     corpus = load_corpus(corpus_dir)
-    tokens = list(corpus.vocab.tokens)
+    tokens = [UNK_TOKEN] + sorted({w for words in corpus.train_words() for w in words})
     word_vecs = np.stack(
         [_token_rng(seed, "word", tok).normal(scale=0.5, size=hidden) for tok in tokens]
     )

@@ -70,6 +70,26 @@ class TestPipeline:
         assert cli.main(["select", "--config", str(changed)]) == 1
         assert "re-run train" in capsys.readouterr().err
 
+    def test_vector_width_mismatch_is_an_error(self, planted, tmp_path, capsys):
+        config, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["model"]["hidden"] = 2 * HIDDEN
+        doc["paths"]["workdir"] = str(tmp_path / "work")
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(changed)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: attribute/word vectors have dim {HIDDEN}, expected {2 * HIDDEN}")
+
+    def test_corrupt_checkpoint_is_an_error(self, planted, tmp_path, capsys):
+        config, _, _ = planted
+        junk = tmp_path / "junk.ntar"
+        junk.write_bytes(b"not an archive\n")
+        assert cli.main(["select", "--config", str(config), "--checkpoint", str(junk)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a tensor archive" in err
+
     @pytest.mark.parametrize("keep_header", [True, False])
     def test_explicit_selections_evaluate_every_record(self, planted, tmp_path, keep_header):
         config, workdir, _ = planted
@@ -99,7 +119,14 @@ class TestConfig:
         assert by_flag.select_hash() == by_field.select_hash() != plain.select_hash()
         assert by_flag.train_hash() == by_field.train_hash()
 
-    @pytest.mark.parametrize("doc, name", [({"ablations": {"disable_gat": True}}, "ablations"), ({"workers": 2}, "workers")])
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"ablations": {"disable_gat": True}}, "ablations"),
+            ({"workers": 2}, "workers"),
+            ({"corpus": {"vocab_size": 20000}}, "corpus.vocab_size"),
+        ],
+    )
     def test_removed_keys_rejected_by_name(self, doc, name):
         with pytest.raises(ConfigError, match=name):
             PipelineConfig.from_dict(doc)

@@ -91,6 +91,18 @@ class TestIngest:
         records, errors = cp.ingest_reviews(path, 0)
         assert records == [] and "line 1" in errors[0]
 
+    @pytest.mark.parametrize("field", ["user_id", "item_id"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_tab_or_line_break_in_id_reported(self, tmp_path, field, char):
+        path = tmp_path / "reviews.jsonl"
+        bad = {"user_id": "u1", "item_id": "i1", "rating": 5, "text": "Nice room."}
+        bad[field] = f"x{char}y"
+        spaced = dict(bad, **{field: "x y"})
+        write_reviews(path, [bad, spaced])
+        records, errors = cp.ingest_reviews(path, 0)
+        assert [getattr(r, field) for r in records] == ["x y"]
+        assert len(errors) == 1 and errors[0].startswith("line 1: bad record (") and field in errors[0]
+
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
             cp.ingest_reviews(tmp_path / "nope.jsonl", 0)
@@ -145,29 +157,6 @@ class TestActivityFilter:
         assert cp.filter_min_activity([_R("a", "x")], 2) == []
 
 
-class TestVocabulary:
-    def test_under_capacity(self):
-        vocab = cp.Vocabulary.build([["a", "b"], ["c", "d", "e"]], 20000)
-        assert len(vocab) == 6  # 5 tokens + unk
-
-    def test_tie_break_lexicographic(self):
-        vocab = cp.Vocabulary.build([["b", "a", "c"]], 2)
-        assert vocab.tokens == (cp.UNK_TOKEN, "a", "b")
-
-    def test_frequency_order(self):
-        vocab = cp.Vocabulary.build([["z", "z", "z", "a", "a", "m"]], 10)
-        assert vocab.tokens == (cp.UNK_TOKEN, "z", "a", "m")
-
-    def test_unknown_maps_to_unk(self):
-        vocab = cp.Vocabulary.build([["a"]], 10)
-        assert vocab.encode(["a", "zzz"]) == (1, cp.UNK_ID)
-
-    def test_roundtrip(self, tmp_path):
-        vocab = cp.Vocabulary.build([["b", "a", "b"]], 10)
-        vocab.save(tmp_path / "vocab.tsv")
-        assert cp.Vocabulary.load(tmp_path / "vocab.tsv") == vocab
-
-
 class TestSplit:
     def test_ratio_counts(self):
         split = cp.split_corpus([f"r{i}" for i in range(100)], (0.7, 0.15, 0.15), 7)
@@ -201,7 +190,7 @@ def toy_corpus(lexicon, n_users=4, n_items=4, seed=5, min_activity=2):
             text = f"The {attr} was great. I liked it a lot."
             records.append(cp.RawRecord(f"u{u}", f"c{c}", 5.0, text, line))
             line += 1
-    return cp.build_corpus(records, lexicon, min_activity, 20000, (0.7, 0.15, 0.15), seed)
+    return cp.build_corpus(records, lexicon, min_activity, (0.7, 0.15, 0.15), seed)
 
 
 class TestBuildCorpus:
@@ -210,15 +199,11 @@ class TestBuildCorpus:
         for s in corpus.sentences.values():
             assert s.attributes
 
-    def test_vocab_from_train_only(self, lexicon):
+    def test_train_words_from_train_only(self, lexicon):
         corpus = toy_corpus(lexicon)
-        train_words = [
-            list(corpus.sentences[sid].words)
-            for rid in corpus.split.train
-            for sid in corpus.reviews[rid].sentence_ids
-        ]
-        rebuilt = cp.Vocabulary.build(train_words, 20000)
-        assert rebuilt == corpus.vocab
+        want = [s.words for s in corpus.sentences.values() if corpus.split.of(s.review_id) == "train"]
+        assert want and len(want) < len(corpus.sentences)
+        assert sorted(corpus.train_words()) == sorted(want)
 
     def test_pool_contains_target_in_train_mode(self, lexicon):
         corpus = toy_corpus(lexicon)
@@ -238,7 +223,7 @@ class TestBuildCorpus:
         records = [
             cp.RawRecord("u0", "c0", 5.0, "The room was great. The staff was kind.", 0),
         ]
-        corpus = cp.build_corpus(records, lexicon, 1, 100, (1.0, 0.0, 0.0), 0)
+        corpus = cp.build_corpus(records, lexicon, 1, (1.0, 0.0, 0.0), 0)
         pool = corpus.candidate_pool("u0", "c0", "train")
         assert set(pool) == set(corpus.ground_truth_sentences("u0", "c0", "train"))
 
@@ -251,17 +236,17 @@ class TestBuildCorpus:
         cp.save_corpus(corpus, tmp_path / "one")
         again = cp.load_corpus(tmp_path / "one")
         cp.save_corpus(again, tmp_path / "two")
-        for name in ("vocab.tsv", "attributes.tsv", "sentences.tsv", "reviews.tsv", "splits.json"):
+        for name in ("attributes.tsv", "sentences.tsv", "reviews.tsv", "splits.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        assert not (tmp_path / "one" / "vocab.tsv").exists()
         assert again.stats() == corpus.stats()
-        sid = next(iter(corpus.sentences))
-        assert again.sentences[sid] == corpus.sentences[sid]
+        assert again.sentences == corpus.sentences
 
     def test_rebuild_deterministic(self, lexicon):
         a = toy_corpus(lexicon)
         b = toy_corpus(lexicon)
         assert a.split == b.split
-        assert a.vocab == b.vocab
+        assert a.sentences == b.sentences
         assert set(a.sentences) == set(b.sentences)
 
     def test_empty_pool_raises(self, lexicon):

@@ -80,7 +80,7 @@ class TestFallbackEmbedding:
 
 
 def _sentence(sid, words):
-    return Sentence(sid, "r0", tuple(words), frozenset({0}), tuple(0 for _ in words))
+    return Sentence(sid, "r0", tuple(words), frozenset({0}))
 
 
 class TestNodeFeatureProvider:

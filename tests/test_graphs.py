@@ -8,7 +8,7 @@ LEX = cp.AttributeLexicon(["room", "staff", "view", "pool"])
 
 
 def corpus_from_records(records, ratios=(1.0, 0.0, 0.0), seed=0, min_activity=1):
-    return cp.build_corpus(records, LEX, min_activity, 1000, ratios, seed)
+    return cp.build_corpus(records, LEX, min_activity, ratios, seed)
 
 
 def minimal_corpus():
@@ -83,7 +83,7 @@ class TestBuildPairGraph:
             cp.RawRecord("u0", "c0", 5.0, "The room was fine.", 1),
             cp.RawRecord("u1", "c0", 5.0, "The staff were kind.", 2),
         ]
-        corpus = cp.build_corpus(records, LEX, 1, 100, (0.5, 0.0, 0.5), 1)
+        corpus = cp.build_corpus(records, LEX, 1, (0.5, 0.0, 0.5), 1)
         pair = corpus.pairs("test")[0]
         g = build_pair_graph(corpus, pair[0], pair[1], "eval")
         assert g.positives is None and g.attr_labels is None

@@ -3,7 +3,7 @@ import pytest
 
 from recexplain import selector as sel
 
-from oracles import enumerate_best_subset, tfidf_cosine_oracle
+from oracles import enumerate_best_subset, tfidf_cosine_oracle, tfidf_pair_loop
 
 
 def spec_instance():
@@ -179,6 +179,49 @@ class TestTfidf:
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) == 0.0)
         assert np.all(m >= 0.0) and np.all(m <= 1.0 + 1e-12)
+
+    @staticmethod
+    def random_pool(rng, n, vocab=10, lo=5, hi=15):
+        return [[f"t{rng.integers(vocab)}" for _ in range(rng.integers(lo, hi))] for _ in range(n)]
+
+    def test_bit_identical_to_pair_loop(self):
+        rng = np.random.default_rng(4)
+        reordered_differs = False
+        for _ in range(20):
+            v = sel.TfidfVectorizer(self.random_pool(rng, 60, lo=3, hi=8))
+            sents = self.random_pool(rng, int(rng.integers(2, 40)))
+            got = v.matrix(sents)
+            want = np.array(tfidf_pair_loop(v, sents))
+            assert np.array_equal(got, want)
+            # rows share >= 3 weighted tokens, so the order of the sum shows
+            vecs = [v.vector(w) for w in sents]
+            assert max(len(vecs[0].keys() & u.keys()) for u in vecs[1:]) >= 3
+            backwards = [
+                sum(w * vecs[j].get(t, 0.0) for t, w in reversed(vecs[0].items())) for j in range(1, len(vecs))
+            ]
+            reordered_differs |= backwards != list(want[0, 1:])
+        assert reordered_differs
+
+    def test_bit_identical_edge_pools(self):
+        v = sel.TfidfVectorizer([["a", "b"], ["c", "d"], ["e", "f"], ["a", "c"]])
+        pools = [
+            [["a", "b", "c"]],  # one sentence
+            [["zz", "qq"], ["a", "c"], ["zz"], ["a", "b", "a"]],  # rows with no tf-idf mass
+            [["a", "c", "d"], ["a", "c", "d"], ["d", "c", "a"]],  # identical sentences
+            [],
+        ]
+        for sents in pools:
+            got = v.matrix(sents)
+            assert got.shape == (len(sents), len(sents))
+            assert np.array_equal(got, np.array(tfidf_pair_loop(v, sents)).reshape(got.shape))
+        same = v.matrix(pools[2])
+        assert same[0, 1] == same[1, 0] and same[0, 1] == pytest.approx(1.0)
+        assert np.all(v.matrix(pools[1])[[0, 2]] == 0.0)
+
+    def test_no_mass_warning(self, caplog):
+        v = sel.TfidfVectorizer([["a", "b"], ["c", "d"], ["e", "f"]])
+        v.matrix([["zz"], ["a"]])
+        assert "sentence 0 has no tf-idf mass" in caplog.text
 
 
 class TestSelectForPair:

@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from recexplain import corpus as cp
+from recexplain import metrics
 from recexplain import training as tr
 from recexplain.features import EmbeddingTable, NodeFeatureProvider
 from recexplain.model import ModelConfig
@@ -35,6 +37,30 @@ class TestRelevanceTargets:
         a = tr.relevance_targets(cands, gt)
         b = tr.relevance_targets(cands, gt)
         assert np.array_equal(a, b)
+
+    def test_equals_sentence_bleu_and_oracle(self):
+        rng = random.Random(5)
+
+        def sentence(lo, hi):
+            return tuple(f"w{rng.randrange(6)}" for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(40):
+            gt = [sentence(1, 12) for _ in range(rng.randint(1, 3))]
+            cands = [sentence(1, 3) for _ in range(3)] + [sentence(4, 14) for _ in range(8)]
+            cands += [cands[1], cands[6], gt[0]]  # duplicates and a reference itself
+            got = tr.relevance_targets(cands, gt)
+            assert got.tolist() == [max(metrics.sentence_bleu(list(c), [list(g)]) for g in gt) for c in cands]
+            for target, c in zip(got, cands):
+                assert abs(target - max(bleu_oracle(list(c), [list(g)]) for g in gt)) <= 1e-12
+            assert got[-1] == 1.0
+
+    def test_shared_memo_changes_nothing(self):
+        first = ([("a", "b", "c"), ("b", "c")], [("a", "b", "c", "d")])
+        second = ([("b", "c"), ("c", "d", "e")], [("c", "d"), ("a", "b", "c")])
+        memo = {}
+        for cands, gt in (first, second):
+            assert np.array_equal(tr.relevance_targets(cands, gt, memo), tr.relevance_targets(cands, gt))
+        assert set(memo) == {s for cands, gt in (first, second) for s in cands + gt}
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(tr.TrainingError):
@@ -200,14 +226,14 @@ def tiny_corpus():
             text = f"The {attr} was truly delightful here. The {other} seemed fine too."
             records.append(cp.RawRecord(f"u{u}", f"c{c}", 5.0, text, line))
             line += 1
-    return cp.build_corpus(records, LEX, 2, 1000, (0.7, 0.15, 0.15), 3)
+    return cp.build_corpus(records, LEX, 2, (0.7, 0.15, 0.15), 3)
 
 
 def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    vocab_tokens = list(corpus.vocab.tokens)
-    word_vecs = rng.normal(size=(len(vocab_tokens), hidden))
-    word_table = EmbeddingTable(word_vecs, index={t: i for i, t in enumerate(vocab_tokens)})
+    tokens = [cp.UNK_TOKEN] + sorted({w for words in corpus.train_words() for w in words})
+    word_vecs = rng.normal(size=(len(tokens), hidden))
+    word_table = EmbeddingTable(word_vecs, index={t: i for i, t in enumerate(tokens)})
     sids = sorted(corpus.sentences)
     sent_vecs = rng.normal(size=(len(sids), sent_dim))
     sent_table = EmbeddingTable(sent_vecs, index={s: i for i, s in enumerate(sids)})
