@@ -26,7 +26,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
     entries = []
     buffers = []
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # ascontiguousarray would make 0-d arrays 1-d
         buf = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         entries.append(
             {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape), "nbytes": len(buf)}
@@ -48,8 +48,23 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ArchiveError(f"{path}: not a tensor archive")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        size = fh.read(8)
+        if len(size) != 8:
+            raise ArchiveError(f"{path}: truncated header length")
+        header_len = int.from_bytes(size, "little")
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise ArchiveError(f"{path}: truncated header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ArchiveError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("meta"), dict)
+        ):
+            raise ArchiveError(f"{path}: header has no 'tensors' list and 'meta' object")
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
             raw = fh.read(entry["nbytes"])

@@ -109,7 +109,6 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
         cfg.training,
         workdir=cfg.paths.workdir,
         seed=cfg.seed,
-        self_loops=cfg.graph.self_loops,
         restrict_to_item_attributes=cfg.graph.restrict_to_item_attributes,
         config_hash=cfg.train_hash(),
     )
@@ -149,7 +148,6 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         try:
             graph = build_pair_graph(
                 corpus, user_id, item_id, "eval",
-                self_loops=cfg.graph.self_loops,
                 restrict_to_item_attributes=cfg.graph.restrict_to_item_attributes,
             )
         except EmptyPoolError:

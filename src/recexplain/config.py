@@ -49,7 +49,6 @@ class CorpusConfig:
 
 @dataclass
 class GraphConfig:
-    self_loops: bool = True
     restrict_to_item_attributes: bool = True
 
 

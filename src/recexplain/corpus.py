@@ -140,6 +140,16 @@ class RawRecord:
     line_no: int
 
 
+def _text_field(obj: dict, name: str) -> str:
+    """A record field that must be a JSON string or number, as a string."""
+    value = obj[name]
+    if type(value) is str:
+        return value
+    if type(value) in (int, float):  # json gives exact types; a bool is not an int here
+        return str(value)
+    raise ValueError(f"{name} is not a string or number")
+
+
 def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list[str]]:
     """Read JSON-lines reviews, keeping records rated strictly above the
     threshold.  Malformed records are reported (with line numbers), not fatal;
@@ -157,10 +167,10 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
                 errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
                 continue
             try:
-                user_id = str(obj["user_id"])
-                item_id = str(obj["item_id"])
+                user_id = _text_field(obj, "user_id")
+                item_id = _text_field(obj, "item_id")
                 rating = float(obj["rating"])
-                text = str(obj["text"])
+                text = _text_field(obj, "text")
                 for name, value in (("user_id", user_id), ("item_id", item_id)):
                     if "\t" in value or "\n" in value or "\r" in value:
                         raise ValueError(f"{name} contains a tab or line break")

@@ -6,12 +6,18 @@ undirected and binary: user-attribute and item-attribute co-occurrence
 links (from training reviews) and attribute-sentence membership links.
 Node order is fixed (user, item, attributes by id, sentences by id) so
 downstream tensors are reproducible.
+
+Self loops are always on: attention always includes each node itself, so
+every row of the attention mask has at least one entry.
+`PairGraph.edge_arrays` returns that (n, n) boolean mask; the benchmark's
+trace hook looks the method up by this name, so the name stays until the
+hook is renamed with it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +29,6 @@ USER_NODE = 0
 ITEM_NODE = 1
 
 
-class GraphError(Exception):
-    pass
-
-
 @dataclass
 class PairGraph:
     user_id: str
@@ -34,10 +36,8 @@ class PairGraph:
     attribute_ids: tuple[int, ...]
     sentence_ids: tuple[str, ...]
     neighbors: list[np.ndarray]  # undirected adjacency, no self-loops, sorted
-    self_loops: bool = True
     positives: frozenset[str] | None = None
     attr_labels: np.ndarray | None = None  # (M,) 0/1, train mode only
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -51,51 +51,15 @@ class PairGraph:
     def sent_slice(self) -> slice:
         return slice(2 + len(self.attribute_ids), self.n_nodes)
 
-    def neighbor_view(self, node: int) -> np.ndarray:
-        """Neighbors of `node`, including itself when self-loops are on."""
-        if not 0 <= node < self.n_nodes:
-            raise GraphError(f"unknown node index {node}")
-        nbrs = self.neighbors[node]
-        if self.self_loops:
-            pos = int(np.searchsorted(nbrs, node))
-            return np.insert(nbrs, pos, node)
-        return nbrs
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat attention edges as (center, neighbor, indptr), cached.
-
-        The center array is sorted; neighbors are sorted within each
-        center segment.  Raises if any node has an empty neighborhood,
-        which can only happen with self-loops disabled.
-        """
-        if self._csr is None:
-            centers = []
-            nbrs = []
-            indptr = [0]
-            for i in range(self.n_nodes):
-                view = self.neighbor_view(i)
-                if view.size == 0:
-                    raise GraphError(
-                        f"node {i} has no neighbors and self-loops are disabled"
-                    )
-                centers.append(np.full(view.size, i, dtype=np.int64))
-                nbrs.append(view.astype(np.int64))
-                indptr.append(indptr[-1] + view.size)
-            self._csr = (
-                np.concatenate(centers),
-                np.concatenate(nbrs),
-                np.asarray(indptr, dtype=np.int64),
-            )
-        return self._csr
-
-    def sentence_attr_indices(self) -> list[np.ndarray]:
-        """Per sentence node, the indices of its attribute node neighbors."""
-        lo, hi = self.attr_slice.start, self.attr_slice.stop
-        out = []
-        for i in range(self.sent_slice.start, self.sent_slice.stop):
-            nbrs = self.neighbors[i]
-            out.append(nbrs[(nbrs >= lo) & (nbrs < hi)])
-        return out
+    def edge_arrays(self) -> np.ndarray:
+        """The (n, n) boolean attention mask: `neighbors` plus every node's
+        self loop, built afresh on each call (nothing n x n is kept on the
+        graph)."""
+        n = self.n_nodes
+        mask = np.eye(n, dtype=bool)
+        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbors])
+        mask[rows, np.concatenate(self.neighbors)] = True
+        return mask
 
 
 def build_pair_graph(
@@ -103,7 +67,6 @@ def build_pair_graph(
     user_id: str,
     item_id: str,
     mode: str,
-    self_loops: bool = True,
     restrict_to_item_attributes: bool = True,
 ) -> PairGraph:
     """Construct the heterogeneous graph for one (user, item) pair.
@@ -160,7 +123,6 @@ def build_pair_graph(
         attribute_ids=tuple(attr_ids),
         sentence_ids=pool,
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        self_loops=self_loops,
         positives=positives,
         attr_labels=attr_labels,
     )

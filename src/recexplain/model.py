@@ -6,7 +6,7 @@ concatenated user, item, and sentence representations.  A linear head
 scores each sentence node; a logistic head predicts each attribute
 node's probability of appearing in the explanation.
 
-Attention for node i over neighborhood N(i):
+Attention for node i over N(i), its graph neighbors plus i itself:
 
     z_ij  = LeakyReLU(w_a . [W_q h_i || W_k h_j])
     a_ij  = softmax_j(z_ij)           over j in N(i)
@@ -16,15 +16,29 @@ The aggregation intentionally sums the raw neighbor states (no extra
 linear transform inside the sum), so each head's output keeps its input
 width and concatenation multiplies widths layer by layer.
 
-`backward` consumes the trace produced by `forward` and returns the
-gradient of any upstream loss on the scores/probabilities with respect
-to every trainable tensor, including the touched user/item embedding
-rows.  Verified against central finite differences in the test suite.
+Each head is computed densely.  The logit splits as z_ij = LeakyReLU(u_i +
+v_j) with u = H (W_q^T w_a[:A]) and v = H (W_k^T w_a[A:]); the two
+products inside the brackets are formed first, so a head needs two
+matrix-vector products instead of two n x A projections, and the
+parameters are unchanged.  The (n, n) logits are masked to N(i) with the
+boolean mask of `PairGraph.edge_arrays` (-inf outside it, so a_ij is 0
+there), softmaxed by row, and aggregated as alpha @ H.  Each head keeps its
+(n, n) float64 alpha for backward, n^2 x 8 bytes: pair graphs are small
+(the benchmark's median/largest are 130/145 nodes on dense_pools, 26/33 on
+sparse_pools and 27/45 on select_heavy), so the largest is 168 KB a head.
+
+`backward` consumes the trace produced by `forward` and adds the gradient
+of any upstream loss on the scores/probabilities, with respect to every
+trainable tensor including the touched user/item embedding rows, into a
+dict the caller owns.  Each tensor gets exactly one `+=` per graph, so the
+trainer zeroes one buffer per batch and the sum is the same, bit for bit,
+as adding up one fresh gradient dict per graph.  Verified against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,22 +90,11 @@ _ACTIVATIONS = {
 }
 
 
-def segment_softmax(z: np.ndarray, centers: np.ndarray, n: int) -> np.ndarray:
-    """Row-stable softmax of edge logits grouped by center node."""
-    mx = np.full(n, -np.inf)
-    np.maximum.at(mx, centers, z)
-    ex = np.exp(z - mx[centers])
-    den = np.zeros(n)
-    np.add.at(den, centers, ex)
-    return ex / den[centers]
-
-
 @dataclass
 class HeadTrace:
-    q: np.ndarray  # (n, A)
-    k: np.ndarray  # (n, A)
-    pre: np.ndarray  # (E,) logits before LeakyReLU
-    alpha: np.ndarray  # (E,)
+    u: np.ndarray  # (n,) center half of the logits, H @ (W_q^T w_a[:A])
+    v: np.ndarray  # (n,) neighbor half of the logits, H @ (W_k^T w_a[A:])
+    alpha: np.ndarray  # (n, n) attention weights, 0 outside the mask
     agg: np.ndarray  # (n, Din) pre-activation aggregate
 
 
@@ -101,40 +104,37 @@ class LayerTrace:
     heads: list[HeadTrace]
 
 
-def gat_layer(H: np.ndarray, graph: PairGraph, head_params: list[tuple], cfg: ModelConfig):
+def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple], cfg: ModelConfig):
     """One multi-head attention layer; returns (H_next, LayerTrace).
 
-    `head_params` is a list of (wq, wk, wa) per head with wq/wk of shape
-    (A, Din) and wa of shape (2A,).
+    `mask` is the graph's (n, n) boolean attention mask
+    (`PairGraph.edge_arrays`).  `head_params` is a list of (wq, wk, wa) per
+    head with wq/wk of shape (A, Din) and wa of shape (2A,).
     """
-    centers, nbrs, _ = graph.edge_arrays()
-    n = graph.n_nodes
     act, _ = _ACTIVATIONS[cfg.gat_activation]
     outs = []
     traces = []
     for wq, wk, wa in head_params:
         a = wq.shape[0]
-        q = H @ wq.T
-        k = H @ wk.T
-        u = q @ wa[:a]
-        v = k @ wa[a:]
-        pre = u[centers] + v[nbrs]
-        z = np.where(pre > 0, pre, cfg.leaky_slope * pre)
-        alpha = segment_softmax(z, centers, n)
-        agg = np.zeros_like(H)
-        np.add.at(agg, centers, alpha[:, None] * H[nbrs])
+        u = H @ (wq.T @ wa[:a])
+        v = H @ (wk.T @ wa[a:])
+        pre = u[:, None] + v[None, :]
+        z = np.where(mask, np.where(pre > 0, pre, cfg.leaky_slope * pre), -np.inf)
+        ex = np.exp(z - z.max(axis=1, keepdims=True))
+        alpha = ex / ex.sum(axis=1, keepdims=True)
+        agg = alpha @ H
         outs.append(act(agg))
-        traces.append(HeadTrace(q=q, k=k, pre=pre, alpha=alpha, agg=agg))
+        traces.append(HeadTrace(u=u, v=v, alpha=alpha, agg=agg))
     return np.concatenate(outs, axis=1), LayerTrace(H_in=H, heads=traces)
 
 
-def _gat_layer_backward(dH_out, graph, head_params, trace: LayerTrace, cfg: ModelConfig):
+def _gat_layer_backward(dH_out, head_params, trace: LayerTrace, cfg: ModelConfig):
     """Gradients of one attention layer.
 
-    Returns (dH_in, per-head [(dwq, dwk, dwa)]).
+    Returns (dH_in, per-head [(dwq, dwk, dwa)]).  Entries outside the mask
+    have alpha 0, so their logits get no gradient and the mask itself is
+    not needed here.
     """
-    centers, nbrs, _ = graph.edge_arrays()
-    n = graph.n_nodes
     _, dact = _ACTIVATIONS[cfg.gat_activation]
     H = trace.H_in
     din = H.shape[1]
@@ -143,26 +143,21 @@ def _gat_layer_backward(dH_out, graph, head_params, trace: LayerTrace, cfg: Mode
     for head, (wq, wk, wa) in enumerate(head_params):
         a = wq.shape[0]
         ht = trace.heads[head]
-        dout = dH_out[:, head * din : (head + 1) * din]
-        dagg = dout * dact(ht.agg)
-        # message term: agg_i = sum_j alpha_ij H_j
-        dalpha = np.einsum("ed,ed->e", dagg[centers], H[nbrs])
-        np.add.at(dH, nbrs, ht.alpha[:, None] * dagg[centers])
-        # softmax backward per center segment
-        w = ht.alpha * dalpha
-        seg = np.zeros(n)
-        np.add.at(seg, centers, w)
-        dz = ht.alpha * (dalpha - seg[centers])
-        dpre = dz * np.where(ht.pre > 0, 1.0, cfg.leaky_slope)
-        du = np.bincount(centers, weights=dpre, minlength=n)
-        dv = np.bincount(nbrs, weights=dpre, minlength=n)
-        dwa = np.concatenate([ht.q.T @ du, ht.k.T @ dv])
-        dq = np.outer(du, wa[:a])
-        dk = np.outer(dv, wa[a:])
-        dwq = dq.T @ H
-        dwk = dk.T @ H
-        dH += dq @ wq + dk @ wk
-        grads.append((dwq, dwk, dwa))
+        dagg = dH_out[:, head * din : (head + 1) * din] * dact(ht.agg)
+        # message term: agg = alpha @ H
+        dalpha = dagg @ H.T
+        dH += ht.alpha.T @ dagg
+        # row softmax, then LeakyReLU of the logit u_i + v_j
+        dz = ht.alpha * (dalpha - (ht.alpha * dalpha).sum(axis=1, keepdims=True))
+        dpre = np.where(ht.u[:, None] + ht.v[None, :] > 0, dz, cfg.leaky_slope * dz)
+        du = dpre.sum(axis=1)
+        dv = dpre.sum(axis=0)
+        # u = H @ (wq^T wa[:A]) and v = H @ (wk^T wa[A:])
+        gu = H.T @ du
+        gv = H.T @ dv
+        dwa = np.concatenate([wq @ gu, wk @ gv])
+        dH += np.outer(du, wq.T @ wa[:a]) + np.outer(dv, wk.T @ wa[a:])
+        grads.append((np.outer(wa[:a], gu), np.outer(wa[a:], gv), dwa))
     return dH, grads
 
 
@@ -341,11 +336,12 @@ class Model:
     def forward(self, graph: PairGraph, inputs: GraphInputs, params) -> ForwardTrace:
         cfg = self.cfg
         H0 = self._input_states(graph, inputs, params)
+        mask = graph.edge_arrays()
         layer_traces: list[LayerTrace] = []
         H = H0
         if not cfg.disable_gat:
             for l in range(len(cfg.gat_heads)):
-                H, lt = gat_layer(H, graph, self._head_params(params, l), cfg)
+                H, lt = gat_layer(H, mask, self._head_params(params, l), cfg)
                 layer_traces.append(lt)
         Xhat = H
 
@@ -357,9 +353,9 @@ class Model:
         n_sent = sent_rows.shape[0]
         attr_pool = None
         if cfg.disable_gat:
-            attr_pool = np.zeros((n_sent, cfg.hidden), dtype=self.np_dtype)
-            for i, idx in enumerate(graph.sentence_attr_indices()):
-                attr_pool[i] = H0[idx].mean(axis=0)
+            # mean of each sentence's attribute inputs; every sentence has one
+            links = mask[graph.sent_slice, graph.attr_slice]
+            attr_pool = (links @ H0[graph.attr_slice]) / links.sum(axis=1, keepdims=True)
             x0 = np.concatenate(
                 [
                     np.tile(Xhat[USER_NODE], (n_sent, 1)),
@@ -401,11 +397,13 @@ class Model:
     def zero_grads(self, params) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(t) for name, t in params.items()}
 
-    def backward(self, trace: ForwardTrace, params, d_scores: np.ndarray, d_attr_probs: np.ndarray):
-        """Exact gradients for upstream d(loss)/d(scores), d(loss)/d(probs)."""
+    def backward(
+        self, trace: ForwardTrace, params, d_scores: np.ndarray, d_attr_probs: np.ndarray, grads: dict[str, np.ndarray]
+    ) -> None:
+        """Add the exact gradients for upstream d(loss)/d(scores) and
+        d(loss)/d(probs) into `grads`, one `+=` per tensor."""
         cfg = self.cfg
         graph = trace.graph
-        grads = self.zero_grads(params)
 
         # heads
         grads["head.score"] += trace.x_cd.T @ d_scores
@@ -437,11 +435,10 @@ class Model:
         if cfg.disable_gat:
             dXhat[USER_NODE] += dx0[:, :d].sum(axis=0)
             dXhat[ITEM_NODE] += dx0[:, d : 2 * d].sum(axis=0)
-            dpool = dx0[:, 2 * d : 3 * d]
+            links = graph.edge_arrays()[graph.sent_slice, graph.attr_slice]
+            dpool = dx0[:, 2 * d : 3 * d] / links.sum(axis=1, keepdims=True)
             dH0_extra = np.zeros_like(trace.H0)
-            for i, idx in enumerate(graph.sentence_attr_indices()):
-                if idx.size:
-                    dH0_extra[idx] += dpool[i] / idx.size
+            dH0_extra[graph.attr_slice] = links.T @ dpool
             dXhat[graph.sent_slice] += dx0[:, 3 * d :]
         else:
             dXhat[USER_NODE] += dx0[:, :nd].sum(axis=0)
@@ -454,7 +451,7 @@ class Model:
         if not cfg.disable_gat:
             for l in range(len(cfg.gat_heads) - 1, -1, -1):
                 head_params = self._head_params(params, l)
-                dH, head_grads = _gat_layer_backward(dH, graph, head_params, trace.layer_traces[l], cfg)
+                dH, head_grads = _gat_layer_backward(dH, head_params, trace.layer_traces[l], cfg)
                 for h, (dwq, dwk, dwa) in enumerate(head_grads):
                     grads[f"gat.{l}.{h}.wq"] += dwq
                     grads[f"gat.{l}.{h}.wk"] += dwk
@@ -470,4 +467,3 @@ class Model:
             dsent = dH0[graph.sent_slice]
             grads["proj.w"] += dsent.T @ trace.inputs.sent_X
             grads["proj.b"] += dsent.sum(axis=0)
-        return grads

@@ -104,9 +104,8 @@ def pairwise_rank_loss(
     contributes -log sigmoid(g_hi - g_lo); ties (within tol) contribute 0,
     and swapping a pair's order changes nothing.
     """
-    grad = np.zeros_like(scores)
     if pairs.shape[0] == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(scores)
     i = pairs[:, 0]
     j = pairs[:, 1]
     sign = np.where(targets[i] - targets[j] > tol, 1.0, np.where(targets[j] - targets[i] > tol, -1.0, 0.0))
@@ -116,11 +115,13 @@ def pairwise_rank_loss(
     loss_terms = np.where(live, np.logaddexp(0.0, -d), 0.0)
     count = int(live.sum())
     if count == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(scores)
     # d/d(g_i) of softplus(-sign*(g_i - g_j)) = -sign * sigmoid(-sign*(g_i-g_j))
     coeff = np.where(live, -sign / (1.0 + np.exp(d)), 0.0) / count
-    np.add.at(grad, i, coeff)
-    np.add.at(grad, j, -coeff)
+    # bincount adds in array order: every i term, then every j term
+    grad = np.bincount(
+        np.concatenate([i, j]), weights=np.concatenate([coeff, -coeff]), minlength=scores.shape[0]
+    )
     return float(loss_terms.sum() / count), grad
 
 
@@ -225,7 +226,6 @@ class Trainer:
         train_cfg: TrainConfig,
         workdir,
         seed: int = 0,
-        self_loops: bool = True,
         restrict_to_item_attributes: bool = True,
         config_hash: str = "",
     ):
@@ -246,12 +246,12 @@ class Trainer:
         self.start_epoch = 0
         self.best: EpochRecord | None = None
 
-        self.train_pairs = self._assemble("train", self_loops, restrict_to_item_attributes)
-        self.valid_pairs = self._assemble("valid", self_loops, restrict_to_item_attributes)
+        self.train_pairs = self._assemble("train", restrict_to_item_attributes)
+        self.valid_pairs = self._assemble("valid", restrict_to_item_attributes)
         if not self.train_pairs:
             raise TrainingError("no usable training pairs")
 
-    def _assemble(self, part: str, self_loops: bool, restrict: bool) -> list[TrainPair]:
+    def _assemble(self, part: str, restrict: bool) -> list[TrainPair]:
         mode = "train" if part == "train" else "eval"
         out: list[TrainPair] = []
         skipped = 0
@@ -264,8 +264,7 @@ class Trainer:
                 continue
             try:
                 graph = build_pair_graph(
-                    self.corpus, user_id, item_id, mode,
-                    self_loops=self_loops, restrict_to_item_attributes=restrict,
+                    self.corpus, user_id, item_id, mode, restrict_to_item_attributes=restrict
                 )
             except EmptyPoolError:
                 skipped += 1
@@ -285,7 +284,8 @@ class Trainer:
 
     # -- one graph ----------------------------------------------------------
 
-    def _graph_loss(self, pair: TrainPair, rng: np.random.Generator):
+    def _graph_loss(self, pair: TrainPair, rng: np.random.Generator, grads: dict[str, np.ndarray]):
+        """Loss terms of one graph; its gradient is added into `grads`."""
         cfg = self.train_cfg
         trace = self.model.forward(pair.graph, pair.inputs, self.params)
         pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng, all_pairs=cfg.all_pairs)
@@ -294,10 +294,8 @@ class Trainer:
             trace.attr_probs, pair.graph.attr_labels, balanced=cfg.balanced_bce
         )
         loss = combined_loss(l_rank, l_attr, cfg.lam)
-        grads = self.model.backward(
-            trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs
-        )
-        return loss, l_rank, l_attr, grads
+        self.model.backward(trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs, grads)
+        return loss, l_rank, l_attr
 
     # -- validation ---------------------------------------------------------
 
@@ -338,9 +336,7 @@ class Trainer:
                     acc = self.model.zero_grads(self.params)
                     for pos in batch:
                         rng = np.random.default_rng([self.seed, 2, epoch, int(pos)])
-                        loss, l_rank, l_attr, grads = self._graph_loss(self.train_pairs[pos], rng)
-                        for name in acc:
-                            acc[name] += grads[name]
+                        loss, l_rank, l_attr = self._graph_loss(self.train_pairs[pos], rng, acc)
                         losses.append(loss)
                         rank_losses.append(l_rank)
                         attr_losses.append(l_attr)

@@ -5,7 +5,7 @@ from recexplain.features import GraphInputs
 from recexplain.graphs import PairGraph
 
 
-def toy_graph(n_attr, n_sent, rng, self_loops=True, user_attrs=None, item_attrs=None):
+def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
     """Random well-formed pair graph: every sentence touches >= 1 attribute
     and every attribute touches >= 1 sentence.
     """
@@ -42,7 +42,6 @@ def toy_graph(n_attr, n_sent, rng, self_loops=True, user_attrs=None, item_attrs=
         attribute_ids=tuple(range(n_attr)),
         sentence_ids=tuple(f"s{k}" for k in range(n_sent)),
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        self_loops=self_loops,
         positives=None,
         attr_labels=labels,
     )

@@ -47,6 +47,15 @@ def planted(tmp_path_factory):
     return config, workdir, codes
 
 
+def changed_config(config, tmp_path, section, key, value):
+    """A copy of `config` with `section.key` set to `value`."""
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    doc.setdefault(section, {})[key] = value
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(doc), encoding="utf-8")
+    return changed
+
+
 def selection_records(workdir):
     lines = (workdir / "selections.jsonl").read_text(encoding="utf-8").splitlines()
     return lines[0], lines[1:]
@@ -62,13 +71,22 @@ class TestPipeline:
         assert records and report["pairs"] + report["excluded"] == len(records)
 
     def test_changed_hidden_asks_to_retrain(self, planted, tmp_path, capsys):
-        config, workdir, _ = planted
-        doc = json.loads(config.read_text(encoding="utf-8"))
-        doc["model"]["hidden"] = 2 * HIDDEN
-        changed = tmp_path / "changed.json"
-        changed.write_text(json.dumps(doc), encoding="utf-8")
+        config, _, _ = planted
+        changed = changed_config(config, tmp_path, "model", "hidden", 2 * HIDDEN)
         assert cli.main(["select", "--config", str(changed)]) == 1
         assert "re-run train" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, section, key, value, producer",
+        [("train", "corpus", "min_activity", 3, "preprocess"), ("evaluate", "selection", "k", 3, "select")],
+    )
+    def test_stale_inputs_name_the_stage_to_rerun(
+        self, planted, tmp_path, capsys, stage, section, key, value, producer
+    ):
+        config, _, _ = planted
+        changed = changed_config(config, tmp_path, section, key, value)
+        assert cli.main([stage, "--config", str(changed)]) == 1
+        assert f"re-run {producer}" in capsys.readouterr().err
 
     def test_vector_width_mismatch_is_an_error(self, planted, tmp_path, capsys):
         config, _, _ = planted
@@ -83,12 +101,14 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith(f"error: attribute/word vectors have dim {HIDDEN}, expected {2 * HIDDEN}")
 
     def test_corrupt_checkpoint_is_an_error(self, planted, tmp_path, capsys):
-        config, _, _ = planted
+        config, workdir, _ = planted
         junk = tmp_path / "junk.ntar"
-        junk.write_bytes(b"not an archive\n")
-        assert cli.main(["select", "--config", str(config), "--checkpoint", str(junk)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "not a tensor archive" in err
+        header_cut = (workdir / "checkpoints" / "epoch_0.ntar").read_bytes()[:40]
+        for raw, message in [(b"not an archive\n", "not a tensor archive"), (header_cut, "truncated header")]:
+            junk.write_bytes(raw)
+            assert cli.main(["select", "--config", str(config), "--checkpoint", str(junk)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {junk}: ") and message in err
 
     @pytest.mark.parametrize("keep_header", [True, False])
     def test_explicit_selections_evaluate_every_record(self, planted, tmp_path, keep_header):
@@ -125,6 +145,7 @@ class TestConfig:
             ({"ablations": {"disable_gat": True}}, "ablations"),
             ({"workers": 2}, "workers"),
             ({"corpus": {"vocab_size": 20000}}, "corpus.vocab_size"),
+            ({"graph": {"self_loops": False}}, "graph.self_loops"),
         ],
     )
     def test_removed_keys_rejected_by_name(self, doc, name):

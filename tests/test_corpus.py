@@ -103,6 +103,23 @@ class TestIngest:
         assert [getattr(r, field) for r in records] == ["x y"]
         assert len(errors) == 1 and errors[0].startswith("line 1: bad record (") and field in errors[0]
 
+    @pytest.mark.parametrize("field", ["user_id", "item_id", "text"])
+    @pytest.mark.parametrize("value", [None, True, ["u1"], {"id": "u1"}], ids=["null", "bool", "array", "object"])
+    def test_non_scalar_field_reported(self, tmp_path, field, value):
+        path = tmp_path / "reviews.jsonl"
+        good = {"user_id": "u1", "item_id": "i1", "rating": 5, "text": "Nice room."}
+        write_reviews(path, [dict(good, **{field: value}), good])
+        records, errors = cp.ingest_reviews(path, 0)
+        assert [r.line_no for r in records] == [2]
+        assert errors == [f"line 1: bad record ({field} is not a string or number)"]
+
+    def test_numbers_accepted_as_text(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        write_reviews(path, [{"user_id": 7, "item_id": 1.5, "rating": 5, "text": 42}])
+        records, errors = cp.ingest_reviews(path, 0)
+        assert errors == []
+        assert [(r.user_id, r.item_id, r.text) for r in records] == [("7", "1.5", "42")]
+
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
             cp.ingest_reviews(tmp_path / "nope.jsonl", 0)

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from recexplain import corpus as cp
-from recexplain.graphs import GraphError, build_pair_graph
+from recexplain.graphs import build_pair_graph
 
 LEX = cp.AttributeLexicon(["room", "staff", "view", "pool"])
 
@@ -141,40 +140,31 @@ class TestGraphInvariants:
 
 
 class TestNeighborView:
+    """What each node attends to: `edge_arrays` is the (n, n) attention mask."""
+
     def test_self_loops_on(self):
-        g = build_pair_graph(minimal_corpus(), "u0", "c0", "train", self_loops=True)
-        assert g.neighbor_view(0).tolist() == [0, 2]
-        assert g.neighbor_view(2).tolist() == [0, 1, 2, 3]
-        assert g.neighbor_view(3).tolist() == [2, 3]
+        mask = build_pair_graph(minimal_corpus(), "u0", "c0", "train").edge_arrays()
+        assert mask.dtype == bool and mask.shape == (4, 4)
+        assert [np.flatnonzero(row).tolist() for row in mask] == [[0, 2], [1, 2], [0, 1, 2, 3], [2, 3]]
 
-    def test_self_loops_off(self):
-        g = build_pair_graph(minimal_corpus(), "u0", "c0", "train", self_loops=False)
-        assert g.neighbor_view(0).tolist() == [2]
+    def test_edge_arrays_symmetric_with_diagonal(self):
+        corpus = richer_corpus()
+        for user_id, item_id in corpus.pairs("train"):
+            g = build_pair_graph(corpus, user_id, item_id, "train")
+            mask = g.edge_arrays()
+            assert np.all(np.diag(mask))
+            assert np.array_equal(mask, mask.T)
+            for i in range(g.n_nodes):
+                assert np.flatnonzero(mask[i]).tolist() == sorted({i, *g.neighbors[i].tolist()})
 
-    def test_unknown_node_fatal(self):
-        g = build_pair_graph(minimal_corpus(), "u0", "c0", "train")
-        with pytest.raises(GraphError):
-            g.neighbor_view(99)
-
-    def test_edge_arrays_row_sorted(self):
-        g = build_pair_graph(richer_corpus(), "u1", "c1", "train")
-        centers, nbrs, indptr = g.edge_arrays()
-        assert centers.shape == nbrs.shape
-        assert np.all(np.diff(centers) >= 0)
-        assert indptr[-1] == centers.size
-        for i in range(g.n_nodes):
-            seg = nbrs[indptr[i] : indptr[i + 1]]
-            assert np.all(np.diff(seg) > 0)
-            assert i in seg  # self loop present by default
-
-    def test_isolated_node_without_self_loops_fatal(self):
-        # a user who never shares attributes with the pool ends up isolated
+    def test_isolated_node_attends_to_itself(self):
+        # a user who never shares attributes with the pool has no neighbors
         records = [
             cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
             cp.RawRecord("u1", "c0", 5.0, "The pool was cold.", 1),
             cp.RawRecord("u1", "c1", 5.0, "The pool again.", 2),
         ]
         corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c1", "eval", self_loops=False)
-        with pytest.raises(GraphError):
-            g.edge_arrays()
+        g = build_pair_graph(corpus, "u0", "c1", "eval")
+        assert g.neighbors[0].size == 0
+        assert np.flatnonzero(g.edge_arrays()[0]).tolist() == [0]

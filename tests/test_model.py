@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from recexplain.graphs import PairGraph
-from recexplain.model import Model, ModelConfig, dcn_forward, gat_layer, segment_softmax
+from recexplain.model import Model, ModelConfig, dcn_forward, gat_layer
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
 from conftest import toy_graph, toy_inputs
@@ -19,8 +19,8 @@ def small_model(hidden=3, heads=(2, 1), sent_dim=2, **kw):
     return Model(cfg, n_users=3, n_items=3, sentence_dim=sent_dim), cfg
 
 
-def line_graph(self_loops=True):
-    """user - attr - sentence chain plus an item-attr edge."""
+def line_graph(item_edge=True):
+    """user - attr - sentence chain plus an item-attr edge (or an isolated item)."""
     return PairGraph(
         user_id="u",
         item_id="c",
@@ -28,42 +28,55 @@ def line_graph(self_loops=True):
         sentence_ids=("s0",),
         neighbors=[
             np.array([2]),
-            np.array([2]),
-            np.array([0, 1, 3]),
+            np.array([2] if item_edge else [], dtype=np.int64),
+            np.array([0, 1, 3] if item_edge else [0, 3]),
             np.array([2]),
         ],
-        self_loops=self_loops,
         attr_labels=np.array([1.0]),
     )
 
 
+def oracle_lists(g):
+    """Each node's attention list for the scalar oracle: neighbors plus itself."""
+    return [sorted({i, *g.neighbors[i].tolist()}) for i in range(g.n_nodes)]
+
+
+def as_lists(head_params):
+    return [(wq.tolist(), wk.tolist(), wa.tolist()) for wq, wk, wa in head_params]
+
+
+def assert_alpha_matches(alpha, oracle_alpha, g):
+    """Dense attention equals the oracle's on the mask and is 0 off it."""
+    expect = np.zeros((g.n_nodes, g.n_nodes))
+    for (i, j), value in oracle_alpha.items():
+        expect[i, j] = value
+    assert np.allclose(alpha, expect, rtol=0.0, atol=1e-12)
+    assert np.all(alpha[~g.edge_arrays()] == 0.0)
+
+
 class TestGatLayer:
     def test_single_neighbor_alpha_one(self, rng):
-        g = line_graph(self_loops=False)
+        # the isolated item node (1) attends only to itself
+        g = line_graph(item_edge=False)
         H = rng.normal(size=(4, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        cfg = ModelConfig(hidden=3, gat_heads=(1,))
-        out, trace = gat_layer(H, g, params, cfg)
-        centers, nbrs, indptr = g.edge_arrays()
-        # user node (0) has exactly one neighbor: its weight must be 1
-        seg = slice(indptr[0], indptr[1])
-        assert trace.heads[0].alpha[seg] == pytest.approx(1.0)
+        cfg = ModelConfig(hidden=3, gat_heads=(1,), gat_activation="identity")
+        out, trace = gat_layer(H, g.edge_arrays(), params, cfg)
+        assert trace.heads[0].alpha[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert np.array_equal(out[1], H[1])
 
     def test_identical_neighbors_split_evenly(self, rng):
-        # attr node 2 sees user and item; give both the same state
-        g = line_graph(self_loops=False)
+        # attr node 2 sees user, item, sentence and itself; give all the same state
+        g = line_graph()
         H = rng.normal(size=(4, 3))
-        H[1] = H[0]
-        H[3] = H[0]
+        H[[0, 1, 3]] = H[2]
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
         cfg = ModelConfig(hidden=3, gat_heads=(1,))
-        _, trace = gat_layer(H, g, params, cfg)
-        centers, nbrs, indptr = g.edge_arrays()
-        seg = trace.heads[0].alpha[indptr[2] : indptr[3]]
-        assert seg == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        _, trace = gat_layer(H, g.edge_arrays(), params, cfg)
+        assert trace.heads[0].alpha[2] == pytest.approx([1 / 4] * 4)
 
     def test_matches_scalar_oracle_two_layers(self, rng):
-        g = line_graph(self_loops=True)
+        g = line_graph()
         d = 2
         H = rng.normal(size=(4, d))
         cfg = ModelConfig(hidden=d, gat_heads=(2, 1), gat_activation="elu", leaky_slope=0.2)
@@ -72,40 +85,33 @@ class TestGatLayer:
             for _ in range(2)
         ]
         layer2 = [(rng.normal(size=(d, 2 * d)), rng.normal(size=(d, 2 * d)), rng.normal(size=2 * d))]
-        h1, t1 = gat_layer(H, g, layer1, cfg)
-        h2, t2 = gat_layer(h1, g, layer2, cfg)
+        h1, t1 = gat_layer(H, g.edge_arrays(), layer1, cfg)
+        h2, t2 = gat_layer(h1, g.edge_arrays(), layer2, cfg)
 
-        nbr_lists = [g.neighbor_view(i).tolist() for i in range(4)]
-        o1, alphas1 = gat_scalar_oracle(
-            [row.tolist() for row in H],
-            nbr_lists,
-            [(wq.tolist(), wk.tolist(), wa.tolist()) for wq, wk, wa in layer1],
-            0.2,
-            "elu",
-        )
-        o2, _ = gat_scalar_oracle(
-            o1,
-            nbr_lists,
-            [(wq.tolist(), wk.tolist(), wa.tolist()) for wq, wk, wa in layer2],
-            0.2,
-            "elu",
-        )
+        nbr_lists = oracle_lists(g)
+        o1, alphas1 = gat_scalar_oracle([row.tolist() for row in H], nbr_lists, as_lists(layer1), 0.2, "elu")
+        o2, _ = gat_scalar_oracle(o1, nbr_lists, as_lists(layer2), 0.2, "elu")
         assert np.allclose(h1, np.array(o1), atol=1e-12)
         assert np.allclose(h2, np.array(o2), atol=1e-12)
-        centers, nbrs, indptr = g.edge_arrays()
         for head in range(2):
-            for e in range(centers.size):
-                assert t1.heads[head].alpha[e] == pytest.approx(
-                    alphas1[head][(int(centers[e]), int(nbrs[e]))], abs=1e-12
-                )
+            assert_alpha_matches(t1.heads[head].alpha, alphas1[head], g)
 
-    def test_softmax_shift_invariance(self, rng):
-        centers = np.array([0, 0, 0, 1, 1])
-        z = rng.normal(size=5)
-        base = segment_softmax(z, centers, 2)
-        shifted = z.copy()
-        shifted[:3] += 7.5  # constant shift within one node's row
-        assert np.allclose(segment_softmax(shifted, centers, 2), base, atol=1e-12)
+    def test_large_logits_through_gat_layer(self, rng):
+        # logits in the thousands: exp without the row max would overflow
+        g = toy_graph(3, 5, rng)
+        H = rng.normal(size=(g.n_nodes, 3))
+        params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1e3 * rng.normal(size=6)) for _ in range(2)]
+        cfg = ModelConfig(hidden=3, gat_heads=(2,))
+        out, trace = gat_layer(H, g.edge_arrays(), params, cfg)
+        assert np.abs(trace.heads[0].u).max() > 100.0
+        want, alphas = gat_scalar_oracle([row.tolist() for row in H], oracle_lists(g), as_lists(params), 0.2, "elu")
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, np.array(want), atol=1e-12)
+        for head in range(2):
+            alpha = trace.heads[head].alpha
+            assert np.all(np.isfinite(alpha))
+            assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert_alpha_matches(alpha, alphas[head], g)
 
     def test_rows_sum_to_one_and_nonnegative(self, rng):
         for trial in range(20):
@@ -113,13 +119,11 @@ class TestGatLayer:
             H = rng.normal(size=(g.n_nodes, 3))
             params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
             cfg = ModelConfig(hidden=3, gat_heads=(1,))
-            _, trace = gat_layer(H, g, params, cfg)
-            centers, _, _ = g.edge_arrays()
+            _, trace = gat_layer(H, g.edge_arrays(), params, cfg)
             alpha = trace.heads[0].alpha
             assert np.all(alpha >= 0.0)
-            sums = np.zeros(g.n_nodes)
-            np.add.at(sums, centers, alpha)
-            assert np.allclose(sums, 1.0, atol=1e-6)
+            assert np.all(alpha[~g.edge_arrays()] == 0.0)
+            assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestDcn:
@@ -206,7 +210,6 @@ class TestForward:
             attribute_ids=g.attribute_ids,
             sentence_ids=tuple(g.sentence_ids[int(old)] for old in perm),
             neighbors=neighbors,
-            self_loops=g.self_loops,
             attr_labels=g.attr_labels,
         )
         inputs2 = toy_inputs(g2, 3, 2, np.random.default_rng(0))
@@ -221,7 +224,8 @@ def loss_through_model(model, graph, inputs, params, targets, pairs, labels, lam
     l_rank, d_scores = pairwise_rank_loss(trace.scores, targets, pairs)
     l_attr, d_probs = attribute_loss(trace.attr_probs, labels)
     loss = combined_loss(l_rank, l_attr, lam)
-    grads = model.backward(trace, params, lam * d_scores, (1 - lam) * d_probs)
+    grads = model.zero_grads(params)
+    model.backward(trace, params, lam * d_scores, (1 - lam) * d_probs, grads)
     return loss, grads
 
 
@@ -266,8 +270,21 @@ class TestGradients:
     def test_zero_upstream_zero_grads(self, rng):
         model, g, inputs, params, *_ = gradcheck_setup(rng)
         trace = model.forward(g, inputs, params)
-        grads = model.backward(trace, params, np.zeros(4), np.zeros(3))
+        grads = model.zero_grads(params)
+        model.backward(trace, params, np.zeros(4), np.zeros(3), grads)
         assert all(np.all(v == 0.0) for v in grads.values())
+
+    def test_backward_adds_into_given_grads(self, rng):
+        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
+        _, fresh = loss_through_model(model, g, inputs, params, targets, pairs, labels)
+        start = {name: rng.normal(size=t.shape) for name, t in params.items()}
+        grads = {name: t.copy() for name, t in start.items()}
+        trace = model.forward(g, inputs, params)
+        l_rank, d_scores = pairwise_rank_loss(trace.scores, targets, pairs)
+        l_attr, d_probs = attribute_loss(trace.attr_probs, labels)
+        assert model.backward(trace, params, 0.4 * d_scores, 0.6 * d_probs, grads) is None
+        for name in params:
+            assert np.array_equal(grads[name], start[name] + fresh[name]), name
 
     def test_untouched_rows_zero(self, rng):
         model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
