@@ -13,6 +13,7 @@ from recexplain.graphs import build_pair_graph
 from recexplain.features import graph_inputs
 from recexplain.model import Model
 from recexplain.archive import load_tensors
+from recexplain.training import checkpoint_params
 import synthetic_corpus as sc
 
 
@@ -39,7 +40,7 @@ def top1_accuracy(cfg):
     import json
     best = json.loads((Path(cfg.paths.workdir) / "checkpoints" / "best.json").read_text())
     tensors, meta = load_tensors(Path(cfg.paths.workdir) / "checkpoints" / best["checkpoint"])
-    params = {name: tensors[f"param.{name}"] for name in model.init_params(cfg.seed)}
+    params = checkpoint_params(tensors, model.init_params(cfg.seed))
     user_rows = {u: i for i, u in enumerate(corpus.users)}
     item_rows = {c: i for i, c in enumerate(corpus.items)}
     hits, total, covered = 0, 0, 0

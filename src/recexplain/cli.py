@@ -89,12 +89,8 @@ def _load_processed(cfg: PipelineConfig) -> Corpus:
 
 
 def _build_provider(cfg: PipelineConfig) -> NodeFeatureProvider:
-    word_table = None
-    if cfg.paths.attribute_vectors:
-        word_table = load_vector_file(cfg.paths.attribute_vectors)
-    sentence_table = None
-    if cfg.paths.sentence_vectors:
-        sentence_table = load_vector_file(cfg.paths.sentence_vectors)
+    word_table = load_vector_file(cfg.paths.attribute_vectors) if cfg.paths.attribute_vectors else None
+    sentence_table = load_vector_file(cfg.paths.sentence_vectors) if cfg.paths.sentence_vectors else None
     return NodeFeatureProvider(hidden=cfg.model.hidden, word_table=word_table, sentence_table=sentence_table)
 
 
@@ -109,8 +105,8 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
         cfg.training,
         workdir=cfg.paths.workdir,
         seed=cfg.seed,
-        restrict_to_item_attributes=cfg.graph.restrict_to_item_attributes,
         config_hash=cfg.train_hash(),
+        k=cfg.selection.k,
     )
     if resume:
         trainer.load_checkpoint(resume, resume=True)
@@ -146,10 +142,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     def one_pair(pair):
         user_id, item_id = pair
         try:
-            graph = build_pair_graph(
-                corpus, user_id, item_id, "eval",
-                restrict_to_item_attributes=cfg.graph.restrict_to_item_attributes,
-            )
+            graph = build_pair_graph(corpus, user_id, item_id, "eval")
         except EmptyPoolError:
             log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
             return None
@@ -169,17 +162,44 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         }
 
     pairs = corpus.pairs("test")
-    results = [one_pair(p) for p in pairs]
+    results = [rec for rec in map(one_pair, pairs) if rec is not None]
     out = Path(cfg.paths.workdir) / "selections.jsonl"
-    skipped = 0
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config_hash": cfg.select_hash()}, sort_keys=True) + "\n")
         for rec in results:
-            if rec is None:
-                skipped += 1
-                continue
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return {"pairs": len(pairs) - skipped, "skipped": skipped, "path": str(out)}
+    return {"pairs": len(results), "skipped": len(pairs) - len(results), "path": str(out)}
+
+
+def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
+    """The hash header (empty when absent) and the records of a selections
+    file; a line that is not JSON, a record without a pair or sentence ids,
+    or a sentence id the corpus lacks is an error naming its line.
+    """
+    header: dict = {}
+    entries: list[dict] = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StalenessError(f"{path} line {n}: not JSON ({exc.msg})") from exc
+            # the first line is a hash header, not a record, when it names no pair
+            if not header and not entries and isinstance(rec, dict) and "config_hash" in rec and "user_id" not in rec:
+                header = rec
+                continue
+            if not isinstance(rec, dict):
+                raise StalenessError(f"{path} line {n}: not a JSON object")
+            for key, kind, noun in (("user_id", str, "string"), ("item_id", str, "string"), ("sentence_ids", list, "list")):
+                if not isinstance(rec.get(key), kind):
+                    raise StalenessError(f"{path} line {n}: record has no {key} {noun}")
+            for sid in rec["sentence_ids"]:
+                if not isinstance(sid, str) or sid not in corpus.sentences:
+                    raise StalenessError(f"{path} line {n}: sentence id {sid!r} is not in the corpus")
+            entries.append(rec)
+    return header, entries
 
 
 def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.EvalReport:
@@ -188,12 +208,7 @@ def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.
     path = Path(selections) if selections else Path(cfg.paths.workdir) / "selections.jsonl"
     if not path.exists():
         raise StalenessError(f"no selections at {path}; run select first")
-    with open(path, encoding="utf-8") as fh:
-        entries = [json.loads(line) for line in fh if line.strip()]
-    # line 1 is a hash header, not a record, when it names no pair
-    header = {}
-    if entries and isinstance(entries[0], dict) and "config_hash" in entries[0] and "user_id" not in entries[0]:
-        header = entries.pop(0)
+    header, entries = _read_selections(path, corpus)
     if not selections:
         _check_hash(header.get("config_hash"), cfg.select_hash(), "select")
     records = []
@@ -203,20 +218,14 @@ def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.
         if not truth_ids:
             missing += 1
             continue
-        pred_sents = [list(corpus.sentences[s].words) for s in rec["sentence_ids"]]
-        truth_sents = [list(corpus.sentences[s].words) for s in truth_ids]
-        pred_attrs: set[int] = set()
-        for sid in rec["sentence_ids"]:
-            pred_attrs |= corpus.sentences[sid].attributes
-        truth_attrs: set[int] = set()
-        for sid in truth_ids:
-            truth_attrs |= corpus.sentences[sid].attributes
+        pred = [corpus.sentences[s] for s in rec["sentence_ids"]]
+        truth = [corpus.sentences[s] for s in truth_ids]
         records.append(
             {
-                "pred_sentences": pred_sents,
-                "truth_sentences": truth_sents,
-                "pred_attrs": pred_attrs,
-                "truth_attrs": truth_attrs,
+                "pred_sentences": [list(s.words) for s in pred],
+                "truth_sentences": [list(s.words) for s in truth],
+                "pred_attrs": set().union(*(s.attributes for s in pred)),
+                "truth_attrs": set().union(*(s.attributes for s in truth)),
             }
         )
     report = metrics.evaluate_pairs(records)

@@ -7,6 +7,18 @@ config that only fills in paths runs the reference pipeline.  Stage
 outputs carry a hash of the config sections they depend on; downstream
 stages refuse to consume artifacts whose hash disagrees.
 
+The 25 settable values are `seed` and the fields of five sections: paths
+(reviews, lexicon, attribute_vectors, sentence_vectors, workdir), corpus
+(rating_threshold, min_activity, ratios), model (hidden, gat_heads,
+deep_hidden, disable_gat, disable_dcn), training (lambda, batch_size,
+learning_rate, epochs, pair_budget, patience) and selection (k, alpha,
+pool, exact_cap, disable_ilp).  Any other key, or a value whose JSON type
+does not fit its field, is rejected by name.  The fixed parts of the design
+are constants where they are used: ELU, the 0.2 LeakyReLU slope, the
+embedding init scale and the 2 cross + 2 deep layers in `model.py`; Adam's
+beta1, beta2 and eps and the balanced attribute loss in `training.py`; the
+restriction of each pair's pool to the item's attributes in `graphs.py`.
+
 Each of the paper's ablation settings lives in one field, which a CLI flag
 also sets: `model.disable_gat` (--no-gat), `model.disable_dcn` (--no-dcn)
 and `selection.disable_ilp` (--no-ilp).  Leaving
@@ -47,43 +59,53 @@ class CorpusConfig:
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
 
-@dataclass
-class GraphConfig:
-    restrict_to_item_attributes: bool = True
-
-
 _JSON_KEYS = {"lam": "lambda"}
 _FIELD_KEYS = {"lambda": "lam"}
+_SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def _from_dict(cls, data: dict, section: str):
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field's annotation: an int passes for a
+    float and a list for a tuple, a bool passes only for a bool."""
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation.removesuffix(" | None"))
+    if annotation.startswith("tuple[") and isinstance(value, list):
+        items = annotation[len("tuple[") : -1].split(", ")
+        items = items[:1] * len(value) if items[-1] == "..." else items
+        return len(items) == len(value) and all(_fits(v, a) for v, a in zip(value, items))
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, _SCALARS.get(annotation, ()))
+
+
+def _check_type(dotted: str, value, annotation: str) -> None:
+    if not _fits(value, annotation):
+        raise ConfigError(f"config key {dotted} must be {annotation}, got {json.dumps(value)}")
+
+
+def _from_dict(cls, data, section: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {section} must be a JSON object, got {json.dumps(data)}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         name = _FIELD_KEYS.get(key, key)
         if name not in fields:
             raise ConfigError(f"unknown key {section}.{key}")
-        if fields[name].type in ("tuple[float, float, float]", "tuple[int, ...]"):
-            value = tuple(value)
-        kwargs[name] = value
+        _check_type(f"{section}.{key}", value, fields[name].type)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
 def _to_dict(obj) -> dict:
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[_JSON_KEYS.get(f.name, f.name)] = value
-    return out
+    values = {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in values.items()}
 
 
 @dataclass
 class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
-    graph: GraphConfig = field(default_factory=GraphConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     selection: SelectConfig = field(default_factory=SelectConfig)
@@ -92,22 +114,25 @@ class PipelineConfig:
     _SECTIONS = {
         "paths": PathsConfig,
         "corpus": CorpusConfig,
-        "graph": GraphConfig,
         "model": ModelConfig,
         "training": TrainConfig,
         "selection": SelectConfig,
     }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
+    def from_dict(cls, data) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {json.dumps(data)}")
         kwargs = {}
         for key, value in data.items():
             if key in cls._SECTIONS:
                 kwargs[key] = _from_dict(cls._SECTIONS[key], value, key)
             elif key == "seed":
-                kwargs[key] = int(value)
+                _check_type("seed", value, "int")
+                kwargs[key] = value
             else:
-                raise ConfigError(f"unknown config section {key!r}")
+                keys = ", ".join(f"{key}.{k}" for k in value) if isinstance(value, dict) else ""
+                raise ConfigError(f"unknown config section {key!r}" + (f" ({keys})" if keys else ""))
         return cls(**kwargs)
 
     @classmethod
@@ -122,9 +147,6 @@ class PipelineConfig:
         out = {name: _to_dict(getattr(self, name)) for name in self._SECTIONS}
         out["seed"] = self.seed
         return out
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
 
     # -- validation ----------------------------------------------------------
 
@@ -145,10 +167,9 @@ class PipelineConfig:
                 raise ConfigError("missing required config field corpus.rating_threshold")
             if abs(sum(self.corpus.ratios) - 1.0) > 1e-9:
                 raise ConfigError(f"corpus.ratios must sum to 1, got {self.corpus.ratios}")
-            for dotted in ("paths.reviews", "paths.lexicon"):
-                section, name = dotted.split(".")
-                if not Path(getattr(getattr(self, section), name)).exists():
-                    raise ConfigError(f"{dotted} does not exist: {getattr(getattr(self, section), name)}")
+            for name in ("reviews", "lexicon"):
+                if not Path(getattr(self.paths, name)).exists():
+                    raise ConfigError(f"paths.{name} does not exist: {getattr(self.paths, name)}")
         if stage == "train":
             self.training.validate()
 
@@ -172,9 +193,10 @@ class PipelineConfig:
         return self._hash(
             {
                 "preprocess": self.preprocess_hash(),
-                "graph": _to_dict(self.graph),
                 "model": _to_dict(self.model),
                 "training": _to_dict(self.training),
+                # validation's top-K picks the best epoch
+                "k": self.selection.k,
                 "vectors": [self.paths.attribute_vectors, self.paths.sentence_vectors],
                 "seed": self.seed,
             }

@@ -25,7 +25,7 @@ class VectorFileError(Exception):
 @dataclass
 class EmbeddingTable:
     vectors: np.ndarray  # (count, dim)
-    index: dict[str, int] | None = None  # id -> row; None for positional tables
+    index: dict[str, int]  # id -> row
 
     @property
     def dim(self) -> int:
@@ -35,8 +35,6 @@ class EmbeddingTable:
         return int(self.vectors.shape[0])
 
     def lookup(self, key: str) -> np.ndarray | None:
-        if self.index is None:
-            raise VectorFileError("table has no id index")
         row = self.index.get(key)
         return None if row is None else self.vectors[row]
 
@@ -44,16 +42,19 @@ class EmbeddingTable:
 def load_vector_file(path) -> EmbeddingTable:
     """Parse a vector file into a table.
 
-    Row-length mismatches and duplicate ids are fatal; a completely empty
-    file yields an empty table with a warning.
+    A malformed header, a row of the wrong length or with a non-numeric
+    value, and a duplicate id are fatal and named by row; a completely
+    empty file yields an empty table with a warning.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if not header:
             log.warning("vector file %s is empty", path)
             return EmbeddingTable(np.zeros((0, 0)), index={})
-        if len(header) != 2:
-            raise VectorFileError(f"{path}: header must be '<count> <dim>'")
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise VectorFileError(
+                f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
+            )
         count, dim = int(header[0]), int(header[1])
         index: dict[str, int] = {}
         vectors = np.zeros((count, dim))
@@ -72,7 +73,12 @@ def load_vector_file(path) -> EmbeddingTable:
             if key in index:
                 raise VectorFileError(f"{path}: duplicate id {key!r} at row {row + 1}")
             index[key] = row
-            vectors[row] = [float(v) for v in values]
+            try:
+                vectors[row] = [float(v) for v in values]
+            except ValueError as exc:
+                raise VectorFileError(
+                    f"{path}: row {row + 1} ({key!r}) has a non-numeric value ({exc})"
+                ) from exc
         if len(index) != count:
             raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
     return EmbeddingTable(vectors, index=index)

@@ -62,16 +62,10 @@ class PairGraph:
         return mask
 
 
-def build_pair_graph(
-    corpus: Corpus,
-    user_id: str,
-    item_id: str,
-    mode: str,
-    restrict_to_item_attributes: bool = True,
-) -> PairGraph:
+def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> PairGraph:
     """Construct the heterogeneous graph for one (user, item) pair.
 
-    Sentence nodes are the candidate pool, optionally restricted to
+    Sentence nodes are the candidate pool restricted, as in the paper, to
     sentences sharing at least one attribute with the item's training
     reviews.  Attribute nodes are exactly the attributes of retained
     sentences.  In train mode the graph carries the target review's
@@ -79,12 +73,9 @@ def build_pair_graph(
     """
     pool = corpus.candidate_pool(user_id, item_id, mode)
     item_attrs = corpus.item_train_attributes(item_id)
-    if restrict_to_item_attributes:
-        pool = tuple(s for s in pool if corpus.sentences[s].attributes & item_attrs)
-        if not pool:
-            raise EmptyPoolError(
-                f"item-attribute restriction emptied the pool for ({user_id}, {item_id})"
-            )
+    pool = tuple(s for s in pool if corpus.sentences[s].attributes & item_attrs)
+    if not pool:
+        raise EmptyPoolError(f"item-attribute restriction emptied the pool for ({user_id}, {item_id})")
     attr_ids = sorted({a for s in pool for a in corpus.sentences[s].attributes})
     attr_pos = {a: 2 + i for i, a in enumerate(attr_ids)}
     sent_pos = {s: 2 + len(attr_ids) + i for i, s in enumerate(pool)}
@@ -112,9 +103,7 @@ def build_pair_graph(
     if mode == "train":
         target = corpus.ground_truth_sentences(user_id, item_id, "train")
         positives = frozenset(target) & set(pool)
-        target_attrs: set[int] = set()
-        for sid in target:
-            target_attrs |= corpus.sentences[sid].attributes
+        target_attrs = set().union(*(corpus.sentences[sid].attributes for sid in target))
         attr_labels = np.array([1.0 if a in target_attrs else 0.0 for a in attr_ids])
 
     return PairGraph(

@@ -8,13 +8,16 @@ node's probability of appearing in the explanation.
 
 Attention for node i over N(i), its graph neighbors plus i itself:
 
-    z_ij  = LeakyReLU(w_a . [W_q h_i || W_k h_j])
+    z_ij  = LeakyReLU(w_a . [W_q h_i || W_k h_j])     slope 0.2, as in GAT
     a_ij  = softmax_j(z_ij)           over j in N(i)
-    h_i'  = act(sum_j a_ij h_j)       per head, heads concatenated
+    h_i'  = ELU(sum_j a_ij h_j)       per head, heads concatenated
 
 The aggregation intentionally sums the raw neighbor states (no extra
 linear transform inside the sum), so each head's output keeps its input
-width and concatenation multiplies widths layer by layer.
+width and concatenation multiplies widths layer by layer.  The feature
+interaction is 2 cross layers beside 2 ReLU deep layers, as published;
+user and item embeddings start uniform in [-0.1, 0.1], everything else
+Glorot-uniform, and every tensor is float64.
 
 Each head is computed densely.  The logit splits as z_ij = LeakyReLU(u_i +
 v_j) with u = H (W_q^T w_a[:A]) and v = H (W_k^T w_a[A:]); the two
@@ -50,19 +53,19 @@ class ModelError(Exception):
     pass
 
 
+LEAKY_SLOPE = 0.2  # attention logits, Velickovic et al. 2018
+EMBED_INIT_SCALE = 0.1  # user/item embeddings start uniform in [-0.1, 0.1]
+CROSS_LAYERS = 2
+DEEP_LAYERS = 2
+
+
 @dataclass
 class ModelConfig:
     hidden: int = 256
     gat_heads: tuple[int, ...] = (4, 1)
-    gat_activation: str = "elu"  # one of elu | relu | sigmoid | identity
-    leaky_slope: float = 0.2
-    cross_layers: int = 2
-    deep_layers: int = 2
     deep_hidden: int = 128
     disable_gat: bool = False
     disable_dcn: bool = False
-    embed_init_scale: float = 0.1
-    dtype: str = "float64"
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -82,14 +85,6 @@ def _delu(x):
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-_ACTIVATIONS = {
-    "elu": (_elu, _delu),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(x.dtype)),
-    "sigmoid": (_sigmoid, lambda x: _sigmoid(x) * (1.0 - _sigmoid(x))),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
-}
-
-
 @dataclass
 class HeadTrace:
     u: np.ndarray  # (n,) center half of the logits, H @ (W_q^T w_a[:A])
@@ -104,14 +99,13 @@ class LayerTrace:
     heads: list[HeadTrace]
 
 
-def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple], cfg: ModelConfig):
+def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple]):
     """One multi-head attention layer; returns (H_next, LayerTrace).
 
     `mask` is the graph's (n, n) boolean attention mask
     (`PairGraph.edge_arrays`).  `head_params` is a list of (wq, wk, wa) per
     head with wq/wk of shape (A, Din) and wa of shape (2A,).
     """
-    act, _ = _ACTIVATIONS[cfg.gat_activation]
     outs = []
     traces = []
     for wq, wk, wa in head_params:
@@ -119,23 +113,22 @@ def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple], cfg: Mo
         u = H @ (wq.T @ wa[:a])
         v = H @ (wk.T @ wa[a:])
         pre = u[:, None] + v[None, :]
-        z = np.where(mask, np.where(pre > 0, pre, cfg.leaky_slope * pre), -np.inf)
+        z = np.where(mask, np.where(pre > 0, pre, LEAKY_SLOPE * pre), -np.inf)
         ex = np.exp(z - z.max(axis=1, keepdims=True))
         alpha = ex / ex.sum(axis=1, keepdims=True)
         agg = alpha @ H
-        outs.append(act(agg))
+        outs.append(_elu(agg))
         traces.append(HeadTrace(u=u, v=v, alpha=alpha, agg=agg))
     return np.concatenate(outs, axis=1), LayerTrace(H_in=H, heads=traces)
 
 
-def _gat_layer_backward(dH_out, head_params, trace: LayerTrace, cfg: ModelConfig):
+def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
     """Gradients of one attention layer.
 
     Returns (dH_in, per-head [(dwq, dwk, dwa)]).  Entries outside the mask
     have alpha 0, so their logits get no gradient and the mask itself is
     not needed here.
     """
-    _, dact = _ACTIVATIONS[cfg.gat_activation]
     H = trace.H_in
     din = H.shape[1]
     dH = np.zeros_like(H)
@@ -143,13 +136,13 @@ def _gat_layer_backward(dH_out, head_params, trace: LayerTrace, cfg: ModelConfig
     for head, (wq, wk, wa) in enumerate(head_params):
         a = wq.shape[0]
         ht = trace.heads[head]
-        dagg = dH_out[:, head * din : (head + 1) * din] * dact(ht.agg)
+        dagg = dH_out[:, head * din : (head + 1) * din] * _delu(ht.agg)
         # message term: agg = alpha @ H
         dalpha = dagg @ H.T
         dH += ht.alpha.T @ dagg
         # row softmax, then LeakyReLU of the logit u_i + v_j
         dz = ht.alpha * (dalpha - (ht.alpha * dalpha).sum(axis=1, keepdims=True))
-        dpre = np.where(ht.u[:, None] + ht.v[None, :] > 0, dz, cfg.leaky_slope * dz)
+        dpre = np.where(ht.u[:, None] + ht.v[None, :] > 0, dz, LEAKY_SLOPE * dz)
         du = dpre.sum(axis=1)
         dv = dpre.sum(axis=0)
         # u = H @ (wq^T wa[:A]) and v = H @ (wk^T wa[A:])
@@ -256,13 +249,11 @@ class Model:
                 width *= heads
             self.node_dim = width
             self.d0 = 3 * width
-        self.attr_dim = self.node_dim
         if cfg.disable_dcn:
             self.d_cd = cfg.deep_hidden
         else:
             self.d_cd = self.d0 + cfg.deep_hidden
-        self.deep_dims = [self.d0] + [cfg.deep_hidden] * cfg.deep_layers
-        self.np_dtype = np.dtype(cfg.dtype)
+        self.deep_dims = [self.d0] + [cfg.deep_hidden] * DEEP_LAYERS
 
     # -- parameters ---------------------------------------------------------
 
@@ -270,18 +261,18 @@ class Model:
         fan_in = shape[-1] if len(shape) > 1 else shape[0]
         fan_out = shape[0] if len(shape) > 1 else 1
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape).astype(self.np_dtype)
+        return rng.uniform(-limit, limit, size=shape)
 
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
         cfg = self.cfg
         rng = np.random.default_rng([seed, 0])
         p: dict[str, np.ndarray] = {}
-        scale = cfg.embed_init_scale
-        p["embed.user"] = rng.uniform(-scale, scale, size=(self.n_users, cfg.hidden)).astype(self.np_dtype)
-        p["embed.item"] = rng.uniform(-scale, scale, size=(self.n_items, cfg.hidden)).astype(self.np_dtype)
+        scale = EMBED_INIT_SCALE
+        p["embed.user"] = rng.uniform(-scale, scale, size=(self.n_users, cfg.hidden))
+        p["embed.item"] = rng.uniform(-scale, scale, size=(self.n_items, cfg.hidden))
         if self.project_sentences:
             p["proj.w"] = self._glorot(rng, (cfg.hidden, self.sentence_dim))
-            p["proj.b"] = np.zeros(cfg.hidden, dtype=self.np_dtype)
+            p["proj.b"] = np.zeros(cfg.hidden)
         if not cfg.disable_gat:
             for l, heads in enumerate(cfg.gat_heads):
                 din = self.gat_in[l]
@@ -291,16 +282,16 @@ class Model:
                     p[f"gat.{l}.{h}.wa"] = self._glorot(rng, (2 * cfg.hidden,))
         if cfg.disable_dcn:
             p["lin.w"] = self._glorot(rng, (cfg.deep_hidden, self.d0))
-            p["lin.b"] = np.zeros(cfg.deep_hidden, dtype=self.np_dtype)
+            p["lin.b"] = np.zeros(cfg.deep_hidden)
         else:
-            for l in range(cfg.cross_layers):
+            for l in range(CROSS_LAYERS):
                 p[f"cross.{l}.w"] = self._glorot(rng, (self.d0,))
-                p[f"cross.{l}.b"] = np.zeros(self.d0, dtype=self.np_dtype)
-            for l in range(cfg.deep_layers):
+                p[f"cross.{l}.b"] = np.zeros(self.d0)
+            for l in range(DEEP_LAYERS):
                 p[f"deep.{l}.w"] = self._glorot(rng, (self.deep_dims[l + 1], self.deep_dims[l]))
-                p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1], dtype=self.np_dtype)
+                p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1])
         p["head.score"] = self._glorot(rng, (self.d_cd,))
-        p["head.attr"] = self._glorot(rng, (self.attr_dim,))
+        p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
 
     def _head_params(self, params, layer):
@@ -310,16 +301,16 @@ class Model:
         ]
 
     def _cross_params(self, params):
-        return [(params[f"cross.{l}.w"], params[f"cross.{l}.b"]) for l in range(self.cfg.cross_layers)]
+        return [(params[f"cross.{l}.w"], params[f"cross.{l}.b"]) for l in range(CROSS_LAYERS)]
 
     def _deep_params(self, params):
-        return [(params[f"deep.{l}.w"], params[f"deep.{l}.b"]) for l in range(self.cfg.deep_layers)]
+        return [(params[f"deep.{l}.w"], params[f"deep.{l}.b"]) for l in range(DEEP_LAYERS)]
 
     # -- forward ------------------------------------------------------------
 
     def _input_states(self, graph: PairGraph, inputs: GraphInputs, params) -> np.ndarray:
         n = graph.n_nodes
-        h0 = np.zeros((n, self.cfg.hidden), dtype=self.np_dtype)
+        h0 = np.zeros((n, self.cfg.hidden))
         h0[USER_NODE] = params["embed.user"][inputs.user_row]
         h0[ITEM_NODE] = params["embed.item"][inputs.item_row]
         if inputs.attr_X.shape[1] != self.cfg.hidden and inputs.attr_X.size:
@@ -341,7 +332,7 @@ class Model:
         H = H0
         if not cfg.disable_gat:
             for l in range(len(cfg.gat_heads)):
-                H, lt = gat_layer(H, mask, self._head_params(params, l), cfg)
+                H, lt = gat_layer(H, mask, self._head_params(params, l))
                 layer_traces.append(lt)
         Xhat = H
 
@@ -451,7 +442,7 @@ class Model:
         if not cfg.disable_gat:
             for l in range(len(cfg.gat_heads) - 1, -1, -1):
                 head_params = self._head_params(params, l)
-                dH, head_grads = _gat_layer_backward(dH, head_params, trace.layer_traces[l], cfg)
+                dH, head_grads = _gat_layer_backward(dH, head_params, trace.layer_traces[l])
                 for h, (dwq, dwk, dwa) in enumerate(head_grads):
                     grads[f"gat.{l}.{h}.wq"] += dwq
                     grads[f"gat.{l}.{h}.wk"] += dwk

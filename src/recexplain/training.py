@@ -4,8 +4,12 @@ Supervision: each candidate sentence's relevance target is its best
 smoothed sentence-BLEU against the target review's sentences, so target
 sentences themselves sit at exactly 1.  Ranking uses a pairwise logistic
 loss over sampled candidate pairs with distinct targets; attribute nodes
-get a binary cross-entropy term.  The combined objective is
-lambda * rank_loss + (1 - lambda) * attribute_loss.
+get a balanced binary cross-entropy term, with both the positive and the
+negative class.  The combined objective is
+lambda * rank_loss + (1 - lambda) * attribute_loss, minimized with
+bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
+2015).  Validation scores the top K sentences by descending score, K being
+`selection.k`.
 """
 
 from __future__ import annotations
@@ -24,10 +28,14 @@ from .corpus import Corpus, EmptyPoolError
 from .features import GraphInputs, NodeFeatureProvider, graph_inputs
 from .graphs import PairGraph, build_pair_graph
 from .model import Model, ModelConfig
+from .selector import SelectConfig
 
 log = logging.getLogger(__name__)
 
 TIE_TOL = 1e-6
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(Exception):
@@ -39,13 +47,8 @@ class TrainConfig:
     lam: float = 0.5
     batch_size: int = 16
     learning_rate: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 50
     pair_budget: int = 200
-    all_pairs: bool = False
-    balanced_bce: bool = True
     patience: int = 10
 
     def validate(self):
@@ -81,16 +84,16 @@ def relevance_targets(candidates, ground_truth, profiles: dict | None = None) ->
 
 
 def sample_rank_pairs(
-    targets: np.ndarray, budget: int, rng: np.random.Generator, all_pairs: bool = False, tol: float = TIE_TOL
+    targets: np.ndarray, budget: int, rng: np.random.Generator, tol: float = TIE_TOL
 ) -> np.ndarray:
     """Unordered candidate pairs with |r_i - r_j| > tol, uniformly sampled
-    down to `budget` unless `all_pairs` keeps the full set.  Shape (P, 2).
+    down to `budget`.  Shape (P, 2).
     """
     n = targets.shape[0]
     diff = np.abs(targets[:, None] - targets[None, :])
     ii, jj = np.where(np.triu(diff > tol, k=1))
     pairs = np.stack([ii, jj], axis=1) if ii.size else np.zeros((0, 2), dtype=np.int64)
-    if all_pairs or pairs.shape[0] <= budget:
+    if pairs.shape[0] <= budget:
         return pairs
     pick = rng.choice(pairs.shape[0], size=budget, replace=False)
     return pairs[np.sort(pick)]
@@ -125,25 +128,18 @@ def pairwise_rank_loss(
     return float(loss_terms.sum() / count), grad
 
 
-def attribute_loss(
-    probs: np.ndarray, labels: np.ndarray, balanced: bool = True
-) -> tuple[float, np.ndarray]:
-    """Mean attribute cross-entropy and its gradient on the probabilities.
-
-    The base form sums -y*log(p) only; `balanced` (default) adds the
-    negative-class term -(1-y)*log(1-p), without which the loss is
-    minimized by pushing every probability to 1.
+def attribute_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean balanced attribute cross-entropy and its gradient on the
+    probabilities: -y*log(p) - (1-y)*log(1-p).  Without the negative-class
+    term the loss is minimized by pushing every probability to 1.
     """
     m = probs.shape[0]
     if m == 0:
         return 0.0, np.zeros(0)
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     y = labels
-    loss = -(y * np.log(p))
-    grad = -(y / p)
-    if balanced:
-        loss -= (1.0 - y) * np.log(1.0 - p)
-        grad += (1.0 - y) / (1.0 - p)
+    loss = -(y * np.log(p)) - (1.0 - y) * np.log(1.0 - p)
+    grad = -(y / p) + (1.0 - y) / (1.0 - p)
     return float(loss.sum() / m), grad / m
 
 
@@ -166,15 +162,7 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place."""
     state.t += 1
     t = state.t
@@ -182,11 +170,11 @@ def adam_step(
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name!r} at step {t}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -226,14 +214,15 @@ class Trainer:
         train_cfg: TrainConfig,
         workdir,
         seed: int = 0,
-        restrict_to_item_attributes: bool = True,
         config_hash: str = "",
+        k: int = SelectConfig.k,
     ):
         train_cfg.validate()
         self.corpus = corpus
         self.provider = provider
         self.train_cfg = train_cfg
         self.seed = seed
+        self.k = k
         self.workdir = Path(workdir)
         self.config_hash = config_hash
         self.user_rows = {u: i for i, u in enumerate(corpus.users)}
@@ -246,12 +235,12 @@ class Trainer:
         self.start_epoch = 0
         self.best: EpochRecord | None = None
 
-        self.train_pairs = self._assemble("train", restrict_to_item_attributes)
-        self.valid_pairs = self._assemble("valid", restrict_to_item_attributes)
+        self.train_pairs = self._assemble("train")
+        self.valid_pairs = self._assemble("valid")
         if not self.train_pairs:
             raise TrainingError("no usable training pairs")
 
-    def _assemble(self, part: str, restrict: bool) -> list[TrainPair]:
+    def _assemble(self, part: str) -> list[TrainPair]:
         mode = "train" if part == "train" else "eval"
         out: list[TrainPair] = []
         skipped = 0
@@ -263,9 +252,7 @@ class Trainer:
                 skipped += 1
                 continue
             try:
-                graph = build_pair_graph(
-                    self.corpus, user_id, item_id, mode, restrict_to_item_attributes=restrict
-                )
+                graph = build_pair_graph(self.corpus, user_id, item_id, mode)
             except EmptyPoolError:
                 skipped += 1
                 continue
@@ -288,11 +275,9 @@ class Trainer:
         """Loss terms of one graph; its gradient is added into `grads`."""
         cfg = self.train_cfg
         trace = self.model.forward(pair.graph, pair.inputs, self.params)
-        pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng, all_pairs=cfg.all_pairs)
+        pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng)
         l_rank, d_scores = pairwise_rank_loss(trace.scores, pair.targets, pairs)
-        l_attr, d_probs = attribute_loss(
-            trace.attr_probs, pair.graph.attr_labels, balanced=cfg.balanced_bce
-        )
+        l_attr, d_probs = attribute_loss(trace.attr_probs, pair.graph.attr_labels)
         loss = combined_loss(l_rank, l_attr, cfg.lam)
         self.model.backward(trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs, grads)
         return loss, l_rank, l_attr
@@ -300,15 +285,16 @@ class Trainer:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> tuple[float, float, float]:
-        """Macro smoothed BLEU-{1,2,4} of the top-5 scored sentences (by
-        descending score) against the held-out review, over valid pairs.
+        """Macro smoothed BLEU-{1,2,4} of the top-K scored sentences (by
+        descending score, K = `self.k`) against the held-out review, over
+        valid pairs.
         """
         if not self.valid_pairs:
             return 0.0, 0.0, 0.0
         sums = [0.0, 0.0, 0.0]
         for pair in self.valid_pairs:
             trace = self.model.forward(pair.graph, pair.inputs, self.params)
-            top = np.argsort(-trace.scores, kind="stable")[:5]
+            top = np.argsort(-trace.scores, kind="stable")[: self.k]
             cand = [w for idx in top for w in self.corpus.sentences[pair.graph.sentence_ids[idx]].words]
             ref = [w for words in pair.truth_words for w in words]
             for slot, max_n in enumerate((1, 2, 4)):
@@ -327,7 +313,7 @@ class Trainer:
         with open(log_path, mode, encoding="utf-8") as fh:
             if self.start_epoch == 0:
                 fh.write("# epoch train_loss rank_loss attr_loss val_bleu1 val_bleu2 val_bleu4\n")
-                fh.write("# validation: smoothed sentence BLEU of descending-score top-5 vs ground truth; model selected on BLEU-4\n")
+                fh.write(f"# validation: smoothed sentence BLEU of descending-score top-{self.k} vs ground truth; model selected on BLEU-4\n")
             for epoch in range(self.start_epoch, cfg.epochs):
                 order = np.random.default_rng([self.seed, 1, epoch]).permutation(len(self.train_pairs))
                 losses, rank_losses, attr_losses = [], [], []
@@ -342,10 +328,7 @@ class Trainer:
                         attr_losses.append(l_attr)
                     for name in acc:
                         acc[name] /= len(batch)
-                    adam_step(
-                        self.params, acc, self.adam, cfg.learning_rate,
-                        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
-                    )
+                    adam_step(self.params, acc, self.adam, cfg.learning_rate)
                 b1, b2, b4 = self.validate()
                 if not all(math.isfinite(v) for v in (b1, b2, b4)):
                     raise TrainingError(f"validation BLEU is not finite at epoch {epoch}")
@@ -383,13 +366,8 @@ class Trainer:
     # -- checkpointing ------------------------------------------------------
 
     def _save_checkpoint(self, path, record: EpochRecord) -> None:
-        tensors: dict[str, np.ndarray] = {}
-        for name, p in self.params.items():
-            tensors[f"param.{name}"] = p
-        for name, m in self.adam.m.items():
-            tensors[f"adam.m.{name}"] = m
-        for name, v in self.adam.v.items():
-            tensors[f"adam.v.{name}"] = v
+        tables = (("param", self.params), ("adam.m", self.adam.m), ("adam.v", self.adam.v))
+        tensors = {f"{prefix}.{name}": t for prefix, table in tables for name, t in table.items()}
         meta = {
             "epoch": record.epoch,
             "adam_t": self.adam.t,

@@ -187,8 +187,9 @@ def enumerate_best_subset(scores, sim, k, alpha):
     return best_obj, best_set
 
 
-def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope, activation):
-    """One attention layer evaluated with plain Python floats.
+def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope):
+    """One attention layer with an ELU output, evaluated with plain Python
+    floats.
 
     `node_states`: list of lists; `neighbor_lists[i]`: neighbor ids of i,
     self already included if wanted; `heads`: list of (wq, wk, wa) with wq
@@ -199,16 +200,8 @@ def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope, activatio
     def matvec(m, x):
         return [sum(m[r][c] * x[c] for c in range(len(x))) for r in range(len(m))]
 
-    def act(v):
-        if activation == "elu":
-            return [x if x > 0 else math.exp(x) - 1.0 for x in v]
-        if activation == "relu":
-            return [x if x > 0 else 0.0 for x in v]
-        if activation == "identity":
-            return list(v)
-        if activation == "sigmoid":
-            return [1.0 / (1.0 + math.exp(-x)) for x in v]
-        raise ValueError(activation)
+    def elu(v):
+        return [x if x > 0 else math.exp(x) - 1.0 for x in v]
 
     n = len(node_states)
     all_out = []
@@ -235,7 +228,7 @@ def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope, activatio
                 alphas[(i, j)] = alpha
                 for d in range(len(agg)):
                     agg[d] += alpha * node_states[j][d]
-            head_out.append(act(agg))
+            head_out.append(elu(agg))
         all_out.append(head_out)
         all_alpha.append(alphas)
     merged = [[x for head_out in all_out for x in head_out[i]] for i in range(n)]

@@ -76,6 +76,13 @@ class TestPipeline:
         assert cli.main(["select", "--config", str(changed)]) == 1
         assert "re-run train" in capsys.readouterr().err
 
+    def test_changed_k_asks_to_retrain(self, planted, tmp_path, capsys):
+        # validation scores the top K, so K picks the best checkpoint
+        config, _, _ = planted
+        changed = changed_config(config, tmp_path, "selection", "k", 3)
+        assert cli.main(["select", "--config", str(changed)]) == 1
+        assert "re-run train" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "stage, section, key, value, producer",
         [("train", "corpus", "min_activity", 3, "preprocess"), ("evaluate", "selection", "k", 3, "select")],
@@ -100,6 +107,24 @@ class TestPipeline:
         assert cli.main(["train", "--config", str(changed)]) == 1
         assert capsys.readouterr().err.startswith(f"error: attribute/word vectors have dim {HIDDEN}, expected {2 * HIDDEN}")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [(["x 32"], "header row"), (["1 2", "room 0.5 abc"], "row 1 ('room') has a non-numeric value")],
+    )
+    def test_malformed_vector_file_is_an_error(self, planted, tmp_path, capsys, lines, message):
+        config, _, _ = planted
+        vectors = tmp_path / "word_vectors.txt"
+        vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["paths"]["workdir"] = str(tmp_path / "work")
+        doc["paths"]["attribute_vectors"] = str(vectors)
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(changed)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {vectors}: {message}")
+
     def test_corrupt_checkpoint_is_an_error(self, planted, tmp_path, capsys):
         config, workdir, _ = planted
         junk = tmp_path / "junk.ntar"
@@ -109,6 +134,26 @@ class TestPipeline:
             assert cli.main(["select", "--config", str(config), "--checkpoint", str(junk)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {junk}: ") and message in err
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{not json", "not JSON"),
+            ('["u", "i", []]', "not a JSON object"),
+            ('{"item_id": "i", "sentence_ids": []}', "record has no user_id string"),
+            ('{"user_id": "u", "sentence_ids": []}', "record has no item_id string"),
+            ('{"user_id": "u", "item_id": "i"}', "record has no sentence_ids list"),
+            ('{"user_id": "u", "item_id": "i", "sentence_ids": ["no-such-sentence"]}',
+             "sentence id 'no-such-sentence' is not in the corpus"),
+        ],
+    )
+    def test_malformed_selections_name_the_line(self, planted, tmp_path, capsys, bad, message):
+        config, workdir, _ = planted
+        header, records = selection_records(workdir)
+        path = tmp_path / "selections.jsonl"
+        path.write_text("\n".join([header, records[0], "", bad, *records[1:]]) + "\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--config", str(config), "--selections", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} line 4: {message}")
 
     @pytest.mark.parametrize("keep_header", [True, False])
     def test_explicit_selections_evaluate_every_record(self, planted, tmp_path, keep_header):
@@ -146,11 +191,51 @@ class TestConfig:
             ({"workers": 2}, "workers"),
             ({"corpus": {"vocab_size": 20000}}, "corpus.vocab_size"),
             ({"graph": {"self_loops": False}}, "graph.self_loops"),
+            ({"graph": {"restrict_to_item_attributes": True}}, "graph.restrict_to_item_attributes"),
+            ({"model": {"gat_activation": "elu"}}, "model.gat_activation"),
+            ({"model": {"leaky_slope": 0.2}}, "model.leaky_slope"),
+            ({"model": {"embed_init_scale": 0.1}}, "model.embed_init_scale"),
+            ({"model": {"dtype": "float64"}}, "model.dtype"),
+            ({"model": {"cross_layers": 2}}, "model.cross_layers"),
+            ({"model": {"deep_layers": 2}}, "model.deep_layers"),
+            ({"training": {"beta1": 0.9}}, "training.beta1"),
+            ({"training": {"beta2": 0.999}}, "training.beta2"),
+            ({"training": {"adam_eps": 1e-8}}, "training.adam_eps"),
+            ({"training": {"all_pairs": False}}, "training.all_pairs"),
+            ({"training": {"balanced_bce": True}}, "training.balanced_bce"),
         ],
     )
     def test_removed_keys_rejected_by_name(self, doc, name):
         with pytest.raises(ConfigError, match=name):
             PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"model": []}, "model"),
+            ({"selection": 5}, "selection"),
+            ({"model": {"hidden": "32"}}, "model.hidden"),
+            ({"model": {"hidden": 32.0}}, "model.hidden"),
+            ({"model": {"gat_heads": [4, 1.5]}}, "model.gat_heads"),
+            ({"model": {"disable_gat": 1}}, "model.disable_gat"),
+            ({"training": {"epochs": True}}, "training.epochs"),
+            ({"training": {"lambda": False}}, "training.lambda"),
+            ({"corpus": {"ratios": [0.5, 0.5]}}, "corpus.ratios"),
+            ({"corpus": {"rating_threshold": "3"}}, "corpus.rating_threshold"),
+            ({"paths": {"workdir": None}}, "paths.workdir"),
+            ({"seed": "1"}, "seed"),
+        ],
+    )
+    def test_misfit_values_rejected_by_name(self, doc, name):
+        with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+            PipelineConfig.from_dict(doc)
+
+    def test_ints_fit_floats_and_lists_fit_tuples(self):
+        cfg = PipelineConfig.from_dict(
+            {"training": {"lambda": 1, "learning_rate": 1}, "corpus": {"rating_threshold": None, "ratios": [1, 0, 0]},
+             "model": {"gat_heads": [2]}}
+        )
+        assert cfg.training.lam == 1 and cfg.corpus.ratios == (1, 0, 0) and cfg.model.gat_heads == (2,)
 
     def test_dict_roundtrip(self, tmp_path):
         cfg = parsed_config(tmp_path, ["--no-dcn"], training={"lambda": 0.25}, corpus={"ratios": [0.5, 0.25, 0.25]})

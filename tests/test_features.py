@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,19 @@ class TestLoadVectorFile:
         path = tmp_path / "v.txt"
         path.write_text("1 3\na 1 0\n")
         with pytest.raises(ft.VectorFileError, match="row 1"):
+            ft.load_vector_file(path)
+
+    @pytest.mark.parametrize("header", ["x 3", "1 3.5", "1", "-1 3"])
+    def test_bad_header_names_row(self, tmp_path, header):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{header}\na 1 0 0\n")
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: header row")):
+            ft.load_vector_file(path)
+
+    def test_non_numeric_value_names_row(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 3\na 1 0 0\nb 0 abc 1\n")
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: row 2 ('b') has a non-numeric value")):
             ft.load_vector_file(path)
 
     def test_duplicate_id_fatal(self, tmp_path):

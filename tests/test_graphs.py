@@ -32,18 +32,17 @@ class TestBuildPairGraph:
 
     def test_item_restriction_excludes_sentence(self):
         # u0 reviews c1 mentioning "view"; c0's reviews never mention view,
-        # so with the restriction on, that sentence is excluded from (u0, c0)
+        # so that sentence is in the (u0, c0) candidate pool but not the graph
         records = [
             cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
             cp.RawRecord("u0", "c1", 5.0, "What a view.", 1),
             cp.RawRecord("u1", "c0", 5.0, "The room was small.", 2),
         ]
         corpus = corpus_from_records(records)
-        g_on = build_pair_graph(corpus, "u0", "c0", "train", restrict_to_item_attributes=True)
-        g_off = build_pair_graph(corpus, "u0", "c0", "train", restrict_to_item_attributes=False)
+        g = build_pair_graph(corpus, "u0", "c0", "train")
         view_sids = {s.sentence_id for s in corpus.sentences.values() if 2 in s.attributes}
-        assert view_sids.isdisjoint(g_on.sentence_ids)
-        assert view_sids <= set(g_off.sentence_ids)
+        assert view_sids and view_sids <= set(corpus.candidate_pool("u0", "c0", "train"))
+        assert view_sids.isdisjoint(g.sentence_ids)
 
     def test_attribute_nodes_only_from_retained_sentences(self):
         # u0 mentioned "staff" about another item, but no sentence in the
@@ -55,7 +54,7 @@ class TestBuildPairGraph:
             cp.RawRecord("u1", "c0", 5.0, "The room was tiny.", 2),
         ]
         corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c0", "train", restrict_to_item_attributes=True)
+        g = build_pair_graph(corpus, "u0", "c0", "train")
         expected = set()
         for sid in g.sentence_ids:
             expected |= corpus.sentences[sid].attributes

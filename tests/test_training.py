@@ -135,41 +135,31 @@ class TestSamplePairs:
         assert a.shape == (10, 2)
         assert np.array_equal(a, b)
 
-    def test_all_pairs_mode(self):
-        targets = np.array([0.1, 0.5, 0.9])
-        pairs = tr.sample_rank_pairs(targets, 1, np.random.default_rng(0), all_pairs=True)
-        assert pairs.shape == (3, 2)
-
 
 class TestAttributeLoss:
-    def test_all_negative_unbalanced_zero(self):
-        loss, grad = tr.attribute_loss(np.array([0.3, 0.9]), np.array([0.0, 0.0]), balanced=False)
-        assert loss == 0.0 and np.all(grad == 0.0)
-
     def test_perfect_positive(self):
-        loss, _ = tr.attribute_loss(np.array([1.0 - 1e-13]), np.array([1.0]), balanced=False)
+        loss, _ = tr.attribute_loss(np.array([1.0 - 1e-13]), np.array([1.0]))
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_half_probability(self):
-        loss, _ = tr.attribute_loss(np.array([0.5]), np.array([1.0]), balanced=False)
+        loss, _ = tr.attribute_loss(np.array([0.5]), np.array([1.0]))
         assert loss == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_balanced_adds_negative_class(self):
-        loss, _ = tr.attribute_loss(np.array([0.5]), np.array([0.0]), balanced=True)
+        loss, _ = tr.attribute_loss(np.array([0.5]), np.array([0.0]))
         assert loss == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(0.05, 0.95, size=5)
         y = rng.integers(0, 2, size=5).astype(float)
-        for balanced in (False, True):
-            _, grad = tr.attribute_loss(p, y, balanced=balanced)
-            eps = 1e-7
-            for i in range(5):
-                up = p.copy(); up[i] += eps
-                dn = p.copy(); dn[i] -= eps
-                fd = (tr.attribute_loss(up, y, balanced)[0] - tr.attribute_loss(dn, y, balanced)[0]) / (2 * eps)
-                assert grad[i] == pytest.approx(fd, rel=1e-5)
+        _, grad = tr.attribute_loss(p, y)
+        eps = 1e-7
+        for i in range(5):
+            up = p.copy(); up[i] += eps
+            dn = p.copy(); dn[i] -= eps
+            fd = (tr.attribute_loss(up, y)[0] - tr.attribute_loss(dn, y)[0]) / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-5)
 
 
 class TestCombinedLoss:
@@ -240,12 +230,12 @@ def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
     return NodeFeatureProvider(hidden=hidden, word_table=word_table, sentence_table=sent_table)
 
 
-def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1):
+def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, **kw):
     corpus = corpus or tiny_corpus()
     provider = make_provider(corpus)
     model_cfg = ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4)
     train_cfg = tr.TrainConfig(lam=lam, batch_size=4, learning_rate=1e-3, epochs=epochs, pair_budget=20, patience=50)
-    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, seed=seed)
+    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, seed=seed, **kw)
 
 
 class TestTrainer:
@@ -322,6 +312,19 @@ class TestTrainer:
         resumed.run()
         for name in ("train_log.txt", "checkpoints/best.json"):
             assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_validation_uses_top_k(self, tmp_path):
+        trainer = make_trainer(tmp_path, k=1)
+        assert trainer.valid_pairs
+        want = [0.0, 0.0, 0.0]
+        for pair in trainer.valid_pairs:
+            scores = trainer.model.forward(pair.graph, pair.inputs, trainer.params).scores
+            top = pair.graph.sentence_ids[int(np.argmax(scores))]
+            ref = [w for words in pair.truth_words for w in words]
+            for slot, max_n in enumerate((1, 2, 4)):
+                want[slot] += metrics.sentence_bleu(list(trainer.corpus.sentences[top].words), [ref], max_n=max_n)
+        n = len(trainer.valid_pairs)
+        assert list(trainer.validate()) == [total / n for total in want]
 
     def test_validation_pairs_use_eval_pools(self, tmp_path):
         trainer = make_trainer(tmp_path / "c")
