@@ -1,29 +1,1 @@
 """Extractive review-sentence explanations for recommender systems."""
-
-__version__ = "0.1.0"
-
-from .config import PipelineConfig
-from .corpus import Corpus, build_corpus, load_corpus, save_corpus
-from .graphs import PairGraph, build_pair_graph
-from .model import Model, ModelConfig
-from .selector import SelectConfig, Selection, SelectionProblem, solve_exact, solve_greedy
-from .training import TrainConfig, Trainer
-
-__all__ = [
-    "Corpus",
-    "Model",
-    "ModelConfig",
-    "PairGraph",
-    "PipelineConfig",
-    "SelectConfig",
-    "Selection",
-    "SelectionProblem",
-    "TrainConfig",
-    "Trainer",
-    "build_corpus",
-    "build_pair_graph",
-    "load_corpus",
-    "save_corpus",
-    "solve_exact",
-    "solve_greedy",
-]

@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics
@@ -231,7 +232,7 @@ def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.
     report = metrics.evaluate_pairs(records)
     report.excluded = missing
     out = Path(cfg.paths.workdir) / "evaluation.json"
-    out.write_text(json.dumps(report.to_dict(), sort_keys=True), encoding="utf-8")
+    out.write_text(json.dumps(asdict(report), sort_keys=True), encoding="utf-8")
     return report
 
 

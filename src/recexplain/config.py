@@ -13,11 +13,21 @@ The 25 settable values are `seed` and the fields of five sections: paths
 deep_hidden, disable_gat, disable_dcn), training (lambda, batch_size,
 learning_rate, epochs, pair_budget, patience) and selection (k, alpha,
 pool, exact_cap, disable_ilp).  Any other key, or a value whose JSON type
-does not fit its field, is rejected by name.  The fixed parts of the design
-are constants where they are used: ELU, the 0.2 LeakyReLU slope, the
-embedding init scale and the 2 cross + 2 deep layers in `model.py`; Adam's
-beta1, beta2 and eps and the balanced attribute loss in `training.py`; the
-restriction of each pair's pool to the item's attributes in `graphs.py`.
+does not fit its field, is rejected by name.  So is a value outside its
+range, which every stage checks after the CLI overrides:
+- `seed`, `training.patience` and `selection.exact_cap` >= 0;
+- `corpus.min_activity`, `model.hidden`, `model.deep_hidden`,
+  `training.batch_size`, `training.epochs`, `training.pair_budget`,
+  `selection.k` and `selection.pool` >= 1;
+- `model.gat_heads` non-empty, every entry >= 1;
+- `training.lambda` in [0, 1], `training.learning_rate` > 0;
+- `selection.alpha` >= 0, which the exact selector's bound assumes.
+
+The fixed parts of the design are constants where they are used: ELU, the
+0.2 LeakyReLU slope, the embedding init scale and the 2 cross + 2 deep
+layers in `model.py`; Adam's beta1, beta2 and eps and the balanced
+attribute loss in `training.py`; the restriction of each pair's pool to
+the item's attributes in `graphs.py`.
 
 Each of the paper's ablation settings lives in one field, which a CLI flag
 also sets: `model.disable_gat` (--no-gat), `model.disable_dcn` (--no-dcn)
@@ -97,6 +107,30 @@ def _from_dict(cls, data, section: str):
     return cls(**kwargs)
 
 
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
+
+
+# key -> (test of the value, the range it states)
+_RANGES = {
+    "seed": _at_least(0),
+    "corpus.min_activity": _at_least(1),
+    "model.hidden": _at_least(1),
+    "model.gat_heads": (lambda v: len(v) > 0 and min(v) >= 1, "a non-empty list of head counts >= 1"),
+    "model.deep_hidden": _at_least(1),
+    "training.lambda": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "training.batch_size": _at_least(1),
+    "training.learning_rate": (lambda v: v > 0, "> 0"),
+    "training.epochs": _at_least(1),
+    "training.pair_budget": _at_least(1),
+    "training.patience": _at_least(0),
+    "selection.k": _at_least(1),
+    "selection.alpha": _at_least(0),
+    "selection.pool": _at_least(1),
+    "selection.exact_cap": _at_least(0),
+}
+
+
 def _to_dict(obj) -> dict:
     values = {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return {key: list(value) if isinstance(value, tuple) else value for key, value in values.items()}
@@ -143,15 +177,15 @@ class PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
         return cls.from_dict(data)
 
-    def to_dict(self) -> dict:
-        out = {name: _to_dict(getattr(self, name)) for name in self._SECTIONS}
-        out["seed"] = self.seed
-        return out
-
     # -- validation ----------------------------------------------------------
 
     def validate_stage(self, stage: str) -> None:
         """Fail fast with the offending field's name."""
+        for dotted, (ok, wanted) in _RANGES.items():
+            section, _, key = dotted.rpartition(".")
+            value = getattr(getattr(self, section) if section else self, _FIELD_KEYS.get(key, key))
+            if not ok(value):
+                raise ConfigError(f"config key {dotted} must be {wanted}, got {json.dumps(value)}")
         need = {
             "preprocess": ["paths.reviews", "paths.lexicon", "paths.workdir"],
             "train": ["paths.workdir", "paths.attribute_vectors"],
@@ -170,8 +204,6 @@ class PipelineConfig:
             for name in ("reviews", "lexicon"):
                 if not Path(getattr(self.paths, name)).exists():
                     raise ConfigError(f"paths.{name} does not exist: {getattr(self.paths, name)}")
-        if stage == "train":
-            self.training.validate()
 
     # -- staleness hashes ----------------------------------------------------
 

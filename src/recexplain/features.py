@@ -44,7 +44,8 @@ def load_vector_file(path) -> EmbeddingTable:
 
     A malformed header, a row of the wrong length or with a non-numeric
     value, and a duplicate id are fatal and named by row; a completely
-    empty file yields an empty table with a warning.
+    empty file yields an empty table with a warning.  Blank lines are
+    skipped: rows are counted, and numbered from 1, over data lines only.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -58,10 +59,11 @@ def load_vector_file(path) -> EmbeddingTable:
         count, dim = int(header[0]), int(header[1])
         index: dict[str, int] = {}
         vectors = np.zeros((count, dim))
-        for row, line in enumerate(fh):
+        for line in fh:
             parts = line.split()
             if not parts:
                 continue
+            row = len(index)  # every earlier data row added one id
             if row >= count:
                 raise VectorFileError(f"{path}: more rows than the declared count {count}")
             key = parts[0]
@@ -82,14 +84,6 @@ def load_vector_file(path) -> EmbeddingTable:
         if len(index) != count:
             raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
     return EmbeddingTable(vectors, index=index)
-
-
-def save_vector_file(path, index: dict[str, int], vectors: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{vectors.shape[0]} {vectors.shape[1]}\n")
-        for key, row in sorted(index.items(), key=lambda kv: kv[1]):
-            vals = " ".join(repr(float(v)) for v in vectors[row])
-            fh.write(f"{key} {vals}\n")
 
 
 def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray:

@@ -36,7 +36,6 @@ class PairGraph:
     attribute_ids: tuple[int, ...]
     sentence_ids: tuple[str, ...]
     neighbors: list[np.ndarray]  # undirected adjacency, no self-loops, sorted
-    positives: frozenset[str] | None = None
     attr_labels: np.ndarray | None = None  # (M,) 0/1, train mode only
 
     @property
@@ -68,8 +67,8 @@ def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> P
     Sentence nodes are the candidate pool restricted, as in the paper, to
     sentences sharing at least one attribute with the item's training
     reviews.  Attribute nodes are exactly the attributes of retained
-    sentences.  In train mode the graph carries the target review's
-    sentence ids and per-attribute 0/1 labels.
+    sentences.  In train mode the graph carries per-attribute 0/1 labels:
+    whether the target review mentions the attribute.
     """
     pool = corpus.candidate_pool(user_id, item_id, mode)
     item_attrs = corpus.item_train_attributes(item_id)
@@ -98,11 +97,9 @@ def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> P
             adj[si].add(ai)
             adj[ai].add(si)
 
-    positives = None
     attr_labels = None
     if mode == "train":
         target = corpus.ground_truth_sentences(user_id, item_id, "train")
-        positives = frozenset(target) & set(pool)
         target_attrs = set().union(*(corpus.sentences[sid].attributes for sid in target))
         attr_labels = np.array([1.0 if a in target_attrs else 0.0 for a in attr_ids])
 
@@ -112,6 +109,5 @@ def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> P
         attribute_ids=tuple(attr_ids),
         sentence_ids=pool,
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        positives=positives,
         attr_labels=attr_labels,
     )

@@ -3,6 +3,16 @@
 These serve double duty: smoothed sentence BLEU supplies the relevance
 supervision for ranking, and the full suite scores final explanations
 against held-out reviews.
+
+Every metric scores a candidate against one reference, because every
+caller has exactly one:
+- `training.relevance_targets` scores each candidate against each target
+  sentence in turn (`profile_bleu`) and keeps the best;
+- `Trainer.validate` scores the top-K sentences joined against the
+  held-out review's sentences joined (`sentence_bleu`);
+- `evaluate_pairs` scores the selected sentences joined against the
+  test review's sentences joined (`corpus_bleu`, `rouge_n_f1`,
+  `rouge_l_f1`).
 """
 
 from __future__ import annotations
@@ -29,24 +39,17 @@ def ngram_profile(tokens, max_n: int = 4) -> Profile:
     return len(tokens), tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1))
 
 
-def _clipped_matches(candidate: Profile, references: list[Profile], n: int) -> tuple[int, int]:
+def _clipped_matches(candidate: Profile, reference: Profile, n: int) -> tuple[int, int]:
     """Modified n-gram precision counts: (clipped matches, candidate total)."""
     total = max(candidate[0] - n + 1, 0)
     if total == 0:
         return 0, 0
     cand = candidate[1][n - 1]
-    ref_max = references[0][1][n - 1]
-    for ref in references[1:]:
-        ref_max = ref_max | ref[1][n - 1]
+    ref = reference[1][n - 1]
     matches = 0
-    for gram in cand.keys() & ref_max.keys():
-        matches += min(cand[gram], ref_max[gram])
+    for gram in cand.keys() & ref.keys():
+        matches += min(cand[gram], ref[gram])
     return matches, total
-
-
-def _closest_ref_len(cand_len: int, references: list[Profile]) -> int:
-    # standard convention: closest reference length, ties toward the shorter
-    return min((r[0] for r in references), key=lambda rl: (abs(rl - cand_len), rl))
 
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
@@ -55,25 +58,26 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def profile_bleu(candidate: Profile, references: list[Profile], max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU in [0, 1] over n-gram profiles.
+def profile_bleu(candidate: Profile, reference: Profile, max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU in [0, 1] of a candidate against one
+    reference, over n-gram profiles; `relevance_targets` passes one target
+    sentence.
 
     Geometric mean of modified n-gram precisions up to `max_n`, times the
     brevity penalty.  Smoothing: orders >= 2 with a zero match count fall
     back to add-one, 1/(total+1); orders the candidate is too short for
     count as vacuously 1.  A candidate with no unigram overlap scores 0 --
-    smoothing never manufactures similarity out of nothing.  Empty
-    references are ignored.
+    smoothing never manufactures similarity out of nothing, and neither
+    does an empty reference.
     """
-    references = [r for r in references if r[0]]
     if not candidate[0]:
         log.warning("sentence_bleu: empty candidate scored 0")
         return 0.0
-    if not references:
+    if not reference[0]:
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        matches, total = _clipped_matches(candidate, references, n)
+        matches, total = _clipped_matches(candidate, reference, n)
         if n == 1 and matches == 0:
             return 0.0
         if matches > 0:
@@ -81,42 +85,42 @@ def profile_bleu(candidate: Profile, references: list[Profile], max_n: int = 4) 
         else:
             p = 1.0 / (total + 1)
         log_sum += math.log(p)
-    bp = _brevity_penalty(candidate[0], _closest_ref_len(candidate[0], references))
+    bp = _brevity_penalty(candidate[0], reference[0])
     return bp * math.exp(log_sum / max_n)
 
 
-def sentence_bleu(candidate: Tokens, references: list[Tokens], max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU of token lists; see `profile_bleu`."""
-    return profile_bleu(
-        ngram_profile(candidate, max_n), [ngram_profile(r, max_n) for r in references], max_n
-    )
+def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU of a token list against one reference;
+    `Trainer.validate` passes the held-out review's sentences joined.  See
+    `profile_bleu`."""
+    return profile_bleu(ngram_profile(candidate, max_n), ngram_profile(reference, max_n), max_n)
 
 
-def corpus_bleu(pairs: list[tuple[Tokens, list[Tokens]]], max_n: int = 4) -> float:
-    """Corpus-level BLEU with pooled n-gram statistics, no smoothing.
+def corpus_bleu(pairs: list[tuple[Tokens, Tokens]], max_n: int = 4) -> float:
+    """Corpus-level BLEU over (candidate, reference) pairs with pooled
+    n-gram statistics, no smoothing; `evaluate_pairs` passes each test
+    review's sentences joined as the reference.
 
-    Any order with pooled matches == 0 (but a nonzero candidate count)
-    zeroes the score; orders no candidate is long enough for are vacuous.
-    Single-pair input agrees with sentence_bleu whenever all raw
-    precisions are positive.
+    Pairs with an empty reference are skipped.  Any order with pooled
+    matches == 0 (but a nonzero candidate count) zeroes the score; orders
+    no candidate is long enough for are vacuous.  Single-pair input agrees
+    with sentence_bleu whenever all raw precisions are positive.
     """
-    if not pairs:
-        return 0.0
     match_tot = [0] * (max_n + 1)
     cand_tot = [0] * (max_n + 1)
     cand_len = 0
     ref_len = 0
-    for candidate, references in pairs:
-        references = [ngram_profile(r, max_n) for r in references if r]
-        if not references:
+    for candidate, reference in pairs:
+        if not reference:
             continue
         candidate = ngram_profile(candidate, max_n)
+        reference = ngram_profile(reference, max_n)
         cand_len += candidate[0]
-        ref_len += _closest_ref_len(candidate[0], references)
+        ref_len += reference[0]
         if not candidate[0]:
             continue
         for n in range(1, max_n + 1):
-            m, t = _clipped_matches(candidate, references, n)
+            m, t = _clipped_matches(candidate, reference, n)
             match_tot[n] += m
             cand_tot[n] += t
     if cand_len == 0:
@@ -137,30 +141,19 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_n_f1(candidate: Tokens, references: list[Tokens], n: int) -> float:
-    """ROUGE-N F1; with several references the best per-reference F1 wins.
-
-    References shorter than n are skipped.
-    """
-    candidate = list(candidate)
+def rouge_n_f1(candidate: Tokens, reference: Tokens, n: int) -> float:
+    """ROUGE-N F1 against one reference, which `evaluate_pairs` gives as
+    the test review's sentences joined; a reference shorter than n scores 0."""
+    ref_total = len(reference) - n + 1
+    if ref_total <= 0:
+        return 0.0
     cand_total = max(len(candidate) - n + 1, 0)
     cand_counts = _ngram_counts(candidate, n)
-    best = 0.0
-    scored_any = False
-    for ref in references:
-        ref = list(ref)
-        ref_total = len(ref) - n + 1
-        if ref_total <= 0:
-            continue
-        scored_any = True
-        ref_counts = _ngram_counts(ref, n)
-        matched = sum(min(cnt, cand_counts[gram]) for gram, cnt in ref_counts.items())
-        recall = matched / ref_total
-        precision = matched / cand_total if cand_total > 0 else 0.0
-        best = max(best, _f1(precision, recall))
-    if not scored_any:
-        return 0.0
-    return best
+    ref_counts = _ngram_counts(reference, n)
+    matched = sum(min(cnt, cand_counts[gram]) for gram, cnt in ref_counts.items())
+    recall = matched / ref_total
+    precision = matched / cand_total if cand_total > 0 else 0.0
+    return _f1(precision, recall)
 
 
 def lcs_length(a, b) -> int:
@@ -179,19 +172,13 @@ def lcs_length(a, b) -> int:
     return prev[-1]
 
 
-def rouge_l_f1(candidate: Tokens, references: list[Tokens]) -> float:
-    """ROUGE-L F1 from the longest common subsequence; best over references."""
-    candidate = list(candidate)
-    best = 0.0
-    for ref in references:
-        ref = list(ref)
-        if not candidate or not ref:
-            continue
-        lcs = lcs_length(candidate, ref)
-        precision = lcs / len(candidate)
-        recall = lcs / len(ref)
-        best = max(best, _f1(precision, recall))
-    return best
+def rouge_l_f1(candidate: Tokens, reference: Tokens) -> float:
+    """ROUGE-L F1 from the longest common subsequence with one reference,
+    which `evaluate_pairs` gives as the test review's sentences joined."""
+    if not candidate or not reference:
+        return 0.0
+    lcs = lcs_length(candidate, reference)
+    return _f1(lcs / len(candidate), lcs / len(reference))
 
 
 def set_prf(predicted: set, truth: set) -> tuple[float, float, float]:
@@ -225,23 +212,6 @@ class EvalReport:
         default_factory=lambda: {"bleu": "corpus-pooled", "rouge": "macro", "attributes": "macro"}
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "excluded": self.excluded,
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "bleu4": self.bleu4,
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "attr_precision": self.attr_precision,
-            "attr_recall": self.attr_recall,
-            "attr_f1": self.attr_f1,
-            "attr_pairs": self.attr_pairs,
-            "aggregation": self.aggregation,
-        }
-
     def format_table(self) -> str:
         rows = [
             ("pairs", f"{self.pairs}"),
@@ -274,10 +244,10 @@ def evaluate_pairs(records) -> EvalReport:
     for rec in records:
         pred_concat = [t for s in rec["pred_sentences"] for t in s]
         truth_concat = [t for s in rec["truth_sentences"] for t in s]
-        bleu_pairs.append((pred_concat, [truth_concat]))
-        r1 += rouge_n_f1(pred_concat, [truth_concat], 1)
-        r2 += rouge_n_f1(pred_concat, [truth_concat], 2)
-        rl += rouge_l_f1(pred_concat, [truth_concat])
+        bleu_pairs.append((pred_concat, truth_concat))
+        r1 += rouge_n_f1(pred_concat, truth_concat, 1)
+        r2 += rouge_n_f1(pred_concat, truth_concat, 2)
+        rl += rouge_l_f1(pred_concat, truth_concat)
         n += 1
         truth_attrs = rec["truth_attrs"]
         if truth_attrs:

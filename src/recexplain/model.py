@@ -49,10 +49,6 @@ from .features import GraphInputs
 from .graphs import ITEM_NODE, USER_NODE, PairGraph
 
 
-class ModelError(Exception):
-    pass
-
-
 LEAKY_SLOPE = 0.2  # attention logits, Velickovic et al. 2018
 EMBED_INIT_SCALE = 0.1  # user/item embeddings start uniform in [-0.1, 0.1]
 CROSS_LAYERS = 2
@@ -219,7 +215,6 @@ class ForwardTrace:
     H0: np.ndarray
     layer_traces: list[LayerTrace]
     Xhat: np.ndarray
-    attr_pool: np.ndarray | None  # (S, hidden), only when the graph stack is disabled
     x0: np.ndarray
     dcn: dict | None
     x_cd: np.ndarray
@@ -313,10 +308,7 @@ class Model:
         h0 = np.zeros((n, self.cfg.hidden))
         h0[USER_NODE] = params["embed.user"][inputs.user_row]
         h0[ITEM_NODE] = params["embed.item"][inputs.item_row]
-        if inputs.attr_X.shape[1] != self.cfg.hidden and inputs.attr_X.size:
-            raise ModelError(
-                f"attribute inputs have dim {inputs.attr_X.shape[1]}, expected {self.cfg.hidden}"
-            )
+        # NodeFeatureProvider has already checked the attribute vectors' width
         h0[graph.attr_slice] = inputs.attr_X
         if self.project_sentences:
             h0[graph.sent_slice] = inputs.sent_X @ params["proj.w"].T + params["proj.b"][None, :]
@@ -342,16 +334,15 @@ class Model:
 
         sent_rows = Xhat[graph.sent_slice]
         n_sent = sent_rows.shape[0]
-        attr_pool = None
         if cfg.disable_gat:
             # mean of each sentence's attribute inputs; every sentence has one
             links = mask[graph.sent_slice, graph.attr_slice]
-            attr_pool = (links @ H0[graph.attr_slice]) / links.sum(axis=1, keepdims=True)
+            pooled = (links @ H0[graph.attr_slice]) / links.sum(axis=1, keepdims=True)
             x0 = np.concatenate(
                 [
                     np.tile(Xhat[USER_NODE], (n_sent, 1)),
                     np.tile(Xhat[ITEM_NODE], (n_sent, 1)),
-                    attr_pool,
+                    pooled,
                     sent_rows,
                 ],
                 axis=1,
@@ -374,7 +365,6 @@ class Model:
             H0=H0,
             layer_traces=layer_traces,
             Xhat=Xhat,
-            attr_pool=attr_pool,
             x0=x0,
             dcn=dcn_trace,
             x_cd=x_cd,

@@ -99,10 +99,13 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
 
     Candidates are explored in descending-score order with an upper bound
     of (current value) + (sum of the best K-m remaining marginal gains
-    against the current choice); future pair penalties among not-yet-chosen
-    items are nonnegative, so the bound is valid.  Ties on the optimum go
-    to the lexicographically smallest index set.  Above `cap` candidates
-    this falls back to the greedy solver with a logged downgrade.
+    against the current choice).  The bound is valid only when future pair
+    penalties among not-yet-chosen items are nonnegative, so its
+    preconditions are alpha >= 0 (the config's range for `selection.alpha`)
+    and sim >= 0 (tf-idf cosines of nonnegative vectors).  Ties on the
+    optimum go to the lexicographically smallest index set.  Above `cap`
+    candidates this falls back to the greedy solver with a logged
+    downgrade.
     """
     n = problem.n
     if n > cap:
@@ -241,12 +244,10 @@ def select_for_pair(
     subproblem indices back to the caller's candidate indices.
 
     With `disable_ilp` the redundancy term is dropped (alpha treated as 0)
-    and selection degenerates to descending-score top-K.
+    and selection degenerates to descending-score top-K.  No candidates is
+    a `SelectorError`; `build_pair_graph` never yields an empty pool.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        log.warning("no candidates to select from")
-        return Selection((), 0.0, "greedy" if cfg.disable_ilp else "exact"), []
     order = [int(i) for i in np.argsort(-scores, kind="stable")[: cfg.pool]]
     sub_scores = scores[order]
     if cfg.disable_ilp:

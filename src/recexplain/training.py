@@ -51,12 +51,6 @@ class TrainConfig:
     pair_budget: int = 200
     patience: int = 10
 
-    def validate(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise TrainingError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
-
 
 def relevance_targets(candidates, ground_truth, profiles: dict | None = None) -> np.ndarray:
     """Max smoothed sentence-BLEU of each candidate against the target
@@ -77,7 +71,7 @@ def relevance_targets(candidates, ground_truth, profiles: dict | None = None) ->
             found = profiles[words] = metrics.ngram_profile(words)
         return found
 
-    refs = [[profile(g)] for g in ground_truth]
+    refs = [profile(g) for g in ground_truth]
     return np.array(
         [max(metrics.profile_bleu(profile(c), r) for r in refs) for c in candidates]
     )
@@ -217,7 +211,6 @@ class Trainer:
         config_hash: str = "",
         k: int = SelectConfig.k,
     ):
-        train_cfg.validate()
         self.corpus = corpus
         self.provider = provider
         self.train_cfg = train_cfg
@@ -298,7 +291,7 @@ class Trainer:
             cand = [w for idx in top for w in self.corpus.sentences[pair.graph.sentence_ids[idx]].words]
             ref = [w for words in pair.truth_words for w in words]
             for slot, max_n in enumerate((1, 2, 4)):
-                sums[slot] += metrics.sentence_bleu(cand, [ref], max_n=max_n)
+                sums[slot] += metrics.sentence_bleu(cand, ref, max_n=max_n)
         n = len(self.valid_pairs)
         return sums[0] / n, sums[1] / n, sums[2] / n
 

@@ -42,7 +42,6 @@ def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
         attribute_ids=tuple(range(n_attr)),
         sentence_ids=tuple(f"s{k}" for k in range(n_sent)),
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        positives=None,
         attr_labels=labels,
     )
 

@@ -9,6 +9,8 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 
 def bleu_oracle(candidate, references, max_n=4):
     if len(candidate) == 0:
@@ -185,6 +187,47 @@ def enumerate_best_subset(scores, sim, k, alpha):
         if best_obj is None or obj > best_obj + 1e-12:
             best_obj, best_set = obj, combo
     return best_obj, best_set
+
+
+def ilp_best_subset(scores, sim, k, alpha):
+    """The selection integer program, solved by HiGHS through
+    `scipy.optimize.milp`.  Returns (objective, index tuple); the objective
+    is recomputed from the chosen set, so it carries no solver tolerance.
+
+    Binary x_i picks candidate i.  Each ordered pair i != j has an indicator
+    y_ij >= x_i + x_j - 1, y_ij >= 0, which is 1 exactly when both are
+    picked as long as alpha * sim_ij >= 0.  Subject to sum x = k, maximise
+    sum_i g_i x_i - alpha * sum_{i != j} sim_ij y_ij.  HiGHS stops within
+    an absolute gap of 1e-6, so a suboptimal set can come back when two
+    objectives differ by less than that.
+    """
+    # scipy is a dev-only dependency, and only this oracle needs it
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(scores)
+    k = min(k, n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    cost = np.array([-float(g) for g in scores] + [alpha * sim[i][j] for i, j in pairs])
+    rows = np.zeros((1 + len(pairs), n + len(pairs)))
+    rows[0, :n] = 1.0
+    for p, (i, j) in enumerate(pairs):
+        rows[1 + p, i] = rows[1 + p, j] = 1.0
+        rows[1 + p, n + p] = -1.0
+    low = np.array([k] + [-np.inf] * len(pairs))
+    high = np.array([k] + [1.0] * len(pairs))
+    result = milp(
+        cost,
+        constraints=LinearConstraint(rows, low, high),
+        integrality=np.array([1] * n + [0] * len(pairs)),
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    if not result.success:
+        raise RuntimeError(f"milp failed: {result.message}")
+    chosen = tuple(i for i in range(n) if result.x[i] > 0.5)
+    rel = sum(scores[i] for i in chosen)
+    pen = sum(sim[i][j] for i in chosen for j in chosen if i != j)
+    return rel - alpha * pen, chosen
 
 
 def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope):

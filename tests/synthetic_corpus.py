@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from recexplain.corpus import UNK_TOKEN, load_corpus
-from recexplain.features import save_vector_file
 
 N_USERS = 8
 N_ITEMS = 8
@@ -108,6 +107,16 @@ def write_inputs(out_dir, seed: int = 0) -> dict:
 def _token_rng(seed: int, kind: str, key: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{kind}:{key}".encode()).digest()
     return np.random.default_rng([seed, int.from_bytes(digest[:4], "little")])
+
+
+def save_vector_file(path, index: dict[str, int], vectors: np.ndarray) -> None:
+    """Write `vectors` in the format `features.load_vector_file` reads,
+    one row per id in row order; floats are written exactly (repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{vectors.shape[0]} {vectors.shape[1]}\n")
+        for key, row in sorted(index.items(), key=lambda kv: kv[1]):
+            vals = " ".join(repr(float(v)) for v in vectors[row])
+            fh.write(f"{key} {vals}\n")
 
 
 def write_vector_files(corpus_dir, out_dir, hidden: int, sent_dim: int = 16, seed: int = 0):

@@ -165,6 +165,31 @@ class TestPipeline:
         assert report.pairs + report.excluded == len(records)
 
 
+# one value outside each key's accepted range
+OUT_OF_RANGE = [
+    ("seed", -1),
+    ("corpus.min_activity", 0),
+    ("model.hidden", 0),
+    ("model.deep_hidden", 0),
+    ("model.gat_heads", []),
+    ("model.gat_heads", [0]),
+    ("model.gat_heads", [4, 0]),
+    ("training.lambda", -0.5),
+    ("training.lambda", 1.5),
+    ("training.batch_size", 0),
+    ("training.learning_rate", 0),
+    ("training.learning_rate", -1e-4),
+    ("training.epochs", 0),
+    ("training.pair_budget", -1),
+    ("training.patience", -1),
+    ("selection.k", 0),
+    ("selection.k", -2),
+    ("selection.pool", 0),
+    ("selection.exact_cap", -1),
+    ("selection.alpha", -1),
+]
+
+
 def parsed_config(tmp_path, argv, **sections):
     config = write_config(tmp_path / "config.json", tmp_path, tmp_path / "work", **sections)
     args = cli._build_parser().parse_args(["train", "--config", str(config), *argv])
@@ -237,8 +262,55 @@ class TestConfig:
         )
         assert cfg.training.lam == 1 and cfg.corpus.ratios == (1, 0, 0) and cfg.model.gat_heads == (2,)
 
-    def test_dict_roundtrip(self, tmp_path):
-        cfg = parsed_config(tmp_path, ["--no-dcn"], training={"lambda": 0.25}, corpus={"ratios": [0.5, 0.25, 0.25]})
-        again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-        assert again.train_hash() == cfg.train_hash()
+    @pytest.mark.parametrize(
+        "key, value",
+        OUT_OF_RANGE,
+        ids=[f"{key}={json.dumps(value, separators=(',', ':'))}" for key, value in OUT_OF_RANGE],
+    )
+    def test_out_of_range_rejected_by_name(self, planted, tmp_path, capsys, key, value):
+        config, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["paths"]["workdir"] = str(tmp_path / "work")
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
+
+    def test_negative_seed_flag_rejected(self, planted, tmp_path, capsys):
+        # the range check sees the config after the CLI overrides
+        config, _, _ = planted
+        argv = ["preprocess", "--config", str(config), "--workdir", str(tmp_path / "work"), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: config key seed must be >= 0, got -1")
+
+
+class TestAblations:
+    """Each of the paper's ablations runs through every stage."""
+
+    @pytest.mark.parametrize(
+        "flags, paths",
+        [
+            (["--no-gat"], {}),
+            (["--no-dcn"], {}),
+            (["--no-ilp"], {}),
+            (["--no-gat", "--no-dcn"], {}),
+            ([], {"sentence_vectors": ""}),
+        ],
+        ids=["no-gat", "no-dcn", "no-ilp", "no-gat-no-dcn", "average-word-vectors"],
+    )
+    def test_every_stage_exits_zero(self, planted, tmp_path, flags, paths):
+        config, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["paths"].update(paths, workdir=str(tmp_path / "work"))
+        doc["training"]["epochs"] = 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        for stage in ("preprocess", "train", "select", "evaluate"):
+            assert cli.main([stage, "--config", str(changed), *flags]) == 0, stage
+        _, records = selection_records(tmp_path / "work")
+        report = json.loads((tmp_path / "work" / "evaluation.json").read_text(encoding="utf-8"))
+        assert records and report["pairs"] + report["excluded"] == len(records)
+        solvers = {json.loads(rec)["solver"] for rec in records}
+        assert solvers == {"greedy" if "--no-ilp" in flags else "exact"}

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import synthetic_corpus as sc
 from recexplain import features as ft
 from recexplain.corpus import Sentence
 
@@ -43,6 +44,19 @@ class TestLoadVectorFile:
         with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: row 2 ('b') has a non-numeric value")):
             ft.load_vector_file(path)
 
+    def test_blank_lines_are_not_rows(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\na 1 0\n\nb 0 1\n")
+        table = ft.load_vector_file(path)
+        assert table.index == {"a": 0, "b": 1}
+        assert np.array_equal(table.vectors, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_rows_numbered_over_data_lines(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\n\na 1 0\n\n\nb 0\n")
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: row 2 ('b') has 1 values")):
+            ft.load_vector_file(path)
+
     def test_duplicate_id_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1 0\na 0 1\n")
@@ -66,7 +80,7 @@ class TestLoadVectorFile:
     def test_save_roundtrip(self, tmp_path):
         path = tmp_path / "v.txt"
         vecs = np.array([[0.25, -1.5], [3.0, 0.125]])
-        ft.save_vector_file(path, {"x": 0, "y": 1}, vecs)
+        sc.save_vector_file(path, {"x": 0, "y": 1}, vecs)
         table = ft.load_vector_file(path)
         assert np.array_equal(table.vectors, vecs)
 

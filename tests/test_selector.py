@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recexplain import selector as sel
 
-from oracles import enumerate_best_subset, tfidf_cosine_oracle, tfidf_pair_loop
+from oracles import enumerate_best_subset, ilp_best_subset, tfidf_cosine_oracle, tfidf_pair_loop
 
 
 def spec_instance():
@@ -96,6 +98,51 @@ class TestExactSolver:
             out = sel.solve_exact(shifted)
             assert out.indices == base.indices
             assert out.objective == pytest.approx(base.objective + 3 * 2.5, abs=1e-9)
+
+
+@st.composite
+def grid_instances(draw):
+    """(scores, sim, k, alpha) with n <= 12 and K <= 5.  Every value is a
+    multiple of `unit`, 1/8 or 1/1024, so the objective's float sums are
+    exact: ties are real, and distinct objectives differ by at least
+    unit/2, far above HiGHS' 1e-6 absolute gap.  Scores are flat (within
+    4 units of 0.5) or spread over [0, 1]; candidates fall into up to three
+    groups of near-duplicates, similar by at least 0.75 within a group and
+    at most 0.25 across groups.
+    """
+    unit = draw(st.sampled_from([1 / 8, 1 / 1024]))
+    steps = round(0.25 / unit)
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(5, n)))
+    alpha = draw(st.sampled_from([0.5, 2.0]))
+    if draw(st.booleans()):
+        scores = [0.5 + unit * draw(st.integers(0, 4)) for _ in range(n)]
+    else:
+        scores = [unit * draw(st.integers(0, round(1 / unit))) for _ in range(n)]
+    group = [draw(st.integers(0, 2)) for _ in range(n)]
+    sim = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            base = 0.75 if group[i] == group[j] else 0.0
+            sim[i][j] = sim[j][i] = base + unit * draw(st.integers(0, steps))
+    return scores, sim, k, alpha
+
+
+class TestAgainstIlp:
+    """The branch and bound against the paper's integer program and brute
+    force: the same optimum, and the lexicographically smallest optimal set."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(grid_instances())
+    def test_same_optimum_as_ilp_and_enumeration(self, instance):
+        scores, sim, k, alpha = instance
+        got = sel.solve_exact(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha))
+        ilp_obj, _ = ilp_best_subset(scores, sim, k, alpha)
+        brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
+        assert got.solver == "exact"
+        assert abs(got.objective - ilp_obj) <= 1e-9
+        assert abs(got.objective - brute_obj) <= 1e-9
+        assert got.indices == brute_set
 
 
 class TestGreedy:
@@ -252,5 +299,6 @@ class TestSelectForPair:
 
     def test_empty_candidates(self):
         v = sel.TfidfVectorizer([["a"]])
-        out, order = sel.select_for_pair(np.array([]), [], v, sel.SelectConfig())
-        assert out.indices == () and order == []
+        for disable_ilp in (False, True):
+            with pytest.raises(sel.SelectorError, match="at least one candidate"):
+                sel.select_for_pair(np.array([]), [], v, sel.SelectConfig(disable_ilp=disable_ilp))

@@ -49,7 +49,7 @@ class TestRelevanceTargets:
             cands = [sentence(1, 3) for _ in range(3)] + [sentence(4, 14) for _ in range(8)]
             cands += [cands[1], cands[6], gt[0]]  # duplicates and a reference itself
             got = tr.relevance_targets(cands, gt)
-            assert got.tolist() == [max(metrics.sentence_bleu(list(c), [list(g)]) for g in gt) for c in cands]
+            assert got.tolist() == [max(metrics.sentence_bleu(list(c), list(g)) for g in gt) for c in cands]
             for target, c in zip(got, cands):
                 assert abs(target - max(bleu_oracle(list(c), [list(g)]) for g in gt)) <= 1e-12
             assert got[-1] == 1.0
@@ -279,10 +279,6 @@ class TestTrainer:
         got = (tmp_path / "part" / "checkpoints" / "epoch_3.ntar").read_bytes()
         assert ref == got
 
-    def test_zero_epochs_rejected(self, tmp_path):
-        with pytest.raises(tr.TrainingError, match="epochs"):
-            make_trainer(tmp_path, epochs=0)
-
     def test_resume_from_final_epoch_trains_nothing(self, tmp_path):
         full = make_trainer(tmp_path, epochs=3, seed=2)
         best = full.run()
@@ -322,7 +318,7 @@ class TestTrainer:
             top = pair.graph.sentence_ids[int(np.argmax(scores))]
             ref = [w for words in pair.truth_words for w in words]
             for slot, max_n in enumerate((1, 2, 4)):
-                want[slot] += metrics.sentence_bleu(list(trainer.corpus.sentences[top].words), [ref], max_n=max_n)
+                want[slot] += metrics.sentence_bleu(list(trainer.corpus.sentences[top].words), ref, max_n=max_n)
         n = len(trainer.valid_pairs)
         assert list(trainer.validate()) == [total / n for total in want]
 
@@ -337,6 +333,9 @@ class TestTrainer:
     def test_targets_one_for_positives(self, tmp_path):
         trainer = make_trainer(tmp_path / "d")
         for pair in trainer.train_pairs:
-            for sid in pair.graph.positives:
+            truth = trainer.corpus.ground_truth_sentences(pair.user_id, pair.item_id, "train")
+            positives = set(truth) & set(pair.graph.sentence_ids)
+            assert positives
+            for sid in positives:
                 idx = pair.graph.sentence_ids.index(sid)
                 assert pair.targets[idx] == pytest.approx(1.0, abs=1e-12)
