@@ -1,9 +1,11 @@
 """Dev harness: does the planted-signal corpus train to >= 90% top-1?"""
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, "tests")
+ROOT = Path(__file__).resolve().parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np
 
@@ -59,12 +61,10 @@ def top1_accuracy(cfg):
 
 
 def main(seed=0, epochs=50, hidden=32):
-    data_dir = Path("/tmp/planted_data")
-    workdir = Path("/tmp/planted_work")
-    import shutil
-    shutil.rmtree(data_dir, ignore_errors=True)
-    shutil.rmtree(workdir, ignore_errors=True)
-    data_dir.mkdir(parents=True)
+    root = Path(tempfile.mkdtemp(prefix="planted_"))
+    print("writing into", root)
+    data_dir, workdir = root / "data", root / "work"
+    data_dir.mkdir()
     sc.write_inputs(data_dir, seed=seed)
     cfg = make_config(data_dir, workdir, seed=seed, epochs=epochs, hidden=hidden)
     t0 = time.time()

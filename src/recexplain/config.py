@@ -4,8 +4,9 @@ Defaults follow the published hyperparameters (two attention layers with
 4+1 heads, hidden 256, 2-layer cross + 2x128 deep network, lambda 0.5,
 Adam at 2e-4 with batch 16, K=5, alpha=2.0, candidate pool 100), so a
 config that only fills in paths runs the reference pipeline.  Stage
-outputs carry a hash of the config sections they depend on; downstream
-stages refuse to consume artifacts whose hash disagrees.
+outputs carry a hash of the config sections they depend on and of the
+bytes of the input files they read; downstream stages refuse to consume
+artifacts whose hash disagrees, so an input edited in place is stale.
 
 The 25 settable values are `seed` and the fields of five sections: paths
 (reviews, lexicon, attribute_vectors, sentence_vectors, workdir), corpus
@@ -131,6 +132,19 @@ _RANGES = {
 }
 
 
+def _file_digest(path: str) -> str | None:
+    """sha256 of a file's bytes, read in blocks; None when there is no such
+    file, so outputs built from it count as stale."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
+
+
 def _to_dict(obj) -> dict:
     values = {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return {key: list(value) if isinstance(value, tuple) else value for key, value in values.items()}
@@ -144,6 +158,8 @@ class PipelineConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     selection: SelectConfig = field(default_factory=SelectConfig)
     seed: int = 0
+    # input path -> content digest, filled by `_digest`
+    _digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _SECTIONS = {
         "paths": PathsConfig,
@@ -211,12 +227,19 @@ class PipelineConfig:
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    def _digest(self, path: str) -> str | None:
+        """An input file's content digest, read once per config instance;
+        "" for an unset path."""
+        if path not in self._digests:
+            self._digests[path] = _file_digest(path) if path else ""
+        return self._digests[path]
+
     def preprocess_hash(self) -> str:
         return self._hash(
             {
                 "corpus": _to_dict(self.corpus),
-                "reviews": self.paths.reviews,
-                "lexicon": self.paths.lexicon,
+                "reviews": self._digest(self.paths.reviews),
+                "lexicon": self._digest(self.paths.lexicon),
                 "seed": self.seed,
             }
         )
@@ -229,7 +252,7 @@ class PipelineConfig:
                 "training": _to_dict(self.training),
                 # validation's top-K picks the best epoch
                 "k": self.selection.k,
-                "vectors": [self.paths.attribute_vectors, self.paths.sentence_vectors],
+                "vectors": [self._digest(self.paths.attribute_vectors), self._digest(self.paths.sentence_vectors)],
                 "seed": self.seed,
             }
         )

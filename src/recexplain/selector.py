@@ -7,7 +7,14 @@ Given model scores for (at most) the 100 best candidates, we maximize
 over subsets of size K.  The pair sum ranges over ordered pairs, so each
 unordered pair is counted twice (sim is symmetric); this matches the
 integer-program formulation whose pair-indicator count is K*(K-1).
+
 Solved exactly by branch and bound up to a size cap, greedily beyond it.
+The branch and bound is a depth-first search over the candidates in
+descending-score order, run on Python lists.  Its bound charges every
+candidate still open the least pair penalty it can pay among the remaining
+picks: the sum of its slots - 1 smallest similarities to the rest of the
+suffix, precomputed once per problem (see `solve_exact` for the proof).
+A search that exceeds NODE_BUDGET nodes returns the greedy solution.
 """
 
 from __future__ import annotations
@@ -22,29 +29,42 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _TIE_EPS = 1e-12
+# branch-and-bound nodes before `solve_exact` settles for the greedy set;
+# the serving shape (n <= 16, K = 8) needs a few thousand at most
+NODE_BUDGET = 100_000
 
 
 class SelectorError(Exception):
     pass
 
 
+class _OverBudget(Exception):
+    pass
+
+
 @dataclass
 class SelectionProblem:
-    scores: np.ndarray  # (n,)
-    sim: np.ndarray  # (n, n) symmetric, zero diagonal, values in [0, 1]
+    scores: np.ndarray  # (n,) finite
+    sim: np.ndarray  # (n, n) finite and symmetric; a zero-diagonal copy is kept
     k: int
-    alpha: float
+    alpha: float  # finite, >= 0
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
-        self.sim = np.asarray(self.sim, dtype=float)
+        self.sim = np.array(self.sim, dtype=float)  # a copy: the diagonal is zeroed below
         n = self.scores.shape[0]
         if n < 1:
             raise SelectorError("need at least one candidate")
         if self.sim.shape != (n, n):
             raise SelectorError(f"similarity matrix shape {self.sim.shape} != ({n}, {n})")
+        if not np.isfinite(self.scores).all():
+            raise SelectorError("scores must be finite")
+        if not np.isfinite(self.sim).all():
+            raise SelectorError("similarity matrix must be finite")
         if not np.allclose(self.sim, self.sim.T, atol=1e-12):
             raise SelectorError("similarity matrix must be symmetric")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise SelectorError(f"alpha must be finite and >= 0, got {self.alpha}")
         np.fill_diagonal(self.sim, 0.0)
 
     @property
@@ -94,18 +114,43 @@ def solve_greedy(problem: SelectionProblem) -> Selection:
     return Selection(chosen_t, objective(problem, chosen_t), "greedy")
 
 
+def _suffix_floors(sim: np.ndarray, k: int) -> np.ndarray:
+    """floors[p, s, t] for s < k: the sum of the s smallest similarities from
+    position t to the other positions of the suffix p..n-1 (inf where that
+    suffix has fewer than s others).
+    """
+    n = sim.shape[0]
+    pos = np.arange(n)
+    # cube[p, t, u] = sim[t, u], masked where u is before the suffix or u == t
+    cube = np.where((pos[:, None, None] > pos) | (pos[:, None] == pos), np.inf, sim)
+    smallest = np.sort(cube, axis=2)[:, :, : k - 1]
+    floors = np.zeros((n, k, n))
+    floors[:, 1:, :] = np.cumsum(smallest, axis=2).transpose(0, 2, 1)
+    return floors
+
+
 def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
     """Optimal subset via depth-first branch and bound.
 
-    Candidates are explored in descending-score order with an upper bound
-    of (current value) + (sum of the best K-m remaining marginal gains
-    against the current choice).  The bound is valid only when future pair
-    penalties among not-yet-chosen items are nonnegative, so its
-    preconditions are alpha >= 0 (the config's range for `selection.alpha`)
-    and sim >= 0 (tf-idf cosines of nonnegative vectors).  Ties on the
-    optimum go to the lexicographically smallest index set.  Above `cap`
-    candidates this falls back to the greedy solver with a logged
-    downgrade.
+    The search walks candidates in descending-score order (stable on
+    index), taking position `pos` into the set before leaving it out, so
+    strong incumbents come early; the greedy solution is the warm start.
+    Ties on the optimum go to the lexicographically smallest index set.
+
+    The bound: at a node, slots = K - |chosen| picks remain, all from the
+    suffix of positions pos..n-1, and a completion P adds
+    sum_{j in P} (g_j - 2*alpha*pen_j - alpha * sum_{i in P, i != j} sim(i, j)),
+    with pen_j the similarity of j to the chosen set.  Proof in one line:
+    j's inner sum has slots - 1 terms drawn from its similarities to the
+    rest of the suffix, so it is at least floor(pos, slots, j), the sum of
+    the slots - 1 smallest of those; hence the node's best value is at most
+    cur + the top `slots` of g_j - 2*alpha*pen_j - alpha*floor(pos, slots, j).
+    This holds for any sign of sim as long as alpha >= 0, which
+    `SelectionProblem` checks.  The floors for every suffix and slot count
+    are computed once per problem.
+
+    Above `cap` candidates, or after NODE_BUDGET search nodes, this falls
+    back to the greedy solution with a logged warning, labelled "greedy".
     """
     n = problem.n
     if n > cap:
@@ -119,49 +164,63 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
         chosen = _top_k_by_score(problem, k)
         return Selection(chosen, objective(problem, chosen), "exact")
 
-    order = [int(i) for i in np.argsort(-problem.scores, kind="stable")]
-    scores = problem.scores
-    sim = problem.sim
-    alpha2 = 2.0 * problem.alpha
-
     # warm start so the bound prunes from the first branches
     seed = solve_greedy(problem)
     best_obj = seed.objective
     best_set = seed.indices
 
-    chosen: list[int] = []
-    pen_to_chosen = np.zeros(n)
+    # the search runs over positions in score order, on Python floats
+    order = np.argsort(-problem.scores, kind="stable")
+    sim = problem.sim[np.ix_(order, order)]
+    g = problem.scores[order]
+    alpha2 = 2.0 * problem.alpha
+    # heads[pos][slots - 1][t - pos] = g_t - alpha * floor(pos, slots, t)
+    heads_arr = g - problem.alpha * _suffix_floors(sim, k)
+    heads = [heads_arr[p, :, p:].tolist() for p in range(n)]
+    rows = sim.tolist()
+    g = g.tolist()
+    order = order.tolist()
 
-    def bound(pos: int, cur: float) -> float:
-        slots = k - len(chosen)
-        gains = [scores[j] - alpha2 * pen_to_chosen[j] for j in order[pos:]]
-        gains.sort(reverse=True)
-        return cur + sum(gains[:slots])
+    chosen: list[int] = []  # positions
+    pen = [0.0] * n  # similarity of each position to the chosen set
+    nodes = 0
 
     def dfs(pos: int, cur: float):
-        nonlocal best_obj, best_set
-        if len(chosen) == k:
-            cand = tuple(sorted(chosen))
+        nonlocal best_obj, best_set, nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise _OverBudget
+        slots = k - len(chosen)
+        if slots == 0:
+            cand = tuple(sorted(order[p] for p in chosen))
             if cur > best_obj + _TIE_EPS or (
                 abs(cur - best_obj) <= _TIE_EPS and cand < best_set
             ):
                 best_obj, best_set = cur, cand
             return
-        if n - pos < k - len(chosen):
+        if n - pos < slots:
             return
-        if bound(pos, cur) < best_obj - _TIE_EPS:
+        terms = [h - alpha2 * q for h, q in zip(heads[pos][slots - 1], pen[pos:])]
+        terms.sort(reverse=True)
+        if cur + sum(terms[:slots]) < best_obj - _TIE_EPS:
             return
-        j = order[pos]
-        # include j first: descending-score order finds strong incumbents early
-        gain = scores[j] - alpha2 * pen_to_chosen[j]
-        chosen.append(j)
-        pen_to_chosen[:] += sim[j]
+        gain = g[pos] - alpha2 * pen[pos]
+        saved = pen[pos + 1 :]
+        pen[pos + 1 :] = [q + s for q, s in zip(saved, rows[pos][pos + 1 :])]
+        chosen.append(pos)
         dfs(pos + 1, cur + gain)
-        pen_to_chosen[:] -= sim[j]
         chosen.pop()
+        pen[pos + 1 :] = saved
         dfs(pos + 1, cur)
 
-    dfs(0, 0.0)
+    try:
+        dfs(0, 0.0)
+    except _OverBudget:
+        log.warning(
+            "exact solver node budget %d exceeded (n=%d, K=%d); falling back to greedy",
+            NODE_BUDGET, n, k,
+        )
+        return seed
     return Selection(best_set, objective(problem, best_set), "exact")
 
 

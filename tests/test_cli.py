@@ -1,6 +1,7 @@
 """The command-line pipeline and its config on the planted corpus."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,22 @@ class TestPipeline:
         changed = changed_config(config, tmp_path, section, key, value)
         assert cli.main([stage, "--config", str(changed)]) == 1
         assert f"re-run {producer}" in capsys.readouterr().err
+
+    def test_reviews_edited_in_place_ask_to_preprocess(self, planted, tmp_path, capsys):
+        config, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        reviews = tmp_path / "reviews.jsonl"
+        lines = Path(doc["paths"]["reviews"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        reviews.write_text("".join(lines), encoding="utf-8")
+        doc["paths"].update(reviews=str(reviews), workdir=str(tmp_path / "work"))
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(changed)]) == 0
+        cli._load_processed(PipelineConfig.load(changed))  # fresh before the edit
+        reviews.write_text("".join(lines[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(changed)]) == 1
+        assert "re-run preprocess" in capsys.readouterr().err
 
     def test_vector_width_mismatch_is_an_error(self, planted, tmp_path, capsys):
         config, _, _ = planted

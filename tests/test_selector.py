@@ -41,6 +41,27 @@ class TestObjective:
         assert sel.objective(q, [0, 1]) == pytest.approx(1.7)
 
 
+class TestProblem:
+    def test_callers_matrix_is_not_modified(self):
+        sim = np.array([[1.0, 0.5], [0.5, 1.0]])
+        p = sel.SelectionProblem(np.array([0.2, 0.1]), sim, k=1, alpha=0.5)
+        assert np.array_equal(sim, [[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(p.sim, [[0.0, 0.5], [0.5, 0.0]])
+
+    @pytest.mark.parametrize(
+        "scores, sim, alpha, message",
+        [
+            ([0.2, np.nan], [[0.0, 0.5], [0.5, 0.0]], 0.5, "scores must be finite"),
+            ([0.2, 0.1], [[0.0, np.inf], [np.inf, 0.0]], 0.5, "similarity matrix must be finite"),
+            ([0.2, 0.1], [[0.0, 0.5], [0.5, 0.0]], -0.5, "alpha must be finite and >= 0"),
+        ],
+        ids=["nan-score", "inf-similarity", "negative-alpha"],
+    )
+    def test_invalid_input_rejected(self, scores, sim, alpha, message):
+        with pytest.raises(sel.SelectorError, match=message):
+            sel.SelectionProblem(np.array(scores), np.array(sim), k=1, alpha=alpha)
+
+
 class TestExactSolver:
     def test_spec_instance(self):
         p = spec_instance()
@@ -89,6 +110,16 @@ class TestExactSolver:
         out = sel.solve_exact(p, cap=5)
         assert out.solver == "greedy"
 
+    def test_node_budget_falls_back_to_greedy(self, monkeypatch, caplog):
+        rng = np.random.default_rng(0)
+        p = random_problem(rng, n=12, k=4, alpha=0.5)
+        assert sel.solve_exact(p).solver == "exact"
+        monkeypatch.setattr(sel, "NODE_BUDGET", 5)
+        out = sel.solve_exact(p)
+        assert out == sel.solve_greedy(p)
+        assert out.solver == "greedy"
+        assert "node budget 5 exceeded (n=12, K=4)" in caplog.text
+
     def test_monotone_shift_invariance(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
@@ -101,19 +132,20 @@ class TestExactSolver:
 
 
 @st.composite
-def grid_instances(draw):
-    """(scores, sim, k, alpha) with n <= 12 and K <= 5.  Every value is a
-    multiple of `unit`, 1/8 or 1/1024, so the objective's float sums are
-    exact: ties are real, and distinct objectives differ by at least
-    unit/2, far above HiGHS' 1e-6 absolute gap.  Scores are flat (within
-    4 units of 0.5) or spread over [0, 1]; candidates fall into up to three
-    groups of near-duplicates, similar by at least 0.75 within a group and
-    at most 0.25 across groups.
+def grid_instances(draw, sizes=(2, 12), ks=(1, 5)):
+    """(scores, sim, k, alpha) with n and K drawn from the closed ranges
+    `sizes` and `ks`, K <= n.  Every
+    value is a multiple of `unit`, 1/8 or 1/1024, so the objective's float
+    sums are exact: ties are real, and distinct objectives differ by at
+    least unit/2, far above HiGHS' 1e-6 absolute gap.  Scores are flat
+    (within 4 units of 0.5) or spread over [0, 1]; candidates fall into up
+    to three groups of near-duplicates, similar by at least 0.75 within a
+    group and at most 0.25 across groups.
     """
     unit = draw(st.sampled_from([1 / 8, 1 / 1024]))
     steps = round(0.25 / unit)
-    n = draw(st.integers(2, 12))
-    k = draw(st.integers(1, min(5, n)))
+    n = draw(st.integers(*sizes))
+    k = draw(st.integers(ks[0], min(ks[1], n)))
     alpha = draw(st.sampled_from([0.5, 2.0]))
     if draw(st.booleans()):
         scores = [0.5 + unit * draw(st.integers(0, 4)) for _ in range(n)]
@@ -141,6 +173,18 @@ class TestAgainstIlp:
         brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
         assert got.solver == "exact"
         assert abs(got.objective - ilp_obj) <= 1e-9
+        assert abs(got.objective - brute_obj) <= 1e-9
+        assert got.indices == brute_set
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(grid_instances(sizes=(12, 16), ks=(4, 8)))
+    def test_same_set_as_enumeration_at_serving_shape(self, instance):
+        # pools of up to 16 with K up to 8, where the suffix pair floors
+        # cut the search the most
+        scores, sim, k, alpha = instance
+        got = sel.solve_exact(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha))
+        brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
+        assert got.solver == "exact"
         assert abs(got.objective - brute_obj) <= 1e-9
         assert got.indices == brute_set
 
