@@ -5,10 +5,10 @@ workdir, and stamps them with a hash of the config sections it depends
 on; a later stage refuses artifacts whose stamp disagrees with the
 current config.
 
-Ablations: --no-gat, --no-dcn and --no-ilp set `model.disable_gat`,
-`model.disable_dcn` and `selection.disable_ilp`, the same fields a config
-file may set.  A config without `paths.sentence_vectors` averages word
-vectors into sentence vectors.
+Ablations: --no-gat and --no-dcn set `model.disable_gat` and
+`model.disable_dcn`, and --no-ilp sets `selection.alpha` to 0, the same
+fields a config file may set.  A config without `paths.sentence_vectors`
+averages word vectors into sentence vectors.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _load_processed(cfg: PipelineConfig) -> Corpus:
 
 
 def _build_provider(cfg: PipelineConfig) -> NodeFeatureProvider:
-    word_table = load_vector_file(cfg.paths.attribute_vectors) if cfg.paths.attribute_vectors else None
+    word_table = load_vector_file(cfg.paths.attribute_vectors)
     sentence_table = load_vector_file(cfg.paths.sentence_vectors) if cfg.paths.sentence_vectors else None
     return NodeFeatureProvider(hidden=cfg.model.hidden, word_table=word_table, sentence_table=sentence_table)
 
@@ -110,7 +110,7 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
         k=cfg.selection.k,
     )
     if resume:
-        trainer.load_checkpoint(resume, resume=True)
+        trainer.load_checkpoint(resume)
     best = trainer.run()
     provider.report_misses()
     return best
@@ -169,6 +169,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         fh.write(json.dumps({"config_hash": cfg.select_hash()}, sort_keys=True) + "\n")
         for rec in results:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    provider.report_misses()
     return {"pairs": len(results), "skipped": len(pairs) - len(results), "path": str(out)}
 
 
@@ -257,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="override the pipeline seed")
         sp.add_argument("--no-gat", action="store_true", help="set model.disable_gat: drop the graph attention stack")
         sp.add_argument("--no-dcn", action="store_true", help="set model.disable_dcn: replace feature crossing with one linear layer")
-        sp.add_argument("--no-ilp", action="store_true", help="set selection.disable_ilp: select by descending score only")
+        sp.add_argument("--no-ilp", action="store_true", help="set selection.alpha to 0: select the top K by score")
         if name == "train":
             sp.add_argument("--resume", help="checkpoint to resume from")
         if name == "select":
@@ -278,7 +279,7 @@ def _load_config(args) -> PipelineConfig:
     if args.no_dcn:
         cfg.model.disable_dcn = True
     if args.no_ilp:
-        cfg.selection.disable_ilp = True
+        cfg.selection.alpha = 0  # as JSON `"alpha": 0` loads, so both hash alike
     return cfg
 
 

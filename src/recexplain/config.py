@@ -8,12 +8,12 @@ outputs carry a hash of the config sections they depend on and of the
 bytes of the input files they read; downstream stages refuse to consume
 artifacts whose hash disagrees, so an input edited in place is stale.
 
-The 25 settable values are `seed` and the fields of five sections: paths
+The 24 settable values are `seed` and the fields of five sections: paths
 (reviews, lexicon, attribute_vectors, sentence_vectors, workdir), corpus
 (rating_threshold, min_activity, ratios), model (hidden, gat_heads,
 deep_hidden, disable_gat, disable_dcn), training (lambda, batch_size,
 learning_rate, epochs, pair_budget, patience) and selection (k, alpha,
-pool, exact_cap, disable_ilp).  Any other key, or a value whose JSON type
+pool, exact_cap).  Any other key, or a value whose JSON type
 does not fit its field, is rejected by name.  So is a value outside its
 range, which every stage checks after the CLI overrides:
 - `seed`, `training.patience` and `selection.exact_cap` >= 0;
@@ -32,9 +32,10 @@ the item's attributes in `graphs.py`.
 
 Each of the paper's ablation settings lives in one field, which a CLI flag
 also sets: `model.disable_gat` (--no-gat), `model.disable_dcn` (--no-dcn)
-and `selection.disable_ilp` (--no-ilp).  Leaving
-`paths.sentence_vectors` empty selects the fourth ablation, sentence
-vectors averaged from the word vectors in `paths.attribute_vectors`.
+and `selection.alpha` = 0 (--no-ilp: no redundancy term, so the selection
+is the top K by score).  Leaving `paths.sentence_vectors` empty selects
+the fourth ablation, sentence vectors averaged from the word vectors in
+`paths.attribute_vectors`.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class PipelineConfig:
         need = {
             "preprocess": ["paths.reviews", "paths.lexicon", "paths.workdir"],
             "train": ["paths.workdir", "paths.attribute_vectors"],
-            "select": ["paths.workdir"],
+            "select": ["paths.workdir", "paths.attribute_vectors"],
             "evaluate": ["paths.workdir"],
         }[stage]
         for dotted in need:

@@ -29,7 +29,7 @@ class EmbeddingTable:
 
     @property
     def dim(self) -> int:
-        return int(self.vectors.shape[1]) if self.vectors.ndim == 2 else 0
+        return int(self.vectors.shape[1])
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
@@ -112,20 +112,18 @@ class NodeFeatureProvider:
     """
 
     hidden: int
-    word_table: EmbeddingTable | None = None
+    word_table: EmbeddingTable
     sentence_table: EmbeddingTable | None = None
     missing_attr: int = field(default=0, init=False)
     missing_sent: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.word_table is not None and len(self.word_table) and self.word_table.dim != self.hidden:
+        if len(self.word_table) and self.word_table.dim != self.hidden:
             raise VectorFileError(
                 f"attribute/word vectors have dim {self.word_table.dim}, expected {self.hidden}"
             )
         if self.sentence_table is not None and len(self.sentence_table) == 0:
             raise VectorFileError("sentence vector table is empty")
-        if self.sentence_table is None and self.word_table is None:
-            raise VectorFileError("need a word table for average-word sentence embeddings")
 
     @property
     def sentence_dim(self) -> int:
@@ -134,9 +132,6 @@ class NodeFeatureProvider:
         return self.word_table.dim
 
     def attribute_vector(self, surface: str) -> np.ndarray:
-        if self.word_table is None:
-            self.missing_attr += 1
-            return np.zeros(self.hidden)
         parts = surface.split()
         rows = []
         for p in parts:
@@ -154,9 +149,6 @@ class NodeFeatureProvider:
             if row is not None:
                 return row
             self.missing_sent += 1
-            if self.word_table is not None:
-                return sentence_fallback_embedding(sentence.words, self.word_table)
-            return np.zeros(self.sentence_dim)
         return sentence_fallback_embedding(sentence.words, self.word_table)
 
     def attr_matrix(self, surfaces: list[str]) -> np.ndarray:

@@ -14,7 +14,8 @@ descending-score order, run on Python lists.  Its bound charges every
 candidate still open the least pair penalty it can pay among the remaining
 picks: the sum of its slots - 1 smallest similarities to the rest of the
 suffix, precomputed once per problem (see `solve_exact` for the proof).
-A search that exceeds NODE_BUDGET nodes returns the greedy solution.
+A search that exceeds NODE_BUDGET nodes returns its incumbent, the best
+set found so far, which is never worse than the greedy solution.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _TIE_EPS = 1e-12
-# branch-and-bound nodes before `solve_exact` settles for the greedy set;
+# branch-and-bound nodes before `solve_exact` settles for its incumbent;
 # the serving shape (n <= 16, K = 8) needs a few thousand at most
 NODE_BUDGET = 100_000
 
@@ -76,7 +77,7 @@ class SelectionProblem:
 class Selection:
     indices: tuple[int, ...]  # sorted ascending
     objective: float
-    solver: str  # "exact" | "greedy"
+    solver: str  # "exact": proven optimal; "greedy": not proven optimal
 
 
 def objective(problem: SelectionProblem, chosen) -> float:
@@ -149,25 +150,28 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
     `SelectionProblem` checks.  The floors for every suffix and slot count
     are computed once per problem.
 
-    Above `cap` candidates, or after NODE_BUDGET search nodes, this falls
-    back to the greedy solution with a logged warning, labelled "greedy".
+    Cases in order: K >= n takes every candidate, and alpha = 0 or no
+    similarity takes the top K by score; both are "exact" at any n.  Above
+    `cap` candidates the greedy solution is returned; a search past
+    NODE_BUDGET nodes returns its incumbent, the greedy warm start or a
+    better set found since.  Both log a warning and are labelled "greedy",
+    meaning "not proven optimal".
     """
     n = problem.n
-    if n > cap:
-        log.warning("exact solver cap %d exceeded (n=%d); falling back to greedy", cap, n)
-        return solve_greedy(problem)
-    k = min(problem.k, problem.n)
-    if k == problem.n:
+    k = min(problem.k, n)
+    if k == n:
         chosen = tuple(range(n))
         return Selection(chosen, objective(problem, chosen), "exact")
     if problem.alpha == 0.0 or not problem.sim.any():
         chosen = _top_k_by_score(problem, k)
         return Selection(chosen, objective(problem, chosen), "exact")
+    if n > cap:
+        log.warning("exact solver cap %d exceeded (n=%d); falling back to greedy", cap, n)
+        return solve_greedy(problem)
 
     # warm start so the bound prunes from the first branches
-    seed = solve_greedy(problem)
-    best_obj = seed.objective
-    best_set = seed.indices
+    warm = solve_greedy(problem)
+    best_obj, best_set = warm.objective, warm.indices
 
     # the search runs over positions in score order, on Python floats
     order = np.argsort(-problem.scores, kind="stable")
@@ -217,10 +221,10 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
         dfs(0, 0.0)
     except _OverBudget:
         log.warning(
-            "exact solver node budget %d exceeded (n=%d, K=%d); falling back to greedy",
+            "exact solver node budget %d exceeded (n=%d, K=%d); returning the best set found",
             NODE_BUDGET, n, k,
         )
-        return seed
+        return Selection(best_set, objective(problem, best_set), "greedy")
     return Selection(best_set, objective(problem, best_set), "exact")
 
 
@@ -289,7 +293,6 @@ class SelectConfig:
     alpha: float = 2.0
     pool: int = 100
     exact_cap: int = 100
-    disable_ilp: bool = False
 
 
 def select_for_pair(
@@ -299,21 +302,20 @@ def select_for_pair(
     cfg: SelectConfig,
 ) -> tuple[Selection, list[int]]:
     """Truncate to the top-`pool` scored candidates, build the similarity
-    matrix, and solve.  Returns the selection plus the mapping from
-    subproblem indices back to the caller's candidate indices.
+    matrix, and solve with `solve_exact`.  Returns the selection plus the
+    mapping from subproblem indices back to the caller's candidate indices.
 
-    With `disable_ilp` the redundancy term is dropped (alpha treated as 0)
-    and selection degenerates to descending-score top-K.  No candidates is
-    a `SelectorError`; `build_pair_graph` never yields an empty pool.
+    The subproblem is in descending-score order, so with alpha = 0 (the
+    --no-ilp ablation) the selection is its first K positions; no term
+    reads the similarity matrix then, so it stays all zero instead of being
+    built.  No candidates is a `SelectorError`; `build_pair_graph` never
+    yields an empty pool.
     """
     scores = np.asarray(scores, dtype=float)
     order = [int(i) for i in np.argsort(-scores, kind="stable")[: cfg.pool]]
-    sub_scores = scores[order]
-    if cfg.disable_ilp:
-        problem = SelectionProblem(sub_scores, np.zeros((len(order), len(order))), cfg.k, 0.0)
-        sel = solve_greedy(problem)
+    if cfg.alpha == 0.0:
+        sim = np.zeros((len(order), len(order)))
     else:
         sim = vectorizer.matrix([sentence_words[i] for i in order])
-        problem = SelectionProblem(sub_scores, sim, cfg.k, cfg.alpha)
-        sel = solve_exact(problem, cap=cfg.exact_cap)
-    return sel, order
+    problem = SelectionProblem(scores[order], sim, cfg.k, cfg.alpha)
+    return solve_exact(problem, cap=cfg.exact_cap), order

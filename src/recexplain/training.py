@@ -373,21 +373,20 @@ class Trainer:
         }
         save_tensors(path, tensors, meta)
 
-    def load_checkpoint(self, path, resume: bool = False) -> dict:
+    def load_checkpoint(self, path) -> None:
+        """Resume from a checkpoint: parameters, Adam state, epoch and best record."""
         tensors, meta = load_tensors(path)
         if self.config_hash and meta.get("config_hash") and meta["config_hash"] != self.config_hash:
             raise TrainingError(
                 f"checkpoint config hash {meta['config_hash']} does not match current config"
             )
         self.params.update(checkpoint_params(tensors, self.params))
-        if resume:
-            for name in self.adam.m:
-                self.adam.m[name] = tensors[f"adam.m.{name}"]
-                self.adam.v[name] = tensors[f"adam.v.{name}"]
-            self.adam.t = meta["adam_t"]
-            self.start_epoch = meta["epoch"] + 1
-            self.best = EpochRecord(**meta["best"])
-        return meta
+        for name in self.adam.m:
+            self.adam.m[name] = tensors[f"adam.m.{name}"]
+            self.adam.v[name] = tensors[f"adam.v.{name}"]
+        self.adam.t = meta["adam_t"]
+        self.start_epoch = meta["epoch"] + 1
+        self.best = EpochRecord(**meta["best"])
 
 
 def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

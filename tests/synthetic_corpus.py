@@ -1,9 +1,13 @@
 """Synthetic planted-signal dataset for end-to-end tests.
 
-8 users x 8 items over 8 template attributes plus a ubiquitous "beer"
+16 users x 8 items over 8 template attributes plus a ubiquitous "beer"
 attribute.  Item c is about attributes {c, c+1, c+2} (mod 8); user u
-cares about {u, u+4}.  Every reviewed pair shares exactly one attribute
-f(u, c), and its review contains the attribute's fixed template sentence
+cares about {u, u+4} (mod 8), so users u and u + 8 share their tastes.
+A user reviews the 6 items that share exactly one attribute f(u, c) with
+those tastes, and every item attribute is in 4 reviews, so a pool built
+without one held-out review still has >= 3 reviews behind each of the
+item's attributes and keeps the planted sentence through the item
+restriction.  Each review contains the attribute's fixed template sentence
 (the planted relevant sentence), a pair-specific low-content "beer"
 sentence, and an attribute-free personal sentence that preprocessing
 drops.  Copies of the same template across reviews are textually
@@ -19,7 +23,7 @@ import numpy as np
 
 from recexplain.corpus import UNK_TOKEN, load_corpus
 
-N_USERS = 8
+N_USERS = 16
 N_ITEMS = 8
 
 ATTRS = ["aroma", "hops", "malt", "foam", "amber", "body", "finish", "spice"]
@@ -49,19 +53,11 @@ def template_words(attr: str) -> tuple[str, ...]:
     return tuple(f"the {attr} was {a} and {b} {tail} .".split())
 
 
-def item_attrs(c: int) -> set[str]:
-    return {ATTRS[(c + k) % 8] for k in range(3)}
-
-
-def user_attrs(u: int) -> set[str]:
-    return {ATTRS[u], ATTRS[(u + 4) % 8]}
-
-
 def shared_attr(u: int, c: int) -> str | None:
     """The unique attribute shared by user u's tastes and item c, if any."""
     d = (u - c) % 8
     if d in (0, 1, 2):
-        return ATTRS[u]
+        return ATTRS[u % 8]
     if d in (4, 5, 6):
         return ATTRS[(u + 4) % 8]
     return None

@@ -111,14 +111,37 @@ class TestExactSolver:
         assert out.solver == "greedy"
 
     def test_node_budget_falls_back_to_greedy(self, monkeypatch, caplog):
+        # the cut returns the search's incumbent, labelled "greedy" as not
+        # proven optimal; 5 nodes find nothing better than the warm start
         rng = np.random.default_rng(0)
         p = random_problem(rng, n=12, k=4, alpha=0.5)
         assert sel.solve_exact(p).solver == "exact"
         monkeypatch.setattr(sel, "NODE_BUDGET", 5)
         out = sel.solve_exact(p)
-        assert out == sel.solve_greedy(p)
-        assert out.solver == "greedy"
+        assert out == sel.Selection(sel.solve_greedy(p).indices, sel.objective(p, out.indices), "greedy")
         assert "node budget 5 exceeded (n=12, K=4)" in caplog.text
+
+    def test_node_budget_returns_an_incumbent_better_than_greedy(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        p = random_problem(rng, n=12, k=4, alpha=0.5)
+        exact, greedy = sel.solve_exact(p), sel.solve_greedy(p)
+        monkeypatch.setattr(sel, "NODE_BUDGET", 13)
+        out = sel.solve_exact(p)
+        assert out.solver == "greedy"
+        assert out.objective == sel.objective(p, out.indices)
+        assert greedy.objective + 0.1 < out.objective < exact.objective
+        assert (greedy.indices, out.indices, exact.indices) == ((0, 4, 8, 9), (0, 5, 8, 9), (0, 7, 8, 9))
+
+    def test_trivial_cases_are_exact_past_the_cap(self, caplog):
+        rng = np.random.default_rng(0)
+        p = random_problem(rng, n=12, k=4, alpha=0.5)
+        top = sel.SelectionProblem(p.scores, p.sim, k=4, alpha=0.0)
+        flat = sel.SelectionProblem(p.scores, np.zeros((12, 12)), k=4, alpha=0.5)
+        every = sel.SelectionProblem(p.scores, p.sim, k=12, alpha=0.5)
+        for q in (top, flat, every):
+            assert sel.solve_exact(q, cap=5).solver == "exact"
+        assert sel.solve_exact(top, cap=5).indices == sel.solve_greedy(top).indices
+        assert "cap" not in caplog.text
 
     def test_monotone_shift_invariance(self):
         rng = np.random.default_rng(55)
@@ -332,17 +355,19 @@ class TestSelectForPair:
         out, order = sel.select_for_pair(scores, [["a"]] * 4, v, cfg)
         assert order == [1, 3]
 
-    def test_disable_ilp_descending_topk(self):
+    def test_alpha_zero_descending_topk(self, monkeypatch):
+        # the --no-ilp ablation: no similarity matrix is built, and the top K
+        # by score is the exact optimum, past the cap too
         v = sel.TfidfVectorizer([["a"]])
-        cfg = sel.SelectConfig(k=2, alpha=2.0, pool=100, disable_ilp=True)
+        monkeypatch.setattr(v, "matrix", None)
+        cfg = sel.SelectConfig(k=2, alpha=0.0, pool=100, exact_cap=1)
         scores = np.array([0.2, 0.9, 0.5])
         out, order = sel.select_for_pair(scores, [["a"]] * 3, v, cfg)
-        chosen = {order[i] for i in out.indices}
-        assert chosen == {1, 2}
-        assert out.solver == "greedy"
+        assert order == [1, 2, 0]
+        assert out == sel.Selection((0, 1), 0.9 + 0.5, "exact")
 
     def test_empty_candidates(self):
         v = sel.TfidfVectorizer([["a"]])
-        for disable_ilp in (False, True):
+        for alpha in (2.0, 0.0):
             with pytest.raises(sel.SelectorError, match="at least one candidate"):
-                sel.select_for_pair(np.array([]), [], v, sel.SelectConfig(disable_ilp=disable_ilp))
+                sel.select_for_pair(np.array([]), [], v, sel.SelectConfig(alpha=alpha))

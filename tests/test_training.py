@@ -272,7 +272,7 @@ class TestTrainer:
         part = make_trainer(tmp_path / "part", epochs=2, seed=2)
         part.run()
         resumed = make_trainer(tmp_path / "part", epochs=4, seed=2)
-        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / "epoch_1.ntar", resume=True)
+        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / "epoch_1.ntar")
         resumed.run()
 
         ref = (tmp_path / "full" / "checkpoints" / "epoch_3.ntar").read_bytes()
@@ -287,7 +287,7 @@ class TestTrainer:
         log = (tmp_path / "train_log.txt").read_bytes()
 
         resumed = make_trainer(tmp_path, epochs=3, seed=2)
-        resumed.load_checkpoint(ckpt_dir / "epoch_2.ntar", resume=True)
+        resumed.load_checkpoint(ckpt_dir / "epoch_2.ntar")
         assert resumed.run() == best
         assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == written
         assert (tmp_path / "train_log.txt").read_bytes() == log
@@ -304,7 +304,7 @@ class TestTrainer:
 
         trainer("part", trained - 1).run()
         resumed = trainer("part", 8)
-        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / f"epoch_{trained - 2}.ntar", resume=True)
+        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / f"epoch_{trained - 2}.ntar")
         resumed.run()
         for name in ("train_log.txt", "checkpoints/best.json"):
             assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
