@@ -135,7 +135,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")
     provider = _build_provider(cfg)
     model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
-    params = checkpoint_params(tensors, model.init_params(cfg.seed))
+    params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
     user_rows = {u: i for i, u in enumerate(corpus.users)}
     item_rows = {c: i for i, c in enumerate(corpus.items)}
     vectorizer = TfidfVectorizer(corpus.train_words())
@@ -279,7 +279,7 @@ def _load_config(args) -> PipelineConfig:
     if args.no_dcn:
         cfg.model.disable_dcn = True
     if args.no_ilp:
-        cfg.selection.alpha = 0  # as JSON `"alpha": 0` loads, so both hash alike
+        cfg.selection.alpha = 0.0
     return cfg
 
 

@@ -105,6 +105,8 @@ def _from_dict(cls, data, section: str):
         if name not in fields:
             raise ConfigError(f"unknown key {section}.{key}")
         _check_type(f"{section}.{key}", value, fields[name].type)
+        if "float" in fields[name].type and value is not None:  # so 2 and 2.0 hash alike
+            value = [float(v) for v in value] if isinstance(value, list) else float(value)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 

@@ -26,6 +26,7 @@ class VectorFileError(Exception):
 class EmbeddingTable:
     vectors: np.ndarray  # (count, dim)
     index: dict[str, int]  # id -> row
+    path: str = ""  # the vector file it was read from
 
     @property
     def dim(self) -> int:
@@ -83,7 +84,7 @@ def load_vector_file(path) -> EmbeddingTable:
                 ) from exc
         if len(index) != count:
             raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
-    return EmbeddingTable(vectors, index=index)
+    return EmbeddingTable(vectors, index=index, path=str(path))
 
 
 def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray:
@@ -108,14 +109,14 @@ class NodeFeatureProvider:
     vocabulary words; multiword surfaces average their constituents) and
     must match `hidden`.  Sentence vectors come from the sentence table
     when present; without one (the average-word-embedding ablation) they
-    average word vectors.  Missing ids fall back with counted warnings.
+    average word vectors.  Missing attribute words count as zeros; a missing
+    sentence id is an error, as the table is from another preprocess run.
     """
 
     hidden: int
     word_table: EmbeddingTable
     sentence_table: EmbeddingTable | None = None
     missing_attr: int = field(default=0, init=False)
-    missing_sent: int = field(default=0, init=False)
 
     def __post_init__(self):
         if len(self.word_table) and self.word_table.dim != self.hidden:
@@ -144,12 +145,12 @@ class NodeFeatureProvider:
         return np.mean(rows, axis=0)
 
     def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        if self.sentence_table is not None:
-            row = self.sentence_table.lookup(sentence.sentence_id)
-            if row is not None:
-                return row
-            self.missing_sent += 1
-        return sentence_fallback_embedding(sentence.words, self.word_table)
+        if self.sentence_table is None:
+            return sentence_fallback_embedding(sentence.words, self.word_table)
+        row = self.sentence_table.lookup(sentence.sentence_id)
+        if row is None:
+            raise VectorFileError(f"{self.sentence_table.path}: no vector for sentence id {sentence.sentence_id!r}; rebuild it from this corpus")
+        return row
 
     def attr_matrix(self, surfaces: list[str]) -> np.ndarray:
         if not surfaces:
@@ -164,8 +165,6 @@ class NodeFeatureProvider:
     def report_misses(self) -> None:
         if self.missing_attr:
             log.warning("%d attribute vectors missing; used zeros", self.missing_attr)
-        if self.missing_sent:
-            log.warning("%d sentence vectors missing; used word averages", self.missing_sent)
 
 
 @dataclass

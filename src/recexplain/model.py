@@ -8,27 +8,30 @@ node's probability of appearing in the explanation.
 
 Attention for node i over N(i), its graph neighbors plus i itself:
 
-    z_ij  = LeakyReLU(w_a . [W_q h_i || W_k h_j])     slope 0.2, as in GAT
+    z_ij  = LeakyReLU(q . h_i + k . h_j)     slope 0.2, as in GAT
     a_ij  = softmax_j(z_ij)           over j in N(i)
     h_i'  = ELU(sum_j a_ij h_j)       per head, heads concatenated
 
-The aggregation intentionally sums the raw neighbor states (no extra
-linear transform inside the sum), so each head's output keeps its input
-width and concatenation multiplies widths layer by layer.  The feature
-interaction is 2 cross layers beside 2 ReLU deep layers, as published;
-user and item embeddings start uniform in [-0.1, 0.1], everything else
-Glorot-uniform, and every tensor is float64.
+GAT (Velickovic et al. 2018, arXiv 1710.10903) writes the logit as
+w_a . [W_q h_i || W_k h_j] = (W_q^T w_a[:A]) . h_i + (W_k^T w_a[A:]) . h_j.
+The sum runs over raw neighbor states (no linear transform inside it), so
+the factors act only through q = W_q^T w_a[:A] and k = W_k^T w_a[A:], and
+each head trains q and k, two vectors of its input width: the same
+functions, another Adam trajectory.  `init_params` draws W_q, W_k and w_a
+Glorot-uniform and stores q and k: the factored init, bit for bit.  PAPER.md
+holds only the abstract, so the published equation is not checked.  Heads
+keep their input width and concatenate, so widths multiply layer by layer;
+at hidden 128, heads (4, 1) the stack has 2,048 parameters (263,424 as
+factors), 253,440 in all on the sparse_pools benchmark, 18,112 on
+dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
+layers, as published; user and item embeddings start uniform in
+[-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
-Each head is computed densely.  The logit splits as z_ij = LeakyReLU(u_i +
-v_j) with u = H (W_q^T w_a[:A]) and v = H (W_k^T w_a[A:]); the two
-products inside the brackets are formed first, so a head needs two
-matrix-vector products instead of two n x A projections, and the
-parameters are unchanged.  The (n, n) logits are masked to N(i) with the
-boolean mask of `PairGraph.edge_arrays` (-inf outside it, so a_ij is 0
-there), softmaxed by row, and aggregated as alpha @ H.  Each head keeps its
-(n, n) float64 alpha for backward, n^2 x 8 bytes: pair graphs are small
-(the benchmark's median/largest are 130/145 nodes on dense_pools, 26/33 on
-sparse_pools and 27/45 on select_heavy), so the largest is 168 KB a head.
+Each head is computed densely: u = H q, v = H k, and the (n, n) logits are
+masked to N(i) with the boolean mask of `PairGraph.edge_arrays` (-inf
+outside it, so a_ij is 0 there), softmaxed by row, and aggregated as
+alpha @ H.  Each head keeps its (n, n) alpha for backward; the benchmark's
+largest graph (145 nodes, dense_pools) makes that 168 KB a head.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the scores/probabilities, with respect to every
@@ -83,8 +86,8 @@ def _delu(x):
 
 @dataclass
 class HeadTrace:
-    u: np.ndarray  # (n,) center half of the logits, H @ (W_q^T w_a[:A])
-    v: np.ndarray  # (n,) neighbor half of the logits, H @ (W_k^T w_a[A:])
+    u: np.ndarray  # (n,) center half of the logits, H @ q (q = W_q^T w_a[:A] in GAT's factors)
+    v: np.ndarray  # (n,) neighbor half of the logits, H @ k (k = W_k^T w_a[A:])
     alpha: np.ndarray  # (n, n) attention weights, 0 outside the mask
     agg: np.ndarray  # (n, Din) pre-activation aggregate
 
@@ -99,15 +102,14 @@ def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple]):
     """One multi-head attention layer; returns (H_next, LayerTrace).
 
     `mask` is the graph's (n, n) boolean attention mask
-    (`PairGraph.edge_arrays`).  `head_params` is a list of (wq, wk, wa) per
-    head with wq/wk of shape (A, Din) and wa of shape (2A,).
+    (`PairGraph.edge_arrays`).  `head_params` is a list of (q, k) per head,
+    both of shape (Din,).
     """
     outs = []
     traces = []
-    for wq, wk, wa in head_params:
-        a = wq.shape[0]
-        u = H @ (wq.T @ wa[:a])
-        v = H @ (wk.T @ wa[a:])
+    for q, k in head_params:
+        u = H @ q
+        v = H @ k
         pre = u[:, None] + v[None, :]
         z = np.where(mask, np.where(pre > 0, pre, LEAKY_SLOPE * pre), -np.inf)
         ex = np.exp(z - z.max(axis=1, keepdims=True))
@@ -121,7 +123,7 @@ def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple]):
 def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
     """Gradients of one attention layer.
 
-    Returns (dH_in, per-head [(dwq, dwk, dwa)]).  Entries outside the mask
+    Returns (dH_in, per-head [(dq, dk)]).  Entries outside the mask
     have alpha 0, so their logits get no gradient and the mask itself is
     not needed here.
     """
@@ -129,8 +131,7 @@ def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
     din = H.shape[1]
     dH = np.zeros_like(H)
     grads = []
-    for head, (wq, wk, wa) in enumerate(head_params):
-        a = wq.shape[0]
+    for head, (q, k) in enumerate(head_params):
         ht = trace.heads[head]
         dagg = dH_out[:, head * din : (head + 1) * din] * _delu(ht.agg)
         # message term: agg = alpha @ H
@@ -141,12 +142,9 @@ def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
         dpre = np.where(ht.u[:, None] + ht.v[None, :] > 0, dz, LEAKY_SLOPE * dz)
         du = dpre.sum(axis=1)
         dv = dpre.sum(axis=0)
-        # u = H @ (wq^T wa[:A]) and v = H @ (wk^T wa[A:])
-        gu = H.T @ du
-        gv = H.T @ dv
-        dwa = np.concatenate([wq @ gu, wk @ gv])
-        dH += np.outer(du, wq.T @ wa[:a]) + np.outer(dv, wk.T @ wa[a:])
-        grads.append((np.outer(wa[:a], gu), np.outer(wa[a:], gv), dwa))
+        # u = H @ q and v = H @ k
+        dH += np.outer(du, q) + np.outer(dv, k)
+        grads.append((H.T @ du, H.T @ dv))
     return dH, grads
 
 
@@ -272,9 +270,12 @@ class Model:
             for l, heads in enumerate(cfg.gat_heads):
                 din = self.gat_in[l]
                 for h in range(heads):
-                    p[f"gat.{l}.{h}.wq"] = self._glorot(rng, (cfg.hidden, din))
-                    p[f"gat.{l}.{h}.wk"] = self._glorot(rng, (cfg.hidden, din))
-                    p[f"gat.{l}.{h}.wa"] = self._glorot(rng, (2 * cfg.hidden,))
+                    # GAT's factors W_q, W_k (hidden x din) and w_a, folded
+                    w_q = self._glorot(rng, (cfg.hidden, din))
+                    w_k = self._glorot(rng, (cfg.hidden, din))
+                    w_a = self._glorot(rng, (2 * cfg.hidden,))
+                    p[f"gat.{l}.{h}.q"] = w_q.T @ w_a[: cfg.hidden]
+                    p[f"gat.{l}.{h}.k"] = w_k.T @ w_a[cfg.hidden :]
         if cfg.disable_dcn:
             p["lin.w"] = self._glorot(rng, (cfg.deep_hidden, self.d0))
             p["lin.b"] = np.zeros(cfg.deep_hidden)
@@ -290,10 +291,7 @@ class Model:
         return p
 
     def _head_params(self, params, layer):
-        return [
-            (params[f"gat.{layer}.{h}.wq"], params[f"gat.{layer}.{h}.wk"], params[f"gat.{layer}.{h}.wa"])
-            for h in range(self.cfg.gat_heads[layer])
-        ]
+        return [(params[f"gat.{layer}.{h}.q"], params[f"gat.{layer}.{h}.k"]) for h in range(self.cfg.gat_heads[layer])]
 
     def _cross_params(self, params):
         return [(params[f"cross.{l}.w"], params[f"cross.{l}.b"]) for l in range(CROSS_LAYERS)]
@@ -433,10 +431,9 @@ class Model:
             for l in range(len(cfg.gat_heads) - 1, -1, -1):
                 head_params = self._head_params(params, l)
                 dH, head_grads = _gat_layer_backward(dH, head_params, trace.layer_traces[l])
-                for h, (dwq, dwk, dwa) in enumerate(head_grads):
-                    grads[f"gat.{l}.{h}.wq"] += dwq
-                    grads[f"gat.{l}.{h}.wk"] += dwk
-                    grads[f"gat.{l}.{h}.wa"] += dwa
+                for h, (dq, dk) in enumerate(head_grads):
+                    grads[f"gat.{l}.{h}.q"] += dq
+                    grads[f"gat.{l}.{h}.k"] += dk
         dH0 = dH
         if dH0_extra is not None:
             dH0 = dH0 + dH0_extra

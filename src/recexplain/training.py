@@ -380,23 +380,22 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint config hash {meta['config_hash']} does not match current config"
             )
-        self.params.update(checkpoint_params(tensors, self.params))
-        for name in self.adam.m:
-            self.adam.m[name] = tensors[f"adam.m.{name}"]
-            self.adam.v[name] = tensors[f"adam.v.{name}"]
+        self.params.update(checkpoint_params(tensors, self.params, "param"))
+        self.adam.m = checkpoint_params(tensors, self.params, "adam.m")
+        self.adam.v = checkpoint_params(tensors, self.params, "adam.v")
         self.adam.t = meta["adam_t"]
         self.start_epoch = meta["epoch"] + 1
         self.best = EpochRecord(**meta["best"])
 
 
-def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The checkpoint's `param.*` tensors, one per entry of `like` and of
-    the same shape; anything else means the checkpoint belongs to another
-    model config.
+def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The checkpoint's `<prefix>.*` tensors (`param`, `adam.m` or
+    `adam.v`), one per entry of `like` and of the same shape; anything else
+    means the checkpoint belongs to another model config.
     """
     params = {}
     for name, p in like.items():
-        key = f"param.{name}"
+        key = f"{prefix}.{name}"
         if key not in tensors or tensors[key].shape != p.shape:
             raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
         params[name] = tensors[key]

@@ -4,12 +4,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import synthetic_corpus as sc
 from recexplain import cli
+from recexplain.archive import load_tensors, save_tensors
 from recexplain.config import ConfigError, PipelineConfig
 from recexplain.corpus import load_corpus
+from recexplain.features import load_vector_file
 from recexplain.graphs import build_pair_graph
 
 HIDDEN = 32
@@ -213,6 +216,42 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {junk}: ") and message in err
 
+    def test_checkpoint_with_factored_heads_is_an_error(self, planted, tmp_path, capsys):
+        # a checkpoint from before the heads were folded holds gat.*.wq/wk/wa
+        config, workdir, _, _ = planted
+        tensors, meta = load_tensors(workdir / "checkpoints" / "epoch_0.ntar")
+        old = {name: t for name, t in tensors.items() if not name.startswith("param.gat.")}
+        for layer, heads in enumerate((4, 1)):
+            for head in range(heads):
+                old[f"param.gat.{layer}.{head}.wq"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
+                old[f"param.gat.{layer}.{head}.wk"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
+                old[f"param.gat.{layer}.{head}.wa"] = np.zeros(2 * HIDDEN)
+        path = tmp_path / "factored.ntar"
+        save_tensors(path, old, meta)
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(config), "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint tensor 'param.gat.0.0.q' missing or misshapen")
+
+    def test_sentence_id_missing_from_vectors_is_an_error(self, planted, tmp_path, capsys):
+        # the planted sentence vectors are 16-d against hidden 32
+        config, workdir, _, _ = planted
+        corpus = load_corpus(workdir / "corpus")
+        missing = build_pair_graph(corpus, *corpus.pairs("test")[0], "eval").sentence_ids[0]
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        table = load_vector_file(doc["paths"]["sentence_vectors"])
+        assert table.dim != HIDDEN
+        kept = [sid for sid in table.index if sid != missing]
+        vectors = tmp_path / "sentence_vectors.txt"
+        sc.save_vector_file(vectors, {sid: row for row, sid in enumerate(kept)}, table.vectors[[table.index[s] for s in kept]])
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        doc["paths"].update(workdir=str(tmp_path / "work"), sentence_vectors=str(vectors))
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        checkpoint = workdir / "checkpoints" / "epoch_0.ntar"
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(changed), "--checkpoint", str(checkpoint)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}")
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -291,6 +330,21 @@ class TestConfig:
         assert getattr(getattr(by_flag, section), field) == value
         assert by_flag.select_hash() == by_field.select_hash() != plain.select_hash()
         assert by_flag.train_hash() == by_field.train_hash()
+
+    @pytest.mark.parametrize(
+        "variants",
+        [
+            [([], {"selection": {"alpha": 2}}), ([], {"selection": {"alpha": 2.0}})],
+            [([], {"selection": {"alpha": 0}}), ([], {"selection": {"alpha": 0.0}}), (["--no-ilp"], {})],
+            [([], {"corpus": {"ratios": [1, 0, 0]}}), ([], {"corpus": {"ratios": [1.0, 0.0, 0.0]}})],
+            [([], {"corpus": {"rating_threshold": 3}}), ([], {"corpus": {"rating_threshold": 3.0}})],
+        ],
+        ids=["alpha-2", "alpha-0-and-no-ilp", "ratios", "rating_threshold"],
+    )
+    def test_number_forms_hash_alike(self, tmp_path, variants):
+        # a float field stores 2 and 2.0 alike, so rewriting a number asks for no re-run
+        hashes = {parsed_config(tmp_path, argv, **sections).select_hash() for argv, sections in variants}
+        assert len(hashes) == 1
 
     @pytest.mark.parametrize(
         "doc, name",

@@ -135,12 +135,13 @@ class TestNodeFeatureProvider:
         out = prov.sent_matrix([_sentence("s1", ["a"])])
         assert np.array_equal(out, [[9.0, 9.0, 9.0]])
 
-    def test_missing_sentence_falls_back_to_words(self):
-        st = ft.EmbeddingTable(np.array([[9.0, 9.0]]), index={"other": 0})
-        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=st)
-        out = prov.sent_matrix([_sentence("s1", ["a", "b"])])
-        assert np.allclose(out, [[0.5, 0.5]])
-        assert prov.missing_sent == 1
+    def test_missing_sentence_id_is_an_error(self):
+        # the table was built from another preprocess run; width hidden or not
+        for width in (2, 3):
+            st = ft.EmbeddingTable(np.full((1, width), 9.0), index={"other": 0}, path="sents.txt")
+            prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=st)
+            with pytest.raises(ft.VectorFileError, match=r"^sents\.txt: no vector for sentence id 's1'"):
+                prov.sent_matrix([_sentence("s1", ["a", "b"])])
 
     def test_avg_word_mode_ignores_sentence_table(self):
         # the average-word ablation is a provider given no sentence table

@@ -45,6 +45,12 @@ def as_lists(head_params):
     return [(wq.tolist(), wk.tolist(), wa.tolist()) for wq, wk, wa in head_params]
 
 
+def folded(head_params):
+    """GAT's factored heads (W_q, W_k, w_a) as the (q, k) pairs `gat_layer`
+    takes: q = W_q^T w_a[:A], k = W_k^T w_a[A:]."""
+    return [(wq.T @ wa[: wq.shape[0]], wk.T @ wa[wq.shape[0] :]) for wq, wk, wa in head_params]
+
+
 def assert_alpha_matches(alpha, oracle_alpha, g):
     """Dense attention equals the oracle's on the mask and is 0 off it."""
     expect = np.zeros((g.n_nodes, g.n_nodes))
@@ -60,7 +66,7 @@ class TestGatLayer:
         g = line_graph(item_edge=False)
         H = rng.normal(size=(4, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        out, trace = gat_layer(H, g.edge_arrays(), params)
+        out, trace = gat_layer(H, g.edge_arrays(), folded(params))
         assert trace.heads[0].alpha[1].tolist() == [0.0, 1.0, 0.0, 0.0]
         elu = np.where(H[1] > 0, H[1], np.expm1(np.minimum(H[1], 0.0)))
         assert np.array_equal(out[1], elu)
@@ -71,7 +77,7 @@ class TestGatLayer:
         H = rng.normal(size=(4, 3))
         H[[0, 1, 3]] = H[2]
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        _, trace = gat_layer(H, g.edge_arrays(), params)
+        _, trace = gat_layer(H, g.edge_arrays(), folded(params))
         assert trace.heads[0].alpha[2] == pytest.approx([1 / 4] * 4)
 
     def test_matches_scalar_oracle_two_layers(self, rng):
@@ -83,8 +89,8 @@ class TestGatLayer:
             for _ in range(2)
         ]
         layer2 = [(rng.normal(size=(d, 2 * d)), rng.normal(size=(d, 2 * d)), rng.normal(size=2 * d))]
-        h1, t1 = gat_layer(H, g.edge_arrays(), layer1)
-        h2, t2 = gat_layer(h1, g.edge_arrays(), layer2)
+        h1, t1 = gat_layer(H, g.edge_arrays(), folded(layer1))
+        h2, t2 = gat_layer(h1, g.edge_arrays(), folded(layer2))
 
         nbr_lists = oracle_lists(g)
         o1, alphas1 = gat_scalar_oracle([row.tolist() for row in H], nbr_lists, as_lists(layer1), 0.2)
@@ -99,7 +105,7 @@ class TestGatLayer:
         g = toy_graph(3, 5, rng)
         H = rng.normal(size=(g.n_nodes, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1e3 * rng.normal(size=6)) for _ in range(2)]
-        out, trace = gat_layer(H, g.edge_arrays(), params)
+        out, trace = gat_layer(H, g.edge_arrays(), folded(params))
         assert np.abs(trace.heads[0].u).max() > 100.0
         want, alphas = gat_scalar_oracle([row.tolist() for row in H], oracle_lists(g), as_lists(params), 0.2)
         assert np.all(np.isfinite(out))
@@ -115,7 +121,7 @@ class TestGatLayer:
             g = toy_graph(int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
             H = rng.normal(size=(g.n_nodes, 3))
             params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-            _, trace = gat_layer(H, g.edge_arrays(), params)
+            _, trace = gat_layer(H, g.edge_arrays(), folded(params))
             alpha = trace.heads[0].alpha
             assert np.all(alpha >= 0.0)
             assert np.all(alpha[~g.edge_arrays()] == 0.0)
@@ -178,6 +184,20 @@ class TestForward:
         b = model.forward(g, inputs, params)
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.attr_probs, b.attr_probs)
+
+    @pytest.mark.parametrize(
+        "n_users, n_items, hidden, sent_dim, total",
+        [(140, 28, 128, 64, 253_440), (64, 3, 32, 32, 18_112)],
+        ids=["sparse_pools", "dense_pools"],
+    )
+    def test_attention_heads_are_two_vectors(self, n_users, n_items, hidden, sent_dim, total):
+        # each head is its folded (q, k); shapes of the benchmark's workloads
+        cfg = ModelConfig(hidden=hidden, gat_heads=(4, 1), deep_hidden=hidden)
+        params = Model(cfg, n_users, n_items, sent_dim).init_params(0)
+        gat = {name: t.shape for name, t in params.items() if name.startswith("gat.")}
+        heads = [(0, h, hidden) for h in range(4)] + [(1, 0, 4 * hidden)]
+        assert gat == {f"gat.{l}.{h}.{v}": (width,) for l, h, width in heads for v in "qk"}
+        assert sum(t.size for t in params.values()) == total
 
     def test_init_deterministic(self):
         model, _ = small_model()

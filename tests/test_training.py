@@ -7,6 +7,7 @@ import pytest
 from recexplain import corpus as cp
 from recexplain import metrics
 from recexplain import training as tr
+from recexplain.archive import load_tensors, save_tensors
 from recexplain.features import EmbeddingTable, NodeFeatureProvider
 from recexplain.model import ModelConfig
 
@@ -291,6 +292,22 @@ class TestTrainer:
         assert resumed.run() == best
         assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == written
         assert (tmp_path / "train_log.txt").read_bytes() == log
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda tensors: {name: t for name, t in tensors.items() if name.startswith("param.")},
+            lambda tensors: {**tensors, "adam.m.embed.user": tensors["adam.m.embed.user"][:1]},
+        ],
+        ids=["params-only", "one-row-adam-moment"],
+    )
+    def test_resume_rejects_bad_adam_state(self, tmp_path, edit):
+        make_trainer(tmp_path / "a", epochs=1, seed=2).run()
+        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        save_tensors(tmp_path / "bad.ntar", edit(tensors), meta)
+        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
+        with pytest.raises(tr.TrainingError, match=r"'adam\.m\.embed\.user' missing or misshapen"):
+            resumed.load_checkpoint(tmp_path / "bad.ntar")
 
     def test_resume_keeps_early_stop_count(self, tmp_path):
         def trainer(name, epochs):
