@@ -121,7 +121,12 @@ def _best_checkpoint(cfg: PipelineConfig) -> Path:
     manifest = ckpt_dir / "best.json"
     if not manifest.exists():
         raise StalenessError(f"no best-checkpoint manifest at {manifest}; run train first")
-    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise StalenessError(f"{manifest}: not JSON ({exc}); run train again") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("checkpoint"), str):
+        raise StalenessError(f'{manifest}: no "checkpoint" file name; run train again')
     _check_hash(doc.get("config_hash"), cfg.train_hash(), "train")
     return ckpt_dir / doc["checkpoint"]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -374,11 +374,23 @@ class Trainer:
         save_tensors(path, tensors, meta)
 
     def load_checkpoint(self, path) -> None:
-        """Resume from a checkpoint: parameters, Adam state, epoch and best record."""
+        """Resume from a checkpoint: parameters, Adam state, epoch and best
+        record.  The metadata must hold `adam_t` and `epoch` as integers and
+        `best` as an object with exactly `EpochRecord`'s fields.
+        """
         tensors, meta = load_tensors(path)
         if self.config_hash and meta.get("config_hash") and meta["config_hash"] != self.config_hash:
             raise TrainingError(
                 f"checkpoint config hash {meta['config_hash']} does not match current config"
+            )
+        for key, kind in (("adam_t", int), ("epoch", int), ("best", dict)):
+            value = meta.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise TrainingError(f"checkpoint metadata {key!r} missing or not {kind.__name__}")
+        record_fields = sorted(f.name for f in fields(EpochRecord))
+        if sorted(meta["best"]) != record_fields:
+            raise TrainingError(
+                f"checkpoint metadata 'best' has fields {sorted(meta['best'])}, not {record_fields}"
             )
         self.params.update(checkpoint_params(tensors, self.params, "param"))
         self.adam.m = checkpoint_params(tensors, self.params, "adam.m")

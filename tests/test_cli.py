@@ -216,6 +216,25 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {junk}: ") and message in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[: text.index(",")], "not JSON"),
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "checkpoint"}),
+             'no "checkpoint" file name'),
+        ],
+        ids=["truncated", "no-checkpoint"],
+    )
+    def test_malformed_best_manifest_is_an_error(self, planted, tmp_path, capsys, edit, message):
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "corpus")
+        manifest = tmp_path / "checkpoints" / "best.json"
+        manifest.parent.mkdir()
+        manifest.write_text(edit((workdir / "checkpoints" / "best.json").read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(config), "--workdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
+
     def test_checkpoint_with_factored_heads_is_an_error(self, planted, tmp_path, capsys):
         # a checkpoint from before the heads were folded holds gat.*.wq/wk/wa
         config, workdir, _, _ = planted

@@ -15,6 +15,17 @@ def spec_instance():
     return sel.SelectionProblem(scores, sim, k=2, alpha=0.5)
 
 
+def solve_each_path(problem, cap=100):
+    """`solve_exact` once per exact path: ENUM_LIMIT 0 forces the branch and
+    bound, a limit above every C(n, K) forces enumeration."""
+    out = {}
+    for path, limit in (("search", 0), ("enumerate", 10**12)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sel, "ENUM_LIMIT", limit)
+            out[path] = sel.solve_exact(problem, cap)
+    return out
+
+
 def random_problem(rng, n=None, k=None, alpha=None):
     n = n or int(rng.integers(1, 13))
     k = k or int(rng.integers(1, 5))
@@ -97,12 +108,12 @@ class TestExactSolver:
         rng = np.random.default_rng(2024)
         for _ in range(300):
             p = random_problem(rng)
-            got = sel.solve_exact(p)
             want_obj, _ = enumerate_best_subset(
                 list(p.scores), [list(row) for row in p.sim], p.k, p.alpha
             )
-            assert abs(got.objective - want_obj) < 1e-9
-            assert got.objective == pytest.approx(sel.objective(p, got.indices))
+            for got in solve_each_path(p).values():
+                assert abs(got.objective - want_obj) < 1e-9
+                assert got.objective == pytest.approx(sel.objective(p, got.indices))
 
     def test_cap_falls_back_to_greedy(self):
         rng = np.random.default_rng(0)
@@ -113,6 +124,7 @@ class TestExactSolver:
     def test_node_budget_falls_back_to_greedy(self, monkeypatch, caplog):
         # the cut returns the search's incumbent, labelled "greedy" as not
         # proven optimal; 5 nodes find nothing better than the warm start
+        monkeypatch.setattr(sel, "ENUM_LIMIT", 0)  # C(12, 4) = 495 would enumerate
         rng = np.random.default_rng(0)
         p = random_problem(rng, n=12, k=4, alpha=0.5)
         assert sel.solve_exact(p).solver == "exact"
@@ -122,6 +134,7 @@ class TestExactSolver:
         assert "node budget 5 exceeded (n=12, K=4)" in caplog.text
 
     def test_node_budget_returns_an_incumbent_better_than_greedy(self, monkeypatch):
+        monkeypatch.setattr(sel, "ENUM_LIMIT", 0)
         rng = np.random.default_rng(0)
         p = random_problem(rng, n=12, k=4, alpha=0.5)
         exact, greedy = sel.solve_exact(p), sel.solve_greedy(p)
@@ -154,6 +167,59 @@ class TestExactSolver:
             assert out.objective == pytest.approx(base.objective + 3 * 2.5, abs=1e-9)
 
 
+class TestSolverPaths:
+    def test_k_subsets_lexicographic_and_read_only(self):
+        members = sel._k_subsets(6, 3)
+        rows = [tuple(np.flatnonzero(row)) for row in members]
+        assert members.shape == (20, 6) and members.dtype == bool
+        assert all(len(r) == 3 for r in rows)
+        assert rows == sorted(set(rows))  # 20 distinct 3-subsets of 6 are all of them
+        assert not members.flags.writeable
+        with pytest.raises(ValueError):
+            members[0, 0] = False
+
+    def test_exact_ties_go_to_the_smallest_set_on_both_paths(self):
+        # values in eighths, so the float sums are exact; four sets tie at
+        # 2.0, and the top scorers 3 and 6 are in all but the smallest
+        scores = np.array([6, 5, 5, 8, 6, 1, 8]) / 8
+        sim = np.array([
+            [0, 4, 0, 4, 0, 4, 2],
+            [4, 0, 0, 4, 1, 0, 2],
+            [0, 0, 0, 0, 1, 1, 1],
+            [4, 4, 0, 0, 2, 4, 4],
+            [0, 1, 1, 2, 0, 3, 3],
+            [4, 0, 1, 4, 3, 0, 4],
+            [2, 2, 1, 4, 3, 4, 0],
+        ]) / 8
+        p = sel.SelectionProblem(scores, sim, k=3, alpha=0.5)
+        for c in [(0, 2, 4), (0, 2, 6), (2, 3, 4), (2, 3, 6)]:
+            assert sel.objective(p, c) == 2.0
+        assert enumerate_best_subset(list(scores), sim.tolist(), 3, 0.5) == (2.0, (0, 2, 4))
+        for got in solve_each_path(p).values():
+            assert got == sel.Selection((0, 2, 4), 2.0, "exact")
+
+    def test_path_follows_the_subset_count(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        real_floors = sel._suffix_floors
+
+        def no_search(sim, k):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(sel, "_suffix_floors", no_search)
+        # C(16, 8) = 12,870 subsets: enumerated
+        assert sel.solve_exact(random_problem(rng, n=16, k=8, alpha=0.5)).solver == "exact"
+        calls = []
+
+        def counted(sim, k):
+            calls.append(k)
+            return real_floors(sim, k)
+
+        monkeypatch.setattr(sel, "_suffix_floors", counted)
+        # C(20, 5) = 15,504 subsets: searched
+        assert sel.solve_exact(random_problem(rng, n=20, k=5, alpha=0.5)).solver == "exact"
+        assert calls == [5]
+
+
 @st.composite
 def grid_instances(draw, sizes=(2, 12), ks=(1, 5)):
     """(scores, sim, k, alpha) with n and K drawn from the closed ranges
@@ -184,20 +250,20 @@ def grid_instances(draw, sizes=(2, 12), ks=(1, 5)):
 
 
 class TestAgainstIlp:
-    """The branch and bound against the paper's integer program and brute
+    """Both exact paths against the paper's integer program and brute
     force: the same optimum, and the lexicographically smallest optimal set."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(grid_instances())
     def test_same_optimum_as_ilp_and_enumeration(self, instance):
         scores, sim, k, alpha = instance
-        got = sel.solve_exact(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha))
         ilp_obj, _ = ilp_best_subset(scores, sim, k, alpha)
         brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
-        assert got.solver == "exact"
-        assert abs(got.objective - ilp_obj) <= 1e-9
-        assert abs(got.objective - brute_obj) <= 1e-9
-        assert got.indices == brute_set
+        for got in solve_each_path(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha)).values():
+            assert got.solver == "exact"
+            assert abs(got.objective - ilp_obj) <= 1e-9
+            assert abs(got.objective - brute_obj) <= 1e-9
+            assert got.indices == brute_set
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(grid_instances(sizes=(12, 16), ks=(4, 8)))
@@ -205,11 +271,11 @@ class TestAgainstIlp:
         # pools of up to 16 with K up to 8, where the suffix pair floors
         # cut the search the most
         scores, sim, k, alpha = instance
-        got = sel.solve_exact(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha))
         brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
-        assert got.solver == "exact"
-        assert abs(got.objective - brute_obj) <= 1e-9
-        assert got.indices == brute_set
+        for got in solve_each_path(sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha)).values():
+            assert got.solver == "exact"
+            assert abs(got.objective - brute_obj) <= 1e-9
+            assert got.indices == brute_set
 
 
 class TestGreedy:

@@ -309,6 +309,27 @@ class TestTrainer:
         with pytest.raises(tr.TrainingError, match=r"'adam\.m\.embed\.user' missing or misshapen"):
             resumed.load_checkpoint(tmp_path / "bad.ntar")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: {"config_hash": meta["config_hash"]}, "'adam_t' missing or not int"),
+            (lambda meta: {**meta, "adam_t": 3.0}, "'adam_t' missing or not int"),
+            (lambda meta: {**meta, "epoch": "0"}, "'epoch' missing or not int"),
+            (lambda meta: {**meta, "best": None}, "'best' missing or not dict"),
+            (lambda meta: {**meta, "best": {**meta["best"], "val_bleu3": 0.0}}, "'best' has fields"),
+            (lambda meta: {**meta, "best": {k: v for k, v in meta["best"].items() if k != "epoch"}},
+             "'best' has fields"),
+        ],
+        ids=["hash-only", "float-adam-t", "string-epoch", "null-best", "extra-best-field", "best-without-epoch"],
+    )
+    def test_resume_rejects_bad_metadata(self, tmp_path, edit, message):
+        make_trainer(tmp_path / "a", epochs=1, seed=2).run()
+        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
+        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
+        with pytest.raises(tr.TrainingError, match=f"checkpoint metadata {message}"):
+            resumed.load_checkpoint(tmp_path / "bad.ntar")
+
     def test_resume_keeps_early_stop_count(self, tmp_path):
         def trainer(name, epochs):
             out = make_trainer(tmp_path / name, epochs=epochs, seed=2)
