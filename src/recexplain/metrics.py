@@ -157,19 +157,21 @@ def rouge_n_f1(candidate: Tokens, reference: Tokens, n: int) -> float:
 
 
 def lcs_length(a, b) -> int:
-    """Longest common subsequence length, O(len(a)*len(b)) time, O(len(b)) space."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length, bit-parallel over b (Allison and
+    Dix 1986, in Hyyro's 2004 form).  v starts with one bit per token of b
+    set; after each token of a, its zero bits number the LCS of b with the
+    prefix of a read so far.  Python ints make any length of b one word.
+    """
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l_f1(candidate: Tokens, reference: Tokens) -> float:

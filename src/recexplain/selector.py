@@ -39,7 +39,6 @@ the lexicographically smallest index set.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from collections import Counter
@@ -159,12 +158,25 @@ def _k_subsets(n: int, k: int) -> np.ndarray:
     """Every k-subset of range(n) as a read-only (C(n, k), n) bool member
     matrix, rows in lexicographic order of their index tuples.  Cached, so
     the array is shared between calls and must not be written.
+
+    Built by Pascal's rule over suffixes: the j-subsets of the last m
+    elements are those holding the suffix's first element (it plus the
+    (j - 1)-subsets of the rest) followed by those without it.
     """
-    count = math.comb(n, k)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    cols = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
-    members = np.zeros((count, n), dtype=bool)
-    members[np.arange(count)[:, None], cols] = True
+    # by_size[j]: every j-subset of the last m elements as (C(m, j), m) rows;
+    # only the j that can still grow to k by the time m reaches n are kept
+    by_size = {0: np.zeros((1, 0), dtype=bool)}
+    for m in range(1, n + 1):
+        grown, none = {}, np.zeros((0, m - 1), dtype=bool)
+        for j in range(max(0, k - (n - m)), min(k, m) + 1):
+            held, rest = by_size.get(j - 1, none), by_size.get(j, none)
+            rows = np.zeros((len(held) + len(rest), m), dtype=bool)
+            rows[: len(held), 0] = True
+            rows[: len(held), 1:] = held
+            rows[len(held) :, 1:] = rest
+            grown[j] = rows
+        by_size = grown
+    members = by_size[k]
     members.setflags(write=False)
     return members
 
@@ -296,6 +308,12 @@ class TfidfVectorizer:
     Document frequencies come from the training split.  Tokens unseen in
     training carry no weight, and idf is floored at zero, which keeps all
     components (and hence every cosine) nonnegative.
+
+    Every token with idf > 0 gets a column at fit time, in sorted token
+    order.  Each distinct sentence's normalised row is computed once and
+    kept, as (ascending column ids, weights), for as long as the
+    vectorizer lives, so a pool's matrix depends only on its words and the
+    fit, never on the pools built before it.
     """
 
     def __init__(self, train_sentences: list[list[str]]):
@@ -306,6 +324,9 @@ class TfidfVectorizer:
         self.idf = {
             tok: max(0.0, math.log(self.n_docs / (1.0 + d))) for tok, d in df.items()
         }
+        weighted = sorted(tok for tok, idf in self.idf.items() if idf > 0.0)
+        self.columns = {tok: c for c, tok in enumerate(weighted)}
+        self._rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def vector(self, words) -> dict[str, float]:
         vec = {}
@@ -318,34 +339,38 @@ class TfidfVectorizer:
             return {}
         return {tok: v / norm for tok, v in vec.items()}
 
+    def _row(self, words) -> tuple[np.ndarray, np.ndarray]:
+        key = tuple(words)
+        row = self._rows.get(key)
+        if row is None:
+            items = sorted(self.vector(key).items())  # token order is column order
+            cols = np.array([self.columns[tok] for tok, _ in items], dtype=np.intp)
+            row = self._rows[key] = (cols, np.array([w for _, w in items]))
+        return row
+
     def matrix(self, sentences: list[list[str]]) -> np.ndarray:
         """Pairwise cosine similarity with a forced zero diagonal.
 
-        Cell (i, j), i < j, is the dot product summed over the tokens of
-        row i in their `vector` order, and mirrored below the diagonal.
-        The sum runs one token slot at a time across all pairs: slot l adds
-        the l-th term of every row's sum, so each cell sees the same
-        additions in the same order as a per-pair loop, bit for bit.
+        The pool's rows fill a dense (n x pool-vocabulary) matrix D, its
+        columns the union of the rows' columns in ascending order, and the
+        cosines are one product D @ D.T.  Each cell is within 1e-14 of the
+        per-pair sum (the summation order is BLAS's).  BLAS does not promise
+        that cells (i, j) and (j, i) are bit-equal, so the upper triangle is
+        mirrored: the matrix is exactly symmetric, and a sentence without
+        tf-idf mass has an exactly zero row.
         """
-        vecs = [self.vector(words) for words in sentences]
-        for i, v in enumerate(vecs):
-            if not v:
+        rows = [self._row(words) for words in sentences]
+        for i, (cols, _) in enumerate(rows):
+            if not len(cols):
                 log.warning("sentence %d has no tf-idf mass; similarity 0 to everything", i)
-        n = len(vecs)
-        columns: dict[str, int] = {}
-        width = max((len(v) for v in vecs), default=0)
-        weights = np.zeros((n, width))  # slot l of row i: its l-th token's weight
-        slots = np.full((n, width), -1, dtype=np.intp)  # ... and its column; -1 pads
-        for i, v in enumerate(vecs):
-            for l, (tok, w) in enumerate(v.items()):
-                weights[i, l] = w
-                slots[i, l] = columns.setdefault(tok, len(columns))
-        dense = np.zeros((n, len(columns) + 1))  # the last column stays zero
-        dense[np.arange(n)[:, None], slots] = weights
-        sim = np.zeros((n, n))
-        for l in range(width):
-            sim += weights[:, l : l + 1] * dense[:, slots[:, l]].T
-        sim = np.triu(sim, k=1)
+        n = len(rows)
+        if n == 0:
+            return np.zeros((0, 0))
+        vocab, slots = np.unique(np.concatenate([cols for cols, _ in rows]), return_inverse=True)
+        dense = np.zeros((n, len(vocab)))
+        owner = np.repeat(np.arange(n), [len(cols) for cols, _ in rows])
+        dense[owner, slots] = np.concatenate([w for _, w in rows])
+        sim = np.triu(dense @ dense.T, k=1)
         return sim + sim.T
 
 
@@ -371,7 +396,8 @@ def select_for_pair(
     --no-ilp ablation) the selection is its first K positions; no term
     reads the similarity matrix then, so it stays all zero instead of being
     built.  No candidates is a `SelectorError`; `build_pair_graph` never
-    yields an empty pool.
+    yields an empty pool.  The vectorizer keeps each sentence's tf-idf row
+    for as long as it lives, which in `cmd_select` is one select run.
     """
     scores = np.asarray(scores, dtype=float)
     order = [int(i) for i in np.argsort(-scores, kind="stable")[: cfg.pool]]

@@ -154,7 +154,8 @@ def tfidf_cosine_oracle(sentences, train_sentences):
 def tfidf_pair_loop(vectorizer, sentences):
     """The per-pair similarity loop over `vectorizer.vector` rows: cell
     (i, j), i < j, sums w * v_j[tok] over row i's tokens in their order,
-    and (j, i) copies it.  The reference for bit-exact comparisons.
+    and (j, i) copies it.  The reference the tf-idf matrix is held to
+    within a stated per-cell tolerance.
     """
     vecs = [vectorizer.vector(words) for words in sentences]
     out = [[0.0] * len(vecs) for _ in vecs]
@@ -166,6 +167,16 @@ def tfidf_pair_loop(vectorizer, sentences):
             out[i][j] = dot
             out[j][i] = dot
     return out
+
+
+def k_subsets_oracle(n, k):
+    """Every k-subset of range(n) as a (C(n, k), n) bool member matrix, one
+    row per `itertools.combinations` tuple, in its order."""
+    rows = list(itertools.combinations(range(n), k))
+    members = np.zeros((len(rows), n), dtype=bool)
+    for r, combo in enumerate(rows):
+        members[r, list(combo)] = True
+    return members
 
 
 def enumerate_best_subset(scores, sim, k, alpha):

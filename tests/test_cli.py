@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from recexplain.config import ConfigError, PipelineConfig
 from recexplain.corpus import load_corpus
 from recexplain.features import load_vector_file
 from recexplain.graphs import build_pair_graph
+from recexplain.selector import TfidfVectorizer
 
 HIDDEN = 32
 EPOCHS = 8
@@ -126,6 +128,31 @@ class TestPipeline:
         changed.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["select", "--config", str(changed)]) == 0
         assert (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8") == outputs["selections.jsonl --no-ilp"]
+
+    def test_select_computes_each_sentence_vector_once(self, planted, tmp_path, monkeypatch):
+        # the vectorizer lives for the select run and remembers every row
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        shutil.copytree(workdir / "checkpoints", tmp_path / "work" / "checkpoints")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+        vector, matrix = TfidfVectorizer.vector, TfidfVectorizer.matrix
+        calls, pooled = Counter(), []
+
+        def counted_vector(self, words):
+            calls[tuple(words)] += 1
+            return vector(self, words)
+
+        def recorded_matrix(self, sentences):
+            pooled.extend(tuple(words) for words in sentences)
+            return matrix(self, sentences)
+
+        monkeypatch.setattr(TfidfVectorizer, "vector", counted_vector)
+        monkeypatch.setattr(TfidfVectorizer, "matrix", recorded_matrix)
+        assert cli.main(["select", "--config", str(changed)]) == 0
+        assert set(calls) == set(pooled) and max(calls.values()) == 1
+        assert len(pooled) > len(calls)  # the pools share sentences
+        written = (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8")
+        assert written == (workdir / "selections.jsonl").read_text(encoding="utf-8")
 
     def test_select_needs_attribute_vectors(self, planted, tmp_path, capsys):
         # without them every attribute node would score from zero inputs

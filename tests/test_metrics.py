@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recexplain import metrics
 
@@ -14,6 +16,13 @@ CAT_REF = ["the", "cat", "ate"]
 
 def random_tokens(rng, lo=1, hi=12, vocab=8):
     return [f"w{rng.randrange(vocab)}" for _ in range(rng.randrange(lo, hi))]
+
+
+def token_lists(alphabet, max_len=150):
+    """Token lists of a length drawn uniformly from 0..max_len."""
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    )
 
 
 class TestSentenceBleu:
@@ -131,6 +140,16 @@ class TestRouge:
                         run += 1
                     best_run = max(best_run, run)
             assert lcs >= best_run
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(token_lists("abcde"), token_lists("abcdef"))
+    @example([], [])
+    @example([], list("abc"))
+    @example(list("abc"), [])
+    def test_lcs_matches_oracle_past_one_machine_word(self, a, b):
+        # lengths up to 150, so b's bitmask runs past 64 bits
+        assert metrics.lcs_length(a, b) == lcs_oracle(a, b)
 
 
 class TestAttributePrf:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,17 @@ from hypothesis import strategies as st
 
 from recexplain import selector as sel
 
-from oracles import enumerate_best_subset, ilp_best_subset, tfidf_cosine_oracle, tfidf_pair_loop
+from oracles import (
+    enumerate_best_subset,
+    ilp_best_subset,
+    k_subsets_oracle,
+    tfidf_cosine_oracle,
+    tfidf_pair_loop,
+)
+
+# absolute per-cell bound on the tf-idf matrix against the per-pair sums:
+# one BLAS product reorders each cell's sum, a few ulp of a cosine <= 1
+TFIDF_TOL = 1e-14
 
 
 def spec_instance():
@@ -177,6 +189,12 @@ class TestSolverPaths:
         assert not members.flags.writeable
         with pytest.raises(ValueError):
             members[0, 0] = False
+
+    def test_k_subsets_match_itertools(self):
+        for n in range(21):
+            for k in range(n + 1):
+                if math.comb(n, k) <= sel.ENUM_LIMIT:
+                    assert np.array_equal(sel._k_subsets(n, k), k_subsets_oracle(n, k)), (n, k)
 
     def test_exact_ties_go_to_the_smallest_set_on_both_paths(self):
         # values in eighths, so the float sums are exact; four sets tie at
@@ -364,26 +382,29 @@ class TestTfidf:
     def random_pool(rng, n, vocab=10, lo=5, hi=15):
         return [[f"t{rng.integers(vocab)}" for _ in range(rng.integers(lo, hi))] for _ in range(n)]
 
-    def test_bit_identical_to_pair_loop(self):
-        rng = np.random.default_rng(4)
-        reordered_differs = False
-        for _ in range(20):
-            v = sel.TfidfVectorizer(self.random_pool(rng, 60, lo=3, hi=8))
-            sents = self.random_pool(rng, int(rng.integers(2, 40)))
-            got = v.matrix(sents)
-            want = np.array(tfidf_pair_loop(v, sents))
-            assert np.array_equal(got, want)
-            # rows share >= 3 weighted tokens, so the order of the sum shows
-            vecs = [v.vector(w) for w in sents]
-            assert max(len(vecs[0].keys() & u.keys()) for u in vecs[1:]) >= 3
-            backwards = [
-                sum(w * vecs[j].get(t, 0.0) for t, w in reversed(vecs[0].items())) for j in range(1, len(vecs))
-            ]
-            reordered_differs |= backwards != list(want[0, 1:])
-        assert reordered_differs
+    @staticmethod
+    def assert_within_tolerance(got, v, sents, train):
+        """Every cell within TFIDF_TOL of both per-pair oracles; symmetry,
+        the zero diagonal and the zero rows of massless sentences exact."""
+        for want in (tfidf_pair_loop(v, sents), tfidf_cosine_oracle(sents, train)):
+            want = np.array(want).reshape(got.shape)
+            assert np.all(np.abs(got - want) <= TFIDF_TOL)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        massless = [i for i, words in enumerate(sents) if not v.vector(words)]
+        assert np.all(got[massless] == 0.0)
 
-    def test_bit_identical_edge_pools(self):
-        v = sel.TfidfVectorizer([["a", "b"], ["c", "d"], ["e", "f"], ["a", "c"]])
+    def test_within_tolerance_of_pair_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            train = self.random_pool(rng, 60, lo=3, hi=8)
+            v = sel.TfidfVectorizer(train)
+            sents = self.random_pool(rng, int(rng.integers(2, 40)))
+            self.assert_within_tolerance(v.matrix(sents), v, sents, train)
+
+    def test_edge_pools_within_tolerance(self):
+        train = [["a", "b"], ["c", "d"], ["e", "f"], ["a", "c"]]
+        v = sel.TfidfVectorizer(train)
         pools = [
             [["a", "b", "c"]],  # one sentence
             [["zz", "qq"], ["a", "c"], ["zz"], ["a", "b", "a"]],  # rows with no tf-idf mass
@@ -393,7 +414,7 @@ class TestTfidf:
         for sents in pools:
             got = v.matrix(sents)
             assert got.shape == (len(sents), len(sents))
-            assert np.array_equal(got, np.array(tfidf_pair_loop(v, sents)).reshape(got.shape))
+            self.assert_within_tolerance(got, v, sents, train)
         same = v.matrix(pools[2])
         assert same[0, 1] == same[1, 0] and same[0, 1] == pytest.approx(1.0)
         assert np.all(v.matrix(pools[1])[[0, 2]] == 0.0)
@@ -402,6 +423,24 @@ class TestTfidf:
         v = sel.TfidfVectorizer([["a", "b"], ["c", "d"], ["e", "f"]])
         v.matrix([["zz"], ["a"]])
         assert "sentence 0 has no tf-idf mass" in caplog.text
+        # a remembered row still warns, under its index in the new pool
+        caplog.clear()
+        v.matrix([["a"], ["b"], ["zz"]])
+        assert "sentence 2 has no tf-idf mass" in caplog.text
+        assert "sentence 0" not in caplog.text
+
+    def test_matrix_independent_of_earlier_pools(self):
+        # pools wide enough that padding D with other pools' columns would
+        # regroup BLAS's sums and change bits
+        rng = np.random.default_rng(12)
+        train = self.random_pool(rng, 400, vocab=200, lo=3, hi=30)
+        bank = self.random_pool(rng, 60, vocab=200, lo=5, hi=30) + [["zz"]]
+        pools = [[bank[i] for i in rng.choice(len(bank), size=int(rng.integers(2, 40)))] for _ in range(6)]
+        fresh = [sel.TfidfVectorizer(train).matrix(sents) for sents in pools]
+        for order in (range(6), reversed(range(6))):
+            v = sel.TfidfVectorizer(train)
+            for i in order:
+                assert np.array_equal(v.matrix(pools[i]), fresh[i])
 
 
 class TestSelectForPair:
