@@ -5,10 +5,12 @@ workdir, and stamps them with a hash of the config sections it depends
 on; a later stage refuses artifacts whose stamp disagrees with the
 current config.
 
-Ablations: --no-gat and --no-dcn set `model.disable_gat` and
-`model.disable_dcn`, and --no-ilp sets `selection.alpha` to 0, the same
-fields a config file may set.  A config without `paths.sentence_vectors`
-averages word vectors into sentence vectors.
+Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
+sentence's row also carries its attributes' mean input), --no-dcn sets
+`model.disable_dcn` (a linear score head on that row, no feature
+crossing), and --no-ilp sets `selection.alpha` to 0, the same fields a
+config file may set.  A config without `paths.sentence_vectors` averages
+word vectors into sentence vectors.
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workdir", help="override paths.workdir")
         sp.add_argument("--seed", type=int, help="override the pipeline seed")
         sp.add_argument("--no-gat", action="store_true", help="set model.disable_gat: drop the graph attention stack")
-        sp.add_argument("--no-dcn", action="store_true", help="set model.disable_dcn: replace feature crossing with one linear layer")
+        sp.add_argument("--no-dcn", action="store_true", help="set model.disable_dcn: score sentences with a linear head, no feature crossing")
         sp.add_argument("--no-ilp", action="store_true", help="set selection.alpha to 0: select the top K by score")
         if name == "train":
             sp.add_argument("--resume", help="checkpoint to resume from")

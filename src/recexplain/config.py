@@ -31,11 +31,13 @@ attribute loss in `training.py`; the restriction of each pair's pool to
 the item's attributes in `graphs.py`.
 
 Each of the paper's ablation settings lives in one field, which a CLI flag
-also sets: `model.disable_gat` (--no-gat), `model.disable_dcn` (--no-dcn)
-and `selection.alpha` = 0 (--no-ilp: no redundancy term, so the selection
-is the top K by score).  Leaving `paths.sentence_vectors` empty selects
-the fourth ablation, sentence vectors averaged from the word vectors in
-`paths.attribute_vectors`.
+also sets: `model.disable_gat` (--no-gat: no attention layers, and each
+sentence's DCN input also carries its attributes' mean input),
+`model.disable_dcn` (--no-dcn: a linear score head on the DCN input, no
+feature crossing) and `selection.alpha` = 0 (--no-ilp: no redundancy
+term, so the selection is the top K by score).  Leaving
+`paths.sentence_vectors` empty selects the fourth ablation, sentence
+vectors averaged from the word vectors in `paths.attribute_vectors`.
 """
 
 from __future__ import annotations

@@ -43,16 +43,16 @@ class EmbeddingTable:
 def load_vector_file(path) -> EmbeddingTable:
     """Parse a vector file into a table.
 
-    A malformed header, a row of the wrong length or with a non-numeric
-    value, and a duplicate id are fatal and named by row; a completely
-    empty file yields an empty table with a warning.  Blank lines are
-    skipped: rows are counted, and numbered from 1, over data lines only.
+    A malformed header, a row of the wrong length or with a non-numeric,
+    NaN or infinite value, and a duplicate id are fatal and named by row; a
+    completely empty file yields an empty table with a warning.  Blank lines
+    are skipped: rows are counted, and numbered from 1, over data lines only.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if not header:
             log.warning("vector file %s is empty", path)
-            return EmbeddingTable(np.zeros((0, 0)), index={})
+            return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
         if len(header) != 2 or not all(h.isdigit() for h in header):
             raise VectorFileError(
                 f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
@@ -84,6 +84,11 @@ def load_vector_file(path) -> EmbeddingTable:
                 ) from exc
         if len(index) != count:
             raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        key = next(k for k, r in index.items() if r == row)
+        raise VectorFileError(f"{path}: row {row + 1} ({key!r}) has a non-finite value")
     return EmbeddingTable(vectors, index=index, path=str(path))
 
 
@@ -109,8 +114,9 @@ class NodeFeatureProvider:
     vocabulary words; multiword surfaces average their constituents) and
     must match `hidden`.  Sentence vectors come from the sentence table
     when present; without one (the average-word-embedding ablation) they
-    average word vectors.  Missing attribute words count as zeros; a missing
-    sentence id is an error, as the table is from another preprocess run.
+    average word vectors.  An empty word or sentence table is an error.
+    Missing attribute words count as zeros; a missing sentence id is an
+    error, as the table is from another preprocess run.
     """
 
     hidden: int
@@ -119,12 +125,14 @@ class NodeFeatureProvider:
     missing_attr: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if len(self.word_table) and self.word_table.dim != self.hidden:
+        if len(self.word_table) == 0:
+            raise VectorFileError(f"{self.word_table.path}: attribute/word vector table is empty")
+        if self.word_table.dim != self.hidden:
             raise VectorFileError(
                 f"attribute/word vectors have dim {self.word_table.dim}, expected {self.hidden}"
             )
         if self.sentence_table is not None and len(self.sentence_table) == 0:
-            raise VectorFileError("sentence vector table is empty")
+            raise VectorFileError(f"{self.sentence_table.path}: sentence vector table is empty")
 
     @property
     def sentence_dim(self) -> int:

@@ -1,10 +1,29 @@
 """Sentence scoring network with exact hand-written gradients.
 
 Architecture: stacked multi-head graph attention layers over the pair
-graph, then a parallel cross network / deep network over the
-concatenated user, item, and sentence representations.  A linear head
-scores each sentence node; a logistic head predicts each attribute
-node's probability of appearing in the explanation.
+graph, then a parallel cross network / deep network (DCN, Wang et al.
+2017, arXiv 1708.05123) over one row per sentence,
+
+    x0 = [user | item | sentence]      final node states, 3 * node_dim wide,
+
+with the user and item blocks repeated on every row.  A linear head scores
+each sentence's row; a logistic head predicts each attribute node's
+probability of appearing in the explanation.
+
+The two model ablations change x0's layout or what reads it, nothing
+else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
+mean input of the sentence's linked attributes as a block of its own:
+x0 = [user | item | pooled attributes | sentence], 4 * hidden wide.
+--no-dcn drops the feature interaction, so the score head reads x0.  A
+deep_hidden-wide linear layer in front of that head would make the same
+family of functions, one linear map of x0; `init_params` draws such a
+layer and a deep_hidden-wide head Glorot-uniform and stores their product,
+so the initial scores are those of the two-layer init up to rounding, and
+`head.attr`, drawn after them, keeps its bytes.  A bias on that layer
+would only shift all of a graph's scores alike, which neither the
+pairwise ranking loss nor the selector sees.  At the benchmark's shapes
+--no-dcn trains 33,920 parameters on sparse_pools (229,248 with the
+hidden layer) and 3,168 on dense_pools (15,136).
 
 Attention for node i over N(i), its graph neighbors plus i itself:
 
@@ -210,10 +229,8 @@ def _dcn_backward(dout, cross_params, deep_params, trace):
 class ForwardTrace:
     graph: PairGraph
     inputs: GraphInputs
-    H0: np.ndarray
     layer_traces: list[LayerTrace]
     Xhat: np.ndarray
-    x0: np.ndarray
     dcn: dict | None
     x_cd: np.ndarray
     scores: np.ndarray  # (S,)
@@ -231,21 +248,15 @@ class Model:
         self.sentence_dim = sentence_dim
         d = cfg.hidden
         self.project_sentences = sentence_dim != d
-        if cfg.disable_gat:
-            self.node_dim = d
-            self.d0 = 4 * d
-        else:
-            self.gat_in = []
-            width = d
-            for heads in cfg.gat_heads:
-                self.gat_in.append(width)
-                width *= heads
-            self.node_dim = width
-            self.d0 = 3 * width
-        if cfg.disable_dcn:
-            self.d_cd = cfg.deep_hidden
-        else:
-            self.d_cd = self.d0 + cfg.deep_hidden
+        # x0 = [user | item | (pooled attributes, --no-gat only) | sentence]
+        self.gat_in = []
+        width = d
+        for heads in () if cfg.disable_gat else cfg.gat_heads:
+            self.gat_in.append(width)
+            width *= heads
+        self.node_dim = width
+        self.d0 = (4 if cfg.disable_gat else 3) * width
+        self.d_cd = self.d0 if cfg.disable_dcn else self.d0 + cfg.deep_hidden
         self.deep_dims = [self.d0] + [cfg.deep_hidden] * DEEP_LAYERS
 
     # -- parameters ---------------------------------------------------------
@@ -266,19 +277,18 @@ class Model:
         if self.project_sentences:
             p["proj.w"] = self._glorot(rng, (cfg.hidden, self.sentence_dim))
             p["proj.b"] = np.zeros(cfg.hidden)
-        if not cfg.disable_gat:
-            for l, heads in enumerate(cfg.gat_heads):
-                din = self.gat_in[l]
-                for h in range(heads):
-                    # GAT's factors W_q, W_k (hidden x din) and w_a, folded
-                    w_q = self._glorot(rng, (cfg.hidden, din))
-                    w_k = self._glorot(rng, (cfg.hidden, din))
-                    w_a = self._glorot(rng, (2 * cfg.hidden,))
-                    p[f"gat.{l}.{h}.q"] = w_q.T @ w_a[: cfg.hidden]
-                    p[f"gat.{l}.{h}.k"] = w_k.T @ w_a[cfg.hidden :]
+        for l, din in enumerate(self.gat_in):
+            for h in range(cfg.gat_heads[l]):
+                # GAT's factors W_q, W_k (hidden x din) and w_a, folded
+                w_q = self._glorot(rng, (cfg.hidden, din))
+                w_k = self._glorot(rng, (cfg.hidden, din))
+                w_a = self._glorot(rng, (2 * cfg.hidden,))
+                p[f"gat.{l}.{h}.q"] = w_q.T @ w_a[: cfg.hidden]
+                p[f"gat.{l}.{h}.k"] = w_k.T @ w_a[cfg.hidden :]
         if cfg.disable_dcn:
-            p["lin.w"] = self._glorot(rng, (cfg.deep_hidden, self.d0))
-            p["lin.b"] = np.zeros(cfg.deep_hidden)
+            # a deep_hidden-wide linear layer (zero bias) and its head, folded
+            lin = self._glorot(rng, (cfg.deep_hidden, self.d0))
+            p["head.score"] = lin.T @ self._glorot(rng, (cfg.deep_hidden,))
         else:
             for l in range(CROSS_LAYERS):
                 p[f"cross.{l}.w"] = self._glorot(rng, (self.d0,))
@@ -286,7 +296,7 @@ class Model:
             for l in range(DEEP_LAYERS):
                 p[f"deep.{l}.w"] = self._glorot(rng, (self.deep_dims[l + 1], self.deep_dims[l]))
                 p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1])
-        p["head.score"] = self._glorot(rng, (self.d_cd,))
+            p["head.score"] = self._glorot(rng, (self.d_cd,))
         p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
 
@@ -315,15 +325,12 @@ class Model:
         return h0
 
     def forward(self, graph: PairGraph, inputs: GraphInputs, params) -> ForwardTrace:
-        cfg = self.cfg
-        H0 = self._input_states(graph, inputs, params)
+        H = self._input_states(graph, inputs, params)
         mask = graph.edge_arrays()
         layer_traces: list[LayerTrace] = []
-        H = H0
-        if not cfg.disable_gat:
-            for l in range(len(cfg.gat_heads)):
-                H, lt = gat_layer(H, mask, self._head_params(params, l))
-                layer_traces.append(lt)
+        for l in range(len(self.gat_in)):
+            H, lt = gat_layer(H, mask, self._head_params(params, l))
+            layer_traces.append(lt)
         Xhat = H
 
         attr_rows = Xhat[graph.attr_slice]
@@ -332,38 +339,23 @@ class Model:
 
         sent_rows = Xhat[graph.sent_slice]
         n_sent = sent_rows.shape[0]
-        if cfg.disable_gat:
+        blocks = [np.tile(Xhat[USER_NODE], (n_sent, 1)), np.tile(Xhat[ITEM_NODE], (n_sent, 1))]
+        if self.cfg.disable_gat:
             # mean of each sentence's attribute inputs; every sentence has one
             links = mask[graph.sent_slice, graph.attr_slice]
-            pooled = (links @ H0[graph.attr_slice]) / links.sum(axis=1, keepdims=True)
-            x0 = np.concatenate(
-                [
-                    np.tile(Xhat[USER_NODE], (n_sent, 1)),
-                    np.tile(Xhat[ITEM_NODE], (n_sent, 1)),
-                    pooled,
-                    sent_rows,
-                ],
-                axis=1,
-            )
-        else:
-            x0 = np.concatenate(
-                [np.tile(Xhat[USER_NODE], (n_sent, 1)), np.tile(Xhat[ITEM_NODE], (n_sent, 1)), sent_rows],
-                axis=1,
-            )
+            blocks.append((links @ attr_rows) / links.sum(axis=1, keepdims=True))
+        x0 = np.concatenate(blocks + [sent_rows], axis=1)
 
-        if cfg.disable_dcn:
-            x_cd = x0 @ params["lin.w"].T + params["lin.b"][None, :]
-            dcn_trace = None
+        if self.cfg.disable_dcn:
+            x_cd, dcn_trace = x0, None
         else:
             x_cd, dcn_trace = dcn_forward(x0, self._cross_params(params), self._deep_params(params))
         scores = x_cd @ params["head.score"]
         return ForwardTrace(
             graph=graph,
             inputs=inputs,
-            H0=H0,
             layer_traces=layer_traces,
             Xhat=Xhat,
-            x0=x0,
             dcn=dcn_trace,
             x_cd=x_cd,
             scores=scores,
@@ -392,9 +384,7 @@ class Model:
 
         # feature interaction back to x0
         if cfg.disable_dcn:
-            grads["lin.w"] += dx_cd.T @ trace.x0
-            grads["lin.b"] += dx_cd.sum(axis=0)
-            dx0 = dx_cd @ params["lin.w"]
+            dx0 = dx_cd
         else:
             dx0, cross_g, deep_g = _dcn_backward(
                 dx_cd, self._cross_params(params), self._deep_params(params), trace.dcn
@@ -406,37 +396,23 @@ class Model:
                 grads[f"deep.{l}.w"] += dw
                 grads[f"deep.{l}.b"] += db
 
-        # x0 blocks back to node states
-        d = cfg.hidden
+        # x0 blocks back to node states.  Under --no-gat the pooled block
+        # reads only the attribute inputs, which nothing trains, so its
+        # gradient is not formed.
         nd = self.node_dim
         dXhat = np.zeros_like(trace.Xhat)
         dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
-        if cfg.disable_gat:
-            dXhat[USER_NODE] += dx0[:, :d].sum(axis=0)
-            dXhat[ITEM_NODE] += dx0[:, d : 2 * d].sum(axis=0)
-            links = graph.edge_arrays()[graph.sent_slice, graph.attr_slice]
-            dpool = dx0[:, 2 * d : 3 * d] / links.sum(axis=1, keepdims=True)
-            dH0_extra = np.zeros_like(trace.H0)
-            dH0_extra[graph.attr_slice] = links.T @ dpool
-            dXhat[graph.sent_slice] += dx0[:, 3 * d :]
-        else:
-            dXhat[USER_NODE] += dx0[:, :nd].sum(axis=0)
-            dXhat[ITEM_NODE] += dx0[:, nd : 2 * nd].sum(axis=0)
-            dXhat[graph.sent_slice] += dx0[:, 2 * nd :]
-            dH0_extra = None
+        dXhat[USER_NODE] += dx0[:, :nd].sum(axis=0)
+        dXhat[ITEM_NODE] += dx0[:, nd : 2 * nd].sum(axis=0)
+        dXhat[graph.sent_slice] += dx0[:, -nd:]
 
         # attention stack
-        dH = dXhat
-        if not cfg.disable_gat:
-            for l in range(len(cfg.gat_heads) - 1, -1, -1):
-                head_params = self._head_params(params, l)
-                dH, head_grads = _gat_layer_backward(dH, head_params, trace.layer_traces[l])
-                for h, (dq, dk) in enumerate(head_grads):
-                    grads[f"gat.{l}.{h}.q"] += dq
-                    grads[f"gat.{l}.{h}.k"] += dk
-        dH0 = dH
-        if dH0_extra is not None:
-            dH0 = dH0 + dH0_extra
+        dH0 = dXhat
+        for l in range(len(self.gat_in) - 1, -1, -1):
+            dH0, head_grads = _gat_layer_backward(dH0, self._head_params(params, l), trace.layer_traces[l])
+            for h, (dq, dk) in enumerate(head_grads):
+                grads[f"gat.{l}.{h}.q"] += dq
+                grads[f"gat.{l}.{h}.k"] += dk
 
         # input states back to trainable tables
         grads["embed.user"][trace.inputs.user_row] += dH0[USER_NODE]

@@ -207,8 +207,8 @@ class Trainer:
         model_cfg: ModelConfig,
         train_cfg: TrainConfig,
         workdir,
+        config_hash: str,
         seed: int = 0,
-        config_hash: str = "",
         k: int = SelectConfig.k,
     ):
         self.corpus = corpus
@@ -375,13 +375,15 @@ class Trainer:
 
     def load_checkpoint(self, path) -> None:
         """Resume from a checkpoint: parameters, Adam state, epoch and best
-        record.  The metadata must hold `adam_t` and `epoch` as integers and
-        `best` as an object with exactly `EpochRecord`'s fields.
+        record.  The metadata must hold the current config's `config_hash`,
+        `adam_t` and `epoch` as integers, and `best` as an object with
+        exactly `EpochRecord`'s fields.
         """
         tensors, meta = load_tensors(path)
-        if self.config_hash and meta.get("config_hash") and meta["config_hash"] != self.config_hash:
+        if meta.get("config_hash") != self.config_hash:
             raise TrainingError(
-                f"checkpoint config hash {meta['config_hash']} does not match current config"
+                f"checkpoint config hash {meta.get('config_hash')!r} does not match "
+                f"the current config's {self.config_hash!r}"
             )
         for key, kind in (("adam_t", int), ("epoch", int), ("best", dict)):
             value = meta.get(key)
@@ -403,12 +405,15 @@ class Trainer:
 def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     """The checkpoint's `<prefix>.*` tensors (`param`, `adam.m` or
     `adam.v`), one per entry of `like` and of the same shape; anything else
-    means the checkpoint belongs to another model config.
+    means the checkpoint belongs to another model config.  A NaN or an
+    infinity is an error naming its tensor.
     """
     params = {}
     for name, p in like.items():
         key = f"{prefix}.{name}"
         if key not in tensors or tensors[key].shape != p.shape:
             raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
+        if not np.all(np.isfinite(tensors[key])):
+            raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value")
         params[name] = tensors[key]
     return params

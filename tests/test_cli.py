@@ -217,7 +217,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "lines, message",
-        [(["x 32"], "header row"), (["1 2", "room 0.5 abc"], "row 1 ('room') has a non-numeric value")],
+        [
+            (["x 32"], "header row"),
+            (["1 2", "room 0.5 abc"], "row 1 ('room') has a non-numeric value"),
+            (["2 2", "room 0.5 0.5", "bed nan 0.5"], "row 2 ('bed') has a non-finite value"),
+            ([""], "attribute/word vector table is empty"),
+        ],
     )
     def test_malformed_vector_file_is_an_error(self, planted, tmp_path, capsys, lines, message):
         config, _, _, _ = planted
@@ -277,6 +282,21 @@ class TestPipeline:
         capsys.readouterr()
         assert cli.main(["select", "--config", str(config), "--checkpoint", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: checkpoint tensor 'param.gat.0.0.q' missing or misshapen")
+
+    def test_non_finite_checkpoint_tensor_is_an_error(self, planted, tmp_path, capsys):
+        config, workdir, _, _ = planted
+        tensors, meta = load_tensors(workdir / "checkpoints" / "epoch_0.ntar")
+        tensors["param.head.score"] = tensors["param.head.score"].copy()
+        tensors["param.head.score"][0] = np.nan
+        path = tmp_path / "nan.ntar"
+        save_tensors(path, tensors, meta)
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        capsys.readouterr()
+        for stage, flag in (("select", "--checkpoint"), ("train", "--resume")):
+            argv = [stage, "--config", str(config), "--workdir", str(tmp_path / "work"), flag, str(path)]
+            assert cli.main(argv) == 1, stage
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint tensor 'param.head.score' holds a non-finite value"), stage
 
     def test_sentence_id_missing_from_vectors_is_an_error(self, planted, tmp_path, capsys):
         # the planted sentence vectors are 16-d against hidden 32

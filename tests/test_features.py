@@ -44,6 +44,13 @@ class TestLoadVectorFile:
         with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: row 2 ('b') has a non-numeric value")):
             ft.load_vector_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"3 2\na 1 0\n\nb 0 {value}\nc 1 1\n")
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: row 2 ('b') has a non-finite value")):
+            ft.load_vector_file(path)
+
     def test_blank_lines_are_not_rows(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1 0\n\nb 0 1\n")
@@ -116,6 +123,15 @@ class TestNodeFeatureProvider:
     def test_dim_mismatch_fails_fast(self):
         with pytest.raises(ft.VectorFileError):
             ft.NodeFeatureProvider(hidden=3, word_table=word_table())
+
+    @pytest.mark.parametrize("kind", ["word", "sentence"])
+    def test_empty_table_names_its_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}s.txt"
+        path.write_text("")
+        empty = ft.load_vector_file(path)
+        tables = {"word_table": empty} if kind == "word" else {"word_table": word_table(), "sentence_table": empty}
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: ") + f".*{kind} vector table is empty"):
+            ft.NodeFeatureProvider(hidden=2, **tables)
 
     def test_attribute_vectors_and_multiword_mean(self):
         prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table())

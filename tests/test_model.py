@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recexplain.graphs import PairGraph
+from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
 from recexplain.model import Model, ModelConfig, dcn_forward, gat_layer
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
@@ -199,6 +199,24 @@ class TestForward:
         assert gat == {f"gat.{l}.{h}.{v}": (width,) for l, h, width in heads for v in "qk"}
         assert sum(t.size for t in params.values()) == total
 
+    @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
+    def test_x0_layout(self, rng, disable_gat):
+        # with no feature interaction the score head reads x0 itself
+        model, _ = small_model(disable_gat=disable_gat, disable_dcn=True)
+        g = toy_graph(3, 4, rng)
+        inputs = toy_inputs(g, 3, 2, rng)
+        trace = model.forward(g, inputs, model.init_params(2))
+        Xhat = trace.Xhat
+        blocks = [np.tile(Xhat[USER_NODE], (4, 1)), np.tile(Xhat[ITEM_NODE], (4, 1))]
+        if disable_gat:
+            # each sentence's attribute inputs, averaged
+            attrs = range(g.attr_slice.start, g.attr_slice.stop)
+            linked = [[j - attrs.start for j in g.neighbors[i] if j in attrs] for i in range(g.sent_slice.start, g.n_nodes)]
+            blocks.append(np.array([inputs.attr_X[rows].mean(axis=0) for rows in linked]))
+        blocks.append(Xhat[g.sent_slice])
+        assert trace.x_cd.shape == (4, model.d0)
+        assert np.allclose(trace.x_cd, np.concatenate(blocks, axis=1), rtol=1e-13, atol=0.0)
+
     def test_init_deterministic(self):
         model, _ = small_model()
         a = model.init_params(11)
@@ -314,14 +332,15 @@ class TestGradients:
         loss, grads = loss_through_model(model, g, inputs, params, targets, pairs, labels, lam=1.0)
         assert np.all(grads["head.attr"] == 0.0)
 
-    def test_finite_difference_full_model(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        finite_diff_check(model, g, inputs, params, targets, pairs, labels)
-
-    def test_finite_difference_no_gat(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng, disable_gat=True)
-        finite_diff_check(model, g, inputs, params, targets, pairs, labels)
-
-    def test_finite_difference_no_dcn(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng, disable_dcn=True)
+    @pytest.mark.parametrize("disable_dcn", [False, True], ids=["dcn", "no-dcn"])
+    @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
+    def test_finite_difference(self, rng, disable_gat, disable_dcn):
+        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(
+            rng, disable_gat=disable_gat, disable_dcn=disable_dcn
+        )
+        assert model.d0 == (4 if disable_gat else 3) * model.node_dim
+        if disable_dcn:
+            # the score head reads x0 itself
+            assert not [name for name in params if name.startswith(("lin.", "cross.", "deep."))]
+            assert params["head.score"].shape == (model.d0,)
         finite_diff_check(model, g, inputs, params, targets, pairs, labels)

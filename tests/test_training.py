@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -231,12 +232,15 @@ def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
     return NodeFeatureProvider(hidden=hidden, word_table=word_table, sentence_table=sent_table)
 
 
+HASH = "0123456789abcdef"  # stands in for PipelineConfig.train_hash()
+
+
 def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, **kw):
     corpus = corpus or tiny_corpus()
     provider = make_provider(corpus)
     model_cfg = ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4)
     train_cfg = tr.TrainConfig(lam=lam, batch_size=4, learning_rate=1e-3, epochs=epochs, pair_budget=20, patience=50)
-    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, seed=seed, **kw)
+    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, config_hash=HASH, seed=seed, **kw)
 
 
 class TestTrainer:
@@ -328,6 +332,36 @@ class TestTrainer:
         save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
         resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=f"checkpoint metadata {message}"):
+            resumed.load_checkpoint(tmp_path / "bad.ntar")
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda meta: {k: v for k, v in meta.items() if k != "config_hash"}, None),
+            (lambda meta: {**meta, "config_hash": "fedcba9876543210"}, "fedcba9876543210"),
+        ],
+        ids=["no-hash", "other-hash"],
+    )
+    def test_resume_rejects_other_config_hash(self, tmp_path, edit, found):
+        make_trainer(tmp_path / "a", epochs=1, seed=2).run()
+        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        assert meta["config_hash"] == HASH
+        save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
+        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
+        message = f"checkpoint config hash {found!r} does not match the current config's {HASH!r}"
+        with pytest.raises(tr.TrainingError, match=re.escape(message)):
+            resumed.load_checkpoint(tmp_path / "bad.ntar")
+
+    @pytest.mark.parametrize("prefix", ["param", "adam.m", "adam.v"])
+    def test_resume_rejects_non_finite_tensor(self, tmp_path, prefix):
+        make_trainer(tmp_path / "a", epochs=1, seed=2).run()
+        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        key = f"{prefix}.head.score"
+        tensors[key] = tensors[key].copy()
+        tensors[key][-1] = np.inf
+        save_tensors(tmp_path / "bad.ntar", tensors, meta)
+        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
+        with pytest.raises(tr.TrainingError, match=re.escape(f"checkpoint tensor {key!r} holds a non-finite value")):
             resumed.load_checkpoint(tmp_path / "bad.ntar")
 
     def test_resume_keeps_early_stop_count(self, tmp_path):
