@@ -10,6 +10,8 @@ little-endian buffers concatenated in header order.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +67,40 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             and isinstance(header.get("meta"), dict)
         ):
             raise ArchiveError(f"{path}: header has no 'tensors' list and 'meta' object")
+        file_size = os.fstat(fh.fileno()).st_size
         tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            raw = fh.read(entry["nbytes"])
-            if len(raw) != entry["nbytes"]:
-                raise ArchiveError(f"{path}: truncated buffer for '{entry['name']}'")
-            arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-            tensors[entry["name"]] = arr.copy()
+        for index, entry in enumerate(header["tensors"]):
+            name, dtype, shape, nbytes = _layout(path, index, entry)
+            if nbytes > file_size - fh.tell():  # checked before read() allocates nbytes
+                raise ArchiveError(f"{path}: truncated buffer for '{name}'")
+            tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
     return tensors, header["meta"]
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # json gives exact types; a bool is not an int here
+
+
+def _layout(path: Path, index: int, entry) -> tuple[str, np.dtype, list[int], int]:
+    """A header entry's name, dtype, shape and byte length.  An ArchiveError
+    names the tensor when a field is missing or of the wrong type, when the
+    dtype is not a fixed-size numeric or bool type, or when the byte length
+    is not the shape's element count times the item size."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str):
+        raise ArchiveError(f"{path}: tensor entry {index} has no 'name' string")
+    where = f"{path}: tensor '{name}'"
+    dtype, shape, nbytes = entry.get("dtype"), entry.get("shape"), entry.get("nbytes")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise ArchiveError(f"{where}: 'shape' is not a list of non-negative integers")
+    if not _is_count(nbytes):
+        raise ArchiveError(f"{where}: 'nbytes' is not a non-negative integer")
+    try:
+        dtype = np.dtype(dtype) if isinstance(dtype, str) else None  # np.dtype(None) would be float64
+    except (TypeError, ValueError, SyntaxError):  # SyntaxError: numpy parses "f8,(2" as Python
+        dtype = None
+    if dtype is None or dtype.kind not in "biufc":
+        raise ArchiveError(f"{where}: 'dtype' {entry.get('dtype')!r} is not a numeric or bool type")
+    if nbytes != math.prod(shape) * dtype.itemsize:
+        raise ArchiveError(f"{where}: 'nbytes' {nbytes} is not {math.prod(shape)} elements of {dtype.itemsize} bytes")
+    return name, dtype, shape, nbytes

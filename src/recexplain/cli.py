@@ -72,14 +72,8 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         ratios=cfg.corpus.ratios,
         seed=cfg.seed,
     )
-    out = _corpus_dir(cfg)
-    save_corpus(
-        corpus,
-        out,
-        extra_meta={"config_hash": cfg.preprocess_hash(), "ingest_errors": len(errors)},
-    )
-    stats = corpus.stats()
-    stats["ingest_errors"] = len(errors)
+    stats = {**corpus.stats(), "ingest_errors": len(errors)}
+    save_corpus(corpus, _corpus_dir(cfg), meta={"config_hash": cfg.preprocess_hash(), **stats})
     return stats
 
 

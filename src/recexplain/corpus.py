@@ -1,16 +1,36 @@
-"""Review corpus preprocessing.
+"""Review corpus preprocessing and the processed corpus on disk.
 
 Raw reviews (JSON lines with user_id, item_id, rating, text) are filtered
 by rating, segmented into sentences, tokenized, tagged with lexicon
 attributes, pruned of attribute-free sentences, activity-filtered to a
 fixpoint, split into train/valid/test, and indexed for candidate-pool
 lookups.  Everything is deterministic given (input files, seed).
+
+A processed corpus directory holds two JSON files, written with sorted keys:
+
+- `corpus.json`: `lexicon`, the attribute surfaces (an attribute's id is
+  its index); `sentences`, sentence id -> review_id, sorted attribute ids
+  and words; `reviews`, review id -> user_id, item_id, rating and
+  sentence_ids; and `split`, the seed, the ratios and the sorted train,
+  valid and test review ids.
+- `meta.json`: the preprocess stage's record: the config hash, the count
+  of ingest errors and the `Corpus.stats()` counts.
+
+`load_corpus` raises a CorpusError naming the file, and the key where
+there is one, for a missing corpus.json (re-run preprocess), content that
+is not a JSON object, a missing key, a value of the wrong JSON type (types
+are exact: a boolean is not an integer, an integer is not a float, and a
+float must be finite), an attribute id outside the lexicon, a review that
+names an unknown sentence or is in no split, and a split that names a
+review twice or names one that does not exist.  `load_meta` reads a
+missing meta.json as empty and rejects one that is not a JSON object.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -92,20 +112,6 @@ class AttributeLexicon:
                     break
         return frozenset(hits)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for fid, surface in enumerate(self.surfaces):
-                fh.write(f"{fid}\t{surface}\n")
-
-    @classmethod
-    def load_table(cls, path) -> "AttributeLexicon":
-        surfaces = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                _, surface = line.rstrip("\n").split("\t", 1)
-                surfaces.append(surface)
-        return cls(surfaces)
-
 
 def load_attribute_lexicon(path) -> AttributeLexicon:
     """Read a plain-text lexicon, one attribute per line (may be multiword)."""
@@ -150,10 +156,24 @@ def _text_field(obj: dict, name: str) -> str:
     raise ValueError(f"{name} is not a string or number")
 
 
+def _rating(obj: dict) -> float:
+    """The record's rating: a JSON number or a numeric string such as "5",
+    and finite.  A boolean, NaN or an infinity is not a rating."""
+    value = obj["rating"]
+    try:
+        rating = float(value) if type(value) in (int, float, str) else math.nan  # a bool is not an int here
+    except (ValueError, OverflowError):  # not numeric, or an int past the float range
+        rating = math.nan
+    if not math.isfinite(rating):
+        raise ValueError(f"rating {value!r} is not a finite number")
+    return rating
+
+
 def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list[str]]:
     """Read JSON-lines reviews, keeping records rated strictly above the
-    threshold.  Malformed records are reported (with line numbers), not fatal;
-    an unreadable file is.
+    threshold.  Malformed records, among them a rating that is not a finite
+    number (see `_rating`), are reported (with line numbers), not fatal; an
+    unreadable file is.
     """
     records: list[RawRecord] = []
     errors: list[str] = []
@@ -169,7 +189,7 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
             try:
                 user_id = _text_field(obj, "user_id")
                 item_id = _text_field(obj, "item_id")
-                rating = float(obj["rating"])
+                rating = _rating(obj)
                 text = _text_field(obj, "text")
                 for name, value in (("user_id", user_id), ("item_id", item_id)):
                     if "\t" in value or "\n" in value or "\r" in value:
@@ -253,68 +273,38 @@ def split_corpus(review_ids, ratios, seed: int) -> CorpusSplit:
 class Corpus:
     """Processed corpus with split-aware per-user/per-item indexes."""
 
-    def __init__(
-        self,
-        reviews: dict[str, Review],
-        sentences: dict[str, Sentence],
-        lexicon: AttributeLexicon,
-        split: CorpusSplit,
-    ):
+    def __init__(self, reviews: dict[str, Review], sentences: dict[str, Sentence], lexicon: AttributeLexicon, split: CorpusSplit):
         self.reviews = reviews
         self.sentences = sentences
         self.lexicon = lexicon
         self.split = split
         self.users = sorted({r.user_id for r in reviews.values()})
         self.items = sorted({r.item_id for r in reviews.values()})
-        self._user_train: dict[str, list[str]] = {u: [] for u in self.users}
-        self._item_train: dict[str, list[str]] = {c: [] for c in self.items}
+        # each user's and item's training-split sentence ids and attribute ids
+        self._user_sentences: dict[str, set[str]] = {u: set() for u in self.users}
+        self._item_sentences: dict[str, set[str]] = {c: set() for c in self.items}
+        self._user_attributes: dict[str, set[int]] = {u: set() for u in self.users}
+        self._item_attributes: dict[str, set[int]] = {c: set() for c in self.items}
         self._pair_reviews: dict[tuple[str, str], dict[str, list[str]]] = {}
         for rid in sorted(reviews):
             r = reviews[rid]
             part = split.of(rid)
             if part == "train":
-                self._user_train[r.user_id].append(rid)
-                self._item_train[r.item_id].append(rid)
+                attrs = set().union(*(sentences[sid].attributes for sid in r.sentence_ids))
+                self._user_sentences[r.user_id].update(r.sentence_ids)
+                self._item_sentences[r.item_id].update(r.sentence_ids)
+                self._user_attributes[r.user_id] |= attrs
+                self._item_attributes[r.item_id] |= attrs
             bucket = self._pair_reviews.setdefault((r.user_id, r.item_id), {})
             bucket.setdefault(part, []).append(rid)
-        self._user_sent_cache: dict[str, tuple[str, ...]] = {}
-        self._item_sent_cache: dict[str, tuple[str, ...]] = {}
-        self._user_attr_cache: dict[str, frozenset[int]] = {}
-        self._item_attr_cache: dict[str, frozenset[int]] = {}
 
     # -- split-aware views -------------------------------------------------
 
-    def _sentences_of(self, review_ids) -> tuple[str, ...]:
-        out = []
-        for rid in review_ids:
-            out.extend(self.reviews[rid].sentence_ids)
-        return tuple(sorted(out))
+    def user_train_attributes(self, user_id: str) -> set[int]:
+        return self._user_attributes[user_id]
 
-    def user_train_sentences(self, user_id: str) -> tuple[str, ...]:
-        if user_id not in self._user_sent_cache:
-            self._user_sent_cache[user_id] = self._sentences_of(self._user_train[user_id])
-        return self._user_sent_cache[user_id]
-
-    def item_train_sentences(self, item_id: str) -> tuple[str, ...]:
-        if item_id not in self._item_sent_cache:
-            self._item_sent_cache[item_id] = self._sentences_of(self._item_train[item_id])
-        return self._item_sent_cache[item_id]
-
-    def user_train_attributes(self, user_id: str) -> frozenset[int]:
-        if user_id not in self._user_attr_cache:
-            attrs: set[int] = set()
-            for sid in self.user_train_sentences(user_id):
-                attrs |= self.sentences[sid].attributes
-            self._user_attr_cache[user_id] = frozenset(attrs)
-        return self._user_attr_cache[user_id]
-
-    def item_train_attributes(self, item_id: str) -> frozenset[int]:
-        if item_id not in self._item_attr_cache:
-            attrs: set[int] = set()
-            for sid in self.item_train_sentences(item_id):
-                attrs |= self.sentences[sid].attributes
-            self._item_attr_cache[item_id] = frozenset(attrs)
-        return self._item_attr_cache[item_id]
+    def item_train_attributes(self, item_id: str) -> set[int]:
+        return self._item_attributes[item_id]
 
     def candidate_pool(self, user_id: str, item_id: str, mode: str) -> tuple[str, ...]:
         """Union of the user's and the item's training-split sentences.
@@ -325,9 +315,9 @@ class Corpus:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if user_id not in self._user_train or item_id not in self._item_train:
+        if user_id not in self._user_sentences or item_id not in self._item_sentences:
             raise CorpusError(f"unknown pair ({user_id!r}, {item_id!r})")
-        pool = sorted(set(self.user_train_sentences(user_id)) | set(self.item_train_sentences(item_id)))
+        pool = sorted(self._user_sentences[user_id] | self._item_sentences[item_id])
         if not pool:
             raise EmptyPoolError(f"empty candidate pool for ({user_id}, {item_id})")
         if mode == "train":
@@ -357,9 +347,7 @@ class Corpus:
         return out
 
     def stats(self) -> dict:
-        used_attrs: set[int] = set()
-        for s in self.sentences.values():
-            used_attrs |= s.attributes
+        used_attrs = set().union(*(s.attributes for s in self.sentences.values()))
         return {
             "users": len(self.users),
             "items": len(self.items),
@@ -369,116 +357,153 @@ class Corpus:
         }
 
 
-@dataclass
-class _Draft:
-    review_id: str
-    user_id: str
-    item_id: str
-    rating: float
-    sentences: list[tuple[str, list[str], frozenset[int]]]  # (sid, words, attrs)
-
-
-def build_corpus(
-    records: list[RawRecord],
-    lexicon: AttributeLexicon,
-    min_activity: int,
-    ratios,
-    seed: int,
-) -> Corpus:
+def build_corpus(records: list[RawRecord], lexicon: AttributeLexicon, min_activity: int, ratios, seed: int) -> Corpus:
     """Run the full preprocessing pipeline over ingested records.
 
     Order matters: attribute-free sentences are dropped before the
     activity filter, so activity counts only attribute-bearing reviews.
+    Sentence records are made only for the reviews the filter keeps, which
+    on a corpus with a long tail of rare users are a small share.
     """
-    drafts: list[_Draft] = []
+    reviews: list[Review] = []
+    tagged: dict[str, tuple[list[str], frozenset[int]]] = {}  # sentence id -> (words, attribute ids)
     for idx, rec in enumerate(records):
         rid = f"r{idx}"
-        kept = []
+        sids = []
         for k, words in enumerate(segment_and_tokenize(rec.text)):
             attrs = lexicon.match(words)
             if attrs:
-                kept.append((f"{rid}.s{k}", words, attrs))
-        if kept:
-            drafts.append(_Draft(rid, rec.user_id, rec.item_id, rec.rating, kept))
-    drafts = filter_min_activity(drafts, min_activity)
-    split = split_corpus([d.review_id for d in drafts], ratios, seed)
-    reviews: dict[str, Review] = {}
+                sid = f"{rid}.s{k}"
+                tagged[sid] = (words, attrs)
+                sids.append(sid)
+        if sids:
+            reviews.append(Review(rid, rec.user_id, rec.item_id, rec.rating, tuple(sids)))
+    reviews = filter_min_activity(reviews, min_activity)
+    split = split_corpus([r.review_id for r in reviews], ratios, seed)
     sentences: dict[str, Sentence] = {}
-    for d in drafts:
-        sids = []
-        for sid, words, attrs in d.sentences:
-            sentences[sid] = Sentence(
-                sentence_id=sid,
-                review_id=d.review_id,
-                words=tuple(words),
-                attributes=attrs,
-            )
-            sids.append(sid)
-        reviews[d.review_id] = Review(d.review_id, d.user_id, d.item_id, d.rating, tuple(sids))
-    return Corpus(reviews, sentences, lexicon, split)
+    for r in reviews:
+        for sid in r.sentence_ids:
+            words, attrs = tagged[sid]
+            sentences[sid] = Sentence(sid, r.review_id, tuple(words), attrs)
+    return Corpus({r.review_id: r for r in reviews}, sentences, lexicon, split)
 
 
 # -- persistence -----------------------------------------------------------
 
-def save_corpus(corpus: Corpus, dirpath, extra_meta: dict | None = None) -> None:
+_PARTS = ("train", "valid", "test")
+
+# The shape of corpus.json: a dict gives the kinds of its keys ("*": of
+# every key), and [kind] is a list of that kind.
+_SCHEMA = {
+    "lexicon": [str],
+    "sentences": {"*": {"review_id": str, "attributes": [int], "words": [str]}},
+    "reviews": {"*": {"user_id": str, "item_id": str, "rating": float, "sentence_ids": [str]}},
+    "split": {"seed": int, "ratios": [float], **dict.fromkeys(_PARTS, [str])},
+}
+
+
+def save_corpus(corpus: Corpus, dirpath, meta: dict) -> None:
+    """Write `corpus` as corpus.json and `meta` as meta.json under `dirpath`."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    corpus.lexicon.save(dirpath / "attributes.tsv")
-    with open(dirpath / "sentences.tsv", "w", encoding="utf-8") as fh:
-        for sid in sorted(corpus.sentences):
-            s = corpus.sentences[sid]
-            attrs = ",".join(str(a) for a in sorted(s.attributes))
-            fh.write(f"{s.sentence_id}\t{s.review_id}\t{attrs}\t{' '.join(s.words)}\n")
-    with open(dirpath / "reviews.tsv", "w", encoding="utf-8") as fh:
-        for rid in sorted(corpus.reviews):
-            r = corpus.reviews[rid]
-            fh.write(
-                f"{r.review_id}\t{r.user_id}\t{r.item_id}\t{r.rating!r}\t{' '.join(r.sentence_ids)}\n"
-            )
-    split_doc = {
-        "seed": corpus.split.seed,
-        "ratios": list(corpus.split.ratios),
-        "train": sorted(corpus.split.train),
-        "valid": sorted(corpus.split.valid),
-        "test": sorted(corpus.split.test),
+    split = corpus.split
+    doc = {
+        "lexicon": corpus.lexicon.surfaces,
+        "sentences": {
+            sid: {"review_id": s.review_id, "attributes": sorted(s.attributes), "words": s.words}
+            for sid, s in corpus.sentences.items()
+        },
+        "reviews": {
+            rid: {"user_id": r.user_id, "item_id": r.item_id, "rating": r.rating, "sentence_ids": r.sentence_ids}
+            for rid, r in corpus.reviews.items()
+        },
+        "split": {"seed": split.seed, "ratios": split.ratios, **{p: sorted(getattr(split, p)) for p in _PARTS}},
     }
-    (dirpath / "splits.json").write_text(json.dumps(split_doc, sort_keys=True), encoding="utf-8")
-    (dirpath / "stats.json").write_text(json.dumps(corpus.stats(), sort_keys=True), encoding="utf-8")
-    if extra_meta is not None:
-        (dirpath / "meta.json").write_text(json.dumps(extra_meta, sort_keys=True), encoding="utf-8")
+    for name, content in (("corpus.json", doc), ("meta.json", meta)):
+        # check_circular=False: both are trees built here, and the check costs a sixth of the encoding
+        text = json.dumps(content, sort_keys=True, check_circular=False)
+        (dirpath / name).write_text(text, encoding="utf-8")
+
+
+def _fits(values: list, kind) -> bool:
+    """Whether every one of `values` has `kind` (see _SCHEMA), tested a
+    column at a time.  Types are exact: a boolean is not an int, an int is
+    not a float, and floats must be finite."""
+    if type(kind) is dict:
+        if not set(map(type, values)) <= {dict}:
+            return False
+        if "*" in kind:
+            return _fits([x for v in values for x in v.values()], kind["*"])
+        return all(_fits([v.get(key) for v in values], sub) for key, sub in kind.items())
+    if type(kind) is list:
+        return set(map(type, values)) <= {list} and _fits([x for v in values for x in v], kind[0])
+    return set(map(type, values)) <= {kind} and (kind is not float or all(map(math.isfinite, values)))
+
+
+def _check(value, kind, path: tuple = ()) -> None:
+    """Raise a CorpusError naming the first key, at or under `path`, whose
+    value does not fit its kind."""
+    if _fits([value], kind):
+        return
+    if type(kind) is dict and type(value) is dict:
+        for key, sub in ({k: kind["*"] for k in value} if "*" in kind else kind).items():
+            _check(value.get(key), sub, (*path, key))
+    raise CorpusError(f"key {''.join(f'[{k!r}]' for k in path)} is missing or of the wrong type")
+
+
+def _read_json(path: Path) -> dict:
+    """The JSON object in `path`; a CorpusError names the file when it is
+    missing, is not JSON or holds something other than an object."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CorpusError(f"{path}: no such file; re-run preprocess") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CorpusError(f"{path}: not JSON ({exc})") from None
+    if type(doc) is not dict:
+        raise CorpusError(f"{path}: not a JSON object")
+    return doc
+
+
+def _corpus_from(doc: dict) -> Corpus:
+    _check(doc, _SCHEMA)
+    lexicon = AttributeLexicon(doc["lexicon"])
+    sentences = {
+        sid: Sentence(sid, s["review_id"], tuple(s["words"]), frozenset(s["attributes"]))
+        for sid, s in doc["sentences"].items()
+    }
+    reviews = {
+        rid: Review(rid, r["user_id"], r["item_id"], r["rating"], tuple(r["sentence_ids"]))
+        for rid, r in doc["reviews"].items()
+    }
+    attribute_ids = set(range(len(lexicon)))
+    for sid, s in sentences.items():
+        if not s.attributes <= attribute_ids:
+            raise CorpusError(f"key ['sentences'][{sid!r}]['attributes'] holds an id outside the lexicon")
+    for rid, r in reviews.items():
+        unknown = [sid for sid in r.sentence_ids if sid not in sentences]
+        if unknown:
+            raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] names unknown sentence {unknown[0]!r}")
+    split = doc["split"]
+    listed = [rid for p in _PARTS for rid in split[p]]
+    unlisted = sorted(reviews.keys() - set(listed))
+    if unlisted:
+        raise CorpusError(f"key ['reviews'][{unlisted[0]!r}] is a review in no split")
+    if len(listed) != len(reviews):
+        raise CorpusError("key ['split'] names a review twice, or one that is not in ['reviews']")
+    parts = {p: frozenset(split[p]) for p in _PARTS}
+    return Corpus(reviews, sentences, lexicon, CorpusSplit(**parts, seed=split["seed"], ratios=tuple(split["ratios"])))
 
 
 def load_corpus(dirpath) -> Corpus:
-    dirpath = Path(dirpath)
-    lexicon = AttributeLexicon.load_table(dirpath / "attributes.tsv")
-    split_doc = json.loads((dirpath / "splits.json").read_text(encoding="utf-8"))
-    split = CorpusSplit(
-        train=frozenset(split_doc["train"]),
-        valid=frozenset(split_doc["valid"]),
-        test=frozenset(split_doc["test"]),
-        seed=split_doc["seed"],
-        ratios=tuple(split_doc["ratios"]),
-    )
-    sentences: dict[str, Sentence] = {}
-    with open(dirpath / "sentences.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            sid, rid, attrs, words_str = line.rstrip("\n").split("\t")
-            sentences[sid] = Sentence(
-                sentence_id=sid,
-                review_id=rid,
-                words=tuple(words_str.split(" ")),
-                attributes=frozenset(int(a) for a in attrs.split(",") if a),
-            )
-    reviews: dict[str, Review] = {}
-    with open(dirpath / "reviews.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            rid, uid, cid, rating, sids = line.rstrip("\n").split("\t")
-            reviews[rid] = Review(rid, uid, cid, float(rating), tuple(sids.split(" ")))
-    return Corpus(reviews, sentences, lexicon, split)
+    path = Path(dirpath) / "corpus.json"
+    doc = _read_json(path)
+    try:
+        return _corpus_from(doc)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def load_meta(dirpath) -> dict:
     path = Path(dirpath) / "meta.json"
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(path) if path.exists() else {}

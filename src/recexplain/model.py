@@ -234,7 +234,6 @@ class ForwardTrace:
     dcn: dict | None
     x_cd: np.ndarray
     scores: np.ndarray  # (S,)
-    attr_logits: np.ndarray  # (M,)
     attr_probs: np.ndarray  # (M,)
 
 
@@ -334,8 +333,7 @@ class Model:
         Xhat = H
 
         attr_rows = Xhat[graph.attr_slice]
-        attr_logits = attr_rows @ params["head.attr"]
-        attr_probs = _sigmoid(attr_logits)
+        attr_probs = _sigmoid(attr_rows @ params["head.attr"])
 
         sent_rows = Xhat[graph.sent_slice]
         n_sent = sent_rows.shape[0]
@@ -359,7 +357,6 @@ class Model:
             dcn=dcn_trace,
             x_cd=x_cd,
             scores=scores,
-            attr_logits=attr_logits,
             attr_probs=attr_probs,
         )
 

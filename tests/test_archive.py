@@ -66,3 +66,49 @@ def test_malformed_header(tmp_path, header):
     path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header)
     with pytest.raises(ArchiveError, match="h.ntar: header"):
         load_tensors(path)
+
+
+def rewritten(archive, path, edit):
+    """A copy of `archive` at `path` whose header went through `edit`."""
+    raw = archive.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    header = json.loads(raw[start:end])
+    edit(header["tensors"])
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + raw[end:])
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda entries: entries[0].pop("name"), "tensor entry 0 has no 'name' string"),
+        (lambda entries: entries[0].update(name=5), "tensor entry 0 has no 'name' string"),
+        (lambda entries: entries.insert(0, ["f64"]), "tensor entry 0 has no 'name' string"),
+        (lambda entries: entries[0].pop("dtype"), "tensor 'f64': 'dtype' None is not"),
+        (lambda entries: entries[0].update(dtype=8), "tensor 'f64': 'dtype' 8 is not"),
+        (lambda entries: entries[0].update(dtype="<x9"), "tensor 'f64': 'dtype' '<x9' is not"),
+        (lambda entries: entries[0].update(dtype="f8,(2"), "tensor 'f64': 'dtype' 'f8,(2' is not"),
+        (lambda entries: entries[0].update(dtype="|O"), "tensor 'f64': 'dtype' '|O' is not"),
+        (lambda entries: entries[0].update(dtype="<U4"), "tensor 'f64': 'dtype' '<U4' is not"),
+        (lambda entries: entries[0].update(dtype="|V8"), "tensor 'f64': 'dtype' '|V8' is not"),
+        (lambda entries: entries[0].update(dtype="<M8[s]"), "tensor 'f64': 'dtype' '<M8[s]' is not"),
+        (lambda entries: entries[0].pop("shape"), "tensor 'f64': 'shape' is not a list"),
+        (lambda entries: entries[0].update(shape="23"), "tensor 'f64': 'shape' is not a list"),
+        (lambda entries: entries[0].update(shape=[2, -3]), "tensor 'f64': 'shape' is not a list"),
+        (lambda entries: entries[0].update(shape=[2, True]), "tensor 'f64': 'shape' is not a list"),
+        (lambda entries: entries[0].update(shape=[3, 3]), "tensor 'f64': 'nbytes' 48 is not 9 elements of 8 bytes"),
+        (lambda entries: entries[0].update(dtype="<f4"), "tensor 'f64': 'nbytes' 48 is not 6 elements of 4 bytes"),
+        (lambda entries: entries[0].pop("nbytes"), "tensor 'f64': 'nbytes' is not a non-negative integer"),
+        (lambda entries: entries[0].update(nbytes=48.0), "tensor 'f64': 'nbytes' is not a non-negative integer"),
+        (lambda entries: entries[0].update(nbytes=-8), "tensor 'f64': 'nbytes' is not a non-negative integer"),
+        # consistent but past the end of the file: rejected before reading
+        (lambda entries: entries[0].update(shape=[10**12], nbytes=8 * 10**12), "truncated buffer for 'f64'"),
+    ],
+)
+def test_bad_entry_names_the_tensor(archive, tmp_path, edit, message):
+    path = rewritten(archive, tmp_path / "e.ntar", edit)
+    with pytest.raises(ArchiveError) as err:
+        load_tensors(path)
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)

@@ -10,7 +10,7 @@ import pytest
 
 import synthetic_corpus as sc
 from recexplain import cli
-from recexplain.archive import load_tensors, save_tensors
+from recexplain.archive import MAGIC, load_tensors, save_tensors
 from recexplain.config import ConfigError, PipelineConfig
 from recexplain.corpus import load_corpus
 from recexplain.features import load_vector_file
@@ -241,9 +241,24 @@ class TestPipeline:
     def test_corrupt_checkpoint_is_an_error(self, planted, tmp_path, capsys):
         config, workdir, _, _ = planted
         junk = tmp_path / "junk.ntar"
-        header_cut = (workdir / "checkpoints" / "epoch_0.ntar").read_bytes()[:40]
-        for raw, message in [(b"not an archive\n", "not a tensor archive"), (header_cut, "truncated header")]:
-            junk.write_bytes(raw)
+        raw = (workdir / "checkpoints" / "epoch_0.ntar").read_bytes()
+        start = len(MAGIC) + 8
+        tensors = json.loads(raw[start : start + int.from_bytes(raw[len(MAGIC) : start], "little")])["tensors"]
+        first = tensors[0]["name"]
+
+        def rewritten(**changes):  # the header alone, with the first entry changed
+            tensors[0].update(changes)
+            header = json.dumps({"tensors": tensors, "meta": {}}).encode()
+            return MAGIC + len(header).to_bytes(8, "little") + header
+
+        cases = [
+            (b"not an archive\n", "not a tensor archive"),
+            (raw[:40], "truncated header"),
+            (rewritten(shape=[3, 3]), f"tensor '{first}': 'nbytes'"),
+            (rewritten(dtype="<x9"), f"tensor '{first}': 'dtype' '<x9' is not a numeric or bool type"),
+        ]
+        for content, message in cases:
+            junk.write_bytes(content)
             assert cli.main(["select", "--config", str(config), "--checkpoint", str(junk)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {junk}: ") and message in err
@@ -266,6 +281,34 @@ class TestPipeline:
         capsys.readouterr()
         assert cli.main(["select", "--config", str(config), "--workdir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("corpus.json", lambda text: text + "garbage\n", "not JSON"),
+            ("corpus.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "split"}),
+             "key ['split'] is missing"),
+            ("corpus.json", lambda text: text.replace('"sentence_ids": ["', '"sentence_ids": ["r999.s0", "', 1),
+             "names unknown sentence 'r999.s0'"),
+            ("corpus.json", None, "no such file; re-run preprocess"),
+            ("meta.json", lambda text: text + "garbage\n", "not JSON"),
+        ],
+        ids=["corpus-garbage", "corpus-key-removed", "unknown-sentence", "no-corpus", "meta-garbage"],
+    )
+    def test_malformed_corpus_is_an_error(self, planted, tmp_path, capsys, name, edit, message):
+        # "no-corpus" is also what a workdir preprocessed before corpus.json gets
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "corpus")
+        path = tmp_path / "corpus" / name
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        for stage in ("train", "select", "evaluate"):
+            assert cli.main([stage, "--config", str(config), "--workdir", str(tmp_path)]) == 1, stage
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and message in err, (stage, err)
 
     def test_checkpoint_with_factored_heads_is_an_error(self, planted, tmp_path, capsys):
         # a checkpoint from before the heads were folded holds gat.*.wq/wk/wa

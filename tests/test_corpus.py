@@ -53,11 +53,6 @@ class TestLexicon:
         with pytest.raises(cp.CorpusError):
             cp.AttributeLexicon(["room", "Room"])
 
-    def test_roundtrip(self, tmp_path, lexicon):
-        lexicon.save(tmp_path / "attrs.tsv")
-        again = cp.AttributeLexicon.load_table(tmp_path / "attrs.tsv")
-        assert again.surfaces == lexicon.surfaces
-
 
 class TestIngest:
     def test_strict_threshold(self, tmp_path):
@@ -115,10 +110,26 @@ class TestIngest:
 
     def test_numbers_accepted_as_text(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
-        write_reviews(path, [{"user_id": 7, "item_id": 1.5, "rating": 5, "text": 42}])
+        write_reviews(path, [{"user_id": 7, "item_id": 1.5, "rating": "5", "text": 42}])
         records, errors = cp.ingest_reviews(path, 0)
         assert errors == []
-        assert [(r.user_id, r.item_id, r.text) for r in records] == [("7", "1.5", "42")]
+        assert [(r.user_id, r.item_id, r.rating, r.text) for r in records] == [("7", "1.5", 5.0, "42")]
+
+    @pytest.mark.parametrize(
+        "rating",
+        ["true", '"Infinity"', "NaN", "-Infinity", "1e999", '"nan"', '"five"', "1" + "0" * 400, "null"],
+        ids=["bool", "infinity-string", "nan", "minus-infinity", "overflowing-float", "nan-string",
+             "word", "overflowing-int", "null"],
+    )
+    def test_rating_not_a_finite_number_reported(self, tmp_path, rating):
+        # the threshold is below every value, so a rating that slipped
+        # through would be kept, and NaN would be dropped without a report
+        path = tmp_path / "reviews.jsonl"
+        good = '{"user_id": "u1", "item_id": "i1", "rating": 5, "text": "Nice room."}'
+        path.write_text(good.replace("5", rating) + "\n" + good + "\n", encoding="utf-8")
+        records, errors = cp.ingest_reviews(path, 0.5)
+        assert [r.line_no for r in records] == [2]
+        assert len(errors) == 1 and errors[0].startswith("line 1: bad record (rating ")
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -250,14 +261,17 @@ class TestBuildCorpus:
 
     def test_save_load_roundtrip_bitexact(self, tmp_path, lexicon):
         corpus = toy_corpus(lexicon)
-        cp.save_corpus(corpus, tmp_path / "one")
+        cp.save_corpus(corpus, tmp_path / "one", {"config_hash": "abc"})
         again = cp.load_corpus(tmp_path / "one")
-        cp.save_corpus(again, tmp_path / "two")
-        for name in ("attributes.tsv", "sentences.tsv", "reviews.tsv", "splits.json"):
-            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-        assert not (tmp_path / "one" / "vocab.tsv").exists()
-        assert again.stats() == corpus.stats()
+        cp.save_corpus(again, tmp_path / "two", {"config_hash": "abc"})
+        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["corpus.json", "meta.json"]
+        assert (tmp_path / "one" / "corpus.json").read_bytes() == (tmp_path / "two" / "corpus.json").read_bytes()
+        assert cp.load_meta(tmp_path / "one") == {"config_hash": "abc"}
+        assert again.lexicon.surfaces == corpus.lexicon.surfaces
+        assert again.reviews == corpus.reviews
         assert again.sentences == corpus.sentences
+        assert again.split == corpus.split
+        assert again.stats() == corpus.stats()
 
     def test_rebuild_deterministic(self, lexicon):
         a = toy_corpus(lexicon)
@@ -270,3 +284,62 @@ class TestBuildCorpus:
         corpus = toy_corpus(lexicon)
         with pytest.raises(cp.CorpusError):
             corpus.candidate_pool("ghost", "c0", "eval")
+
+
+def corpus_json(tmp_path, lexicon):
+    """A saved toy corpus's directory and its parsed corpus.json."""
+    cp.save_corpus(toy_corpus(lexicon), tmp_path, {})
+    return tmp_path, json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+
+
+def first(table):
+    return table[min(table)]
+
+
+class TestLoadCorpus:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("lexicon"), "key ['lexicon'] is missing or of the wrong type"),
+            (lambda doc: doc["lexicon"].append(7), "key ['lexicon'] is missing or of the wrong type"),
+            (lambda doc: doc["lexicon"].append("Room"), "duplicate attribute surface: 'room'"),
+            (lambda doc: first(doc["sentences"])["words"].append(3), "key ['sentences']['r0.s0']['words'] is missing"),
+            (lambda doc: first(doc["sentences"]).pop("review_id"), "key ['sentences']['r0.s0']['review_id'] is missing"),
+            (lambda doc: first(doc["sentences"])["attributes"].append(True), "key ['sentences']['r0.s0']['attributes'] is"),
+            (lambda doc: first(doc["sentences"])["attributes"].append(4), "['attributes'] holds an id outside the lexicon"),
+            (lambda doc: first(doc["sentences"])["attributes"].append(-1), "['attributes'] holds an id outside the lexicon"),
+            (lambda doc: doc["sentences"].update(r0=[]), "key ['sentences']['r0'] is missing or of the wrong type"),
+            (lambda doc: first(doc["reviews"]).update(rating=True), "key ['reviews']['r0']['rating'] is missing"),
+            (lambda doc: first(doc["reviews"]).update(rating=float("nan")), "key ['reviews']['r0']['rating'] is missing"),
+            (lambda doc: first(doc["reviews"]).update(user_id=None), "key ['reviews']['r0']['user_id'] is missing"),
+            (lambda doc: first(doc["reviews"])["sentence_ids"].append("r99.s0"),
+             "key ['reviews']['r0']['sentence_ids'] names unknown sentence 'r99.s0'"),
+            (lambda doc: doc["split"].update(seed="5"), "key ['split']['seed'] is missing or of the wrong type"),
+            (lambda doc: [doc["split"][p].remove("r0") for p in ("train", "valid", "test") if "r0" in doc["split"][p]],
+             "key ['reviews']['r0'] is a review in no split"),
+            (lambda doc: doc["split"]["test"].append("r99"), "key ['split'] names a review twice, or one"),
+            (lambda doc: doc["split"]["valid"].append(doc["split"]["train"][0]), "key ['split'] names a review twice"),
+        ],
+    )
+    def test_malformed_names_file_and_key(self, tmp_path, lexicon, edit, message):
+        dirpath, doc = corpus_json(tmp_path, lexicon)
+        edit(doc)
+        (dirpath / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(cp.CorpusError) as err:
+            cp.load_corpus(dirpath)
+        assert str(err.value).startswith(f"{dirpath / 'corpus.json'}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("name", ["corpus.json", "meta.json"])
+    @pytest.mark.parametrize("content", [b"[]", b"\xff{}", b"{} garbage"], ids=["array", "not-utf8", "garbage"])
+    def test_not_a_json_object_names_the_file(self, tmp_path, lexicon, name, content):
+        dirpath, _ = corpus_json(tmp_path, lexicon)
+        (dirpath / name).write_bytes(content)
+        load = cp.load_corpus if name == "corpus.json" else cp.load_meta
+        with pytest.raises(cp.CorpusError, match=f"^{dirpath / name}: not a JSON object|^{dirpath / name}: not JSON"):
+            load(dirpath)
+
+    def test_missing_corpus_asks_to_preprocess(self, tmp_path):
+        with pytest.raises(cp.CorpusError, match="corpus.json: no such file; re-run preprocess"):
+            cp.load_corpus(tmp_path)
+        assert cp.load_meta(tmp_path) == {}
