@@ -176,13 +176,18 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
 
 def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
     """The hash header (empty when absent) and the records of a selections
-    file; a line that is not JSON, a record without a pair or sentence ids,
-    or a sentence id the corpus lacks is an error naming its line.
+    file; a line that is not UTF-8 or not JSON, a record without a pair or
+    sentence ids, or a sentence id the corpus lacks is an error naming its
+    line.
     """
     header: dict = {}
     entries: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StalenessError(f"{path} line {n}: not UTF-8 ({exc.reason})") from None
             if not line.strip():
                 continue
             try:

@@ -196,6 +196,8 @@ class PipelineConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
         return cls.from_dict(data)
 
     # -- validation ----------------------------------------------------------

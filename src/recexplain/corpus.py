@@ -9,21 +9,20 @@ lookups.  Everything is deterministic given (input files, seed).
 A processed corpus directory holds two JSON files, written with sorted keys:
 
 - `corpus.json`: `lexicon`, the attribute surfaces (an attribute's id is
-  its index); `sentences`, sentence id -> review_id, sorted attribute ids
-  and words; `reviews`, review id -> user_id, item_id, rating and
-  sentence_ids; and `split`, the seed, the ratios and the sorted train,
-  valid and test review ids.
+  its index); `sentences`, sentence id -> sorted attribute ids and words;
+  `reviews`, review id -> user_id, item_id and sentence_ids; and `split`,
+  the sorted train, valid and test review ids.
 - `meta.json`: the preprocess stage's record: the config hash, the count
   of ingest errors and the `Corpus.stats()` counts.
 
 `load_corpus` raises a CorpusError naming the file, and the key where
 there is one, for a missing corpus.json (re-run preprocess), content that
 is not a JSON object, a missing key, a value of the wrong JSON type (types
-are exact: a boolean is not an integer, an integer is not a float, and a
-float must be finite), an attribute id outside the lexicon, a review that
-names an unknown sentence or is in no split, and a split that names a
-review twice or names one that does not exist.  `load_meta` reads a
-missing meta.json as empty and rejects one that is not a JSON object.
+are exact: a boolean is not an integer), an attribute id outside the
+lexicon, a review that names an unknown sentence or is in no split, and a
+split that names a review twice or names one that does not exist.  Keys
+it does not name are ignored.  `load_meta` reads a missing meta.json as
+empty and rejects one that is not a JSON object.
 """
 
 from __future__ import annotations
@@ -115,15 +114,17 @@ class AttributeLexicon:
 
 def load_attribute_lexicon(path) -> AttributeLexicon:
     """Read a plain-text lexicon, one attribute per line (may be multiword)."""
-    with open(path, encoding="utf-8") as fh:
-        surfaces = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            surfaces = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from None
     return AttributeLexicon(surfaces)
 
 
 @dataclass(frozen=True)
 class Sentence:
     sentence_id: str
-    review_id: str
     words: tuple[str, ...]
     attributes: frozenset[int]
 
@@ -133,7 +134,6 @@ class Review:
     review_id: str
     user_id: str
     item_id: str
-    rating: float
     sentence_ids: tuple[str, ...]
 
 
@@ -171,14 +171,19 @@ def _rating(obj: dict) -> float:
 
 def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list[str]]:
     """Read JSON-lines reviews, keeping records rated strictly above the
-    threshold.  Malformed records, among them a rating that is not a finite
-    number (see `_rating`), are reported (with line numbers), not fatal; an
-    unreadable file is.
+    threshold.  Malformed records, among them a line that is not UTF-8 and
+    a rating that is not a finite number (see `_rating`), are reported (with
+    line numbers), not fatal; an unreadable file is.
     """
     records: list[RawRecord] = []
     errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:  # decoded a line at a time, so a bad byte costs one record
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                errors.append(f"line {line_no}: not UTF-8 ({exc.reason})")
+                continue
             if not line.strip():
                 continue
             try:
@@ -191,9 +196,6 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
                 item_id = _text_field(obj, "item_id")
                 rating = _rating(obj)
                 text = _text_field(obj, "text")
-                for name, value in (("user_id", user_id), ("item_id", item_id)):
-                    if "\t" in value or "\n" in value or "\r" in value:
-                        raise ValueError(f"{name} contains a tab or line break")
             except (KeyError, TypeError, ValueError) as exc:
                 missing = exc.args[0] if isinstance(exc, KeyError) else exc
                 errors.append(f"line {line_no}: bad record ({missing})")
@@ -233,8 +235,6 @@ class CorpusSplit:
     train: frozenset[str]
     valid: frozenset[str]
     test: frozenset[str]
-    seed: int
-    ratios: tuple[float, float, float]
 
     def of(self, review_id: str) -> str:
         if review_id in self.train:
@@ -265,8 +265,6 @@ def split_corpus(review_ids, ratios, seed: int) -> CorpusSplit:
         train=frozenset(shuffled[:n_train]),
         valid=frozenset(shuffled[n_train : n_train + n_valid]),
         test=frozenset(shuffled[n_train + n_valid :]),
-        seed=seed,
-        ratios=ratios,
     )
 
 
@@ -377,14 +375,14 @@ def build_corpus(records: list[RawRecord], lexicon: AttributeLexicon, min_activi
                 tagged[sid] = (words, attrs)
                 sids.append(sid)
         if sids:
-            reviews.append(Review(rid, rec.user_id, rec.item_id, rec.rating, tuple(sids)))
+            reviews.append(Review(rid, rec.user_id, rec.item_id, tuple(sids)))
     reviews = filter_min_activity(reviews, min_activity)
     split = split_corpus([r.review_id for r in reviews], ratios, seed)
     sentences: dict[str, Sentence] = {}
     for r in reviews:
         for sid in r.sentence_ids:
             words, attrs = tagged[sid]
-            sentences[sid] = Sentence(sid, r.review_id, tuple(words), attrs)
+            sentences[sid] = Sentence(sid, tuple(words), attrs)
     return Corpus({r.review_id: r for r in reviews}, sentences, lexicon, split)
 
 
@@ -396,9 +394,9 @@ _PARTS = ("train", "valid", "test")
 # every key), and [kind] is a list of that kind.
 _SCHEMA = {
     "lexicon": [str],
-    "sentences": {"*": {"review_id": str, "attributes": [int], "words": [str]}},
-    "reviews": {"*": {"user_id": str, "item_id": str, "rating": float, "sentence_ids": [str]}},
-    "split": {"seed": int, "ratios": [float], **dict.fromkeys(_PARTS, [str])},
+    "sentences": {"*": {"attributes": [int], "words": [str]}},
+    "reviews": {"*": {"user_id": str, "item_id": str, "sentence_ids": [str]}},
+    "split": dict.fromkeys(_PARTS, [str]),
 }
 
 
@@ -406,18 +404,17 @@ def save_corpus(corpus: Corpus, dirpath, meta: dict) -> None:
     """Write `corpus` as corpus.json and `meta` as meta.json under `dirpath`."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    split = corpus.split
     doc = {
         "lexicon": corpus.lexicon.surfaces,
         "sentences": {
-            sid: {"review_id": s.review_id, "attributes": sorted(s.attributes), "words": s.words}
+            sid: {"attributes": sorted(s.attributes), "words": s.words}
             for sid, s in corpus.sentences.items()
         },
         "reviews": {
-            rid: {"user_id": r.user_id, "item_id": r.item_id, "rating": r.rating, "sentence_ids": r.sentence_ids}
+            rid: {"user_id": r.user_id, "item_id": r.item_id, "sentence_ids": r.sentence_ids}
             for rid, r in corpus.reviews.items()
         },
-        "split": {"seed": split.seed, "ratios": split.ratios, **{p: sorted(getattr(split, p)) for p in _PARTS}},
+        "split": {p: sorted(getattr(corpus.split, p)) for p in _PARTS},
     }
     for name, content in (("corpus.json", doc), ("meta.json", meta)):
         # check_circular=False: both are trees built here, and the check costs a sixth of the encoding
@@ -427,8 +424,7 @@ def save_corpus(corpus: Corpus, dirpath, meta: dict) -> None:
 
 def _fits(values: list, kind) -> bool:
     """Whether every one of `values` has `kind` (see _SCHEMA), tested a
-    column at a time.  Types are exact: a boolean is not an int, an int is
-    not a float, and floats must be finite."""
+    column at a time.  Types are exact: a boolean is not an int."""
     if type(kind) is dict:
         if not set(map(type, values)) <= {dict}:
             return False
@@ -437,7 +433,7 @@ def _fits(values: list, kind) -> bool:
         return all(_fits([v.get(key) for v in values], sub) for key, sub in kind.items())
     if type(kind) is list:
         return set(map(type, values)) <= {list} and _fits([x for v in values for x in v], kind[0])
-    return set(map(type, values)) <= {kind} and (kind is not float or all(map(math.isfinite, values)))
+    return set(map(type, values)) <= {kind}
 
 
 def _check(value, kind, path: tuple = ()) -> None:
@@ -469,11 +465,11 @@ def _corpus_from(doc: dict) -> Corpus:
     _check(doc, _SCHEMA)
     lexicon = AttributeLexicon(doc["lexicon"])
     sentences = {
-        sid: Sentence(sid, s["review_id"], tuple(s["words"]), frozenset(s["attributes"]))
+        sid: Sentence(sid, tuple(s["words"]), frozenset(s["attributes"]))
         for sid, s in doc["sentences"].items()
     }
     reviews = {
-        rid: Review(rid, r["user_id"], r["item_id"], r["rating"], tuple(r["sentence_ids"]))
+        rid: Review(rid, r["user_id"], r["item_id"], tuple(r["sentence_ids"]))
         for rid, r in doc["reviews"].items()
     }
     attribute_ids = set(range(len(lexicon)))
@@ -491,8 +487,7 @@ def _corpus_from(doc: dict) -> Corpus:
         raise CorpusError(f"key ['reviews'][{unlisted[0]!r}] is a review in no split")
     if len(listed) != len(reviews):
         raise CorpusError("key ['split'] names a review twice, or one that is not in ['reviews']")
-    parts = {p: frozenset(split[p]) for p in _PARTS}
-    return Corpus(reviews, sentences, lexicon, CorpusSplit(**parts, seed=split["seed"], ratios=tuple(split["ratios"])))
+    return Corpus(reviews, sentences, lexicon, CorpusSplit(**{p: frozenset(split[p]) for p in _PARTS}))
 
 
 def load_corpus(dirpath) -> Corpus:

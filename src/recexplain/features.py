@@ -9,6 +9,7 @@ model parameters.  Vector file format: first line `<count> <dim>`, then
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,47 +44,57 @@ class EmbeddingTable:
 def load_vector_file(path) -> EmbeddingTable:
     """Parse a vector file into a table.
 
-    A malformed header, a row of the wrong length or with a non-numeric,
-    NaN or infinite value, and a duplicate id are fatal and named by row; a
-    completely empty file yields an empty table with a warning.  Blank lines
-    are skipped: rows are counted, and numbered from 1, over data lines only.
+    A file that is not UTF-8, a malformed header, a row of the wrong length
+    or with a non-numeric, NaN or infinite value, and a duplicate id are
+    fatal and named by row; a completely empty file yields an empty table
+    with a warning.  Blank lines are skipped: rows are counted, and numbered
+    from 1, over data lines only.  The table is built from the rows read, so
+    a header's count and dim allocate nothing.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not header:
-            log.warning("vector file %s is empty", path)
-            return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
-        if len(header) != 2 or not all(h.isdigit() for h in header):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_vectors(fh, path)
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
+def _read_vectors(fh, path) -> EmbeddingTable:
+    header = fh.readline().split()
+    if not header:
+        log.warning("vector file %s is empty", path)
+        return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
+    if len(header) != 2 or not all(h.isdigit() for h in header):
+        raise VectorFileError(
+            f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
+        )
+    count, dim = int(header[0]), int(header[1])
+    index: dict[str, int] = {}
+    values_read = array("d")  # 8 bytes a value, where a list of floats takes 32
+    for line in fh:
+        parts = line.split()
+        if not parts:
+            continue
+        row = len(index)  # every earlier data row added one id
+        if row >= count:
+            raise VectorFileError(f"{path}: more rows than the declared count {count}")
+        key = parts[0]
+        values = parts[1:]
+        if len(values) != dim:
             raise VectorFileError(
-                f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
+                f"{path}: row {row + 1} ({key!r}) has {len(values)} values, expected {dim}"
             )
-        count, dim = int(header[0]), int(header[1])
-        index: dict[str, int] = {}
-        vectors = np.zeros((count, dim))
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            row = len(index)  # every earlier data row added one id
-            if row >= count:
-                raise VectorFileError(f"{path}: more rows than the declared count {count}")
-            key = parts[0]
-            values = parts[1:]
-            if len(values) != dim:
-                raise VectorFileError(
-                    f"{path}: row {row + 1} ({key!r}) has {len(values)} values, expected {dim}"
-                )
-            if key in index:
-                raise VectorFileError(f"{path}: duplicate id {key!r} at row {row + 1}")
-            index[key] = row
-            try:
-                vectors[row] = [float(v) for v in values]
-            except ValueError as exc:
-                raise VectorFileError(
-                    f"{path}: row {row + 1} ({key!r}) has a non-numeric value ({exc})"
-                ) from exc
-        if len(index) != count:
-            raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
+        if key in index:
+            raise VectorFileError(f"{path}: duplicate id {key!r} at row {row + 1}")
+        index[key] = row
+        try:
+            values_read.extend(map(float, values))
+        except ValueError as exc:
+            raise VectorFileError(
+                f"{path}: row {row + 1} ({key!r}) has a non-numeric value ({exc})"
+            ) from exc
+    if len(index) != count:
+        raise VectorFileError(f"{path}: declared {count} rows, found {len(index)}")
+    vectors = np.frombuffer(values_read, dtype=float).reshape(count, dim)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -122,7 +133,7 @@ class NodeFeatureProvider:
     hidden: int
     word_table: EmbeddingTable
     sentence_table: EmbeddingTable | None = None
-    missing_attr: int = field(default=0, init=False)
+    missing_attr: set[str] = field(default_factory=set, init=False)  # surfaces given zeros
 
     def __post_init__(self):
         if len(self.word_table) == 0:
@@ -148,7 +159,7 @@ class NodeFeatureProvider:
             if row is not None:
                 rows.append(row)
         if not rows:
-            self.missing_attr += 1
+            self.missing_attr.add(surface)
             return np.zeros(self.hidden)
         return np.mean(rows, axis=0)
 
@@ -172,7 +183,7 @@ class NodeFeatureProvider:
 
     def report_misses(self) -> None:
         if self.missing_attr:
-            log.warning("%d attribute vectors missing; used zeros", self.missing_attr)
+            log.warning("%d attribute vectors missing; used zeros", len(self.missing_attr))
 
 
 @dataclass

@@ -365,11 +365,7 @@ class Trainer:
             "epoch": record.epoch,
             "adam_t": self.adam.t,
             "best": asdict(self.best),
-            "val_bleu4": record.val_bleu4,
             "config_hash": self.config_hash,
-            "seed": self.seed,
-            "n_users": len(self.corpus.users),
-            "n_items": len(self.corpus.items),
         }
         save_tensors(path, tensors, meta)
 

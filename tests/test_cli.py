@@ -381,6 +381,49 @@ class TestPipeline:
         assert cli.main(["evaluate", "--config", str(config), "--selections", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path} line 4: {message}")
 
+    @pytest.mark.parametrize("name", ["config", "lexicon", "attribute_vectors", "sentence_vectors", "selections"])
+    def test_file_not_utf8_is_an_error(self, planted, tmp_path, capsys, name):
+        config, workdir, _, _ = planted
+        bad = tmp_path / f"{name}.bad"
+        header, _ = selection_records(workdir)
+        bad.write_bytes(header.encode() + b"\n\xff\n" if name == "selections" else b"\xff\n")
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["paths"]["workdir"] = str(tmp_path / "work")
+        if name in doc["paths"]:
+            doc["paths"][name] = str(bad)
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        checkpoint = str(workdir / "checkpoints" / "epoch_0.ntar")
+        argv, where = {
+            "config": (["preprocess", "--config", str(bad)], f"{bad}:"),
+            "lexicon": (["preprocess", "--config", str(changed)], f"{bad}:"),
+            "attribute_vectors": (["select", "--config", str(changed), "--checkpoint", checkpoint], f"{bad}:"),
+            "sentence_vectors": (["select", "--config", str(changed), "--checkpoint", checkpoint], f"{bad}:"),
+            "selections": (["evaluate", "--config", str(changed), "--selections", str(bad)], f"{bad} line 2:"),
+        }[name]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where} not UTF-8 (invalid start byte)")
+
+    def test_review_line_not_utf8_is_skipped(self, planted, tmp_path, capsys, caplog):
+        config, workdir, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        reviews = tmp_path / "reviews.jsonl"
+        lines = Path(doc["paths"]["reviews"]).read_bytes().splitlines(keepends=True)
+        reviews.write_bytes(b"".join([*lines[:2], b"\xff\n", *lines[2:]]))
+        doc["paths"].update(reviews=str(reviews), workdir=str(tmp_path / "work"))
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level("WARNING"):
+            assert cli.main(["preprocess", "--config", str(changed)]) == 0
+        assert json.loads(capsys.readouterr().out)["ingest_errors"] == 1
+        assert "ingest: line 3: not UTF-8 (invalid start byte)" in caplog.messages
+        # the skipped line was no record, so every review keeps its id
+        corpus_json = "corpus/corpus.json"
+        assert (tmp_path / "work" / corpus_json).read_bytes() == (workdir / corpus_json).read_bytes()
+
     @pytest.mark.parametrize("keep_header", [True, False])
     def test_explicit_selections_evaluate_every_record(self, planted, tmp_path, keep_header):
         config, workdir, _, _ = planted
