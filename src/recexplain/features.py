@@ -63,7 +63,7 @@ def _read_vectors(fh, path) -> EmbeddingTable:
     if not header:
         log.warning("vector file %s is empty", path)
         return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
-    if len(header) != 2 or not all(h.isdigit() for h in header):
+    if len(header) != 2 or not all(h.isdecimal() for h in header):
         raise VectorFileError(
             f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
         )

@@ -6,8 +6,9 @@ against held-out reviews.
 
 Every metric scores a candidate against one reference, because every
 caller has exactly one:
-- `training.relevance_targets` scores each candidate against each target
-  sentence in turn (`profile_bleu`) and keeps the best;
+- `training.relevance_targets` counts each candidate's clipped matches
+  against each target sentence itself, scores them with
+  `bleu_from_matches` and keeps the best;
 - `Trainer.validate` scores the top-K sentences joined against the
   held-out review's sentences joined (`sentence_bleu`);
 - `evaluate_pairs` scores the selected sentences joined against the
@@ -27,12 +28,14 @@ log = logging.getLogger(__name__)
 Tokens = list[str]
 Profile = tuple[int, tuple[Counter, ...]]
 
+MAX_N = 4  # BLEU's highest n-gram order unless a caller asks for fewer
+
 
 def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def ngram_profile(tokens, max_n: int = 4) -> Profile:
+def ngram_profile(tokens, max_n: int = MAX_N) -> Profile:
     """A sentence's length and its n-gram counts for orders 1..max_n, all
     that BLEU reads of it."""
     tokens = tuple(tokens)
@@ -58,45 +61,50 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def profile_bleu(candidate: Profile, reference: Profile, max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU in [0, 1] of a candidate against one
-    reference, over n-gram profiles; `relevance_targets` passes one target
-    sentence.
+def bleu_from_matches(matches, cand_len: int, ref_len: int) -> float:
+    """Smoothed sentence-level BLEU in [0, 1] from the clipped n-gram
+    matches of orders 1..len(matches) and the two lengths; every smoothed
+    sentence BLEU of the program is scored here.
 
-    Geometric mean of modified n-gram precisions up to `max_n`, times the
-    brevity penalty.  Smoothing: orders >= 2 with a zero match count fall
-    back to add-one, 1/(total+1); orders the candidate is too short for
-    count as vacuously 1.  A candidate with no unigram overlap scores 0 --
+    Geometric mean of modified n-gram precisions, times the brevity
+    penalty.  Smoothing: orders >= 2 with a zero match count fall back to
+    add-one, 1/(total+1); orders the candidate is too short for count as
+    vacuously 1.  A candidate with no unigram overlap scores 0 --
     smoothing never manufactures similarity out of nothing, and neither
-    does an empty reference.
+    does an empty candidate or reference, which match nothing.
     """
-    if not candidate[0]:
-        log.warning("sentence_bleu: empty candidate scored 0")
-        return 0.0
-    if not reference[0]:
+    if not matches[0]:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
-        matches, total = _clipped_matches(candidate, reference, n)
-        if n == 1 and matches == 0:
-            return 0.0
-        if matches > 0:
-            p = matches / total
+    for n, m in enumerate(matches, 1):
+        total = max(cand_len - n + 1, 0)
+        if m > 0:
+            p = m / total
         else:
             p = 1.0 / (total + 1)
         log_sum += math.log(p)
-    bp = _brevity_penalty(candidate[0], reference[0])
-    return bp * math.exp(log_sum / max_n)
+    bp = _brevity_penalty(cand_len, ref_len)
+    return bp * math.exp(log_sum / len(matches))
 
 
-def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = 4) -> float:
+def profile_bleu(candidate: Profile, reference: Profile, max_n: int = MAX_N) -> float:
+    """Smoothed sentence-level BLEU of a candidate against one reference,
+    over n-gram profiles: their clipped matches scored by
+    `bleu_from_matches`."""
+    if not candidate[0]:
+        log.warning("sentence_bleu: empty candidate scored 0")
+    matches = [_clipped_matches(candidate, reference, n)[0] for n in range(1, max_n + 1)]
+    return bleu_from_matches(matches, candidate[0], reference[0])
+
+
+def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> float:
     """Smoothed sentence-level BLEU of a token list against one reference;
     `Trainer.validate` passes the held-out review's sentences joined.  See
     `profile_bleu`."""
     return profile_bleu(ngram_profile(candidate, max_n), ngram_profile(reference, max_n), max_n)
 
 
-def corpus_bleu(pairs: list[tuple[Tokens, Tokens]], max_n: int = 4) -> float:
+def corpus_bleu(pairs: list[tuple[Tokens, Tokens]], max_n: int = MAX_N) -> float:
     """Corpus-level BLEU over (candidate, reference) pairs with pooled
     n-gram statistics, no smoothing; `evaluate_pairs` passes each test
     review's sentences joined as the reference.

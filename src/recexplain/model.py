@@ -394,11 +394,12 @@ class Model:
                 grads[f"deep.{l}.b"] += db
 
         # x0 blocks back to node states.  Under --no-gat the pooled block
-        # reads only the attribute inputs, which nothing trains, so its
-        # gradient is not formed.
+        # and the attribute rows read only the attribute inputs, which
+        # nothing trains, so their gradients are not formed.
         nd = self.node_dim
         dXhat = np.zeros_like(trace.Xhat)
-        dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
+        if self.gat_in:
+            dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
         dXhat[USER_NODE] += dx0[:, :nd].sum(axis=0)
         dXhat[ITEM_NODE] += dx0[:, nd : 2 * nd].sum(axis=0)
         dXhat[graph.sent_slice] += dx0[:, -nd:]

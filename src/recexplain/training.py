@@ -14,6 +14,7 @@ bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -27,6 +28,7 @@ from .archive import load_tensors, save_tensors
 from .corpus import Corpus, EmptyPoolError
 from .features import GraphInputs, NodeFeatureProvider, graph_inputs
 from .graphs import PairGraph, build_pair_graph
+from .metrics import MAX_N
 from .model import Model, ModelConfig
 from .selector import SelectConfig
 
@@ -52,29 +54,90 @@ class TrainConfig:
     patience: int = 10
 
 
-def relevance_targets(candidates, ground_truth, profiles: dict | None = None) -> np.ndarray:
-    """Max smoothed sentence-BLEU of each candidate against the target
-    review's sentences.  `candidates`/`ground_truth` are lists of word
-    tuples.  `profiles` memoises each sentence's n-gram profile, keyed on
-    its words; the trainer passes one memo per split it assembles and drops
-    it afterwards, so a sentence that recurs across pools is counted once.
+def _interned(words, key_ids: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """A sentence's length, the ids of its (n-gram, occurrence) keys for
+    orders 1..MAX_N, and each key's order minus one.  The t-th repeat of
+    gram g within the sentence is the key (g, t); `key_ids` numbers the
+    keys of every sentence interned into it."""
+    seen: dict = {}
+    ids, orders = [], []
+    for n in range(1, MAX_N + 1):
+        for i in range(len(words) - n + 1):
+            gram = words[i : i + n]
+            t = seen.get(gram, 0)
+            seen[gram] = t + 1
+            ids.append(key_ids.setdefault((gram, t), len(key_ids)))
+            orders.append(n - 1)
+    return len(words), np.array(ids, dtype=np.intp), np.array(orders, dtype=np.intp)
+
+
+def _clipped_counts(cands, refs, slot: np.ndarray) -> np.ndarray:
+    """(n_cand, MAX_N, n_ref) clipped n-gram matches of each interned
+    candidate against each interned reference.  `slot` maps every key id to
+    -1 and is left that way; here it numbers the references' keys."""
+    keys, key_col = np.unique(np.concatenate([k for _, k, _ in refs]), return_inverse=True)
+    ref_col = np.repeat(np.arange(len(refs)), [k.size for _, k, _ in refs])
+    in_ref = np.zeros((keys.size, len(refs)))
+    in_ref[key_col, ref_col] = 1.0
+    cand_keys = np.concatenate([k for _, k, _ in cands])
+    cand_row = np.concatenate([orders for _, _, orders in cands])
+    cand_row += MAX_N * np.repeat(np.arange(len(cands)), [k.size for _, k, _ in cands])
+    slot[keys] = np.arange(keys.size)
+    col = slot[cand_keys]
+    slot[keys] = -1
+    hit = col >= 0
+    in_cand = np.zeros((MAX_N * len(cands), keys.size))
+    in_cand[cand_row[hit], col[hit]] = 1.0
+    return (in_cand @ in_ref).astype(np.int64).reshape(len(cands), MAX_N, len(refs))
+
+
+def relevance_targets(problems) -> list[np.ndarray]:
+    """Per (candidates, ground_truth) problem of a split, the max smoothed
+    sentence-BLEU of each candidate against the ground truth's sentences;
+    both are lists of word tuples.  Every value is the one
+    `metrics.sentence_bleu` gives for that candidate and sentence.
+
+    Counting.  Each distinct sentence of the split is interned once, as its
+    length and the ids of its (n-gram, occurrence) keys: the t-th repeat of
+    gram g within the sentence is the key (g, t), t = 0, 1, ...  A gram
+    seen a times in one sentence and b times in another gives them the keys
+    (g, 0..a-1) and (g, 0..b-1), which share exactly min(a, b) keys, and
+    keys of different grams never coincide.  So the clipped matches of
+    order n, the sum of min(a, b) over the grams of order n, are the size
+    of the intersection of the two key sets restricted to order n.  Per
+    problem, one 0/1 (n_cand * MAX_N, n_keys) @ (n_keys, n_ref) product
+    over the ground truth's keys gives every such count.
+
+    Scoring.  `metrics.bleu_from_matches` scores each distinct
+    (m1..m4, candidate length, reference length) tuple of the split once.
     """
-    if not ground_truth:
+    if any(not truth for _, truth in problems):
         raise TrainingError("relevance targets need a non-empty ground truth")
-    if profiles is None:
-        profiles = {}
+    key_ids: dict = {}
+    interned: dict = {}
+    for cands, truth in problems:
+        for words in (*cands, *truth):
+            words = tuple(words)
+            if words not in interned:
+                interned[words] = _interned(words, key_ids)
+    slot = np.full(len(key_ids), -1, dtype=np.intp)
 
-    def profile(words):
-        words = tuple(words)
-        found = profiles.get(words)
-        if found is None:
-            found = profiles[words] = metrics.ngram_profile(words)
-        return found
+    @functools.cache
+    def score(cell):
+        return metrics.bleu_from_matches(cell[:MAX_N], cell[MAX_N], cell[MAX_N + 1])
 
-    refs = [profile(g) for g in ground_truth]
-    return np.array(
-        [max(metrics.profile_bleu(profile(c), r) for r in refs) for c in candidates]
-    )
+    out = []
+    for cands, truth in problems:
+        cands = [interned[tuple(w)] for w in cands]
+        refs = [interned[tuple(w)] for w in truth]
+        counts = _clipped_counts(cands, refs, slot)
+        n_cand, n_ref = len(cands), len(refs)
+        columns = [counts[:, n, :].ravel().tolist() for n in range(MAX_N)]
+        columns.append(np.repeat([length for length, _, _ in cands], n_ref).tolist())
+        columns.append([length for length, _, _ in refs] * n_cand)
+        scores = np.array(list(map(score, zip(*columns))))
+        out.append(scores.reshape(n_cand, n_ref).max(axis=1))
+    return out
 
 
 def sample_rank_pairs(
@@ -237,7 +300,6 @@ class Trainer:
         mode = "train" if part == "train" else "eval"
         out: list[TrainPair] = []
         skipped = 0
-        profiles: dict = {}
         for user_id, item_id in self.corpus.pairs(part):
             truth_ids = self.corpus.ground_truth_sentences(user_id, item_id, part)
             truth_words = [self.corpus.sentences[s].words for s in truth_ids]
@@ -253,13 +315,16 @@ class Trainer:
                 graph, self.corpus, self.provider,
                 self.user_rows[user_id], self.item_rows[item_id],
             )
-            targets = None
-            if part == "train":
-                cand_words = [self.corpus.sentences[s].words for s in graph.sentence_ids]
-                targets = relevance_targets(cand_words, truth_words, profiles)
-            out.append(TrainPair(user_id, item_id, graph, inputs, targets, truth_words))
+            out.append(TrainPair(user_id, item_id, graph, inputs, None, truth_words))
         if skipped:
             log.warning("%s: skipped %d pairs with empty pools or ground truth", part, skipped)
+        if part == "train":
+            problems = [
+                ([self.corpus.sentences[s].words for s in pair.graph.sentence_ids], pair.truth_words)
+                for pair in out
+            ]
+            for pair, targets in zip(out, relevance_targets(problems)):
+                pair.targets = targets
         return out
 
     # -- one graph ----------------------------------------------------------

@@ -222,6 +222,7 @@ class TestPipeline:
             (["1 2", "room 0.5 abc"], "row 1 ('room') has a non-numeric value"),
             (["2 2", "room 0.5 0.5", "bed nan 0.5"], "row 2 ('bed') has a non-finite value"),
             ([""], "attribute/word vector table is empty"),
+            (["\u00b2 2", "room 0.5 0.5"], "header row"),
         ],
     )
     def test_malformed_vector_file_is_an_error(self, planted, tmp_path, capsys, lines, message):

@@ -31,10 +31,11 @@ class TestLoadVectorFile:
         with pytest.raises(ft.VectorFileError, match="row 1"):
             ft.load_vector_file(path)
 
-    @pytest.mark.parametrize("header", ["x 3", "1 3.5", "1", "-1 3"])
+    # "² 3": a digit to str.isdigit that int() rejects
+    @pytest.mark.parametrize("header", ["x 3", "1 3.5", "1", "-1 3", "\u00b2 3"])
     def test_bad_header_names_row(self, tmp_path, header):
         path = tmp_path / "v.txt"
-        path.write_text(f"{header}\na 1 0 0\n")
+        path.write_text(f"{header}\na 1 0 0\n", encoding="utf-8")
         with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: header row")):
             ft.load_vector_file(path)
 

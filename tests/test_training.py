@@ -15,58 +15,89 @@ from recexplain.model import ModelConfig
 from oracles import bleu_oracle
 
 
+def targets_of(cands, gt):
+    """The targets of one problem computed alone."""
+    (targets,) = tr.relevance_targets([(cands, gt)])
+    return targets
+
+
+def random_batch(rng):
+    """Problems over a shared pool of sentences drawn from six words, so
+    grams repeat inside a sentence; some sentences are shorter than 4
+    tokens, some candidates are shorter than every reference, and each
+    problem's candidates include one of its references."""
+
+    def sentence(lo, hi):
+        return tuple(f"w{rng.randrange(6)}" for _ in range(rng.randint(lo, hi)))
+
+    shared = [sentence(1, 3) for _ in range(3)] + [sentence(4, 14) for _ in range(5)]
+    problems = []
+    for _ in range(rng.randint(1, 5)):
+        gt = [sentence(5, 12) for _ in range(rng.randint(1, 3))] + rng.sample(shared, rng.randint(0, 2))
+        cands = [sentence(1, 3) for _ in range(3)] + [sentence(4, 14) for _ in range(6)]
+        cands += rng.sample(shared, 3) + [cands[1], cands[6], rng.choice(gt)]
+        problems.append((cands, gt))
+    return problems
+
+
 class TestRelevanceTargets:
     def test_member_of_ground_truth_is_one(self):
         gt = [("the", "room", "was", "clean"), ("staff", "were", "kind")]
-        targets = tr.relevance_targets([gt[0], ("totally", "different", "words")], gt)
+        targets = targets_of([gt[0], ("totally", "different", "words")], gt)
         assert targets[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_no_overlap_is_floor(self):
         gt = [("aaa", "bbb", "ccc")]
-        targets = tr.relevance_targets([("x", "y", "z")], gt)
+        targets = targets_of([("x", "y", "z")], gt)
         assert targets[0] < 0.01
 
     def test_max_over_ground_truth(self):
         cand = ("the", "cat", "sat")
         gt = [("the", "cat", "ate"), ("the", "cat", "sat", "down")]
         want = max(bleu_oracle(list(cand), [list(g)]) for g in gt)
-        got = tr.relevance_targets([cand], list(gt))[0]
+        got = targets_of([cand], list(gt))[0]
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_cacheable_deterministic(self):
         gt = [("a", "b", "c")]
         cands = [("a", "b"), ("c", "d"), ("a", "b", "c")]
-        a = tr.relevance_targets(cands, gt)
-        b = tr.relevance_targets(cands, gt)
-        assert np.array_equal(a, b)
+        assert np.array_equal(targets_of(cands, gt), targets_of(cands, gt))
 
     def test_equals_sentence_bleu_and_oracle(self):
         rng = random.Random(5)
+        for _ in range(25):
+            problems = random_batch(rng)
+            for (cands, gt), got in zip(problems, tr.relevance_targets(problems), strict=True):
+                assert got.tolist() == [max(metrics.sentence_bleu(list(c), list(g)) for g in gt) for c in cands]
+                for target, c in zip(got, cands):
+                    assert abs(target - max(bleu_oracle(list(c), [list(g)]) for g in gt)) <= 1e-12
+                assert got[-1] == 1.0
 
-        def sentence(lo, hi):
-            return tuple(f"w{rng.randrange(6)}" for _ in range(rng.randint(lo, hi)))
+    def test_interned_counts_equal_clipped_matches(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            for cands, gt in random_batch(rng):
+                key_ids = {}
+                interned = {s: tr._interned(s, key_ids) for s in (*cands, *gt)}
+                slot = np.full(len(key_ids), -1, dtype=np.intp)
+                counts = tr._clipped_counts([interned[c] for c in cands], [interned[g] for g in gt], slot)
+                assert (slot == -1).all()
+                for i, c in enumerate(cands):
+                    for j, g in enumerate(gt):
+                        for n in range(1, metrics.MAX_N + 1):
+                            want, _ = metrics._clipped_matches(metrics.ngram_profile(c), metrics.ngram_profile(g), n)
+                            assert counts[i, n - 1, j] == want
 
-        for _ in range(40):
-            gt = [sentence(1, 12) for _ in range(rng.randint(1, 3))]
-            cands = [sentence(1, 3) for _ in range(3)] + [sentence(4, 14) for _ in range(8)]
-            cands += [cands[1], cands[6], gt[0]]  # duplicates and a reference itself
-            got = tr.relevance_targets(cands, gt)
-            assert got.tolist() == [max(metrics.sentence_bleu(list(c), list(g)) for g in gt) for c in cands]
-            for target, c in zip(got, cands):
-                assert abs(target - max(bleu_oracle(list(c), [list(g)]) for g in gt)) <= 1e-12
-            assert got[-1] == 1.0
-
-    def test_shared_memo_changes_nothing(self):
-        first = ([("a", "b", "c"), ("b", "c")], [("a", "b", "c", "d")])
-        second = ([("b", "c"), ("c", "d", "e")], [("c", "d"), ("a", "b", "c")])
-        memo = {}
-        for cands, gt in (first, second):
-            assert np.array_equal(tr.relevance_targets(cands, gt, memo), tr.relevance_targets(cands, gt))
-        assert set(memo) == {s for cands, gt in (first, second) for s in cands + gt}
+    def test_batching_changes_nothing(self):
+        problems = random_batch(random.Random(3)) + random_batch(random.Random(4))
+        together = tr.relevance_targets(problems)
+        assert len(together) == len(problems)
+        for (cands, gt), got in zip(problems, together):
+            assert np.array_equal(got, targets_of(cands, gt))
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(tr.TrainingError):
-            tr.relevance_targets([("a",)], [])
+            tr.relevance_targets([([("a",)], [("a",)]), ([("a",)], [])])
 
 
 class TestPairwiseRankLoss:
