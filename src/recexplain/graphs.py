@@ -8,16 +8,16 @@ Node order is fixed (user, item, attributes by id, sentences by id) so
 downstream tensors are reproducible.
 
 Self loops are always on: attention always includes each node itself, so
-every row of the attention mask has at least one entry.
-`PairGraph.edge_arrays` returns that (n, n) boolean mask; the benchmark's
-trace hook looks the method up by this name, so the name stays until the
-hook is renamed with it.
+every node attends to at least one node.  Each graph keeps its attention
+edges as index arrays, derived once from `neighbors` when it is made, and
+`PairGraph.edge_arrays` returns them (`Edges`); nothing n x n is built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,17 @@ USER_NODE = 0
 ITEM_NODE = 1
 
 
+class Edges(NamedTuple):
+    """A graph's attention edges i <- j: `neighbors` plus every self loop,
+    sorted by (dst, src), so row i's edges are `starts[i]` up to
+    `starts[i + 1]` and none is empty."""
+
+    dst: np.ndarray  # (E,) attending node i
+    src: np.ndarray  # (E,) attended node j
+    starts: np.ndarray  # (n,) row i's first edge
+    flat: np.ndarray  # (E,) dst * n + src, the edge's cell in a raveled (n, n) array
+
+
 @dataclass
 class PairGraph:
     user_id: str
@@ -37,6 +48,17 @@ class PairGraph:
     sentence_ids: tuple[str, ...]
     neighbors: list[np.ndarray]  # undirected adjacency, no self-loops, sorted
     attr_labels: np.ndarray | None = None  # (M,) 0/1, train mode only
+    _edges: Edges = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived here from `neighbors`, so a graph made by any caller has them
+        n = len(self.neighbors)
+        nodes = np.arange(n)
+        rows = np.repeat(nodes, np.fromiter(map(len, self.neighbors), dtype=np.int64, count=n))
+        flat = np.concatenate([rows * n + np.concatenate(self.neighbors), nodes * (n + 1)])
+        flat.sort()
+        dst, src = np.divmod(flat, n)
+        self._edges = Edges(dst=dst, src=src, starts=np.searchsorted(dst, nodes), flat=flat)
 
     @property
     def n_nodes(self) -> int:
@@ -50,15 +72,9 @@ class PairGraph:
     def sent_slice(self) -> slice:
         return slice(2 + len(self.attribute_ids), self.n_nodes)
 
-    def edge_arrays(self) -> np.ndarray:
-        """The (n, n) boolean attention mask: `neighbors` plus every node's
-        self loop, built afresh on each call (nothing n x n is kept on the
-        graph)."""
-        n = self.n_nodes
-        mask = np.eye(n, dtype=bool)
-        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbors])
-        mask[rows, np.concatenate(self.neighbors)] = True
-        return mask
+    def edge_arrays(self) -> Edges:
+        """The attention edges, built when the graph was made."""
+        return self._edges
 
 
 def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> PairGraph:

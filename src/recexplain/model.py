@@ -46,11 +46,18 @@ dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
 layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
-Each head is computed densely: u = H q, v = H k, and the (n, n) logits are
-masked to N(i) with the boolean mask of `PairGraph.edge_arrays` (-inf
-outside it, so a_ij is 0 there), softmaxed by row, and aggregated as
-alpha @ H.  Each head keeps its (n, n) alpha for backward; the benchmark's
-largest graph (145 nodes, dense_pools) makes that 168 KB a head.
+Each head works on the graph's edge list (`PairGraph.edge_arrays`: dst,
+src, row starts, flat cell index), as PyTorch Geometric does (Fey &
+Lenssen 2019, arXiv 1903.02428): u = H q and v = H k, the logit
+u[dst] + v[src] and its LeakyReLU per edge, the row max and row sum by
+`reduceat` over the row starts.  The weights are scattered into a zero
+(n, n) alpha and aggregated as alpha @ H, one BLAS product: gathering
+H[src] per edge instead costs more at sparse_pools' width 512.  Each
+head keeps its alpha for backward, so memory is still O(n^2) per head;
+the benchmark's largest graph (145 nodes, dense_pools) makes that 168 KB
+a head, and a synthetic n = 2,032 graph (hidden 32, heads (4, 1)) peaked
+at 213 MB for one forward plus backward against 346 MB for the dense
+masked form this replaced.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the scores/probabilities, with respect to every
@@ -68,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import GraphInputs
-from .graphs import ITEM_NODE, USER_NODE, PairGraph
+from .graphs import ITEM_NODE, USER_NODE, Edges, PairGraph
 
 
 LEAKY_SLOPE = 0.2  # attention logits, Velickovic et al. 2018
@@ -105,62 +112,69 @@ def _delu(x):
 
 @dataclass
 class HeadTrace:
-    u: np.ndarray  # (n,) center half of the logits, H @ q (q = W_q^T w_a[:A] in GAT's factors)
-    v: np.ndarray  # (n,) neighbor half of the logits, H @ k (k = W_k^T w_a[A:])
-    alpha: np.ndarray  # (n, n) attention weights, 0 outside the mask
+    logits: np.ndarray  # (E,) u[dst] + v[src] per edge, before the LeakyReLU (u = H @ q, v = H @ k)
+    alpha: np.ndarray  # (n, n) attention weights, 0 off the edges
     agg: np.ndarray  # (n, Din) pre-activation aggregate
 
 
 @dataclass
 class LayerTrace:
     H_in: np.ndarray
+    edges: Edges
     heads: list[HeadTrace]
 
 
-def gat_layer(H: np.ndarray, mask: np.ndarray, head_params: list[tuple]):
+def gat_layer(H: np.ndarray, edges: Edges, head_params: list[tuple]):
     """One multi-head attention layer; returns (H_next, LayerTrace).
 
-    `mask` is the graph's (n, n) boolean attention mask
-    (`PairGraph.edge_arrays`).  `head_params` is a list of (q, k) per head,
-    both of shape (Din,).
+    `edges` are the graph's attention edges (`PairGraph.edge_arrays`);
+    logits, row max and row sum are computed per edge, and only the
+    aggregation forms the (n, n) alpha.  `head_params` is a list of (q, k)
+    per head, both of shape (Din,).
     """
+    dst, src, starts, flat = edges
+    n = H.shape[0]
     outs = []
     traces = []
     for q, k in head_params:
-        u = H @ q
-        v = H @ k
-        pre = u[:, None] + v[None, :]
-        z = np.where(mask, np.where(pre > 0, pre, LEAKY_SLOPE * pre), -np.inf)
-        ex = np.exp(z - z.max(axis=1, keepdims=True))
-        alpha = ex / ex.sum(axis=1, keepdims=True)
+        pre = (H @ q)[dst] + (H @ k)[src]
+        z = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
+        ex = np.exp(z - np.maximum.reduceat(z, starts)[dst])
+        alpha = np.zeros(n * n)
+        alpha[flat] = ex / np.add.reduceat(ex, starts)[dst]
+        alpha = alpha.reshape(n, n)
         agg = alpha @ H
         outs.append(_elu(agg))
-        traces.append(HeadTrace(u=u, v=v, alpha=alpha, agg=agg))
-    return np.concatenate(outs, axis=1), LayerTrace(H_in=H, heads=traces)
+        traces.append(HeadTrace(logits=pre, alpha=alpha, agg=agg))
+    return np.concatenate(outs, axis=1), LayerTrace(H_in=H, edges=edges, heads=traces)
 
 
 def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
     """Gradients of one attention layer.
 
-    Returns (dH_in, per-head [(dq, dk)]).  Entries outside the mask
-    have alpha 0, so their logits get no gradient and the mask itself is
-    not needed here.
+    Returns (dH_in, per-head [(dq, dk)]).  The message term goes through
+    the dense alpha as two BLAS products; the softmax and LeakyReLU steps
+    run per edge, gathering d(alpha) at the edges' flat cells, and the
+    logit u_i + v_j hands its gradient to u by row sums and to v by sums
+    over each src.
     """
     H = trace.H_in
-    din = H.shape[1]
+    dst, src, starts, flat = trace.edges
+    n, din = H.shape
     dH = np.zeros_like(H)
     grads = []
     for head, (q, k) in enumerate(head_params):
         ht = trace.heads[head]
         dagg = dH_out[:, head * din : (head + 1) * din] * _delu(ht.agg)
         # message term: agg = alpha @ H
-        dalpha = dagg @ H.T
+        da = (dagg @ H.T).ravel()[flat]
         dH += ht.alpha.T @ dagg
         # row softmax, then LeakyReLU of the logit u_i + v_j
-        dz = ht.alpha * (dalpha - (ht.alpha * dalpha).sum(axis=1, keepdims=True))
-        dpre = np.where(ht.u[:, None] + ht.v[None, :] > 0, dz, LEAKY_SLOPE * dz)
-        du = dpre.sum(axis=1)
-        dv = dpre.sum(axis=0)
+        a = ht.alpha.ravel()[flat]
+        dz = a * (da - np.add.reduceat(a * da, starts)[dst])
+        dpre = np.where(ht.logits > 0, dz, LEAKY_SLOPE * dz)
+        du = np.add.reduceat(dpre, starts)
+        dv = np.bincount(src, weights=dpre, minlength=n)
         # u = H @ q and v = H @ k
         dH += np.outer(du, q) + np.outer(dv, k)
         grads.append((H.T @ du, H.T @ dv))
@@ -325,10 +339,10 @@ class Model:
 
     def forward(self, graph: PairGraph, inputs: GraphInputs, params) -> ForwardTrace:
         H = self._input_states(graph, inputs, params)
-        mask = graph.edge_arrays()
+        edges = graph.edge_arrays()
         layer_traces: list[LayerTrace] = []
         for l in range(len(self.gat_in)):
-            H, lt = gat_layer(H, mask, self._head_params(params, l))
+            H, lt = gat_layer(H, edges, self._head_params(params, l))
             layer_traces.append(lt)
         Xhat = H
 
@@ -339,8 +353,13 @@ class Model:
         n_sent = sent_rows.shape[0]
         blocks = [np.tile(Xhat[USER_NODE], (n_sent, 1)), np.tile(Xhat[ITEM_NODE], (n_sent, 1))]
         if self.cfg.disable_gat:
-            # mean of each sentence's attribute inputs; every sentence has one
-            links = mask[graph.sent_slice, graph.attr_slice]
+            # mean of each sentence's attribute inputs; every sentence has
+            # one.  Its edges run to attributes and, last, to itself.
+            a0, s0 = graph.attr_slice.start, graph.sent_slice.start
+            dst, src = edges.dst[edges.starts[s0] :], edges.src[edges.starts[s0] :]
+            to_attr = src < s0
+            links = np.zeros((n_sent, len(graph.attribute_ids)))
+            links[dst[to_attr] - s0, src[to_attr] - a0] = 1.0
             blocks.append((links @ attr_rows) / links.sum(axis=1, keepdims=True))
         x0 = np.concatenate(blocks + [sent_rows], axis=1)
 

@@ -287,3 +287,46 @@ def gat_scalar_oracle(node_states, neighbor_lists, heads, leaky_slope):
         all_alpha.append(alphas)
     merged = [[x for head_out in all_out for x in head_out[i]] for i in range(n)]
     return merged, all_alpha
+
+
+def dense_gat_layer(H, mask, head_params, leaky_slope=0.2):
+    """One attention layer computed densely over the (n, n) boolean `mask`
+    of attention edges (self loops included): every logit is formed, the
+    ones off the mask set to -inf before the row softmax.  Returns
+    (H_next, trace) with trace = (H, [(u, v, alpha, agg) per head]).
+    `head_params` is a list of folded (q, k) per head.
+    """
+    outs = []
+    heads = []
+    for q, k in head_params:
+        u = H @ q
+        v = H @ k
+        pre = u[:, None] + v[None, :]
+        z = np.where(mask, np.where(pre > 0, pre, leaky_slope * pre), -np.inf)
+        ex = np.exp(z - z.max(axis=1, keepdims=True))
+        alpha = ex / ex.sum(axis=1, keepdims=True)
+        agg = alpha @ H
+        outs.append(np.where(agg > 0, agg, np.expm1(np.minimum(agg, 0.0))))
+        heads.append((u, v, alpha, agg))
+    return np.concatenate(outs, axis=1), (H, heads)
+
+
+def dense_gat_layer_backward(dH_out, head_params, trace, leaky_slope=0.2):
+    """Gradients of `dense_gat_layer`: (dH_in, per-head [(dq, dk)]).  Cells
+    off the mask have alpha 0, so their logits get no gradient."""
+    H, heads = trace
+    din = H.shape[1]
+    dH = np.zeros_like(H)
+    grads = []
+    for head, (q, k) in enumerate(head_params):
+        u, v, alpha, agg = heads[head]
+        dagg = dH_out[:, head * din : (head + 1) * din] * np.where(agg > 0, 1.0, np.exp(np.minimum(agg, 0.0)))
+        dalpha = dagg @ H.T
+        dH += alpha.T @ dagg
+        dz = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        dpre = np.where(u[:, None] + v[None, :] > 0, dz, leaky_slope * dz)
+        du = dpre.sum(axis=1)
+        dv = dpre.sum(axis=0)
+        dH += np.outer(du, q) + np.outer(dv, k)
+        grads.append((H.T @ du, H.T @ dv))
+    return dH, grads

@@ -3,6 +3,8 @@ import numpy as np
 from recexplain import corpus as cp
 from recexplain.graphs import build_pair_graph
 
+from conftest import toy_graph
+
 LEX = cp.AttributeLexicon(["room", "staff", "view", "pool"])
 
 
@@ -136,23 +138,51 @@ class TestGraphInvariants:
         assert np.array_equal(a.attr_labels, b.attr_labels)
 
 
+def rows_of(edges):
+    """The nodes each row attends to, in edge order."""
+    return [row.tolist() for row in np.split(edges.src, edges.starts[1:])]
+
+
+def graphs_to_check():
+    corpus = richer_corpus()
+    for user_id, item_id in corpus.pairs("train"):
+        yield build_pair_graph(corpus, user_id, item_id, "train")
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        yield toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng)
+
+
 class TestNeighborView:
-    """What each node attends to: `edge_arrays` is the (n, n) attention mask."""
+    """What each node attends to: `edge_arrays` is the attention edge list,
+    `neighbors` plus every self loop, sorted by row."""
 
     def test_self_loops_on(self):
-        mask = build_pair_graph(minimal_corpus(), "u0", "c0", "train").edge_arrays()
-        assert mask.dtype == bool and mask.shape == (4, 4)
-        assert [np.flatnonzero(row).tolist() for row in mask] == [[0, 2], [1, 2], [0, 1, 2, 3], [2, 3]]
+        edges = build_pair_graph(minimal_corpus(), "u0", "c0", "train").edge_arrays()
+        assert rows_of(edges) == [[0, 2], [1, 2], [0, 1, 2, 3], [2, 3]]
+        assert edges.dst.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 3, 3]
+        assert edges.starts.tolist() == [0, 2, 4, 8]
 
     def test_edge_arrays_symmetric_with_diagonal(self):
-        corpus = richer_corpus()
-        for user_id, item_id in corpus.pairs("train"):
-            g = build_pair_graph(corpus, user_id, item_id, "train")
-            mask = g.edge_arrays()
-            assert np.all(np.diag(mask))
-            assert np.array_equal(mask, mask.T)
-            for i in range(g.n_nodes):
-                assert np.flatnonzero(mask[i]).tolist() == sorted({i, *g.neighbors[i].tolist()})
+        for g in graphs_to_check():
+            edges = g.edge_arrays()
+            pairs = set(zip(edges.dst.tolist(), edges.src.tolist()))
+            assert len(pairs) == len(edges.dst)  # no edge twice
+            assert {(i, i) for i in range(g.n_nodes)} <= pairs
+            assert pairs == {(j, i) for i, j in pairs}
+            for i, row in enumerate(rows_of(edges)):
+                assert set(row) == {i, *g.neighbors[i].tolist()}
+
+    def test_edge_arrays_sorted_by_row(self):
+        for g in graphs_to_check():
+            n = g.n_nodes
+            dst, src, starts, flat = g.edge_arrays()
+            assert dst.dtype == src.dtype == starts.dtype == flat.dtype == np.int64
+            assert np.all(np.diff(dst) >= 0)
+            assert starts.shape == (n,)
+            # starts[i] is row i's first edge, and every row has one
+            assert np.array_equal(starts, np.searchsorted(dst, np.arange(n)))
+            assert np.array_equal(dst[starts], np.arange(n))
+            assert np.array_equal(flat, dst * n + src)
 
     def test_isolated_node_attends_to_itself(self):
         # a user who never shares attributes with the pool has no neighbors
@@ -164,4 +194,4 @@ class TestNeighborView:
         corpus = corpus_from_records(records)
         g = build_pair_graph(corpus, "u0", "c1", "eval")
         assert g.neighbors[0].size == 0
-        assert np.flatnonzero(g.edge_arrays()[0]).tolist() == [0]
+        assert rows_of(g.edge_arrays())[0] == [0]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
-from recexplain.model import Model, ModelConfig, dcn_forward, gat_layer
+from recexplain.model import Model, ModelConfig, _gat_layer_backward, dcn_forward, gat_layer
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
 from conftest import toy_graph, toy_inputs
-from oracles import gat_scalar_oracle
+from oracles import dense_gat_layer, dense_gat_layer_backward, gat_scalar_oracle
 
 
 def small_model(hidden=3, heads=(2, 1), sent_dim=2, **kw):
@@ -51,13 +51,21 @@ def folded(head_params):
     return [(wq.T @ wa[: wq.shape[0]], wk.T @ wa[wq.shape[0] :]) for wq, wk, wa in head_params]
 
 
+def attention_mask(g):
+    """(n, n) True where node i attends to j: j in neighbors[i], or j = i."""
+    mask = np.eye(g.n_nodes, dtype=bool)
+    for i, nbrs in enumerate(g.neighbors):
+        mask[i, nbrs] = True
+    return mask
+
+
 def assert_alpha_matches(alpha, oracle_alpha, g):
-    """Dense attention equals the oracle's on the mask and is 0 off it."""
+    """Attention equals the oracle's on the graph's edges and is 0 off them."""
     expect = np.zeros((g.n_nodes, g.n_nodes))
     for (i, j), value in oracle_alpha.items():
         expect[i, j] = value
     assert np.allclose(alpha, expect, rtol=0.0, atol=1e-12)
-    assert np.all(alpha[~g.edge_arrays()] == 0.0)
+    assert np.all(alpha[~attention_mask(g)] == 0.0)
 
 
 class TestGatLayer:
@@ -106,7 +114,7 @@ class TestGatLayer:
         H = rng.normal(size=(g.n_nodes, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1e3 * rng.normal(size=6)) for _ in range(2)]
         out, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert np.abs(trace.heads[0].u).max() > 100.0
+        assert np.abs(trace.heads[0].logits).max() > 100.0
         want, alphas = gat_scalar_oracle([row.tolist() for row in H], oracle_lists(g), as_lists(params), 0.2)
         assert np.all(np.isfinite(out))
         assert np.allclose(out, np.array(want), atol=1e-12)
@@ -124,8 +132,74 @@ class TestGatLayer:
             _, trace = gat_layer(H, g.edge_arrays(), folded(params))
             alpha = trace.heads[0].alpha
             assert np.all(alpha >= 0.0)
-            assert np.all(alpha[~g.edge_arrays()] == 0.0)
+            assert np.all(alpha[~attention_mask(g)] == 0.0)
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
+
+
+def assert_rel_close(got, want, what, scale=None):
+    """Agreement to 1e-12 of `scale`, by default the reference array's
+    largest magnitude."""
+    assert got.shape == want.shape, what
+    err = np.abs(got - want).max()
+    scale = np.abs(want).max() if scale is None else scale
+    assert err <= 1e-12 * scale, f"{what}: {err} against scale {scale}"
+
+
+class TestMatchesDenseOracle:
+    """The edge-list layer against the dense masked layer it replaced:
+    output, alpha, dH, dq and dk, forward and backward."""
+
+    def check(self, g, H, head_params, rng):
+        mask = attention_mask(g)
+        out, trace = gat_layer(H, g.edge_arrays(), head_params)
+        want, want_trace = dense_gat_layer(H, mask, head_params)
+        assert_rel_close(out, want, "output")
+        for head, ht in enumerate(trace.heads):
+            want_alpha = want_trace[1][head][2]
+            assert_rel_close(ht.alpha, want_alpha, f"alpha {head}")
+            assert np.all(ht.alpha[~mask] == 0.0) and np.all(want_alpha[~mask] == 0.0)
+        dH_out = rng.normal(size=out.shape)
+        dH, grads = _gat_layer_backward(dH_out, head_params, trace)
+        want_dH, want_grads = dense_gat_layer_backward(dH_out, head_params, want_trace)
+        # a head whose rows' logits all share a sign has du = 0 up to
+        # rounding (softmax gradients sum to 0 over a row), so dq and dk are
+        # held to the layer's gradient scale rather than their own
+        scale = max(np.abs(t).max() for t in [want_dH, *(t for pair in want_grads for t in pair)])
+        assert_rel_close(dH, want_dH, "dH", scale)
+        for head, ((dq, dk), (want_dq, want_dk)) in enumerate(zip(grads, want_grads)):
+            assert_rel_close(dq, want_dq, f"dq {head}", scale)
+            assert_rel_close(dk, want_dk, f"dk {head}", scale)
+        return out
+
+    def heads(self, rng, n_heads, din, scale=1.0):
+        return [(scale * rng.normal(size=din), scale * rng.normal(size=din)) for _ in range(n_heads)]
+
+    def test_random_toy_graphs(self, rng):
+        for _ in range(20):
+            g = toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 10)), rng)
+            H = rng.normal(size=(g.n_nodes, 3))
+            self.check(g, H, self.heads(rng, int(rng.integers(1, 4)), 3), rng)
+
+    def test_isolated_node(self, rng):
+        g = line_graph(item_edge=False)
+        H = rng.normal(size=(4, 3))
+        self.check(g, H, self.heads(rng, 2, 3), rng)
+
+    def test_large_logits(self, rng):
+        g = toy_graph(3, 5, rng)
+        H = rng.normal(size=(g.n_nodes, 3))
+        heads = self.heads(rng, 2, 3, scale=1e3)
+        _, trace = gat_layer(H, g.edge_arrays(), heads)
+        assert np.abs(trace.heads[0].logits).max() > 500.0
+        self.check(g, H, heads, rng)
+
+    def test_dense_pools_shape_two_layers(self, rng):
+        # 130 nodes as on a median dense_pools graph, hidden 32, heads (4, 1)
+        g = toy_graph(8, 120, rng)
+        assert g.n_nodes == 130
+        H = rng.normal(size=(g.n_nodes, 32))
+        h1 = self.check(g, H, self.heads(rng, 4, 32, scale=0.3), rng)
+        self.check(g, h1, self.heads(rng, 1, 128, scale=0.3), rng)
 
 
 class TestDcn:
