@@ -4,17 +4,37 @@ Architecture: stacked multi-head graph attention layers over the pair
 graph, then a parallel cross network / deep network (DCN, Wang et al.
 2017, arXiv 1708.05123) over one row per sentence,
 
-    x0 = [user | item | sentence]      final node states, 3 * node_dim wide,
+    x0 = [user | item | sentence]      final node states, 3 * node_dim wide.
 
-with the user and item blocks repeated on every row.  A linear head scores
-each sentence's row; a logistic head predicts each attribute node's
-probability of appearing in the explanation.
+A linear head scores each sentence's row; a logistic head predicts each
+attribute node's probability of appearing in the explanation.
+
+x0 is never formed.  Its first ds = 2 * node_dim columns, g = [user |
+item], are the same on every row of a graph, and the rest, R, are the
+sentence's own.  A cross layer x_{l+1} = x0 (x_l . w_l) + b_l + x_l keeps
+
+    x_l = c_l x0 + B_l,   c_0 = 1, c_{l+1} = c_l + c_l (x0 . w_l) + B_l . w_l,
+                          B_0 = 0, B_{l+1} = B_l + b_l,
+
+one scalar c_l per row and one vector B_l per graph.  So one product
+R @ V[ds:] plus g @ V[:ds] gives x0 . w_l for every cross weight and
+x0 . h for the score head's cross half h (the columns of V), the
+recursion runs on (S,) vectors, deep layer 0 is R W0[:, ds:]^T +
+(W0[:, :ds] g + b0), and a score is c_L (x0 . h) + B_L . h + deep . h_deep.
+Backward splits the same way: a weight's shared columns get an outer
+product with g, its row columns a product with R, and the user and item
+states get their gradient as one vector instead of a sum over S rows.
+The last cross layer's bias would enter the scores only as b_{L-1} . h,
+the same shift on every score of a graph, which the pairwise ranking loss
+cannot see and the attribute head does not read; its gradient is 0, so
+the model has no such bias.
 
 The two model ablations change x0's layout or what reads it, nothing
 else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
 mean input of the sentence's linked attributes as a block of its own:
-x0 = [user | item | pooled attributes | sentence], 4 * hidden wide.
---no-dcn drops the feature interaction, so the score head reads x0.  A
+x0 = [user | item | pooled attributes | sentence], 4 * hidden wide, with
+R = [pooled attributes | sentence].  --no-dcn drops the feature
+interaction, so the score head reads x0: g . head[:ds] + R @ head[ds:].  A
 deep_hidden-wide linear layer in front of that head would make the same
 family of functions, one linear map of x0; `init_params` draws such a
 layer and a deep_hidden-wide head Glorot-uniform and stores their product,
@@ -41,7 +61,7 @@ Glorot-uniform and stores q and k: the factored init, bit for bit.  PAPER.md
 holds only the abstract, so the published equation is not checked.  Heads
 keep their input width and concatenate, so widths multiply layer by layer;
 at hidden 128, heads (4, 1) the stack has 2,048 parameters (263,424 as
-factors), 253,440 in all on the sparse_pools benchmark, 18,112 on
+factors), 251,904 in all on the sparse_pools benchmark, 17,728 on
 dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
 layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
@@ -62,7 +82,8 @@ masked form this replaced.
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the scores/probabilities, with respect to every
 trainable tensor including the touched user/item embedding rows, into a
-dict the caller owns.  Each tensor gets exactly one `+=` per graph, so the
+dict the caller owns.  Each tensor element gets exactly one `+=` per graph
+(`deep.0.w` and `head.score` take theirs in two disjoint slices), so the
 trainer zeroes one buffer per batch and the sum is the same, bit for bit,
 as adding up one fresh gradient dict per graph.  Verified against central
 finite differences in the test suite.
@@ -181,62 +202,97 @@ def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
     return dH, grads
 
 
-def dcn_forward(x0: np.ndarray, cross_params: list[tuple], deep_params: list[tuple]):
-    """Cross network and deep network over row-batched inputs x0 (S, d0).
+@dataclass
+class DcnTrace:
+    V: np.ndarray  # (d0, L+1) columns w_0 .. w_{L-1} and the score head's cross half h
+    a: np.ndarray  # (S, L+1) x0 . V
+    c: list[np.ndarray]  # c_0 .. c_L, (S,) each: x_l = c_l x0 + B_l
+    B: list[np.ndarray]  # B_0 .. B_L, (d0,) each: the cross biases summed so far
+    deep: list[np.ndarray]  # (S, deep_hidden) ReLU output of each deep layer
 
-    Cross layer: x_{l+1} = x0 * (x_l . w_l) + b_l + x_l.
-    Deep layer:  x_{l+1} = relu(W_l x_l + b_l).
-    Returns (concat of final cross and deep states, trace dict).
+
+def dcn_forward(g: np.ndarray, R: np.ndarray, params) -> tuple[np.ndarray, DcnTrace]:
+    """Scores from the cross network, the deep network and the score head
+    over x0 = [g | R[s]] for every sentence s, without forming x0.
+
+    g (ds,) is the graph's shared block, R (S, dr) the per-sentence block.
+    Cross layer x_{l+1} = x0 (x_l . w_l) + b_l + x_l, run as its (S,)
+    coefficients c_l and shared sums B_l; deep layer x_{l+1} = relu(W_l x_l
+    + b_l), its first layer split at the shared columns.  Returns
+    (scores (S,), DcnTrace).
     """
-    xs = [x0]
-    ts = []
-    for w, b in cross_params:
-        t = xs[-1] @ w
-        xs.append(x0 * t[:, None] + b[None, :] + xs[-1])
-        ts.append(t)
-    deep_outs = [x0]
-    for w, b in deep_params:
-        z = deep_outs[-1] @ w.T + b[None, :]
-        deep_outs.append(np.maximum(z, 0.0))
-    out = np.concatenate([xs[-1], deep_outs[-1]], axis=1)
-    return out, {"xs": xs, "ts": ts, "deep": deep_outs}
+    ds = g.size
+    head = params["head.score"]
+    d0 = ds + R.shape[1]
+    V = np.column_stack([params[f"cross.{l}.w"] for l in range(CROSS_LAYERS)] + [head[:d0]])
+    a = R @ V[ds:] + g @ V[:ds]
+    c = [np.ones(len(R))]
+    B = [np.zeros(d0)]
+    for l in range(CROSS_LAYERS):
+        c.append(c[l] + c[l] * a[:, l] + B[l] @ V[:, l])
+        B.append(B[l] + params[f"cross.{l}.b"] if l < CROSS_LAYERS - 1 else B[l])
+    W0 = params["deep.0.w"]
+    deep = [np.maximum(R @ W0[:, ds:].T + (W0[:, :ds] @ g + params["deep.0.b"]), 0.0)]
+    for l in range(1, DEEP_LAYERS):
+        deep.append(np.maximum(deep[-1] @ params[f"deep.{l}.w"].T + params[f"deep.{l}.b"], 0.0))
+    scores = c[-1] * a[:, -1] + B[-1] @ V[:, -1] + deep[-1] @ head[d0:]
+    return scores, DcnTrace(V=V, a=a, c=c, B=B, deep=deep)
 
 
-def _dcn_backward(dout, cross_params, deep_params, trace):
-    xs, ts, deep_outs = trace["xs"], trace["ts"], trace["deep"]
-    d0 = xs[0].shape[1]
-    dcross = dout[:, :d0]
-    ddeep = dout[:, d0:]
-    x0 = xs[0]
+def _dcn_backward(d_scores, g, R, params, trace: DcnTrace, grads) -> tuple[np.ndarray, np.ndarray]:
+    """Add the gradients of `dcn_forward`'s tensors into `grads`, one `+=`
+    per element; return (dg, dR).
 
-    dx0 = np.zeros_like(x0)
-    dx = dcross
-    cross_grads = []
-    for l in range(len(cross_params) - 1, -1, -1):
-        w, _ = cross_params[l]
-        t = ts[l]
-        dx0 += dx * t[:, None]
-        dt = np.einsum("sd,sd->s", dx, x0)
-        dw = xs[l].T @ dt
-        db = dx.sum(axis=0)
-        dx = dx + dt[:, None] * w[None, :]
-        cross_grads.append((dw, db))
-    cross_grads.reverse()
-    dx0 += dx
+    The shared columns of each weight get an outer product with g, the
+    row columns a product with R, and dg is one vector: nothing is summed
+    over S copies of g.
+    """
+    ds = g.size
+    V, a, c, B = trace.V, trace.a, trace.c, trace.B
+    d0 = V.shape[0]
+    L = CROSS_LAYERS
+    # scores = c_L (x0 . h) + B_L . h + ...; dA holds d/d(x0 . V) per column
+    dA = np.empty_like(a)
+    dA[:, L] = d_scores * c[L]
+    dc = d_scores * a[:, L]
+    shift = np.empty(L + 1)  # d/d(B_l . V[:, l]), the same for every row
+    shift[L] = d_scores.sum()
+    dB = shift[L] * V[:, L]
+    for l in range(L - 1, -1, -1):
+        # c_{l+1} = c_l + c_l (x0 . w_l) + B_l . w_l, B_{l+1} = B_l + b_l
+        dA[:, l] = dc * c[l]
+        shift[l] = dc.sum()
+        if l < L - 1:
+            grads[f"cross.{l}.b"] += dB
+        dB = dB + shift[l] * V[:, l]
+        dc = dc + dc * a[:, l]
+    total = dA.sum(axis=0)
+    dV = np.empty_like(V)
+    np.outer(g, total, out=dV[:ds])
+    np.matmul(R.T, dA, out=dV[ds:])
+    dV += np.column_stack(B) * shift
+    for l in range(L):
+        grads[f"cross.{l}.w"] += dV[:, l]
+    grads["head.score"][:d0] += dV[:, L]
+    dg = V[:ds] @ total
+    dR = dA @ V[ds:].T
 
-    dd = ddeep
-    deep_grads = []
-    for l in range(len(deep_params) - 1, -1, -1):
-        w, _ = deep_params[l]
-        out = deep_outs[l + 1]
-        dz = dd * (out > 0)
-        dw = dz.T @ deep_outs[l]
-        db = dz.sum(axis=0)
-        dd = dz @ w
-        deep_grads.append((dw, db))
-    deep_grads.reverse()
-    dx0 += dd
-    return dx0, cross_grads, deep_grads
+    grads["head.score"][d0:] += trace.deep[-1].T @ d_scores
+    dd = np.outer(d_scores, params["head.score"][d0:])
+    for l in range(DEEP_LAYERS - 1, 0, -1):
+        dz = dd * (trace.deep[l] > 0)
+        grads[f"deep.{l}.w"] += dz.T @ trace.deep[l - 1]
+        grads[f"deep.{l}.b"] += dz.sum(axis=0)
+        dd = dz @ params[f"deep.{l}.w"]
+    dz = dd * (trace.deep[0] > 0)
+    dz_total = dz.sum(axis=0)
+    W0, dW0 = params["deep.0.w"], grads["deep.0.w"]
+    dW0[:, :ds] += np.outer(dz_total, g)
+    dW0[:, ds:] += dz.T @ R
+    grads["deep.0.b"] += dz_total
+    dg += dz_total @ W0[:, :ds]
+    dR += dz @ W0[:, ds:]
+    return dg, dR
 
 
 @dataclass
@@ -245,8 +301,9 @@ class ForwardTrace:
     inputs: GraphInputs
     layer_traces: list[LayerTrace]
     Xhat: np.ndarray
-    dcn: dict | None
-    x_cd: np.ndarray
+    shared: np.ndarray  # (ds,) g = [user | item], the part of x0 every row repeats
+    rows: np.ndarray  # (S, d0 - ds) R = [(pooled attributes, --no-gat) | sentence]
+    dcn: DcnTrace | None
     scores: np.ndarray  # (S,)
     attr_probs: np.ndarray  # (M,)
 
@@ -305,7 +362,8 @@ class Model:
         else:
             for l in range(CROSS_LAYERS):
                 p[f"cross.{l}.w"] = self._glorot(rng, (self.d0,))
-                p[f"cross.{l}.b"] = np.zeros(self.d0)
+                if l < CROSS_LAYERS - 1:  # the last layer's bias would shift every score alike
+                    p[f"cross.{l}.b"] = np.zeros(self.d0)
             for l in range(DEEP_LAYERS):
                 p[f"deep.{l}.w"] = self._glorot(rng, (self.deep_dims[l + 1], self.deep_dims[l]))
                 p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1])
@@ -315,12 +373,6 @@ class Model:
 
     def _head_params(self, params, layer):
         return [(params[f"gat.{layer}.{h}.q"], params[f"gat.{layer}.{h}.k"]) for h in range(self.cfg.gat_heads[layer])]
-
-    def _cross_params(self, params):
-        return [(params[f"cross.{l}.w"], params[f"cross.{l}.b"]) for l in range(CROSS_LAYERS)]
-
-    def _deep_params(self, params):
-        return [(params[f"deep.{l}.w"], params[f"deep.{l}.b"]) for l in range(DEEP_LAYERS)]
 
     # -- forward ------------------------------------------------------------
 
@@ -349,37 +401,63 @@ class Model:
         attr_rows = Xhat[graph.attr_slice]
         attr_probs = _sigmoid(attr_rows @ params["head.attr"])
 
-        sent_rows = Xhat[graph.sent_slice]
-        n_sent = sent_rows.shape[0]
-        blocks = [np.tile(Xhat[USER_NODE], (n_sent, 1)), np.tile(Xhat[ITEM_NODE], (n_sent, 1))]
+        g = np.concatenate([Xhat[USER_NODE], Xhat[ITEM_NODE]])
+        R = Xhat[graph.sent_slice]
         if self.cfg.disable_gat:
             # mean of each sentence's attribute inputs; every sentence has
             # one.  Its edges run to attributes and, last, to itself.
             a0, s0 = graph.attr_slice.start, graph.sent_slice.start
             dst, src = edges.dst[edges.starts[s0] :], edges.src[edges.starts[s0] :]
             to_attr = src < s0
-            links = np.zeros((n_sent, len(graph.attribute_ids)))
+            links = np.zeros((len(R), len(graph.attribute_ids)))
             links[dst[to_attr] - s0, src[to_attr] - a0] = 1.0
-            blocks.append((links @ attr_rows) / links.sum(axis=1, keepdims=True))
-        x0 = np.concatenate(blocks + [sent_rows], axis=1)
+            R = np.concatenate([(links @ attr_rows) / links.sum(axis=1, keepdims=True), R], axis=1)
 
         if self.cfg.disable_dcn:
-            x_cd, dcn_trace = x0, None
+            head = params["head.score"]
+            scores, dcn_trace = R @ head[g.size :] + g @ head[: g.size], None
         else:
-            x_cd, dcn_trace = dcn_forward(x0, self._cross_params(params), self._deep_params(params))
-        scores = x_cd @ params["head.score"]
+            scores, dcn_trace = dcn_forward(g, R, params)
         return ForwardTrace(
             graph=graph,
             inputs=inputs,
             layer_traces=layer_traces,
             Xhat=Xhat,
+            shared=g,
+            rows=R,
             dcn=dcn_trace,
-            x_cd=x_cd,
             scores=scores,
             attr_probs=attr_probs,
         )
 
     # -- backward -----------------------------------------------------------
+
+    def _readout_backward(self, trace: ForwardTrace, params, d_scores, d_attr_probs, grads) -> np.ndarray:
+        """The score and attribute heads and the DCN: add their gradients
+        into `grads` and return d(loss)/d(Xhat).  Under --no-gat the pooled
+        block and the attribute rows read only the attribute inputs, which
+        nothing trains, so their gradients are not formed."""
+        graph = trace.graph
+        g, R = trace.shared, trace.rows
+        dlogit = d_attr_probs * trace.attr_probs * (1.0 - trace.attr_probs)
+        grads["head.attr"] += trace.Xhat[graph.attr_slice].T @ dlogit
+        if self.cfg.disable_dcn:
+            # scores = g . head[:ds] + R @ head[ds:]
+            ds, head, total = g.size, params["head.score"], d_scores.sum()
+            grads["head.score"][:ds] += total * g
+            grads["head.score"][ds:] += R.T @ d_scores
+            dg, dR = total * head[:ds], np.outer(d_scores, head[ds:])
+        else:
+            dg, dR = _dcn_backward(d_scores, g, R, params, trace.dcn, grads)
+
+        nd = self.node_dim
+        dXhat = np.zeros_like(trace.Xhat)
+        if self.gat_in:
+            dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
+        dXhat[USER_NODE] += dg[:nd]
+        dXhat[ITEM_NODE] += dg[nd:]
+        dXhat[graph.sent_slice] += dR[:, -nd:]
+        return dXhat
 
     def zero_grads(self, params) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(t) for name, t in params.items()}
@@ -388,43 +466,11 @@ class Model:
         self, trace: ForwardTrace, params, d_scores: np.ndarray, d_attr_probs: np.ndarray, grads: dict[str, np.ndarray]
     ) -> None:
         """Add the exact gradients for upstream d(loss)/d(scores) and
-        d(loss)/d(probs) into `grads`, one `+=` per tensor."""
-        cfg = self.cfg
+        d(loss)/d(probs) into `grads`, one `+=` per tensor element."""
         graph = trace.graph
-
-        # heads
-        grads["head.score"] += trace.x_cd.T @ d_scores
-        dx_cd = np.outer(d_scores, params["head.score"])
-        dlogit = d_attr_probs * trace.attr_probs * (1.0 - trace.attr_probs)
-        grads["head.attr"] += trace.Xhat[graph.attr_slice].T @ dlogit
-
-        # feature interaction back to x0
-        if cfg.disable_dcn:
-            dx0 = dx_cd
-        else:
-            dx0, cross_g, deep_g = _dcn_backward(
-                dx_cd, self._cross_params(params), self._deep_params(params), trace.dcn
-            )
-            for l, (dw, db) in enumerate(cross_g):
-                grads[f"cross.{l}.w"] += dw
-                grads[f"cross.{l}.b"] += db
-            for l, (dw, db) in enumerate(deep_g):
-                grads[f"deep.{l}.w"] += dw
-                grads[f"deep.{l}.b"] += db
-
-        # x0 blocks back to node states.  Under --no-gat the pooled block
-        # and the attribute rows read only the attribute inputs, which
-        # nothing trains, so their gradients are not formed.
-        nd = self.node_dim
-        dXhat = np.zeros_like(trace.Xhat)
-        if self.gat_in:
-            dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
-        dXhat[USER_NODE] += dx0[:, :nd].sum(axis=0)
-        dXhat[ITEM_NODE] += dx0[:, nd : 2 * nd].sum(axis=0)
-        dXhat[graph.sent_slice] += dx0[:, -nd:]
+        dH0 = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
 
         # attention stack
-        dH0 = dXhat
         for l in range(len(self.gat_in) - 1, -1, -1):
             dH0, head_grads = _gat_layer_backward(dH0, self._head_params(params, l), trace.layer_traces[l])
             for h, (dq, dk) in enumerate(head_grads):

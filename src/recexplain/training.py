@@ -220,18 +220,35 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of `params`, `state.m` and `state.v`,
+    in place.  Each operation is the textbook expression's, in its order,
+    so the bytes are those of
+
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    """
     state.t += 1
     t = state.t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name!r} at step {t}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        g2 = (1.0 - ADAM_BETA2) * g
+        g2 *= g
+        v *= ADAM_BETA2
+        v += g2
+        den = np.divide(v, correct2, out=g2)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step = m / correct1
+        step *= lr
+        step /= den
+        p -= step
 
 
 @dataclass

@@ -330,3 +330,64 @@ def dense_gat_layer_backward(dH_out, head_params, trace, leaky_slope=0.2):
         dH += np.outer(du, q) + np.outer(dv, k)
         grads.append((H.T @ du, H.T @ dv))
     return dH, grads
+
+
+def dense_dcn_forward(x0, cross_params, deep_params):
+    """Cross network and deep network over row-batched inputs x0 (S, d0),
+    with every row's full x0 formed.
+
+    Cross layer: x_{l+1} = x0 * (x_l . w_l) + b_l + x_l.
+    Deep layer:  x_{l+1} = relu(W_l x_l + b_l).
+    Returns (concat of final cross and deep states, trace dict).
+    """
+    xs = [x0]
+    ts = []
+    for w, b in cross_params:
+        t = xs[-1] @ w
+        xs.append(x0 * t[:, None] + b[None, :] + xs[-1])
+        ts.append(t)
+    deep_outs = [x0]
+    for w, b in deep_params:
+        z = deep_outs[-1] @ w.T + b[None, :]
+        deep_outs.append(np.maximum(z, 0.0))
+    out = np.concatenate([xs[-1], deep_outs[-1]], axis=1)
+    return out, {"xs": xs, "ts": ts, "deep": deep_outs}
+
+
+def dense_dcn_backward(dout, cross_params, deep_params, trace):
+    """Gradients of `dense_dcn_forward` for upstream d(out):
+    (dx0, per-layer cross [(dw, db)], per-layer deep [(dW, db)])."""
+    xs, ts, deep_outs = trace["xs"], trace["ts"], trace["deep"]
+    d0 = xs[0].shape[1]
+    dcross = dout[:, :d0]
+    ddeep = dout[:, d0:]
+    x0 = xs[0]
+
+    dx0 = np.zeros_like(x0)
+    dx = dcross
+    cross_grads = []
+    for l in range(len(cross_params) - 1, -1, -1):
+        w, _ = cross_params[l]
+        t = ts[l]
+        dx0 += dx * t[:, None]
+        dt = np.einsum("sd,sd->s", dx, x0)
+        dw = xs[l].T @ dt
+        db = dx.sum(axis=0)
+        dx = dx + dt[:, None] * w[None, :]
+        cross_grads.append((dw, db))
+    cross_grads.reverse()
+    dx0 += dx
+
+    dd = ddeep
+    deep_grads = []
+    for l in range(len(deep_params) - 1, -1, -1):
+        w, _ = deep_params[l]
+        out = deep_outs[l + 1]
+        dz = dd * (out > 0)
+        dw = dz.T @ deep_outs[l]
+        db = dz.sum(axis=0)
+        dd = dz @ w
+        deep_grads.append((dw, db))
+    deep_grads.reverse()
+    dx0 += dd
+    return dx0, cross_grads, deep_grads

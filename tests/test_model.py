@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
-from recexplain.model import Model, ModelConfig, _gat_layer_backward, dcn_forward, gat_layer
+from recexplain.model import CROSS_LAYERS, DEEP_LAYERS, Model, ModelConfig, _gat_layer_backward, dcn_forward, gat_layer
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
 from conftest import toy_graph, toy_inputs
-from oracles import dense_gat_layer, dense_gat_layer_backward, gat_scalar_oracle
+from oracles import (
+    dense_dcn_backward,
+    dense_dcn_forward,
+    dense_gat_layer,
+    dense_gat_layer_backward,
+    gat_scalar_oracle,
+)
 
 
 def small_model(hidden=3, heads=(2, 1), sent_dim=2, **kw):
@@ -136,13 +142,13 @@ class TestGatLayer:
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
 
 
-def assert_rel_close(got, want, what, scale=None):
-    """Agreement to 1e-12 of `scale`, by default the reference array's
+def assert_rel_close(got, want, what, scale=None, tol=1e-12):
+    """Agreement to `tol` of `scale`, by default the reference array's
     largest magnitude."""
     assert got.shape == want.shape, what
     err = np.abs(got - want).max()
     scale = np.abs(want).max() if scale is None else scale
-    assert err <= 1e-12 * scale, f"{what}: {err} against scale {scale}"
+    assert err <= tol * scale, f"{what}: {err} against scale {scale}"
 
 
 class TestMatchesDenseOracle:
@@ -202,25 +208,151 @@ class TestMatchesDenseOracle:
         self.check(g, h1, self.heads(rng, 1, 128, scale=0.3), rng)
 
 
+def dcn_params(cross, deep, head):
+    """`dcn_forward`'s params from the oracle's (w, b) lists.  The model has
+    no last cross bias, so the oracle's must be 0."""
+    assert len(cross) == CROSS_LAYERS and len(deep) == DEEP_LAYERS
+    assert not np.any(cross[-1][1])
+    params = {"head.score": head}
+    for l, (w, b) in enumerate(cross):
+        params[f"cross.{l}.w"] = w
+        if l < CROSS_LAYERS - 1:
+            params[f"cross.{l}.b"] = b
+    for l, (w, b) in enumerate(deep):
+        params[f"deep.{l}.w"], params[f"deep.{l}.b"] = w, b
+    return params
+
+
 class TestDcn:
+    """Hand-worked cross and deep layers through the dense oracle, and the
+    closed form against it: its x_L = c_L x0 + B_L beside its deep output
+    must be the oracle's concat, and its scores that concat times the head."""
+
+    def through_oracle(self, x0, ds, cross, deep):
+        want, _ = dense_dcn_forward(x0, cross, deep)
+        head = np.arange(1.0, want.shape[1] + 1)
+        assert np.all(x0[:, :ds] == x0[0, :ds])  # the shared block
+        scores, trace = dcn_forward(x0[0, :ds], x0[:, ds:], dcn_params(cross, deep, head))
+        x_last = trace.c[-1][:, None] * x0 + trace.B[-1]
+        assert np.allclose(np.concatenate([x_last, trace.deep[-1]], axis=1), want, rtol=1e-13, atol=0.0)
+        assert np.allclose(scores, want @ head, rtol=1e-13, atol=0.0)
+        return want
+
     def test_zero_cross_weights_keep_residual(self):
         x0 = np.array([[1.0, 2.0], [3.0, -1.0]])
         cross = [(np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(2))]
-        out, _ = dcn_forward(x0, cross, [])
+        deep = [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))]
+        out = self.through_oracle(x0, 0, cross, deep)
         assert np.allclose(out[:, :2], x0)  # cross half of the concat
 
     def test_hand_cross_layer(self):
-        # x0 = [1, 2], w = [1, 0], b = 0: x1 = x0 * (x0 . w) + x0 = [2, 4]
+        # x0 = [1, 2], w = [1, 0], b = 0: x1 = x0 * (x0 . w) + x0 = [2, 4];
+        # a zero second layer keeps it
         x0 = np.array([[1.0, 2.0]])
-        out, _ = dcn_forward(x0, [(np.array([1.0, 0.0]), np.zeros(2))], [])
+        cross = [(np.array([1.0, 0.0]), np.zeros(2)), (np.zeros(2), np.zeros(2))]
+        deep = [(np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 2)), np.zeros(2))]
+        out = self.through_oracle(x0, 1, cross, deep)
         assert np.allclose(out[:, :2], [[2.0, 4.0]])
 
     def test_deep_identity_path(self):
         x0 = np.array([[0.5, 1.5]])
+        cross = [(np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(2))]
         deep = [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))]
-        out, _ = dcn_forward(x0, [], deep)
-        # no cross layers: cross output is x0 itself, deep relu(I x) = x
+        out = self.through_oracle(x0, 1, cross, deep)
+        # zero cross weights: cross output is x0 itself, deep relu(I x) = x
         assert np.allclose(out, [[0.5, 1.5, 0.5, 1.5]])
+
+
+def explicit_x0(model, g, inputs, Xhat):
+    """x0 = [user | item | (pooled attributes, --no-gat) | sentence], one
+    row per sentence, built block by block from the final node states."""
+    n_sent = len(g.sentence_ids)
+    blocks = [np.tile(Xhat[USER_NODE], (n_sent, 1)), np.tile(Xhat[ITEM_NODE], (n_sent, 1))]
+    if model.cfg.disable_gat:
+        # each sentence's attribute inputs, averaged
+        attrs = range(g.attr_slice.start, g.attr_slice.stop)
+        linked = [[j - attrs.start for j in g.neighbors[i] if j in attrs] for i in range(g.sent_slice.start, g.n_nodes)]
+        blocks.append(np.array([inputs.attr_X[rows].mean(axis=0) for rows in linked]))
+    blocks.append(Xhat[g.sent_slice])
+    return np.concatenate(blocks, axis=1)
+
+
+ABLATIONS = pytest.mark.parametrize(
+    "disable_gat, disable_dcn",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["default", "no-gat", "no-dcn", "no-gat-no-dcn"],
+)
+
+
+class TestDcnMatchesDenseOracle:
+    """The closed-form readout (`dcn_forward`, or the linear head under
+    --no-dcn) against x0 formed row by row and the dense oracle: scores,
+    d(Xhat) at the user, item and sentence rows, and the cross, deep and
+    score-head gradients, each to 1e-12 of the reference tensor's largest
+    entry."""
+
+    def check(self, model, g, inputs, rng):
+        params = model.init_params(int(rng.integers(1000)))
+        for name, t in params.items():
+            if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
+                t[:] = 0.1 * rng.normal(size=t.shape)
+        trace = model.forward(g, inputs, params)
+        x0 = explicit_x0(model, g, inputs, trace.Xhat)
+        head = params["head.score"]
+        d0 = model.d0
+        d_scores = rng.normal(size=len(g.sentence_ids))
+        grads = model.zero_grads(params)
+        dXhat = model._readout_backward(trace, params, d_scores, np.zeros(len(g.attribute_ids)), grads)
+
+        if model.cfg.disable_dcn:
+            x_cd, dx0 = x0, np.outer(d_scores, head)
+            want = {}
+        else:
+            cross = [(params[f"cross.{l}.w"], params.get(f"cross.{l}.b", np.zeros(d0))) for l in range(CROSS_LAYERS)]
+            deep = [(params[f"deep.{l}.w"], params[f"deep.{l}.b"]) for l in range(DEEP_LAYERS)]
+            x_cd, dense_trace = dense_dcn_forward(x0, cross, deep)
+            dx0, cross_g, deep_g = dense_dcn_backward(np.outer(d_scores, head), cross, deep, dense_trace)
+            want = {f"cross.{l}.w": dw for l, (dw, _) in enumerate(cross_g)}
+            want["cross.0.b"] = cross_g[0][1]
+            for l, (dw, db) in enumerate(deep_g):
+                want[f"deep.{l}.w"], want[f"deep.{l}.b"] = dw, db
+        want["head.score"] = x_cd.T @ d_scores
+
+        assert_rel_close(trace.scores, x_cd @ head, "scores")
+        nd = model.node_dim
+        want_user, want_item = dx0[:, :nd].sum(axis=0), dx0[:, nd : 2 * nd].sum(axis=0)
+        # dXhat is one tensor: the user and item rows are sums over the
+        # sentences that can cancel far below their terms, so all three
+        # blocks are held to dXhat's largest entry
+        scale = max(np.abs(want_user).max(), np.abs(want_item).max(), np.abs(dx0[:, -nd:]).max())
+        assert_rel_close(dXhat[USER_NODE], want_user, "dXhat user", scale)
+        assert_rel_close(dXhat[ITEM_NODE], want_item, "dXhat item", scale)
+        assert_rel_close(dXhat[g.sent_slice], dx0[:, -nd:], "dXhat sentences", scale)
+        trained = {name for name in params if name.startswith(("cross.", "deep.", "head.score"))}
+        assert trained == set(want)
+        for name, ref in want.items():
+            assert_rel_close(grads[name], ref, name)
+
+    @ABLATIONS
+    def test_random_toy_graphs(self, rng, disable_gat, disable_dcn):
+        model, _ = small_model(disable_gat=disable_gat, disable_dcn=disable_dcn)
+        for _ in range(10):
+            g = toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 10)), rng)
+            self.check(model, g, toy_inputs(g, 3, 2, rng), rng)
+
+    @ABLATIONS
+    def test_dense_pools_shape(self, rng, disable_gat, disable_dcn):
+        # 120 sentences, hidden 32, heads (4, 1)
+        cfg = ModelConfig(hidden=32, gat_heads=(4, 1), deep_hidden=32, disable_gat=disable_gat, disable_dcn=disable_dcn)
+        g = toy_graph(8, 120, rng)
+        self.check(Model(cfg, 64, 3, 32), g, toy_inputs(g, 32, 32, rng), rng)
+
+    @ABLATIONS
+    def test_sparse_pools_shape(self, rng, disable_gat, disable_dcn):
+        # hidden 128 and 64-wide sentence vectors, projected
+        cfg = ModelConfig(hidden=128, gat_heads=(4, 1), deep_hidden=128, disable_gat=disable_gat, disable_dcn=disable_dcn)
+        g = toy_graph(6, 19, rng)
+        self.check(Model(cfg, 140, 28, 64), g, toy_inputs(g, 128, 64, rng), rng)
 
 
 class TestForward:
@@ -261,7 +393,7 @@ class TestForward:
 
     @pytest.mark.parametrize(
         "n_users, n_items, hidden, sent_dim, total",
-        [(140, 28, 128, 64, 253_440), (64, 3, 32, 32, 18_112)],
+        [(140, 28, 128, 64, 251_904), (64, 3, 32, 32, 17_728)],
         ids=["sparse_pools", "dense_pools"],
     )
     def test_attention_heads_are_two_vectors(self, n_users, n_items, hidden, sent_dim, total):
@@ -279,17 +411,13 @@ class TestForward:
         model, _ = small_model(disable_gat=disable_gat, disable_dcn=True)
         g = toy_graph(3, 4, rng)
         inputs = toy_inputs(g, 3, 2, rng)
-        trace = model.forward(g, inputs, model.init_params(2))
-        Xhat = trace.Xhat
-        blocks = [np.tile(Xhat[USER_NODE], (4, 1)), np.tile(Xhat[ITEM_NODE], (4, 1))]
-        if disable_gat:
-            # each sentence's attribute inputs, averaged
-            attrs = range(g.attr_slice.start, g.attr_slice.stop)
-            linked = [[j - attrs.start for j in g.neighbors[i] if j in attrs] for i in range(g.sent_slice.start, g.n_nodes)]
-            blocks.append(np.array([inputs.attr_X[rows].mean(axis=0) for rows in linked]))
-        blocks.append(Xhat[g.sent_slice])
-        assert trace.x_cd.shape == (4, model.d0)
-        assert np.allclose(trace.x_cd, np.concatenate(blocks, axis=1), rtol=1e-13, atol=0.0)
+        params = model.init_params(2)
+        trace = model.forward(g, inputs, params)
+        x0 = explicit_x0(model, g, inputs, trace.Xhat)
+        assert x0.shape == (4, model.d0)
+        shared = np.tile(trace.shared, (4, 1))
+        assert np.allclose(np.concatenate([shared, trace.rows], axis=1), x0, rtol=1e-13, atol=0.0)
+        assert_rel_close(trace.scores, x0 @ params["head.score"], "scores", tol=1e-13)
 
     def test_init_deterministic(self):
         model, _ = small_model()

@@ -232,6 +232,60 @@ class TestAdam:
         with pytest.raises(tr.TrainingError, match="w"):
             tr.adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
 
+    def test_same_bytes_as_textbook_expression(self):
+        # tensors of the sparse_pools shapes, gradients across scales
+        rng = np.random.default_rng(3)
+        shapes = {"embed.user": (140, 128), "cross.0.w": (1536,), "deep.0.w": (128, 1536), "head.attr": (512,)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: t.copy() for name, t in params.items()}
+        state = tr.AdamState.init(params)
+        want_state = tr.AdamState.init(want)
+        for step in range(6):
+            grads = {name: 10.0 ** rng.integers(-12, 3) * rng.normal(size=t.shape) for name, t in params.items()}
+            grads["head.attr"][:7] = 0.0
+            tr.adam_step(params, grads, state, lr=1e-3)
+            textbook_adam_step(want, grads, want_state, lr=1e-3)
+            assert_same_adam(params, state, want, want_state)
+
+    def test_same_bytes_after_load_checkpoint(self, tmp_path):
+        make_trainer(tmp_path, epochs=2, seed=4).run()
+        resumed = make_trainer(tmp_path, epochs=2, seed=4)
+        resumed.load_checkpoint(tmp_path / "checkpoints" / "epoch_1.ntar")
+        params, state = resumed.params, resumed.adam
+        want = {name: t.copy() for name, t in params.items()}
+        want_state = tr.AdamState(
+            m={name: t.copy() for name, t in state.m.items()},
+            v={name: t.copy() for name, t in state.v.items()},
+            t=state.t,
+        )
+        rng = np.random.default_rng(8)
+        for step in range(4):
+            grads = {name: rng.normal(size=t.shape) for name, t in params.items()}
+            tr.adam_step(params, grads, state, lr=1e-3)
+            textbook_adam_step(want, grads, want_state, lr=1e-3)
+            assert_same_adam(params, state, want, want_state)
+
+
+def textbook_adam_step(params, grads, state, lr):
+    """Adam as written out in full, one fresh array per operation."""
+    state.t += 1
+    t = state.t
+    for name, p in params.items():
+        g = grads[name]
+        state.m[name] = tr.ADAM_BETA1 * state.m[name] + (1.0 - tr.ADAM_BETA1) * g
+        state.v[name] = tr.ADAM_BETA2 * state.v[name] + (1.0 - tr.ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - tr.ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - tr.ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+
+
+def assert_same_adam(params, state, want, want_state):
+    assert state.t == want_state.t
+    for table, got, ref in (("param", params, want), ("m", state.m, want_state.m), ("v", state.v, want_state.v)):
+        assert set(got) == set(ref)
+        for name in ref:
+            assert got[name].tobytes() == ref[name].tobytes(), f"{table} {name} at step {state.t}"
+
 
 # -- end-to-end trainer smoke on a tiny deterministic corpus ----------------
 
