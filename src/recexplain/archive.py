@@ -5,6 +5,10 @@ seed, which rules out zip-based containers (they embed timestamps).  The
 format here is a magic line, a JSON header describing each tensor (name,
 dtype, shape, byte length) plus free-form metadata, then the raw
 little-endian buffers concatenated in header order.
+
+`save_tensors` writes `<path>.tmp` and moves it onto `path` with
+`os.replace`, so a killed process leaves the previous archive whole, never
+a truncated one.  Nothing is fsynced: a power loss is not covered.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class ArchiveError(Exception):
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write `tensors` (insertion order preserved) and `meta` to `path`."""
+    """Write `tensors` (insertion order preserved) and `meta` to `path`
+    atomically; a write that raises removes its temporary file."""
     entries = []
     buffers = []
     for name, arr in tensors.items():
@@ -35,12 +40,18 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
         )
         buffers.append(buf)
     header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for buf in buffers:
-            fh.write(buf)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for buf in buffers:
+                fh.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:

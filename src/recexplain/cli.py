@@ -5,6 +5,10 @@ workdir, and stamps them with a hash of the config sections it depends
 on; a later stage refuses artifacts whose stamp disagrees with the
 current config.
 
+train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
+`checkpoints/best.ntar`, which select reads (and hash-checks) unless
+`--checkpoint` names another; each is replaced atomically.
+
 Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
 sentence's row also carries its attributes' mean input), --no-dcn sets
 `model.disable_dcn` (a linear score head on that row, no feature
@@ -40,7 +44,7 @@ from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_v
 from .graphs import build_pair_graph
 from .model import Model
 from .selector import TfidfVectorizer, select_for_pair
-from .training import Trainer, TrainingError, checkpoint_params
+from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params
 
 log = logging.getLogger(__name__)
 
@@ -112,25 +116,12 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
     return best
 
 
-def _best_checkpoint(cfg: PipelineConfig) -> Path:
-    ckpt_dir = Path(cfg.paths.workdir) / "checkpoints"
-    manifest = ckpt_dir / "best.json"
-    if not manifest.exists():
-        raise StalenessError(f"no best-checkpoint manifest at {manifest}; run train first")
-    try:
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise StalenessError(f"{manifest}: not JSON ({exc}); run train again") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("checkpoint"), str):
-        raise StalenessError(f'{manifest}: no "checkpoint" file name; run train again')
-    _check_hash(doc.get("config_hash"), cfg.train_hash(), "train")
-    return ckpt_dir / doc["checkpoint"]
-
-
 def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     cfg.validate_stage("select")
     corpus = _load_processed(cfg)
-    ckpt_path = Path(checkpoint) if checkpoint else _best_checkpoint(cfg)
+    ckpt_path = Path(checkpoint or Path(cfg.paths.workdir) / BEST_CHECKPOINT)
+    if not checkpoint and not ckpt_path.exists():
+        raise StalenessError(f"no checkpoint at {ckpt_path}; run train first")
     tensors, meta = load_tensors(ckpt_path)
     if not checkpoint:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")

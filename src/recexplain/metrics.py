@@ -87,21 +87,15 @@ def bleu_from_matches(matches, cand_len: int, ref_len: int) -> float:
     return bp * math.exp(log_sum / len(matches))
 
 
-def profile_bleu(candidate: Profile, reference: Profile, max_n: int = MAX_N) -> float:
-    """Smoothed sentence-level BLEU of a candidate against one reference,
-    over n-gram profiles: their clipped matches scored by
-    `bleu_from_matches`."""
+def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> float:
+    """Smoothed sentence-level BLEU of a token list against one reference,
+    their clipped n-gram matches scored by `bleu_from_matches`;
+    `Trainer.validate` passes the held-out review's sentences joined."""
+    candidate, reference = ngram_profile(candidate, max_n), ngram_profile(reference, max_n)
     if not candidate[0]:
         log.warning("sentence_bleu: empty candidate scored 0")
     matches = [_clipped_matches(candidate, reference, n)[0] for n in range(1, max_n + 1)]
     return bleu_from_matches(matches, candidate[0], reference[0])
-
-
-def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> float:
-    """Smoothed sentence-level BLEU of a token list against one reference;
-    `Trainer.validate` passes the held-out review's sentences joined.  See
-    `profile_bleu`."""
-    return profile_bleu(ngram_profile(candidate, max_n), ngram_profile(reference, max_n), max_n)
 
 
 def corpus_bleu(pairs: list[tuple[Tokens, Tokens]], max_n: int = MAX_N) -> float:

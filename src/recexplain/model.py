@@ -34,16 +34,16 @@ else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
 mean input of the sentence's linked attributes as a block of its own:
 x0 = [user | item | pooled attributes | sentence], 4 * hidden wide, with
 R = [pooled attributes | sentence].  --no-dcn drops the feature
-interaction, so the score head reads x0: g . head[:ds] + R @ head[ds:].  A
-deep_hidden-wide linear layer in front of that head would make the same
-family of functions, one linear map of x0; `init_params` draws such a
-layer and a deep_hidden-wide head Glorot-uniform and stores their product,
-so the initial scores are those of the two-layer init up to rounding, and
-`head.attr`, drawn after them, keeps its bytes.  A bias on that layer
-would only shift all of a graph's scores alike, which neither the
-pairwise ranking loss nor the selector sees.  At the benchmark's shapes
---no-dcn trains 33,920 parameters on sparse_pools (229,248 with the
-hidden layer) and 3,168 on dense_pools (15,136).
+interaction and scores R @ head: a linear head on all of x0 would also
+add g . h_g, one shift to every score of a graph, which the pairwise
+ranking loss cannot see (its gradient is 0).  A deep_hidden-wide linear
+layer in front of the head would make the same family of functions;
+`init_params` draws such a layer and a deep_hidden-wide head
+Glorot-uniform and keeps the R rows of their product, so `head.attr`,
+drawn after them, keeps its bytes.  A bias on that layer would only
+shift a graph's scores alike too.  At the benchmark's shapes --no-dcn
+trains 32,896 parameters on sparse_pools (229,248 with the hidden layer
+and the g rows) and 2,912 on dense_pools (15,136).
 
 Attention for node i over N(i), its graph neighbors plus i itself:
 
@@ -326,7 +326,6 @@ class Model:
             width *= heads
         self.node_dim = width
         self.d0 = (4 if cfg.disable_gat else 3) * width
-        self.d_cd = self.d0 if cfg.disable_dcn else self.d0 + cfg.deep_hidden
         self.deep_dims = [self.d0] + [cfg.deep_hidden] * DEEP_LAYERS
 
     # -- parameters ---------------------------------------------------------
@@ -356,9 +355,10 @@ class Model:
                 p[f"gat.{l}.{h}.q"] = w_q.T @ w_a[: cfg.hidden]
                 p[f"gat.{l}.{h}.k"] = w_k.T @ w_a[cfg.hidden :]
         if cfg.disable_dcn:
-            # a deep_hidden-wide linear layer (zero bias) and its head, folded
+            # a deep_hidden-wide linear layer (zero bias) and its head,
+            # folded; the rows that would read g = [user | item] are dropped
             lin = self._glorot(rng, (cfg.deep_hidden, self.d0))
-            p["head.score"] = lin.T @ self._glorot(rng, (cfg.deep_hidden,))
+            p["head.score"] = (lin.T @ self._glorot(rng, (cfg.deep_hidden,)))[2 * self.node_dim :]
         else:
             for l in range(CROSS_LAYERS):
                 p[f"cross.{l}.w"] = self._glorot(rng, (self.d0,))
@@ -367,7 +367,7 @@ class Model:
             for l in range(DEEP_LAYERS):
                 p[f"deep.{l}.w"] = self._glorot(rng, (self.deep_dims[l + 1], self.deep_dims[l]))
                 p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1])
-            p["head.score"] = self._glorot(rng, (self.d_cd,))
+            p["head.score"] = self._glorot(rng, (self.d0 + cfg.deep_hidden,))
         p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
 
@@ -414,8 +414,7 @@ class Model:
             R = np.concatenate([(links @ attr_rows) / links.sum(axis=1, keepdims=True), R], axis=1)
 
         if self.cfg.disable_dcn:
-            head = params["head.score"]
-            scores, dcn_trace = R @ head[g.size :] + g @ head[: g.size], None
+            scores, dcn_trace = R @ params["head.score"], None
         else:
             scores, dcn_trace = dcn_forward(g, R, params)
         return ForwardTrace(
@@ -436,17 +435,16 @@ class Model:
         """The score and attribute heads and the DCN: add their gradients
         into `grads` and return d(loss)/d(Xhat).  Under --no-gat the pooled
         block and the attribute rows read only the attribute inputs, which
-        nothing trains, so their gradients are not formed."""
+        nothing trains, so their gradients are not formed; under --no-dcn
+        the scores do not read the user and item rows."""
         graph = trace.graph
         g, R = trace.shared, trace.rows
         dlogit = d_attr_probs * trace.attr_probs * (1.0 - trace.attr_probs)
         grads["head.attr"] += trace.Xhat[graph.attr_slice].T @ dlogit
         if self.cfg.disable_dcn:
-            # scores = g . head[:ds] + R @ head[ds:]
-            ds, head, total = g.size, params["head.score"], d_scores.sum()
-            grads["head.score"][:ds] += total * g
-            grads["head.score"][ds:] += R.T @ d_scores
-            dg, dR = total * head[:ds], np.outer(d_scores, head[ds:])
+            # scores = R @ head; g is not read
+            grads["head.score"] += R.T @ d_scores
+            dg, dR = None, np.outer(d_scores, params["head.score"])
         else:
             dg, dR = _dcn_backward(d_scores, g, R, params, trace.dcn, grads)
 
@@ -454,8 +452,9 @@ class Model:
         dXhat = np.zeros_like(trace.Xhat)
         if self.gat_in:
             dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
-        dXhat[USER_NODE] += dg[:nd]
-        dXhat[ITEM_NODE] += dg[nd:]
+        if dg is not None:
+            dXhat[USER_NODE] += dg[:nd]
+            dXhat[ITEM_NODE] += dg[nd:]
         dXhat[graph.sent_slice] += dR[:, -nd:]
         return dXhat
 

@@ -10,12 +10,16 @@ lambda * rank_loss + (1 - lambda) * attribute_loss, minimized with
 bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
 2015).  Validation scores the top K sentences by descending score, K being
 `selection.k`.
+
+Checkpoints.  Every epoch replaces `checkpoints/last.ntar`, the resume
+point; an epoch with a new best BLEU-4 first replaces `checkpoints/best.ntar`
+with the same bytes.  Each replace is atomic (`archive.save_tensors`), and
+a run killed between the two retraces that epoch when resumed from last.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
@@ -38,6 +42,9 @@ TIE_TOL = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+LAST_CHECKPOINT = Path("checkpoints", "last.ntar")  # under the workdir
+BEST_CHECKPOINT = Path("checkpoints", "best.ntar")
 
 
 class TrainingError(Exception):
@@ -380,16 +387,22 @@ class Trainer:
     # -- training loop ------------------------------------------------------
 
     def run(self) -> EpochRecord:
+        """Train from `start_epoch` to `epochs` or the early stop; return the
+        best record.  The log keeps only its lines of earlier epochs."""
         cfg = self.train_cfg
-        ckpt_dir = self.workdir / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        (self.workdir / LAST_CHECKPOINT).parent.mkdir(parents=True, exist_ok=True)
         log_path = self.workdir / "train_log.txt"
-        mode = "a" if self.start_epoch > 0 else "w"
-        with open(log_path, mode, encoding="utf-8") as fh:
-            if self.start_epoch == 0:
-                fh.write("# epoch train_loss rank_loss attr_loss val_bleu1 val_bleu2 val_bleu4\n")
-                fh.write(f"# validation: smoothed sentence BLEU of descending-score top-{self.k} vs ground truth; model selected on BLEU-4\n")
+        done = {str(epoch) for epoch in range(self.start_epoch)}
+        old = log_path.read_text(encoding="utf-8") if done and log_path.exists() else ""
+        kept = [line for line in old.splitlines(keepends=True) if line.split(" ", 1)[0] in done]
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.write("# epoch train_loss rank_loss attr_loss val_bleu1 val_bleu2 val_bleu4\n")
+            fh.write(f"# validation: smoothed sentence BLEU of descending-score top-{self.k} vs ground truth; model selected on BLEU-4\n")
+            fh.writelines(kept)
             for epoch in range(self.start_epoch, cfg.epochs):
+                if self.best is not None and epoch - 1 - self.best.epoch > cfg.patience:
+                    log.info("early stop after epoch %d (patience %d)", epoch - 1, cfg.patience)
+                    break
                 order = np.random.default_rng([self.seed, 1, epoch]).permutation(len(self.train_pairs))
                 losses, rank_losses, attr_losses = [], [], []
                 for start in range(0, len(order), cfg.batch_size):
@@ -425,17 +438,8 @@ class Trainer:
                 fh.flush()
                 if self.best is None or record.val_bleu4 > self.best.val_bleu4:
                     self.best = record
-                self._save_checkpoint(ckpt_dir / f"epoch_{epoch}.ntar", record)
-                if epoch - self.best.epoch > cfg.patience:
-                    log.info("early stop at epoch %d (patience %d)", epoch, cfg.patience)
-                    break
-        best_doc = {
-            "epoch": self.best.epoch,
-            "metric": self.best.val_bleu4,
-            "checkpoint": f"epoch_{self.best.epoch}.ntar",
-            "config_hash": self.config_hash,
-        }
-        (ckpt_dir / "best.json").write_text(json.dumps(best_doc, sort_keys=True), encoding="utf-8")
+                    self._save_checkpoint(self.workdir / BEST_CHECKPOINT, record)
+                self._save_checkpoint(self.workdir / LAST_CHECKPOINT, record)
         return self.best
 
     # -- checkpointing ------------------------------------------------------

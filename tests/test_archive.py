@@ -1,11 +1,14 @@
-"""The deterministic tensor archive: round trip, stable bytes, and every
-truncation reported as an ArchiveError that names the file."""
+"""The deterministic tensor archive: round trip, stable bytes, atomic
+replacement, and every truncation reported as an ArchiveError that names
+the file."""
 
+import builtins
 import json
 
 import numpy as np
 import pytest
 
+from recexplain import archive as archive_module
 from recexplain.archive import MAGIC, ArchiveError, load_tensors, save_tensors
 
 TENSORS = {
@@ -39,6 +42,33 @@ def test_two_saves_identical_bytes(archive, tmp_path):
     again = tmp_path / "again.ntar"
     save_tensors(again, dict(TENSORS), dict(META))
     assert again.read_bytes() == archive.read_bytes()
+
+
+def test_write_that_raises_mid_file_leaves_the_previous_archive(archive, tmp_path, monkeypatch):
+    before = archive.read_bytes()
+
+    class Failing:
+        """A file that takes the magic line, then fails."""
+
+        def __init__(self, path, mode):
+            self.fh = builtins.open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell() >= len(MAGIC):
+                raise OSError("disk full")
+            self.fh.write(data)
+
+    monkeypatch.setattr(archive_module, "open", Failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_tensors(archive, {"other": np.ones(3)}, {"epoch": 4})
+    assert archive.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [archive.name]
 
 
 def test_bad_magic(archive, tmp_path):

@@ -16,6 +16,7 @@ from recexplain.corpus import load_corpus
 from recexplain.features import load_vector_file
 from recexplain.graphs import build_pair_graph
 from recexplain.selector import TfidfVectorizer
+from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT
 
 HIDDEN = 32
 EPOCHS = 8
@@ -158,7 +159,7 @@ class TestPipeline:
         # without them every attribute node would score from zero inputs
         config, workdir, _, _ = planted
         changed = changed_config(config, tmp_path, "paths", "attribute_vectors", "")
-        ckpt = workdir / "checkpoints" / "epoch_0.ntar"
+        ckpt = workdir / LAST_CHECKPOINT
         assert cli.main(["select", "--config", str(changed), "--checkpoint", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith("error: missing required config field paths.attribute_vectors")
 
@@ -242,7 +243,7 @@ class TestPipeline:
     def test_corrupt_checkpoint_is_an_error(self, planted, tmp_path, capsys):
         config, workdir, _, _ = planted
         junk = tmp_path / "junk.ntar"
-        raw = (workdir / "checkpoints" / "epoch_0.ntar").read_bytes()
+        raw = (workdir / LAST_CHECKPOINT).read_bytes()
         start = len(MAGIC) + 8
         tensors = json.loads(raw[start : start + int.from_bytes(raw[len(MAGIC) : start], "little")])["tensors"]
         first = tensors[0]["name"]
@@ -264,24 +265,25 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {junk}: ") and message in err
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda text: text[: text.index(",")], "not JSON"),
-            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "checkpoint"}),
-             'no "checkpoint" file name'),
-        ],
-        ids=["truncated", "no-checkpoint"],
-    )
-    def test_malformed_best_manifest_is_an_error(self, planted, tmp_path, capsys, edit, message):
+    def test_train_leaves_last_and_best_checkpoints(self, planted):
+        _, workdir, _, _ = planted
+        assert sorted(p.name for p in (workdir / "checkpoints").iterdir()) == ["best.ntar", "last.ntar"]
+        rows = [line.split() for line in (workdir / "train_log.txt").read_text(encoding="utf-8").splitlines()[2:]]
+        best_row = max(rows, key=lambda row: (float(row[-1]), -int(row[0])))  # the first epoch of the best BLEU-4
+        _, meta = load_tensors(workdir / BEST_CHECKPOINT)
+        assert meta["best"]["epoch"] == meta["epoch"] == int(best_row[0])
+        _, last = load_tensors(workdir / LAST_CHECKPOINT)
+        assert last["epoch"] == int(rows[-1][0]) and last["best"] == meta["best"]
+
+    def test_select_without_best_checkpoint_asks_to_train(self, planted, tmp_path, capsys):
+        # a workdir trained before best.ntar existed holds other checkpoint files
         config, workdir, _, _ = planted
         shutil.copytree(workdir / "corpus", tmp_path / "corpus")
-        manifest = tmp_path / "checkpoints" / "best.json"
-        manifest.parent.mkdir()
-        manifest.write_text(edit((workdir / "checkpoints" / "best.json").read_text(encoding="utf-8")), encoding="utf-8")
+        (tmp_path / "checkpoints").mkdir()
+        (tmp_path / "checkpoints" / "best.json").write_text('{"checkpoint": "epoch_0.ntar"}', encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["select", "--config", str(config), "--workdir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
+        assert capsys.readouterr().err.startswith(f"error: no checkpoint at {tmp_path / BEST_CHECKPOINT}; run train first")
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -314,7 +316,7 @@ class TestPipeline:
     def test_checkpoint_with_factored_heads_is_an_error(self, planted, tmp_path, capsys):
         # a checkpoint from before the heads were folded holds gat.*.wq/wk/wa
         config, workdir, _, _ = planted
-        tensors, meta = load_tensors(workdir / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(workdir / LAST_CHECKPOINT)
         old = {name: t for name, t in tensors.items() if not name.startswith("param.gat.")}
         for layer, heads in enumerate((4, 1)):
             for head in range(heads):
@@ -329,7 +331,7 @@ class TestPipeline:
 
     def test_non_finite_checkpoint_tensor_is_an_error(self, planted, tmp_path, capsys):
         config, workdir, _, _ = planted
-        tensors, meta = load_tensors(workdir / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(workdir / LAST_CHECKPOINT)
         tensors["param.head.score"] = tensors["param.head.score"].copy()
         tensors["param.head.score"][0] = np.nan
         path = tmp_path / "nan.ntar"
@@ -357,7 +359,7 @@ class TestPipeline:
         doc["paths"].update(workdir=str(tmp_path / "work"), sentence_vectors=str(vectors))
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc), encoding="utf-8")
-        checkpoint = workdir / "checkpoints" / "epoch_0.ntar"
+        checkpoint = workdir / LAST_CHECKPOINT
         capsys.readouterr()
         assert cli.main(["select", "--config", str(changed), "--checkpoint", str(checkpoint)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}")
@@ -395,7 +397,7 @@ class TestPipeline:
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc), encoding="utf-8")
         shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
-        checkpoint = str(workdir / "checkpoints" / "epoch_0.ntar")
+        checkpoint = str(workdir / LAST_CHECKPOINT)
         argv, where = {
             "config": (["preprocess", "--config", str(bad)], f"{bad}:"),
             "lexicon": (["preprocess", "--config", str(changed)], f"{bad}:"),

@@ -285,8 +285,9 @@ ABLATIONS = pytest.mark.parametrize(
 
 
 class TestDcnMatchesDenseOracle:
-    """The closed-form readout (`dcn_forward`, or the linear head under
-    --no-dcn) against x0 formed row by row and the dense oracle: scores,
+    """The closed-form readout (`dcn_forward`, or the linear head on x0's
+    per-sentence block under --no-dcn) against x0 formed row by row and the
+    dense oracle: scores,
     d(Xhat) at the user, item and sentence rows, and the cross, deep and
     score-head gradients, each to 1e-12 of the reference tensor's largest
     entry."""
@@ -305,7 +306,8 @@ class TestDcnMatchesDenseOracle:
         dXhat = model._readout_backward(trace, params, d_scores, np.zeros(len(g.attribute_ids)), grads)
 
         if model.cfg.disable_dcn:
-            x_cd, dx0 = x0, np.outer(d_scores, head)
+            ds = 2 * model.node_dim
+            x_cd, dx0 = x0[:, ds:], np.outer(d_scores, np.concatenate([np.zeros(ds), head]))
             want = {}
         else:
             cross = [(params[f"cross.{l}.w"], params.get(f"cross.{l}.b", np.zeros(d0))) for l in range(CROSS_LAYERS)]
@@ -407,7 +409,7 @@ class TestForward:
 
     @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
     def test_x0_layout(self, rng, disable_gat):
-        # with no feature interaction the score head reads x0 itself
+        # with no feature interaction the score head reads x0's rows past g
         model, _ = small_model(disable_gat=disable_gat, disable_dcn=True)
         g = toy_graph(3, 4, rng)
         inputs = toy_inputs(g, 3, 2, rng)
@@ -417,7 +419,39 @@ class TestForward:
         assert x0.shape == (4, model.d0)
         shared = np.tile(trace.shared, (4, 1))
         assert np.allclose(np.concatenate([shared, trace.rows], axis=1), x0, rtol=1e-13, atol=0.0)
-        assert_rel_close(trace.scores, x0 @ params["head.score"], "scores", tol=1e-13)
+        assert_rel_close(trace.scores, x0[:, trace.shared.size :] @ params["head.score"], "scores", tol=1e-13)
+
+    @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
+    def test_no_dcn_head_is_the_row_half_of_the_folded_init(self, rng, disable_gat, monkeypatch):
+        # the head on all of x0 that the folded two-layer init gives scores
+        # each graph's sentences the same, up to one shift per graph
+        model, _ = small_model(disable_gat=disable_gat, disable_dcn=True)
+        draws = []
+        glorot = Model._glorot
+        monkeypatch.setattr(Model, "_glorot", lambda self, r, shape: draws.append(glorot(self, r, shape)) or draws[-1])
+        params = model.init_params(4)
+        lin, h, attr = draws[-3:]
+        full, ds = lin.T @ h, 2 * model.node_dim
+        assert params["head.score"].tobytes() == full[ds:].tobytes()
+        assert params["head.attr"].tobytes() == attr.tobytes()
+        for _ in range(5):
+            g = toy_graph(int(rng.integers(1, 5)), int(rng.integers(1, 8)), rng)
+            inputs = toy_inputs(g, 3, 2, rng)
+            trace = model.forward(g, inputs, params)
+            x0 = explicit_x0(model, g, inputs, trace.Xhat)
+            assert_rel_close(x0 @ full - trace.scores, np.full(len(g.sentence_ids), trace.shared @ full[:ds]),
+                             "shift", np.abs(x0 @ full).max())
+
+    @pytest.mark.parametrize(
+        "n_users, n_items, hidden, sent_dim, total",
+        [(140, 28, 128, 64, 32_896), (64, 3, 32, 32, 2_912)],
+        ids=["sparse_pools", "dense_pools"],
+    )
+    def test_no_dcn_parameter_count(self, n_users, n_items, hidden, sent_dim, total):
+        cfg = ModelConfig(hidden=hidden, gat_heads=(4, 1), deep_hidden=hidden, disable_dcn=True)
+        params = Model(cfg, n_users, n_items, sent_dim).init_params(0)
+        assert params["head.score"].shape == (hidden * 4,)  # the sentence block of x0
+        assert sum(t.size for t in params.values()) == total
 
     def test_init_deterministic(self):
         model, _ = small_model()
@@ -542,7 +576,7 @@ class TestGradients:
         )
         assert model.d0 == (4 if disable_gat else 3) * model.node_dim
         if disable_dcn:
-            # the score head reads x0 itself
+            # the score head reads x0's rows past g = [user | item]
             assert not [name for name in params if name.startswith(("lin.", "cross.", "deep."))]
-            assert params["head.score"].shape == (model.d0,)
+            assert params["head.score"].shape == (model.d0 - 2 * model.node_dim,)
         finite_diff_check(model, g, inputs, params, targets, pairs, labels)

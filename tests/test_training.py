@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +253,7 @@ class TestAdam:
     def test_same_bytes_after_load_checkpoint(self, tmp_path):
         make_trainer(tmp_path, epochs=2, seed=4).run()
         resumed = make_trainer(tmp_path, epochs=2, seed=4)
-        resumed.load_checkpoint(tmp_path / "checkpoints" / "epoch_1.ntar")
+        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
         params, state = resumed.params, resumed.adam
         want = {name: t.copy() for name, t in params.items()}
         want_state = tr.AdamState(
@@ -320,12 +323,27 @@ def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
 HASH = "0123456789abcdef"  # stands in for PipelineConfig.train_hash()
 
 
-def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, **kw):
+def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, model_cfg=None, **kw):
     corpus = corpus or tiny_corpus()
     provider = make_provider(corpus)
-    model_cfg = ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4)
+    model_cfg = model_cfg or ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4)
     train_cfg = tr.TrainConfig(lam=lam, batch_size=4, learning_rate=1e-3, epochs=epochs, pair_budget=20, patience=50)
     return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, config_hash=HASH, seed=seed, **kw)
+
+
+def early_stopping_trainer(workdir, epochs=8):
+    """A trainer whose run, left to its 8 epochs, stops early."""
+    trainer = make_trainer(workdir, epochs=epochs, seed=2)
+    trainer.train_cfg.patience = 1
+    return trainer
+
+
+def written(workdir):
+    """The bytes of every file a training run leaves in `workdir`; the
+    checkpoints directory holds nothing but last.ntar and best.ntar."""
+    assert sorted(p.name for p in (workdir / "checkpoints").iterdir()) == ["best.ntar", "last.ntar"]
+    names = ["train_log.txt", tr.LAST_CHECKPOINT, tr.BEST_CHECKPOINT]
+    return {str(name): (workdir / name).read_bytes() for name in names}
 
 
 class TestTrainer:
@@ -362,25 +380,20 @@ class TestTrainer:
         part = make_trainer(tmp_path / "part", epochs=2, seed=2)
         part.run()
         resumed = make_trainer(tmp_path / "part", epochs=4, seed=2)
-        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / "epoch_1.ntar")
+        resumed.load_checkpoint(tmp_path / "part" / tr.LAST_CHECKPOINT)
         resumed.run()
 
-        ref = (tmp_path / "full" / "checkpoints" / "epoch_3.ntar").read_bytes()
-        got = (tmp_path / "part" / "checkpoints" / "epoch_3.ntar").read_bytes()
-        assert ref == got
+        assert written(tmp_path / "part") == written(tmp_path / "full")
 
     def test_resume_from_final_epoch_trains_nothing(self, tmp_path):
         full = make_trainer(tmp_path, epochs=3, seed=2)
         best = full.run()
-        ckpt_dir = tmp_path / "checkpoints"
-        written = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
-        log = (tmp_path / "train_log.txt").read_bytes()
+        before = written(tmp_path)
 
         resumed = make_trainer(tmp_path, epochs=3, seed=2)
-        resumed.load_checkpoint(ckpt_dir / "epoch_2.ntar")
+        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
         assert resumed.run() == best
-        assert {p.name: p.read_bytes() for p in ckpt_dir.iterdir()} == written
-        assert (tmp_path / "train_log.txt").read_bytes() == log
+        assert written(tmp_path) == before
 
     @pytest.mark.parametrize(
         "edit",
@@ -392,7 +405,7 @@ class TestTrainer:
     )
     def test_resume_rejects_bad_adam_state(self, tmp_path, edit):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
-        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         save_tensors(tmp_path / "bad.ntar", edit(tensors), meta)
         resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=r"'adam\.m\.embed\.user' missing or misshapen"):
@@ -413,7 +426,7 @@ class TestTrainer:
     )
     def test_resume_rejects_bad_metadata(self, tmp_path, edit, message):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
-        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
         resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=f"checkpoint metadata {message}"):
@@ -429,7 +442,7 @@ class TestTrainer:
     )
     def test_resume_rejects_other_config_hash(self, tmp_path, edit, found):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
-        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         assert meta["config_hash"] == HASH
         save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
         resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
@@ -440,7 +453,7 @@ class TestTrainer:
     @pytest.mark.parametrize("prefix", ["param", "adam.m", "adam.v"])
     def test_resume_rejects_non_finite_tensor(self, tmp_path, prefix):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
-        tensors, meta = load_tensors(tmp_path / "a" / "checkpoints" / "epoch_0.ntar")
+        tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         key = f"{prefix}.head.score"
         tensors[key] = tensors[key].copy()
         tensors[key][-1] = np.inf
@@ -450,21 +463,80 @@ class TestTrainer:
             resumed.load_checkpoint(tmp_path / "bad.ntar")
 
     def test_resume_keeps_early_stop_count(self, tmp_path):
-        def trainer(name, epochs):
-            out = make_trainer(tmp_path / name, epochs=epochs, seed=2)
-            out.train_cfg.patience = 1
-            return out
-
-        trainer("full", 8).run()
+        trainer = early_stopping_trainer(tmp_path / "full")
+        trainer.run()
         trained = len((tmp_path / "full" / "train_log.txt").read_text().splitlines()) - 2
         assert trained < 8  # stopped early, after two epochs without a new best
 
-        trainer("part", trained - 1).run()
-        resumed = trainer("part", 8)
-        resumed.load_checkpoint(tmp_path / "part" / "checkpoints" / f"epoch_{trained - 2}.ntar")
+        early_stopping_trainer(tmp_path / "part", epochs=trained - 1).run()
+        resumed = early_stopping_trainer(tmp_path / "part")
+        resumed.load_checkpoint(tmp_path / "part" / tr.LAST_CHECKPOINT)
         resumed.run()
-        for name in ("train_log.txt", "checkpoints/best.json"):
-            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert written(tmp_path / "part") == written(tmp_path / "full")
+
+    def test_resume_after_early_stop_trains_nothing(self, tmp_path):
+        best = early_stopping_trainer(tmp_path).run()
+        before = written(tmp_path)
+        assert int(before["train_log.txt"].splitlines()[-1].split()[0]) < 7  # stopped early
+
+        resumed = early_stopping_trainer(tmp_path)
+        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        assert resumed.run() == best
+        assert written(tmp_path) == before
+
+    def test_resume_after_a_kill_at_any_replace_matches_an_uninterrupted_run(self, tmp_path, monkeypatch):
+        # a kill leaves the log line of the epoch being saved and the
+        # temporary file; resuming from last.ntar must cut the log back, or
+        # that epoch is logged twice, and the retraced epoch replaces the file
+        replace = os.replace
+        calls = []
+
+        def recording_replace(src, dst):
+            calls.append((Path(dst).name, Path(src).read_bytes()))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        early_stopping_trainer(tmp_path / "full").run()
+        want = written(tmp_path / "full")
+        names = [name for name, _ in calls]
+        assert names[0] == "best.ntar" and 1 < names.count("best.ntar") < names.count("last.ntar")
+        for at, (name, data) in enumerate(calls):  # each best.ntar is its epoch's last.ntar
+            assert name == "last.ntar" or calls[at + 1] == ("last.ntar", data)
+
+        class Killed(BaseException):
+            pass
+
+        for kill_at in range(len(calls)):
+            workdir = tmp_path / f"killed-{kill_at}"
+            count = iter(range(len(calls)))
+
+            def killing_replace(src, dst):
+                if next(count) == kill_at:
+                    shutil.copyfile(src, workdir / "left.tmp")
+                    raise Killed(src)
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", killing_replace)
+            with pytest.raises(Killed) as killed:
+                early_stopping_trainer(workdir).run()
+            monkeypatch.setattr(os, "replace", replace)
+            replace(workdir / "left.tmp", killed.value.args[0])  # a killed process leaves its temporary file
+            resumed = early_stopping_trainer(workdir)
+            if (workdir / tr.LAST_CHECKPOINT).exists():
+                resumed.load_checkpoint(workdir / tr.LAST_CHECKPOINT)
+            resumed.run()
+            assert written(workdir) == want, kill_at
+
+    def test_embeddings_stay_at_init_without_gat_and_dcn(self, tmp_path):
+        # no attention and a score head that does not read [user | item]:
+        # nothing reaches the user and item rows, and Adam leaves them be
+        model_cfg = ModelConfig(hidden=4, deep_hidden=4, disable_gat=True, disable_dcn=True)
+        trainer = make_trainer(tmp_path, epochs=2, model_cfg=model_cfg)
+        init = {name: trainer.params[name].copy() for name in ("embed.user", "embed.item", "head.score")}
+        trainer.run()
+        assert trainer.params["embed.user"].tobytes() == init["embed.user"].tobytes()
+        assert trainer.params["embed.item"].tobytes() == init["embed.item"].tobytes()
+        assert not np.array_equal(trainer.params["head.score"], init["head.score"])
 
     def test_validation_uses_top_k(self, tmp_path):
         trainer = make_trainer(tmp_path, k=1)
