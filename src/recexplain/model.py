@@ -482,4 +482,9 @@ class Model:
         if self.project_sentences:
             dsent = dH0[graph.sent_slice]
             grads["proj.w"] += dsent.T @ trace.inputs.sent_X
-            grads["proj.b"] += dsent.sum(axis=0)
+            if self.gat_in or not self.cfg.disable_dcn:
+                # under --no-gat --no-dcn every score is linear in its own
+                # sentence row, so proj.b shifts a graph's scores alike; the
+                # ranking loss cannot see that, its gradient is analytically
+                # 0, and Adam leaves the tensor at its initial value
+                grads["proj.b"] += dsent.sum(axis=0)

@@ -9,15 +9,19 @@ unordered pair is counted twice (sim is symmetric); this matches the
 integer-program formulation whose pair-indicator count is K*(K-1).
 
 Solved exactly up to a size cap, greedily beyond it.  The exact solver
-picks one of two paths from (n, K) alone:
+picks one of two paths from C(n, K) alone:
 
-- C(n, K) <= ENUM_LIMIT: every K-subset is scored at once in numpy, as a
-  0/1 member matrix X with objective X @ g - alpha * rowsum((X @ sim) * X).
-  The rows are scored in blocks of _ENUM_BLOCK, so the float temporaries
-  stay a few hundred kB whatever C(n, K) is.  Scoring all 12,870 rows of
-  n = 16, K = 8 in one go makes three 1.6 MB temporaries: on the
-  select_heavy benchmark it raised peak RSS from 47.5 to 50.5 MB and
-  select time by 60%.
+- C(n, K) <= ENUM_LIMIT: split enumeration, meet-in-the-middle style
+  (Horowitz & Sahni 1974).  The candidates are cut at h = n // 2.  For each
+  m, the number of picks from the first half, every pair (A, B) of an
+  m-subset A of the first half and a (K - m)-subset B of the second is
+  scored in one (C(h, m), C(n - h, K - m)) block,
+
+      v(A)[:, None] + v(B)[None, :] - 2 * alpha * (A @ sim[:h, h:]) @ B.T,
+
+  where v is a half's own score sum minus its redundancy and A, B are 0/1
+  member rows.  Every array this builds holds at most ENUM_LIMIT numbers
+  (400 KB), beside one (n + 1)^2 scaled copy of sim; `solve_exact` says why.
 - otherwise, branch and bound: a depth-first search over the candidates in
   descending-score order, run on Python lists.  Its bound charges every
   candidate still open the least pair penalty it can pay among the
@@ -27,18 +31,16 @@ picks one of two paths from (n, K) alone:
   incumbent, the best set found so far, which is never worse than the
   greedy solution.
 
-ENUM_LIMIT is about where enumeration stops beating the search.  Most of
-the search's nodes go to proving a set optimal, not to finding it, so on
-small problems scoring every subset is cheaper: at n = 16, K = 8 (12,870
-subsets) enumeration takes about a fifth of the search's time.  At K = 5
-the search is cheaper and the two cross between n = 18 and n = 22
-(8,568 to 26,334 subsets).  Both paths break ties on the optimum toward
-the lexicographically smallest index set.
+ENUM_LIMIT is where the split's memory, not its speed, sets the bound: at
+C(n, K) = 50,000 the split is still 3-6x faster than the search at both
+K = 5 and K = 8, so one limit on C(n, K) serves every K.  Both paths break
+ties on the optimum toward the lexicographically smallest index set.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from collections import Counter
@@ -52,10 +54,10 @@ _TIE_EPS = 1e-12
 # branch-and-bound nodes before `solve_exact` settles for its incumbent;
 # the benchmark's searches need a few thousand at most
 NODE_BUDGET = 100_000
-# largest C(n, K) that `solve_exact` enumerates instead of searching; set
-# from both solvers' per-size times on the benchmark's captured problems
-ENUM_LIMIT = 13_000
-_ENUM_BLOCK = 1024  # subsets scored per matrix product
+# largest C(n, K) that `solve_exact` enumerates instead of searching; it
+# bounds the split's arrays (see `solve_exact`), and at it the split is
+# still faster than the search for K = 5 and K = 8
+ENUM_LIMIT = 50_000
 
 
 class SelectorError(Exception):
@@ -139,74 +141,189 @@ def solve_greedy(problem: SelectionProblem) -> Selection:
 
 
 def _suffix_floors(sim: np.ndarray, k: int) -> np.ndarray:
-    """floors[p, s, t] for s < k: the sum of the s smallest similarities from
-    position t to the other positions of the suffix p..n-1 (inf where that
-    suffix has fewer than s others).
+    """floors[p, s, t] for s < k and t >= p: the sum of the s smallest
+    similarities from position t to the other positions of the suffix
+    p..n-1 (inf where that suffix has fewer than s others).  Entries with
+    t < p are 0.  One suffix is sorted at a time, so the work space is
+    O(n^2) beside the (n, k, n) result.
     """
     n = sim.shape[0]
-    pos = np.arange(n)
-    # cube[p, t, u] = sim[t, u], masked where u is before the suffix or u == t
-    cube = np.where((pos[:, None, None] > pos) | (pos[:, None] == pos), np.inf, sim)
-    smallest = np.sort(cube, axis=2)[:, :, : k - 1]
     floors = np.zeros((n, k, n))
-    floors[:, 1:, :] = np.cumsum(smallest, axis=2).transpose(0, 2, 1)
+    for p in range(n):
+        # at least k - 1 columns, so a short suffix sums to inf
+        rest = np.full((n - p, max(n - p, k - 1)), np.inf)
+        rest[:, : n - p] = sim[p:, p:]
+        np.fill_diagonal(rest, np.inf)
+        smallest = np.sort(rest, axis=1)[:, : k - 1]
+        floors[p, 1:, p:] = np.cumsum(smallest, axis=1).T
     return floors
 
 
 @functools.lru_cache(maxsize=64)
 def _k_subsets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as a read-only (C(n, k), n) bool member
-    matrix, rows in lexicographic order of their index tuples.  Cached, so
-    the array is shared between calls and must not be written.
-
-    Built by Pascal's rule over suffixes: the j-subsets of the last m
-    elements are those holding the suffix's first element (it plus the
-    (j - 1)-subsets of the rest) followed by those without it.
+    """Every k-subset of range(n) as a read-only (C(n, k), k) array of
+    ascending index rows, in lexicographic order.  Cached, so the array is
+    shared between calls and must not be written.
     """
-    # by_size[j]: every j-subset of the last m elements as (C(m, j), m) rows;
-    # only the j that can still grow to k by the time m reaches n are kept
-    by_size = {0: np.zeros((1, 0), dtype=bool)}
-    for m in range(1, n + 1):
-        grown, none = {}, np.zeros((0, m - 1), dtype=bool)
-        for j in range(max(0, k - (n - m)), min(k, m) + 1):
-            held, rest = by_size.get(j - 1, none), by_size.get(j, none)
-            rows = np.zeros((len(held) + len(rest), m), dtype=bool)
-            rows[: len(held), 0] = True
-            rows[: len(held), 1:] = held
-            rows[len(held) :, 1:] = rest
-            grown[j] = rows
-        by_size = grown
-    members = by_size[k]
-    members.setflags(write=False)
-    return members
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    rows = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(math.comb(n, k), k)
+    rows.setflags(write=False)
+    return rows
 
 
-def _solve_enumerate(problem: SelectionProblem, k: int) -> Selection:
-    """Score every k-subset, block by block; the first row within _TIE_EPS
-    of the best is the lexicographically smallest optimal set.
+@dataclass(frozen=True)
+class _Half:
+    """The subsets of one half of the candidates that the blocks use."""
+
+    members: np.ndarray  # (R, w) index rows by size, then lexicographic; padded on the right with n
+    rows: dict[int, slice]  # the rows of each size
+    cells: np.ndarray  # (R, w(w+1)/2) flat cells of the (n+1)^2 matrix each row's value sums
+    dense: np.ndarray  # 0/1 rows over the half's columns of the sizes 1..K-1 only,
+    dense_from: int  # starting at this row of `members`
+
+
+def _half(n: int, lo: int, hi: int, sizes: range, k: int) -> _Half:
+    """The subsets of range(lo, hi) of each size in `sizes` (ascending)."""
+    s, w = hi - lo, sizes[-1]
+    members, rows, start = [], {}, 0
+    for j in sizes:
+        block = np.full((math.comb(s, j), w), n, dtype=np.intp)
+        block[:, :j] = _k_subsets(s, j) + lo
+        rows[j] = slice(start, start + len(block))
+        members.append(block)
+        start += len(block)
+    members = np.concatenate(members)
+    upper, lower = np.triu_indices(w)  # every pair of slots, diagonal included
+    cells = members[:, upper] * (n + 1) + members[:, lower]
+    inner = [rows[j] for j in sizes if 0 < j < k]
+    first, last = (inner[0].start, inner[-1].stop) if inner else (0, 0)
+    dense = np.zeros((last - first, s + 1))  # column s takes the padding
+    np.put_along_axis(dense, np.where(members[first:last] == n, s, members[first:last] - lo), 1.0, axis=1)
+    dense = np.ascontiguousarray(dense[:, :s])
+    for array in (members, cells, dense):
+        array.setflags(write=False)
+    return _Half(members, rows, cells, dense, first)
+
+
+@functools.lru_cache(maxsize=64)
+def _split_plan(n: int, k: int):
+    """What `_solve_split` needs that depends on (n, K) alone, for 1 <= K <=
+    n / 2: the two halves; per block m (the picks from the first half) its
+    rows of each half and its rows of their 0/1 parts (None when a side is
+    empty); and where each block starts in the flat array of all C(n, K)
+    values, with C(n, K) last.
     """
-    members = _k_subsets(problem.n, k)
-    values = np.empty(len(members))
-    for start in range(0, len(members), _ENUM_BLOCK):
-        x = members[start : start + _ENUM_BLOCK].astype(float)
-        pairs = ((x @ problem.sim) * x).sum(axis=1)  # ordered pairs: each counted twice
-        values[start : start + len(x)] = x @ problem.scores - problem.alpha * pairs
-    row = int(np.argmax(values >= values.max() - _TIE_EPS))
-    chosen = tuple(int(i) for i in np.flatnonzero(members[row]))
+    h = n // 2
+    sizes = range(max(0, k - (n - h)), min(k, h) + 1)
+    first = _half(n, 0, h, sizes, k)
+    second = _half(n, h, n, range(k - sizes[-1], k - sizes[0] + 1), k)
+    blocks, offsets = [], [0]
+    for m in sizes:
+        a, b = first.rows[m], second.rows[k - m]
+        cross = None
+        if 0 < m < k:
+            da, db = first.dense_from, second.dense_from
+            cross = (slice(a.start - da, a.stop - da), slice(b.start - db, b.stop - db))
+        blocks.append((m, a, b, cross))
+        offsets.append(offsets[-1] + (a.stop - a.start) * (b.stop - b.start))
+    offsets = np.array(offsets)
+    offsets.setflags(write=False)
+    return first, second, tuple(blocks), offsets
+
+
+def _solve_split(problem: SelectionProblem, k: int) -> Selection:
+    """Score every K-subset as (first-half part, second-half part) blocks
+    and return the lexicographically smallest set within _TIE_EPS of the
+    best; `solve_exact` explains the layout and the tie rule.
+    """
+    n, alpha = problem.n, problem.alpha
+    g, flip = problem.scores, 2 * k > n
+    if flip:  # score the n - K candidates left out instead
+        g = 2.0 * alpha * problem.sim.sum(axis=1) - g
+        k = n - k
+    first, second, blocks, offsets = _split_plan(n, k)
+    h = n // 2
+    # pad[i, j] = -2 alpha sim(i, j) for i != j and g_i on the diagonal;
+    # row and column n are the padding index's, all 0
+    pad = np.zeros((n + 1, n + 1))
+    np.multiply(problem.sim, -2.0 * alpha, out=pad[:n, :n])
+    pad.flat[: n * (n + 2) : n + 2] = g
+    value_a = pad.take(first.cells).sum(axis=1)
+    value_b = pad.take(second.cells).sum(axis=1)
+    cross_a = first.dense @ pad[:h, h:n]
+    values = np.empty(offsets[-1])
+    for (_, a, b, cross), start, stop in zip(blocks, offsets, offsets[1:]):
+        block = values[start:stop].reshape(a.stop - a.start, b.stop - b.start)
+        np.add(value_a[a, None], value_b[b], out=block)
+        if cross is not None:
+            block += cross_a[cross[0]] @ second.dense[cross[1]].T
+    hits = np.flatnonzero(values >= values.max() - _TIE_EPS)
+    # a block's rows are in lexicographic order, so its first hit is its
+    # smallest near-optimal set; flipped, its last is the largest
+    if flip:
+        at = np.searchsorted(hits, offsets[1:]) - 1
+    else:
+        at = np.minimum(np.searchsorted(hits, offsets[:-1]), len(hits) - 1)
+    found = []
+    for (m, a, b, _), start, stop, pos in zip(blocks, offsets, offsets[1:], hits[at].tolist()):
+        if start <= pos < stop:
+            r, c = divmod(pos - start, b.stop - b.start)
+            chosen = first.members[a.start + r, :m].tolist() + second.members[b.start + c, : k - m].tolist()
+            found.append(tuple(chosen))
+    if flip:
+        left_out = set(max(found))
+        chosen = tuple(i for i in range(n) if i not in left_out)
+    else:
+        chosen = min(found)
     return Selection(chosen, objective(problem, chosen), "exact")
 
 
 def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
-    """Optimal subset, by enumeration when C(n, K) <= ENUM_LIMIT and by
-    depth-first branch and bound otherwise.
+    """Optimal subset, by split enumeration when C(n, K) <= ENUM_LIMIT and
+    by depth-first branch and bound otherwise.  Both return the
+    lexicographically smallest optimal set.
 
-    The search walks candidates in descending-score order (stable on
+    Cases in order: K >= n takes every candidate, and alpha = 0 or no
+    similarity takes the top K by score; both are "exact" at any n.  Above
+    `cap` candidates the greedy solution is returned.  Then C(n, K) alone
+    picks the path.  The cap and the search's budget log a warning and are
+    labelled "greedy", meaning "not proven optimal".
+
+    The split (`_solve_split`).  Each block's rows are the first half's
+    m-subsets in lexicographic order and its columns the second half's
+    (K - m)-subsets, likewise.  Every element of A is below every element
+    of B, so the row-major order of a block is the lexicographic order of
+    the sets A | B, and the block's first cell within _TIE_EPS of the
+    global maximum is its smallest near-optimal set.  The smallest of
+    those per-block sets (at most K + 1) is the answer.  The tie rule is
+    lexicographic so that the chosen set does not depend on which path
+    solved the problem: the block layout gives that order for free, and
+    the search, which meets sets in score order, can still compare index
+    tuples.
+
+    When 2K > n the split scores the n - K candidates T left out instead:
+    with r_i the row sums of sim, the objective of the complement of T is
+    a constant plus sum_{i in T} (2*alpha*r_i - g_i) - alpha * (ordered
+    pair sum over T), the same form with n - K picks.  The smallest chosen
+    set is the complement of the largest T, so each block gives its last
+    near-optimal cell and the largest of those wins.
+
+    The memory bound.  With K' = min(K, n - K) picks, every block, every
+    member-row and gather array of a half, the 0/1 rows of the sizes that
+    meet a cross term (1..K' - 1) and their product with sim[:h, h:] hold
+    at most ENUM_LIMIT numbers each, beside one (n + 1)^2 scaled copy of
+    sim (checked for every shape in the tests).  The blocks are
+    C(n, K) <= ENUM_LIMIT numbers together.  Only the sizes that meet a
+    cross term are kept as 0/1 rows: a pure block (m = 0 or m = K') is a
+    half's K'-subsets alone, and as 0/1 rows those would hold about four
+    times ENUM_LIMIT (n = 67, K = 3), so a half's own values are summed
+    from gathered pairs instead.
+
+    The search.  It walks candidates in descending-score order (stable on
     index), taking position `pos` into the set before leaving it out, so
     strong incumbents come early; the greedy solution is the warm start.
-    Ties on the optimum go to the lexicographically smallest index set.
-
-    The bound: at a node, slots = K - |chosen| picks remain, all from the
-    suffix of positions pos..n-1, and a completion P adds
+    At a node, slots = K - |chosen| picks remain, all from the suffix of
+    positions pos..n-1, and a completion P adds
     sum_{j in P} (g_j - 2*alpha*pen_j - alpha * sum_{i in P, i != j} sim(i, j)),
     with pen_j the similarity of j to the chosen set.  Proof in one line:
     j's inner sum has slots - 1 terms drawn from its similarities to the
@@ -215,19 +332,10 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
     cur + the top `slots` of g_j - 2*alpha*pen_j - alpha*floor(pos, slots, j).
     This holds for any sign of sim as long as alpha >= 0, which
     `SelectionProblem` checks.  The floors for every suffix and slot count
-    are computed once per problem.
-
-    Cases in order: K >= n takes every candidate, and alpha = 0 or no
-    similarity takes the top K by score; both are "exact" at any n.  Above
-    `cap` candidates the greedy solution is returned.  Then, if C(n, K) <=
-    ENUM_LIMIT, `_solve_enumerate` scores every K-subset (blocks of
-    _ENUM_BLOCK rows, so memory stays flat); below that many subsets
-    enumeration beats the search, which spends most of its nodes proving
-    optimality.  Otherwise the search runs: a search past NODE_BUDGET nodes
-    returns its incumbent, the greedy warm start or a better set found
-    since.  The cap and the budget log a warning and are labelled
-    "greedy", meaning "not proven optimal".  Both exact paths return the
-    lexicographically smallest optimal set.
+    are computed once per problem.  Most of the search's nodes go to
+    proving a set optimal, which is why the split wins below ENUM_LIMIT.
+    A search past NODE_BUDGET nodes returns its incumbent, the greedy warm
+    start or a better set found since.
     """
     n = problem.n
     k = min(problem.k, n)
@@ -241,7 +349,7 @@ def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
         log.warning("exact solver cap %d exceeded (n=%d); falling back to greedy", cap, n)
         return solve_greedy(problem)
     if math.comb(n, k) <= ENUM_LIMIT:
-        return _solve_enumerate(problem, k)
+        return _solve_split(problem, k)
 
     # warm start so the bound prunes from the first branches
     warm = solve_greedy(problem)

@@ -179,6 +179,21 @@ def k_subsets_oracle(n, k):
     return members
 
 
+def suffix_floors_cube(sim, k):
+    """floors[p, s, t] for s < k: the sum of the s smallest similarities
+    from position t to the other positions of the suffix p..n-1 (inf where
+    that suffix has fewer than s others), from one masked (n, n, n) cube
+    sorted at once.  Only t >= p is meaningful."""
+    n = sim.shape[0]
+    pos = np.arange(n)
+    # cube[p, t, u] = sim[t, u], masked where u is before the suffix or u == t
+    cube = np.where((pos[:, None, None] > pos) | (pos[:, None] == pos), np.inf, sim)
+    smallest = np.sort(cube, axis=2)[:, :, : k - 1]
+    floors = np.zeros((n, k, n))
+    floors[:, 1:, :] = np.cumsum(smallest, axis=2).transpose(0, 2, 1)
+    return floors
+
+
 def enumerate_best_subset(scores, sim, k, alpha):
     """Exhaustive subset search; ties go to the lexicographically smallest
     index tuple.  Returns (best objective, best tuple).

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     enumerate_best_subset,
     ilp_best_subset,
     k_subsets_oracle,
+    suffix_floors_cube,
     tfidf_cosine_oracle,
     tfidf_pair_loop,
 )
@@ -29,9 +31,9 @@ def spec_instance():
 
 def solve_each_path(problem, cap=100):
     """`solve_exact` once per exact path: ENUM_LIMIT 0 forces the branch and
-    bound, a limit above every C(n, K) forces enumeration."""
+    bound, a limit above every C(n, K) forces the split enumeration."""
     out = {}
-    for path, limit in (("search", 0), ("enumerate", 10**12)):
+    for path, limit in (("search", 0), ("split", 10**12)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sel, "ENUM_LIMIT", limit)
             out[path] = sel.solve_exact(problem, cap)
@@ -181,20 +183,22 @@ class TestExactSolver:
 
 class TestSolverPaths:
     def test_k_subsets_lexicographic_and_read_only(self):
-        members = sel._k_subsets(6, 3)
-        rows = [tuple(np.flatnonzero(row)) for row in members]
-        assert members.shape == (20, 6) and members.dtype == bool
-        assert all(len(r) == 3 for r in rows)
-        assert rows == sorted(set(rows))  # 20 distinct 3-subsets of 6 are all of them
-        assert not members.flags.writeable
+        rows = sel._k_subsets(6, 3)
+        assert rows.shape == (20, 3) and rows.dtype == np.intp
+        tuples = [tuple(r) for r in rows.tolist()]
+        assert all(list(t) == sorted(set(t)) for t in tuples)  # ascending, no repeats
+        assert tuples == sorted(set(tuples))  # 20 distinct 3-subsets of 6 are all of them
+        assert not rows.flags.writeable
         with pytest.raises(ValueError):
-            members[0, 0] = False
+            rows[0, 0] = 1
 
     def test_k_subsets_match_itertools(self):
         for n in range(21):
             for k in range(n + 1):
                 if math.comb(n, k) <= sel.ENUM_LIMIT:
-                    assert np.array_equal(sel._k_subsets(n, k), k_subsets_oracle(n, k)), (n, k)
+                    members = k_subsets_oracle(n, k)
+                    want = np.nonzero(members)[1].reshape(len(members), k)
+                    assert np.array_equal(sel._k_subsets(n, k), want), (n, k)
 
     def test_exact_ties_go_to_the_smallest_set_on_both_paths(self):
         # values in eighths, so the float sums are exact; four sets tie at
@@ -216,26 +220,119 @@ class TestSolverPaths:
         for got in solve_each_path(p).values():
             assert got == sel.Selection((0, 2, 4), 2.0, "exact")
 
+    def test_tie_across_blocks_goes_to_the_smallest_set(self):
+        # n = 4 is cut at h = 2.  Three sets tie at 1.0, one from each block:
+        # {2, 3} (m = 0) is the first cell of the flat value array, {0, 2}
+        # (m = 1) the first of its block, and the smallest, {0, 1}, is in
+        # the last block (m = 2)
+        scores = np.full(4, 0.5)
+        sim = np.array([
+            [0, 0, 0, 1],
+            [0, 0, 2, 2],
+            [0, 2, 0, 0],
+            [1, 2, 0, 0],
+        ]) / 8
+        p = sel.SelectionProblem(scores, sim, k=2, alpha=0.5)
+        for c in [(0, 1), (0, 2), (2, 3)]:
+            assert sel.objective(p, c) == 1.0
+        assert enumerate_best_subset(list(scores), sim.tolist(), 2, 0.5) == (1.0, (0, 1))
+        for got in solve_each_path(p).values():
+            assert got == sel.Selection((0, 1), 1.0, "exact")
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(7, 1), (7, 3), (7, 4), (7, 6), (9, 5), (9, 8), (8, 1), (8, 7), (11, 6), (2, 1)],
+        ids=lambda v: str(v),
+    )
+    def test_both_paths_match_ilp_and_brute_force_at_edge_shapes(self, n, k):
+        # odd n, K above h = n // 2 (the split then scores the n - K left
+        # out), K = 1 and K = n - 1; values in eighths, so ties are real
+        rng = np.random.default_rng(n * 100 + k)
+        for _ in range(4):
+            scores = (rng.integers(0, 9, size=n) / 8).tolist()
+            raw = rng.integers(0, 5, size=(n, n)) / 8
+            sim = np.triu(raw, 1)
+            sim = (sim + sim.T).tolist()
+            for alpha in (0.5, 2.0):
+                ilp_obj, _ = ilp_best_subset(scores, sim, k, alpha)
+                brute_obj, brute_set = enumerate_best_subset(scores, sim, k, alpha)
+                problem = sel.SelectionProblem(np.array(scores), np.array(sim), k, alpha)
+                paths = solve_each_path(problem)
+                assert set(paths) == {"search", "split"}
+                for got in paths.values():
+                    assert got.solver == "exact"
+                    assert abs(got.objective - ilp_obj) <= 1e-9
+                    assert got.indices == brute_set
+                    assert got.objective == sel.objective(problem, got.indices)
+
     def test_path_follows_the_subset_count(self, monkeypatch):
+        # one shape on each side of ENUM_LIMIT = 50,000, for K = 5 and K = 8
+        assert sel.ENUM_LIMIT == 50_000
         rng = np.random.default_rng(1)
-        real_floors = sel._suffix_floors
+        paths = []
+        real_split, real_floors = sel._solve_split, sel._suffix_floors
+        monkeypatch.setattr(sel, "_solve_split", lambda p, k: paths.append("split") or real_split(p, k))
+        monkeypatch.setattr(sel, "_suffix_floors", lambda sim, k: paths.append("search") or real_floors(sim, k))
+        for n, k, want in [(24, 5, "split"), (25, 5, "search"), (18, 8, "split"), (19, 8, "search")]:
+            assert (math.comb(n, k) <= sel.ENUM_LIMIT) == (want == "split")
+            paths.clear()
+            assert sel.solve_exact(random_problem(rng, n=n, k=k, alpha=0.5)).solver == "exact"
+            assert paths == [want], (n, k)
 
-        def no_search(sim, k):
-            raise AssertionError("the search ran")
+    def test_split_arrays_stay_within_the_limit(self):
+        # every shape the dispatch sends to the split up to n = 120, the
+        # K = 2 and K = n - 2 shapes up to C(n, 2) = ENUM_LIMIT, and K = 1
+        # at large n: every block, member-row, gather and 0/1 array, and
+        # the cross product, holds at most ENUM_LIMIT numbers
+        limit = sel.ENUM_LIMIT
+        shapes = [(n, k) for n in range(2, 121) for k in range(1, n) if math.comb(n, k) <= limit]
+        shapes += [(n, k) for n in range(121, 400) for k in (2, n - 2) if math.comb(n, k) <= limit]
+        shapes += [(1000, 1), (50_000, 1)]
+        largest = 0
+        for n, k in shapes:
+            first, second, blocks, offsets = sel._split_plan(n, min(k, n - k))
+            assert offsets[-1] == math.comb(n, k)
+            sizes = [half.members.size for half in (first, second)]
+            sizes += [half.cells.size for half in (first, second)]
+            sizes += [half.dense.size for half in (first, second)]
+            sizes.append(len(first.dense) * (n - n // 2))  # first.dense @ sim[:h, h:]
+            sizes += np.diff(offsets).tolist()  # the blocks
+            assert max(sizes) <= limit, (n, k, sizes)
+            largest = max(largest, *sizes)
+        assert largest > limit // 2  # the shapes reach toward the bound
+        # the worst shape for 0/1 rows of every size solves, agrees with
+        # the search, and K = 64 of 67 is planned as the 3 left out
+        rng = np.random.default_rng(67)
+        planned = []
+        real_plan = sel._split_plan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sel, "_split_plan", lambda n, k: planned.append((n, k)) or real_plan(n, k))
+            for k in (3, 64):
+                p = random_problem(rng, n=67, k=k, alpha=0.5)
+                paths = solve_each_path(p)
+                assert paths["split"] == paths["search"]
+        assert planned == [(67, 3), (67, 3)]
 
-        monkeypatch.setattr(sel, "_suffix_floors", no_search)
-        # C(16, 8) = 12,870 subsets: enumerated
-        assert sel.solve_exact(random_problem(rng, n=16, k=8, alpha=0.5)).solver == "exact"
-        calls = []
+    def test_suffix_floors_match_the_cube(self):
+        rng = np.random.default_rng(5)
+        for n, k in [(1, 1), (2, 2), (5, 3), (9, 8), (12, 4), (16, 8), (20, 5), (6, 6)]:
+            sim = random_problem(rng, n=n, k=1).sim
+            got, want = sel._suffix_floors(sim, k), suffix_floors_cube(sim, k)
+            assert got.shape == want.shape == (n, k, n)
+            for p in range(n):
+                assert got[p, :, p:].tobytes() == want[p, :, p:].tobytes(), (n, k, p)
 
-        def counted(sim, k):
-            calls.append(k)
-            return real_floors(sim, k)
-
-        monkeypatch.setattr(sel, "_suffix_floors", counted)
-        # C(20, 5) = 15,504 subsets: searched
-        assert sel.solve_exact(random_problem(rng, n=20, k=5, alpha=0.5)).solver == "exact"
-        assert calls == [5]
+    def test_suffix_floors_memory_is_quadratic(self):
+        # the default exact_cap of 100 at K = 5: the (n, n, n) cube took a
+        # 16.7 MB peak; the floors themselves are n * K * n * 8 = 400 kB
+        sim = random_problem(np.random.default_rng(6), n=100, k=1).sim
+        tracemalloc.start()
+        try:
+            sel._suffix_floors(sim, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 @st.composite

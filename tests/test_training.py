@@ -529,14 +529,20 @@ class TestTrainer:
 
     def test_embeddings_stay_at_init_without_gat_and_dcn(self, tmp_path):
         # no attention and a score head that does not read [user | item]:
-        # nothing reaches the user and item rows, and Adam leaves them be
+        # nothing reaches the user and item rows, and Adam leaves them be.
+        # The sentence projection's bias shifts every score of a graph
+        # alike, so it stays at its initial value too, with zero moments
         model_cfg = ModelConfig(hidden=4, deep_hidden=4, disable_gat=True, disable_dcn=True)
         trainer = make_trainer(tmp_path, epochs=2, model_cfg=model_cfg)
-        init = {name: trainer.params[name].copy() for name in ("embed.user", "embed.item", "head.score")}
+        assert trainer.model.project_sentences  # sentence vectors are 3-wide, hidden 4
+        frozen = ("embed.user", "embed.item", "proj.b")
+        init = {name: trainer.params[name].copy() for name in frozen + ("head.score", "proj.w")}
         trainer.run()
-        assert trainer.params["embed.user"].tobytes() == init["embed.user"].tobytes()
-        assert trainer.params["embed.item"].tobytes() == init["embed.item"].tobytes()
+        for name in frozen:
+            assert trainer.params[name].tobytes() == init[name].tobytes(), name
+        assert not trainer.adam.m["proj.b"].any() and not trainer.adam.v["proj.b"].any()
         assert not np.array_equal(trainer.params["head.score"], init["head.score"])
+        assert not np.array_equal(trainer.params["proj.w"], init["proj.w"])
 
     def test_validation_uses_top_k(self, tmp_path):
         trainer = make_trainer(tmp_path, k=1)
