@@ -32,7 +32,6 @@ from .config import ConfigError, PipelineConfig
 from .corpus import (
     Corpus,
     CorpusError,
-    EmptyPoolError,
     build_corpus,
     ingest_reviews,
     load_attribute_lexicon,
@@ -41,7 +40,7 @@ from .corpus import (
     save_corpus,
 )
 from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file
-from .graphs import build_pair_graph
+from .graphs import EmptyPoolError, build_pair_graph
 from .model import Model
 from .selector import TfidfVectorizer, select_for_pair
 from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params
@@ -89,16 +88,16 @@ def _load_processed(cfg: PipelineConfig) -> Corpus:
     return load_corpus(out)
 
 
-def _build_provider(cfg: PipelineConfig) -> NodeFeatureProvider:
+def _build_provider(cfg: PipelineConfig, corpus: Corpus) -> NodeFeatureProvider:
     word_table = load_vector_file(cfg.paths.attribute_vectors)
     sentence_table = load_vector_file(cfg.paths.sentence_vectors) if cfg.paths.sentence_vectors else None
-    return NodeFeatureProvider(hidden=cfg.model.hidden, word_table=word_table, sentence_table=sentence_table)
+    return NodeFeatureProvider(corpus, cfg.model.hidden, word_table, sentence_table)
 
 
 def cmd_train(cfg: PipelineConfig, resume: str | None = None):
     cfg.validate_stage("train")
     corpus = _load_processed(cfg)
-    provider = _build_provider(cfg)
+    provider = _build_provider(cfg, corpus)
     trainer = Trainer(
         corpus,
         provider,
@@ -111,9 +110,7 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
     )
     if resume:
         trainer.load_checkpoint(resume)
-    best = trainer.run()
-    provider.report_misses()
-    return best
+    return trainer.run()
 
 
 def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
@@ -125,31 +122,27 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     tensors, meta = load_tensors(ckpt_path)
     if not checkpoint:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")
-    provider = _build_provider(cfg)
+    provider = _build_provider(cfg, corpus)
     model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
     params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
-    user_rows = {u: i for i, u in enumerate(corpus.users)}
-    item_rows = {c: i for i, c in enumerate(corpus.items)}
     vectorizer = TfidfVectorizer(corpus.train_words())
 
     def one_pair(pair):
         user_id, item_id = pair
         try:
-            graph = build_pair_graph(corpus, user_id, item_id, "eval")
+            graph = build_pair_graph(corpus, user_id, item_id)
         except EmptyPoolError:
             log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
             return None
-        inputs = graph_inputs(graph, corpus, provider, user_rows[user_id], item_rows[item_id])
+        inputs = graph_inputs(graph, corpus, provider)
         trace = model.forward(graph, inputs, params)
         words = [list(corpus.sentences[s].words) for s in graph.sentence_ids]
         sel, order = select_for_pair(trace.scores, words, vectorizer, cfg.selection)
-        chosen_global = [order[i] for i in sel.indices]
-        # record ids in descending-score order for readable explanations
-        chosen_global.sort(key=lambda i: (-trace.scores[i], i))
+        # ids by descending score, ties by index: `order` is in that order and sel.indices ascend
         return {
             "user_id": user_id,
             "item_id": item_id,
-            "sentence_ids": [graph.sentence_ids[i] for i in chosen_global],
+            "sentence_ids": [graph.sentence_ids[order[i]] for i in sel.indices],
             "objective": sel.objective,
             "solver": sel.solver,
         }
@@ -161,7 +154,6 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
         fh.write(json.dumps({"config_hash": cfg.select_hash()}, sort_keys=True) + "\n")
         for rec in results:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    provider.report_misses()
     return {"pairs": len(results), "skipped": len(pairs) - len(results), "path": str(out)}
 
 

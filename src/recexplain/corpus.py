@@ -3,8 +3,9 @@
 Raw reviews (JSON lines with user_id, item_id, rating, text) are filtered
 by rating, segmented into sentences, tokenized, tagged with lexicon
 attributes, pruned of attribute-free sentences, activity-filtered to a
-fixpoint, split into train/valid/test, and indexed for candidate-pool
-lookups.  Everything is deterministic given (input files, seed).
+fixpoint, split into train/valid/test, and indexed per user and per item
+over the training split (see `Corpus`).  Everything is deterministic given
+(input files, seed).
 
 A processed corpus directory holds two JSON files, written with sorted keys:
 
@@ -44,10 +45,6 @@ UNK_TOKEN = "<unk>"
 
 class CorpusError(Exception):
     pass
-
-
-class EmptyPoolError(CorpusError):
-    """Raised when a (user, item) pair has no candidate sentences."""
 
 
 # Sentence boundaries sit after terminal punctuation followed by whitespace.
@@ -269,7 +266,10 @@ def split_corpus(review_ids, ratios, seed: int) -> CorpusSplit:
 
 
 class Corpus:
-    """Processed corpus with split-aware per-user/per-item indexes."""
+    """Processed corpus with split-aware per-user/per-item indexes: the
+    sentence ids and attribute ids of each user's and item's training
+    reviews, and each one's row in the model's embedding tables.  It makes
+    no per-pair decision; the pool rule is `graphs.build_pair_graph`'s."""
 
     def __init__(self, reviews: dict[str, Review], sentences: dict[str, Sentence], lexicon: AttributeLexicon, split: CorpusSplit):
         self.reviews = reviews
@@ -278,51 +278,27 @@ class Corpus:
         self.split = split
         self.users = sorted({r.user_id for r in reviews.values()})
         self.items = sorted({r.item_id for r in reviews.values()})
+        self.user_rows = {u: i for i, u in enumerate(self.users)}
+        self.item_rows = {c: i for i, c in enumerate(self.items)}
         # each user's and item's training-split sentence ids and attribute ids
-        self._user_sentences: dict[str, set[str]] = {u: set() for u in self.users}
-        self._item_sentences: dict[str, set[str]] = {c: set() for c in self.items}
-        self._user_attributes: dict[str, set[int]] = {u: set() for u in self.users}
-        self._item_attributes: dict[str, set[int]] = {c: set() for c in self.items}
+        self.user_sentences: dict[str, set[str]] = {u: set() for u in self.users}
+        self.item_sentences: dict[str, set[str]] = {c: set() for c in self.items}
+        self.user_attributes: dict[str, set[int]] = {u: set() for u in self.users}
+        self.item_attributes: dict[str, set[int]] = {c: set() for c in self.items}
         self._pair_reviews: dict[tuple[str, str], dict[str, list[str]]] = {}
         for rid in sorted(reviews):
             r = reviews[rid]
             part = split.of(rid)
             if part == "train":
                 attrs = set().union(*(sentences[sid].attributes for sid in r.sentence_ids))
-                self._user_sentences[r.user_id].update(r.sentence_ids)
-                self._item_sentences[r.item_id].update(r.sentence_ids)
-                self._user_attributes[r.user_id] |= attrs
-                self._item_attributes[r.item_id] |= attrs
+                self.user_sentences[r.user_id].update(r.sentence_ids)
+                self.item_sentences[r.item_id].update(r.sentence_ids)
+                self.user_attributes[r.user_id] |= attrs
+                self.item_attributes[r.item_id] |= attrs
             bucket = self._pair_reviews.setdefault((r.user_id, r.item_id), {})
             bucket.setdefault(part, []).append(rid)
 
     # -- split-aware views -------------------------------------------------
-
-    def user_train_attributes(self, user_id: str) -> set[int]:
-        return self._user_attributes[user_id]
-
-    def item_train_attributes(self, item_id: str) -> set[int]:
-        return self._item_attributes[item_id]
-
-    def candidate_pool(self, user_id: str, item_id: str, mode: str) -> tuple[str, ...]:
-        """Union of the user's and the item's training-split sentences.
-
-        Pools only ever draw on the training split, so in eval mode the
-        held-out target review is excluded by construction; in train mode
-        the target review's own sentences are members.
-        """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if user_id not in self._user_sentences or item_id not in self._item_sentences:
-            raise CorpusError(f"unknown pair ({user_id!r}, {item_id!r})")
-        pool = sorted(self._user_sentences[user_id] | self._item_sentences[item_id])
-        if not pool:
-            raise EmptyPoolError(f"empty candidate pool for ({user_id}, {item_id})")
-        if mode == "train":
-            target = set(self.ground_truth_sentences(user_id, item_id, "train"))
-            if not target <= set(pool):
-                raise CorpusError(f"train pool for ({user_id}, {item_id}) misses target sentences")
-        return tuple(pool)
 
     def train_words(self) -> list[tuple[str, ...]]:
         """Words of every training-split sentence, in review-id order."""

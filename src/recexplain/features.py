@@ -4,17 +4,20 @@ Word/attribute and sentence vectors are consumed from text files (they
 are produced elsewhere); the trainable user and item tables live with the
 model parameters.  Vector file format: first line `<count> <dim>`, then
 `<id> <v1> ... <vdim>` per line, whitespace separated.
+
+This module owns each node's input vector: `NodeFeatureProvider` computes
+them once per stage, and `graph_inputs` gathers one graph's rows.
 """
 
 from __future__ import annotations
 
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import UNK_TOKEN, Sentence
+from .corpus import UNK_TOKEN, Corpus
 
 log = logging.getLogger(__name__)
 
@@ -113,77 +116,60 @@ def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray
     unk = word_table.lookup(UNK_TOKEN)
     if unk is None:
         unk = np.zeros(word_table.dim)
-    rows = [word_table.lookup(w) if word_table.lookup(w) is not None else unk for w in words]
+    rows = [unk if (row := word_table.lookup(w)) is None else row for w in words]
     return np.mean(rows, axis=0)
 
 
-@dataclass
 class NodeFeatureProvider:
-    """Builds the static (non-trainable) node input matrices for a graph.
+    """The static (non-trainable) node input tables of one stage.
 
-    Attribute node vectors come from the word table (attributes are
-    vocabulary words; multiword surfaces average their constituents) and
-    must match `hidden`.  Sentence vectors come from the sentence table
+    `attr_X` has a row per lexicon attribute id, from the word table
+    (attributes are vocabulary words; multiword surfaces average their
+    constituents), and must match `hidden`.  A surface with no word vector
+    gets zeros, counted in `missing_attributes` and logged once.  `sent_X`
+    has a row per training sentence (`sentence_rows` maps ids to rows), as
+    only training sentences enter a pool.  Rows come from the sentence table
     when present; without one (the average-word-embedding ablation) they
-    average word vectors.  An empty word or sentence table is an error.
-    Missing attribute words count as zeros; a missing sentence id is an
-    error, as the table is from another preprocess run.
+    average word vectors.  An empty word or sentence table is an error, and
+    so is a training sentence the sentence table lacks: the table is from
+    another preprocess run.
     """
 
-    hidden: int
-    word_table: EmbeddingTable
-    sentence_table: EmbeddingTable | None = None
-    missing_attr: set[str] = field(default_factory=set, init=False)  # surfaces given zeros
+    def __init__(self, corpus: Corpus, hidden: int, word_table: EmbeddingTable, sentence_table: EmbeddingTable | None = None):
+        if len(word_table) == 0:
+            raise VectorFileError(f"{word_table.path}: attribute/word vector table is empty")
+        if word_table.dim != hidden:
+            raise VectorFileError(f"attribute/word vectors have dim {word_table.dim}, expected {hidden}")
+        if sentence_table is not None and len(sentence_table) == 0:
+            raise VectorFileError(f"{sentence_table.path}: sentence vector table is empty")
 
-    def __post_init__(self):
-        if len(self.word_table) == 0:
-            raise VectorFileError(f"{self.word_table.path}: attribute/word vector table is empty")
-        if self.word_table.dim != self.hidden:
-            raise VectorFileError(
-                f"attribute/word vectors have dim {self.word_table.dim}, expected {self.hidden}"
-            )
-        if self.sentence_table is not None and len(self.sentence_table) == 0:
-            raise VectorFileError(f"{self.sentence_table.path}: sentence vector table is empty")
+        self.attr_X = np.zeros((len(corpus.lexicon), hidden))
+        self.missing_attributes = 0
+        for fid, surface in enumerate(corpus.lexicon.surfaces):
+            rows = [row for p in surface.split() if (row := word_table.lookup(p)) is not None]
+            if rows:
+                self.attr_X[fid] = np.mean(rows, axis=0)
+            else:
+                self.missing_attributes += 1
+        if self.missing_attributes:
+            log.warning("%d attribute vectors missing; used zeros", self.missing_attributes)
+
+        sids = sorted(set().union(*corpus.user_sentences.values()))
+        self.sentence_rows = {sid: i for i, sid in enumerate(sids)}
+        if sentence_table is None:
+            self.sent_X = np.zeros((len(sids), word_table.dim))
+            for i, sid in enumerate(sids):
+                self.sent_X[i] = sentence_fallback_embedding(corpus.sentences[sid].words, word_table)
+        else:
+            rows = [sentence_table.index.get(sid) for sid in sids]
+            if None in rows:
+                sid = sids[rows.index(None)]
+                raise VectorFileError(f"{sentence_table.path}: no vector for sentence id {sid!r}; rebuild it from this corpus")
+            self.sent_X = sentence_table.vectors[rows]
 
     @property
     def sentence_dim(self) -> int:
-        if self.sentence_table is not None:
-            return self.sentence_table.dim
-        return self.word_table.dim
-
-    def attribute_vector(self, surface: str) -> np.ndarray:
-        parts = surface.split()
-        rows = []
-        for p in parts:
-            row = self.word_table.lookup(p)
-            if row is not None:
-                rows.append(row)
-        if not rows:
-            self.missing_attr.add(surface)
-            return np.zeros(self.hidden)
-        return np.mean(rows, axis=0)
-
-    def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        if self.sentence_table is None:
-            return sentence_fallback_embedding(sentence.words, self.word_table)
-        row = self.sentence_table.lookup(sentence.sentence_id)
-        if row is None:
-            raise VectorFileError(f"{self.sentence_table.path}: no vector for sentence id {sentence.sentence_id!r}; rebuild it from this corpus")
-        return row
-
-    def attr_matrix(self, surfaces: list[str]) -> np.ndarray:
-        if not surfaces:
-            return np.zeros((0, self.hidden))
-        return np.stack([self.attribute_vector(s) for s in surfaces])
-
-    def sent_matrix(self, sentences: list[Sentence]) -> np.ndarray:
-        if not sentences:
-            return np.zeros((0, self.sentence_dim))
-        return np.stack([self.sentence_vector(s) for s in sentences])
-
-    def report_misses(self) -> None:
-        if self.missing_attr:
-            log.warning("%d attribute vectors missing; used zeros", len(self.missing_attr))
+        return int(self.sent_X.shape[1])
 
 
 @dataclass
@@ -196,12 +182,12 @@ class GraphInputs:
     item_row: int
 
 
-def graph_inputs(graph, corpus, provider: NodeFeatureProvider, user_row: int, item_row: int) -> GraphInputs:
-    surfaces = [corpus.lexicon.surface(a) for a in graph.attribute_ids]
-    sentences = [corpus.sentences[s] for s in graph.sentence_ids]
+def graph_inputs(graph, corpus: Corpus, provider: NodeFeatureProvider) -> GraphInputs:
+    """The graph's node inputs: its attribute and sentence rows gathered
+    from the provider's tables, its user and item rows from the corpus."""
     return GraphInputs(
-        attr_X=provider.attr_matrix(surfaces),
-        sent_X=provider.sent_matrix(sentences),
-        user_row=user_row,
-        item_row=item_row,
+        attr_X=provider.attr_X[list(graph.attribute_ids)],
+        sent_X=provider.sent_X[[provider.sentence_rows[s] for s in graph.sentence_ids]],
+        user_row=corpus.user_rows[graph.user_id],
+        item_row=corpus.item_rows[graph.item_id],
     )

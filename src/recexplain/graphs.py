@@ -1,5 +1,9 @@
 """Per-(user, item) heterogeneous graph construction.
 
+This module owns the pool rule (`build_pair_graph`).  A `PairGraph` is
+structure only: node inputs are `features.graph_inputs`'s, and labels and
+targets are `training.Trainer`'s.
+
 Each graph has one user node, one item node, the attribute nodes occurring
 in the candidate sentences, and the candidate sentence nodes.  Edges are
 undirected and binary: user-attribute and item-attribute co-occurrence
@@ -15,18 +19,19 @@ edges as index arrays, derived once from `neighbors` when it is made, and
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, EmptyPoolError
-
-log = logging.getLogger(__name__)
+from .corpus import Corpus, CorpusError
 
 USER_NODE = 0
 ITEM_NODE = 1
+
+
+class EmptyPoolError(CorpusError):
+    """Raised when a (user, item) pair has no candidate sentences."""
 
 
 class Edges(NamedTuple):
@@ -47,7 +52,6 @@ class PairGraph:
     attribute_ids: tuple[int, ...]
     sentence_ids: tuple[str, ...]
     neighbors: list[np.ndarray]  # undirected adjacency, no self-loops, sorted
-    attr_labels: np.ndarray | None = None  # (M,) 0/1, train mode only
     _edges: Edges = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,47 +81,39 @@ class PairGraph:
         return self._edges
 
 
-def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> PairGraph:
+def build_pair_graph(corpus: Corpus, user_id: str, item_id: str) -> PairGraph:
     """Construct the heterogeneous graph for one (user, item) pair.
 
-    Sentence nodes are the candidate pool restricted, as in the paper, to
-    sentences sharing at least one attribute with the item's training
-    reviews.  Attribute nodes are exactly the attributes of retained
-    sentences.  In train mode the graph carries per-attribute 0/1 labels:
-    whether the target review mentions the attribute.
+    Sentence nodes are the union of the user's and the item's training
+    sentences, restricted, as in the paper, to those sharing at least one
+    attribute with the item's training reviews.  So a held-out review is
+    never in its pair's pool, and a training review always is: it is the
+    user's, and its sentences carry the item's attributes.  Attribute nodes
+    are exactly the attributes of retained sentences.  An empty pool is an
+    `EmptyPoolError`.
     """
-    pool = corpus.candidate_pool(user_id, item_id, mode)
-    item_attrs = corpus.item_train_attributes(item_id)
-    pool = tuple(s for s in pool if corpus.sentences[s].attributes & item_attrs)
+    item_attrs = corpus.item_attributes[item_id]
+    union = corpus.user_sentences[user_id] | corpus.item_sentences[item_id]
+    pool = tuple(s for s in sorted(union) if corpus.sentences[s].attributes & item_attrs)
     if not pool:
-        raise EmptyPoolError(f"item-attribute restriction emptied the pool for ({user_id}, {item_id})")
+        raise EmptyPoolError(f"empty candidate pool for ({user_id}, {item_id})")
     attr_ids = sorted({a for s in pool for a in corpus.sentences[s].attributes})
     attr_pos = {a: 2 + i for i, a in enumerate(attr_ids)}
-    sent_pos = {s: 2 + len(attr_ids) + i for i, s in enumerate(pool)}
-    n = 2 + len(attr_ids) + len(pool)
+    adj: list[set[int]] = [set() for _ in range(2 + len(attr_ids) + len(pool))]
 
-    adj: list[set[int]] = [set() for _ in range(n)]
-    user_attrs = corpus.user_train_attributes(user_id)
-    for a in attr_ids:
-        ai = attr_pos[a]
+    def link(i: int, j: int) -> None:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    user_attrs = corpus.user_attributes[user_id]
+    for a, ai in attr_pos.items():
         if a in user_attrs:
-            adj[USER_NODE].add(ai)
-            adj[ai].add(USER_NODE)
+            link(USER_NODE, ai)
         if a in item_attrs:
-            adj[ITEM_NODE].add(ai)
-            adj[ai].add(ITEM_NODE)
-    for s in pool:
-        si = sent_pos[s]
+            link(ITEM_NODE, ai)
+    for si, s in enumerate(pool, start=2 + len(attr_ids)):
         for a in corpus.sentences[s].attributes:
-            ai = attr_pos[a]
-            adj[si].add(ai)
-            adj[ai].add(si)
-
-    attr_labels = None
-    if mode == "train":
-        target = corpus.ground_truth_sentences(user_id, item_id, "train")
-        target_attrs = set().union(*(corpus.sentences[sid].attributes for sid in target))
-        attr_labels = np.array([1.0 if a in target_attrs else 0.0 for a in attr_ids])
+            link(si, attr_pos[a])
 
     return PairGraph(
         user_id=user_id,
@@ -125,5 +121,4 @@ def build_pair_graph(corpus: Corpus, user_id: str, item_id: str, mode: str) -> P
         attribute_ids=tuple(attr_ids),
         sentence_ids=pool,
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        attr_labels=attr_labels,
     )

@@ -11,6 +11,9 @@ bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
 2015).  Validation scores the top K sentences by descending score, K being
 `selection.k`.
 
+`Trainer` owns a train pair's supervision: it computes the relevance
+targets and the attribute labels from the pair's ground-truth sentences.
+
 Checkpoints.  Every epoch replaces `checkpoints/last.ntar`, the resume
 point; an epoch with a new best BLEU-4 first replaces `checkpoints/best.ntar`
 with the same bytes.  Each replace is atomic (`archive.save_tensors`), and
@@ -29,9 +32,9 @@ import numpy as np
 
 from . import metrics
 from .archive import load_tensors, save_tensors
-from .corpus import Corpus, EmptyPoolError
+from .corpus import Corpus
 from .features import GraphInputs, NodeFeatureProvider, graph_inputs
-from .graphs import PairGraph, build_pair_graph
+from .graphs import EmptyPoolError, PairGraph, build_pair_graph
 from .metrics import MAX_N
 from .model import Model, ModelConfig
 from .selector import SelectConfig
@@ -260,11 +263,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
 @dataclass
 class TrainPair:
-    user_id: str
-    item_id: str
     graph: PairGraph
     inputs: GraphInputs
     targets: np.ndarray | None  # None for validation pairs
+    attr_labels: np.ndarray | None  # (M,) 0/1: a target sentence mentions the attribute; None for validation pairs
     truth_words: list[tuple[str, ...]]
 
 
@@ -305,8 +307,6 @@ class Trainer:
         self.k = k
         self.workdir = Path(workdir)
         self.config_hash = config_hash
-        self.user_rows = {u: i for i, u in enumerate(corpus.users)}
-        self.item_rows = {c: i for i, c in enumerate(corpus.items)}
         self.model = Model(
             model_cfg, len(corpus.users), len(corpus.items), provider.sentence_dim
         )
@@ -321,7 +321,6 @@ class Trainer:
             raise TrainingError("no usable training pairs")
 
     def _assemble(self, part: str) -> list[TrainPair]:
-        mode = "train" if part == "train" else "eval"
         out: list[TrainPair] = []
         skipped = 0
         for user_id, item_id in self.corpus.pairs(part):
@@ -331,15 +330,16 @@ class Trainer:
                 skipped += 1
                 continue
             try:
-                graph = build_pair_graph(self.corpus, user_id, item_id, mode)
+                graph = build_pair_graph(self.corpus, user_id, item_id)
             except EmptyPoolError:
                 skipped += 1
                 continue
-            inputs = graph_inputs(
-                graph, self.corpus, self.provider,
-                self.user_rows[user_id], self.item_rows[item_id],
-            )
-            out.append(TrainPair(user_id, item_id, graph, inputs, None, truth_words))
+            inputs = graph_inputs(graph, self.corpus, self.provider)
+            labels = None
+            if part == "train":
+                mentioned = set().union(*(self.corpus.sentences[s].attributes for s in truth_ids))
+                labels = np.array([1.0 if a in mentioned else 0.0 for a in graph.attribute_ids])
+            out.append(TrainPair(graph, inputs, None, labels, truth_words))
         if skipped:
             log.warning("%s: skipped %d pairs with empty pools or ground truth", part, skipped)
         if part == "train":
@@ -359,7 +359,7 @@ class Trainer:
         trace = self.model.forward(pair.graph, pair.inputs, self.params)
         pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng)
         l_rank, d_scores = pairwise_rank_loss(trace.scores, pair.targets, pairs)
-        l_attr, d_probs = attribute_loss(trace.attr_probs, pair.graph.attr_labels)
+        l_attr, d_probs = attribute_loss(trace.attr_probs, pair.attr_labels)
         loss = combined_loss(l_rank, l_attr, cfg.lam)
         self.model.backward(trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs, grads)
         return loss, l_rank, l_attr

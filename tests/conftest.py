@@ -5,9 +5,10 @@ from recexplain.features import GraphInputs
 from recexplain.graphs import PairGraph
 
 
-def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
+def toy_labelled_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
     """Random well-formed pair graph: every sentence touches >= 1 attribute
-    and every attribute touches >= 1 sentence.
+    and every attribute touches >= 1 sentence; with (n_attr,) random 0/1
+    attribute labels, drawn last.
     """
     n = 2 + n_attr + n_sent
     adj = [set() for _ in range(n)]
@@ -36,14 +37,20 @@ def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
             adj[1].add(ai)
             adj[ai].add(1)
     labels = rng.integers(0, 2, size=n_attr).astype(float)
-    return PairGraph(
+    graph = PairGraph(
         user_id="u",
         item_id="c",
         attribute_ids=tuple(range(n_attr)),
         sentence_ids=tuple(f"s{k}" for k in range(n_sent)),
         neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
-        attr_labels=labels,
     )
+    return graph, labels
+
+
+def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
+    """`toy_labelled_graph`'s graph.  The labels are drawn all the same, so
+    a seeded test sees the same numbers whichever of the two it calls."""
+    return toy_labelled_graph(n_attr, n_sent, rng, user_attrs, item_attrs)[0]
 
 
 def toy_inputs(graph, hidden, sent_dim, rng, user_row=0, item_row=0):

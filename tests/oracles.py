@@ -406,3 +406,34 @@ def dense_dcn_backward(dout, cross_params, deep_params, trace):
     deep_grads.reverse()
     dx0 += dd
     return dx0, cross_grads, deep_grads
+
+
+def graph_inputs_oracle(graph, corpus, word_table, sentence_table=None):
+    """One graph's (attr_X, sent_X), assembled per graph, node by node.
+
+    An attribute node's row is the mean of the word vectors of its
+    surface's words that have one, or zeros when none has.  A sentence
+    node's row is its `sentence_table` row or, without a table, the mean
+    of its words' vectors, a word without one taking the unknown token's
+    vector, or zeros when that has none too.
+    """
+    attr_rows = []
+    for a in graph.attribute_ids:
+        found = []
+        for part in corpus.lexicon.surfaces[a].split():
+            if part in word_table.index:
+                found.append(word_table.vectors[word_table.index[part]])
+        attr_rows.append(np.mean(found, axis=0) if found else np.zeros(word_table.dim))
+    unk = np.zeros(word_table.dim)
+    if "<unk>" in word_table.index:
+        unk = word_table.vectors[word_table.index["<unk>"]]
+    sent_rows = []
+    for sid in graph.sentence_ids:
+        if sentence_table is not None:
+            sent_rows.append(sentence_table.vectors[sentence_table.index[sid]])
+            continue
+        words = []
+        for w in corpus.sentences[sid].words:
+            words.append(word_table.vectors[word_table.index[w]] if w in word_table.index else unk)
+        sent_rows.append(np.mean(words, axis=0))
+    return np.stack(attr_rows), np.stack(sent_rows)

@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from recexplain.corpus import UNK_TOKEN, load_corpus
+from recexplain.corpus import (
+    UNK_TOKEN,
+    build_corpus,
+    ingest_reviews,
+    load_attribute_lexicon,
+    load_corpus,
+    save_corpus,
+)
 
 N_USERS = 16
 N_ITEMS = 8
@@ -146,6 +153,20 @@ def write_vector_files(corpus_dir, out_dir, hidden: int, sent_dim: int = 16, see
         sent_vecs[i] = vec + noise
     save_vector_file(out_dir / "sentence_vectors.txt", {s: i for i, s in enumerate(sids)}, sent_vecs)
     return out_dir / "word_vectors.txt", out_dir / "sentence_vectors.txt"
+
+
+def planted_corpus(out_dir, hidden: int):
+    """The planted corpus as `preprocess` builds it under the end-to-end
+    tests' config (rating threshold 10, minimum activity 2, the default
+    split ratios, seed 0), saved under `out_dir / "corpus"`, with its
+    inputs and vector files written to `out_dir`."""
+    out_dir = Path(out_dir)
+    write_inputs(out_dir)
+    records, _ = ingest_reviews(out_dir / "reviews.jsonl", 10)
+    lexicon = load_attribute_lexicon(out_dir / "lexicon.txt")
+    save_corpus(build_corpus(records, lexicon, 2, (0.70, 0.15, 0.15), 0), out_dir / "corpus", {})
+    write_vector_files(out_dir / "corpus", out_dir, hidden=hidden)
+    return load_corpus(out_dir / "corpus")
 
 
 def planted_words_for_pair(user_id: str, item_id: str) -> tuple[str, ...]:

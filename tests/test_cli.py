@@ -13,10 +13,11 @@ from recexplain import cli
 from recexplain.archive import MAGIC, load_tensors, save_tensors
 from recexplain.config import ConfigError, PipelineConfig
 from recexplain.corpus import load_corpus
-from recexplain.features import load_vector_file
+from recexplain.features import graph_inputs, load_vector_file
 from recexplain.graphs import build_pair_graph
+from recexplain.model import Model
 from recexplain.selector import TfidfVectorizer
-from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT
+from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT, checkpoint_params
 
 HIDDEN = 32
 EPOCHS = 8
@@ -56,8 +57,8 @@ def write_config(path, data, workdir, **sections):
 def planted(tmp_path_factory):
     """Planted inputs and a workdir after preprocess -> train ->
     select --no-ilp -> select -> evaluate; returns (config path, workdir,
-    exit codes per stage, outputs), where outputs holds the text of the
-    --no-ilp selections and of evaluation.json as those stages wrote them.
+    exit codes per stage, outputs), where outputs holds the text of both
+    selections files and of evaluation.json as those stages wrote them.
     """
     root = tmp_path_factory.mktemp("planted")
     data, workdir = root / "data", root / "work"
@@ -70,6 +71,7 @@ def planted(tmp_path_factory):
     outputs = {"selections.jsonl --no-ilp": (workdir / "selections.jsonl").read_text(encoding="utf-8")}
     for stage in ("select", "evaluate"):
         codes[stage] = cli.main([stage, "--config", str(config)])
+    outputs["selections.jsonl"] = (workdir / "selections.jsonl").read_text(encoding="utf-8")
     outputs["evaluation.json"] = (workdir / "evaluation.json").read_text(encoding="utf-8")
     return config, workdir, codes, outputs
 
@@ -105,7 +107,7 @@ class TestPipeline:
         planted_words = {pair: sc.planted_words_for_pair(*pair) for pair in pairs}
         covered = 0
         for pair in pairs:
-            pool = build_pair_graph(corpus, *pair, "eval").sentence_ids
+            pool = build_pair_graph(corpus, *pair).sentence_ids
             covered += any(corpus.sentences[s].words == planted_words[pair] for s in pool)
         records = [json.loads(line) for line in outputs["selections.jsonl --no-ilp"].splitlines()[1:]]
         hits = sum(
@@ -117,6 +119,26 @@ class TestPipeline:
         assert covered >= MIN_COVERAGE * len(pairs), summary
         assert hits >= MIN_TOP1 * len(pairs), summary
         assert bleu4 >= MIN_BLEU4, summary
+
+    @pytest.mark.parametrize("name", ["selections.jsonl --no-ilp", "selections.jsonl"])
+    def test_recorded_ids_in_descending_score_order(self, planted, name):
+        # the planted gate's "first id is the top-1" rests on this order;
+        # under --no-ilp the ids are the top K by score
+        config, workdir, _, outputs = planted
+        cfg = PipelineConfig.load(config)
+        corpus = load_corpus(workdir / "corpus")
+        provider = cli._build_provider(cfg, corpus)
+        model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
+        params = checkpoint_params(load_tensors(workdir / BEST_CHECKPOINT)[0], model.init_params(cfg.seed), "param")
+        records = [json.loads(line) for line in outputs[name].splitlines()[1:]]
+        assert len(records) == len(corpus.pairs("test"))
+        for rec in records:
+            graph = build_pair_graph(corpus, rec["user_id"], rec["item_id"])
+            scores = model.forward(graph, graph_inputs(graph, corpus, provider), params).scores
+            chosen = [graph.sentence_ids.index(sid) for sid in rec["sentence_ids"]]
+            assert chosen == sorted(chosen, key=lambda i: (-scores[i], i))
+            if name.endswith("--no-ilp"):
+                assert chosen == np.argsort(-scores, kind="stable")[: cfg.selection.k].tolist()
 
     def test_no_ilp_flag_writes_the_selections_of_alpha_zero(self, planted, tmp_path):
         config, workdir, _, outputs = planted
@@ -348,7 +370,7 @@ class TestPipeline:
         # the planted sentence vectors are 16-d against hidden 32
         config, workdir, _, _ = planted
         corpus = load_corpus(workdir / "corpus")
-        missing = build_pair_graph(corpus, *corpus.pairs("test")[0], "eval").sentence_ids[0]
+        missing = build_pair_graph(corpus, *corpus.pairs("test")[0]).sentence_ids[0]
         doc = json.loads(config.read_text(encoding="utf-8"))
         table = load_vector_file(doc["paths"]["sentence_vectors"])
         assert table.dim != HIDDEN
@@ -359,10 +381,12 @@ class TestPipeline:
         doc["paths"].update(workdir=str(tmp_path / "work"), sentence_vectors=str(vectors))
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc), encoding="utf-8")
-        checkpoint = workdir / LAST_CHECKPOINT
         capsys.readouterr()
-        assert cli.main(["select", "--config", str(changed), "--checkpoint", str(checkpoint)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}")
+        for argv in (["select", "--checkpoint", str(workdir / LAST_CHECKPOINT)], ["train"]):
+            # the provider is built before either stage reads a pool
+            assert cli.main([*argv, "--config", str(changed)]) == 1, argv[0]
+            assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}"), argv[0]
+        assert not (tmp_path / "work" / "checkpoints").exists()
 
     @pytest.mark.parametrize(
         "bad, message",

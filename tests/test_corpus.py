@@ -3,6 +3,7 @@ import json
 import pytest
 
 from recexplain import corpus as cp
+from recexplain.graphs import build_pair_graph
 
 
 @pytest.fixture
@@ -233,26 +234,28 @@ class TestBuildCorpus:
         assert want and len(want) < len(corpus.sentences)
         assert sorted(corpus.train_words()) == sorted(want)
 
-    def test_pool_contains_target_in_train_mode(self, lexicon):
+    def test_training_indexes(self, lexicon):
         corpus = toy_corpus(lexicon)
-        for user_id, item_id in corpus.pairs("train"):
-            pool = set(corpus.candidate_pool(user_id, item_id, "train"))
-            truth = set(corpus.ground_truth_sentences(user_id, item_id, "train"))
-            assert truth <= pool
-
-    def test_eval_pool_leak_free(self, lexicon):
-        corpus = toy_corpus(lexicon)
-        for user_id, item_id in corpus.pairs("test"):
-            pool = set(corpus.candidate_pool(user_id, item_id, "eval"))
-            truth = set(corpus.ground_truth_sentences(user_id, item_id, "test"))
-            assert pool.isdisjoint(truth)
+        want = {name: {} for name in ("user_sentences", "item_sentences", "user_attributes", "item_attributes")}
+        for rid in corpus.split.train:
+            r = corpus.reviews[rid]
+            attrs = {a for sid in r.sentence_ids for a in corpus.sentences[sid].attributes}
+            for side, key in (("user", r.user_id), ("item", r.item_id)):
+                want[f"{side}_sentences"].setdefault(key, set()).update(r.sentence_ids)
+                want[f"{side}_attributes"].setdefault(key, set()).update(attrs)
+        assert want["user_sentences"] and len(corpus.split.train) < len(corpus.reviews)
+        for name, index in want.items():
+            keys = corpus.users if name.startswith("user") else corpus.items
+            assert getattr(corpus, name) == {key: index.get(key, set()) for key in keys}, name
+        assert corpus.user_rows == {u: corpus.users.index(u) for u in corpus.users}
+        assert corpus.item_rows == {c: corpus.items.index(c) for c in corpus.items}
 
     def test_degenerate_union(self, lexicon):
         records = [
             cp.RawRecord("u0", "c0", 5.0, "The room was great. The staff was kind.", 0),
         ]
         corpus = cp.build_corpus(records, lexicon, 1, (1.0, 0.0, 0.0), 0)
-        pool = corpus.candidate_pool("u0", "c0", "train")
+        pool = build_pair_graph(corpus, "u0", "c0").sentence_ids
         assert set(pool) == set(corpus.ground_truth_sentences("u0", "c0", "train"))
 
     def test_stats_fields(self, lexicon):
@@ -279,11 +282,6 @@ class TestBuildCorpus:
         assert a.split == b.split
         assert a.sentences == b.sentences
         assert set(a.sentences) == set(b.sentences)
-
-    def test_empty_pool_raises(self, lexicon):
-        corpus = toy_corpus(lexicon)
-        with pytest.raises(cp.CorpusError):
-            corpus.candidate_pool("ghost", "c0", "eval")
 
 
 def corpus_json(tmp_path, lexicon):

@@ -1,11 +1,14 @@
+import logging
 import re
 
 import numpy as np
 import pytest
 
 import synthetic_corpus as sc
+from oracles import graph_inputs_oracle
 from recexplain import features as ft
-from recexplain.corpus import Sentence
+from recexplain.corpus import AttributeLexicon, Corpus, CorpusSplit, Review, Sentence
+from recexplain.graphs import build_pair_graph
 
 
 def write_vectors(path, rows, dim=None):
@@ -128,56 +131,119 @@ class TestFallbackEmbedding:
         out = ft.sentence_fallback_embedding([], word_table())
         assert np.array_equal(out, [0.0, 0.0])
 
+    def test_one_lookup_per_word(self, monkeypatch):
+        table = word_table()
+        asked = []
+        lookup = ft.EmbeddingTable.lookup
+        monkeypatch.setattr(ft.EmbeddingTable, "lookup", lambda self, key: asked.append(key) or lookup(self, key))
+        ft.sentence_fallback_embedding(["a", "zz", "a"], table)
+        assert sorted(asked) == sorted(["<unk>", "a", "zz", "a"])
 
-def _sentence(sid, words):
-    return Sentence(sid, tuple(words), frozenset({0}))
+
+def tiny_corpus(surfaces=("a", "a b")):
+    """Review r0 (train: s1 "a", s2 "b a") and review r1 (test: s3 "b")."""
+    sentences = {
+        sid: Sentence(sid, words, frozenset({0}))
+        for sid, words in (("s1", ("a",)), ("s2", ("b", "a")), ("s3", ("b",)))
+    }
+    reviews = {"r0": Review("r0", "u0", "c0", ("s1", "s2")), "r1": Review("r1", "u1", "c0", ("s3",))}
+    split = CorpusSplit(train=frozenset({"r0"}), valid=frozenset(), test=frozenset({"r1"}))
+    return Corpus(reviews, sentences, AttributeLexicon(list(surfaces)), split)
 
 
 class TestNodeFeatureProvider:
     def test_dim_mismatch_fails_fast(self):
         with pytest.raises(ft.VectorFileError):
-            ft.NodeFeatureProvider(hidden=3, word_table=word_table())
+            ft.NodeFeatureProvider(tiny_corpus(), 3, word_table())
 
     @pytest.mark.parametrize("kind", ["word", "sentence"])
     def test_empty_table_names_its_file(self, tmp_path, kind):
         path = tmp_path / f"{kind}s.txt"
         path.write_text("")
         empty = ft.load_vector_file(path)
-        tables = {"word_table": empty} if kind == "word" else {"word_table": word_table(), "sentence_table": empty}
+        tables = (empty, None) if kind == "word" else (word_table(), empty)
         with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: ") + f".*{kind} vector table is empty"):
-            ft.NodeFeatureProvider(hidden=2, **tables)
+            ft.NodeFeatureProvider(tiny_corpus(), 2, *tables)
 
     def test_attribute_vectors_and_multiword_mean(self):
-        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table())
-        m = prov.attr_matrix(["a", "a b"])
-        assert np.allclose(m, [[1.0, 0.0], [0.5, 0.5]])
+        prov = ft.NodeFeatureProvider(tiny_corpus(("a", "a b")), 2, word_table())
+        assert np.allclose(prov.attr_X, [[1.0, 0.0], [0.5, 0.5]])
 
-    def test_missing_attribute_counts_warning(self):
-        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table())
-        # one missing surface counts once, however many graphs ask for it
-        for _ in range(2):
-            out = prov.attribute_vector("zz")
-            assert np.array_equal(out, [0.0, 0.0])
-        assert len(prov.missing_attr) == 1
+    def test_missing_attribute_counts_warning(self, caplog):
+        # a row per lexicon surface, so each surface counts once, whether
+        # or not a graph holds it
+        with caplog.at_level(logging.WARNING, logger="recexplain.features"):
+            prov = ft.NodeFeatureProvider(tiny_corpus(("a", "zz", "qq zz")), 2, word_table())
+        assert prov.missing_attributes == 2
+        assert np.array_equal(prov.attr_X[1:], np.zeros((2, 2)))
+        assert [r.getMessage() for r in caplog.records] == ["2 attribute vectors missing; used zeros"]
 
     def test_sentence_table_preferred(self):
-        st = ft.EmbeddingTable(np.array([[9.0, 9.0, 9.0]]), index={"s1": 0})
-        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=st)
+        st = ft.EmbeddingTable(np.array([[9.0, 9.0, 9.0], [8.0, 8.0, 8.0]]), index={"s2": 0, "s1": 1})
+        prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), st)
         assert prov.sentence_dim == 3
-        out = prov.sent_matrix([_sentence("s1", ["a"])])
-        assert np.array_equal(out, [[9.0, 9.0, 9.0]])
+        assert np.array_equal(prov.sent_X[[prov.sentence_rows["s1"], prov.sentence_rows["s2"]]], [[8.0] * 3, [9.0] * 3])
 
     def test_missing_sentence_id_is_an_error(self):
-        # the table was built from another preprocess run; width hidden or not
+        # the table was built from another preprocess run; width hidden or
+        # not, it fails when the provider is built
         for width in (2, 3):
-            st = ft.EmbeddingTable(np.full((1, width), 9.0), index={"other": 0}, path="sents.txt")
-            prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=st)
-            with pytest.raises(ft.VectorFileError, match=r"^sents\.txt: no vector for sentence id 's1'"):
-                prov.sent_matrix([_sentence("s1", ["a", "b"])])
+            st = ft.EmbeddingTable(np.full((2, width), 9.0), index={"s1": 0, "other": 1}, path="sents.txt")
+            with pytest.raises(ft.VectorFileError, match=r"^sents\.txt: no vector for sentence id 's2'"):
+                ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), st)
+
+    def test_only_training_sentences_have_rows(self):
+        # s3 is a test review's: no pool holds it, so the table needs no row for it
+        st = ft.EmbeddingTable(np.full((2, 3), 9.0), index={"s1": 0, "s2": 1})
+        for table in (st, None):
+            prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), table)
+            assert prov.sentence_rows == {"s1": 0, "s2": 1}
+            assert prov.sent_X.shape == (2, prov.sentence_dim)
 
     def test_avg_word_mode_ignores_sentence_table(self):
         # the average-word ablation is a provider given no sentence table
-        prov = ft.NodeFeatureProvider(hidden=2, word_table=word_table(), sentence_table=None)
+        prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), None)
         assert prov.sentence_dim == 2
-        out = prov.sent_matrix([_sentence("s1", ["b"])])
-        assert np.array_equal(out, [[0.0, 1.0]])
+        assert np.array_equal(prov.sent_X, [[1.0, 0.0], [0.5, 0.5]])
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """The planted corpus with its word and sentence vector tables."""
+    root = tmp_path_factory.mktemp("planted")
+    corpus = sc.planted_corpus(root, hidden=8)
+    return corpus, ft.load_vector_file(root / "word_vectors.txt"), ft.load_vector_file(root / "sentence_vectors.txt")
+
+
+def without(table, key):
+    """`table` less the row of `key`."""
+    keys = [k for k in table.index if k != key]
+    return ft.EmbeddingTable(table.vectors[[table.index[k] for k in keys]], index={k: i for i, k in enumerate(keys)})
+
+
+class TestGraphInputs:
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            lambda words, sents: (words, sents),
+            lambda words, sents: (words, None),
+            lambda words, sents: (without(words, "hops"), None),
+        ],
+        ids=["sentence-table", "average-words", "average-words-hops-missing"],
+    )
+    def test_matches_per_graph_oracle(self, planted, tables):
+        # "hops" is an attribute and a word: without its vector, its node
+        # gets zeros and the sentences holding it average the unknown token
+        corpus, words, sents = planted
+        word_table, sentence_table = tables(words, sents)
+        prov = ft.NodeFeatureProvider(corpus, 8, word_table, sentence_table)
+        checked = 0
+        for part in ("train", "valid", "test"):
+            for user_id, item_id in corpus.pairs(part):
+                graph = build_pair_graph(corpus, user_id, item_id)
+                got = ft.graph_inputs(graph, corpus, prov)
+                attr_X, sent_X = graph_inputs_oracle(graph, corpus, word_table, sentence_table)
+                assert np.array_equal(got.attr_X, attr_X) and np.array_equal(got.sent_X, sent_X)
+                assert (got.user_row, got.item_row) == (corpus.users.index(user_id), corpus.items.index(item_id))
+                checked += 1
+        assert checked == sum(len(corpus.pairs(part)) for part in ("train", "valid", "test"))

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
+import synthetic_corpus as sc
 from recexplain import corpus as cp
-from recexplain.graphs import build_pair_graph
+from recexplain.graphs import EmptyPoolError, build_pair_graph
 
 from conftest import toy_graph
 
@@ -22,7 +24,7 @@ def minimal_corpus():
 class TestBuildPairGraph:
     def test_minimal_graph(self):
         corpus = minimal_corpus()
-        g = build_pair_graph(corpus, "u0", "c0", "train")
+        g = build_pair_graph(corpus, "u0", "c0")
         assert g.n_nodes == 4
         assert g.attribute_ids == (0,)  # room
         assert len(g.sentence_ids) == 1
@@ -41,9 +43,9 @@ class TestBuildPairGraph:
             cp.RawRecord("u1", "c0", 5.0, "The room was small.", 2),
         ]
         corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c0", "train")
+        g = build_pair_graph(corpus, "u0", "c0")
         view_sids = {s.sentence_id for s in corpus.sentences.values() if 2 in s.attributes}
-        assert view_sids and view_sids <= set(corpus.candidate_pool("u0", "c0", "train"))
+        assert view_sids and view_sids <= corpus.user_sentences["u0"]
         assert view_sids.isdisjoint(g.sentence_ids)
 
     def test_attribute_nodes_only_from_retained_sentences(self):
@@ -56,35 +58,70 @@ class TestBuildPairGraph:
             cp.RawRecord("u1", "c0", 5.0, "The room was tiny.", 2),
         ]
         corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c0", "train")
+        g = build_pair_graph(corpus, "u0", "c0")
         expected = set()
         for sid in g.sentence_ids:
             expected |= corpus.sentences[sid].attributes
         assert set(g.attribute_ids) == expected
         assert 1 not in g.attribute_ids  # staff never enters via a retained sentence
 
-    def test_train_labels(self):
-        records = [
-            cp.RawRecord("u0", "c0", 5.0, "The room was big. The pool was warm.", 0),
-            cp.RawRecord("u1", "c0", 5.0, "The staff were kind.", 1),
-            cp.RawRecord("u0", "c1", 5.0, "The room was ok.", 2),
-        ]
-        corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c0", "train")
-        labels = dict(zip(g.attribute_ids, g.attr_labels))
-        assert labels[0] == 1.0 and labels[3] == 1.0  # room, pool in target
-        assert labels.get(1, 0.0) == 0.0  # staff only in the other user's review
 
-    def test_eval_mode_has_no_labels(self):
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    return sc.planted_corpus(tmp_path_factory.mktemp("planted"), hidden=8)
+
+
+class TestPoolRule:
+    """`build_pair_graph` is the one owner of which sentences a pair's graph
+    holds: training sentences of the user or the item that carry one of the
+    item's training attributes."""
+
+    def test_pool_contains_target_for_train_pairs(self, planted):
+        for user_id, item_id in planted.pairs("train"):
+            pool = set(build_pair_graph(planted, user_id, item_id).sentence_ids)
+            assert set(planted.ground_truth_sentences(user_id, item_id, "train")) <= pool
+
+    def test_pool_disjoint_from_held_out_truth(self, planted):
+        for part in ("valid", "test"):
+            for user_id, item_id in planted.pairs(part):
+                pool = set(build_pair_graph(planted, user_id, item_id).sentence_ids)
+                assert pool.isdisjoint(planted.ground_truth_sentences(user_id, item_id, part))
+
+    def test_pool_is_the_item_restricted_union(self, planted):
+        for part in ("train", "valid", "test"):
+            for user_id, item_id in planted.pairs(part):
+                union = planted.user_sentences[user_id] | planted.item_sentences[item_id]
+                item_attrs = planted.item_attributes[item_id]
+                want = [s for s in sorted(union) if planted.sentences[s].attributes & item_attrs]
+                assert want and build_pair_graph(planted, user_id, item_id).sentence_ids == tuple(want)
+
+    def test_empty_pool_raises(self):
+        # r1 is in the test split, and neither u1 nor c1 has a training review
         records = [
             cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
-            cp.RawRecord("u0", "c0", 5.0, "The room was fine.", 1),
-            cp.RawRecord("u1", "c0", 5.0, "The staff were kind.", 2),
+            cp.RawRecord("u1", "c1", 5.0, "The staff were kind.", 1),
         ]
-        corpus = cp.build_corpus(records, LEX, 1, (0.5, 0.0, 0.5), 1)
-        pair = corpus.pairs("test")[0]
-        g = build_pair_graph(corpus, pair[0], pair[1], "eval")
-        assert g.attr_labels is None
+        built = corpus_from_records(records)
+        split = cp.CorpusSplit(train=frozenset({"r0"}), valid=frozenset(), test=frozenset({"r1"}))
+        corpus = cp.Corpus(built.reviews, built.sentences, LEX, split)
+        assert corpus.pairs("test") == [("u1", "c1")]
+        with pytest.raises(EmptyPoolError, match=r"empty candidate pool for \(u1, c1\)"):
+            build_pair_graph(corpus, "u1", "c1")
+
+    def test_item_restriction_can_empty_the_pool(self):
+        # an item's own training sentences carry its attributes, so only an
+        # item without a training review loses a non-empty union: here u0's
+        # room sentence, as c1's one review is in the test split
+        records = [
+            cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
+            cp.RawRecord("u0", "c1", 5.0, "What a view.", 1),
+        ]
+        built = corpus_from_records(records)
+        split = cp.CorpusSplit(train=frozenset({"r0"}), valid=frozenset(), test=frozenset({"r1"}))
+        corpus = cp.Corpus(built.reviews, built.sentences, LEX, split)
+        assert corpus.user_sentences["u0"] and not corpus.item_sentences["c1"]
+        with pytest.raises(EmptyPoolError, match=r"empty candidate pool for \(u0, c1\)"):
+            build_pair_graph(corpus, "u0", "c1")
 
 
 def richer_corpus():
@@ -104,7 +141,7 @@ class TestGraphInvariants:
     def test_symmetry_and_bipartiteness(self):
         corpus = richer_corpus()
         for user_id, item_id in corpus.pairs("train"):
-            g = build_pair_graph(corpus, user_id, item_id, "train")
+            g = build_pair_graph(corpus, user_id, item_id)
             for i in range(g.n_nodes):
                 for j in g.neighbors[i]:
                     assert i in g.neighbors[j]
@@ -115,14 +152,14 @@ class TestGraphInvariants:
     def test_every_attribute_touches_a_sentence(self):
         corpus = richer_corpus()
         for user_id, item_id in corpus.pairs("train"):
-            g = build_pair_graph(corpus, user_id, item_id, "train")
+            g = build_pair_graph(corpus, user_id, item_id)
             lo, hi = g.sent_slice.start, g.sent_slice.stop
             for ai in range(g.attr_slice.start, g.attr_slice.stop):
                 assert any(lo <= j < hi for j in g.neighbors[ai])
 
     def test_sentences_touch_attributes_only(self):
         corpus = richer_corpus()
-        g = build_pair_graph(corpus, "u0", "c0", "train")
+        g = build_pair_graph(corpus, "u0", "c0")
         lo, hi = g.attr_slice.start, g.attr_slice.stop
         for si in range(g.sent_slice.start, g.sent_slice.stop):
             assert len(g.neighbors[si]) >= 1
@@ -130,12 +167,11 @@ class TestGraphInvariants:
 
     def test_rebuild_bit_identical(self):
         corpus = richer_corpus()
-        a = build_pair_graph(corpus, "u0", "c0", "train")
-        b = build_pair_graph(corpus, "u0", "c0", "train")
+        a = build_pair_graph(corpus, "u0", "c0")
+        b = build_pair_graph(corpus, "u0", "c0")
         assert a.attribute_ids == b.attribute_ids
         assert a.sentence_ids == b.sentence_ids
         assert all(np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors))
-        assert np.array_equal(a.attr_labels, b.attr_labels)
 
 
 def rows_of(edges):
@@ -146,7 +182,7 @@ def rows_of(edges):
 def graphs_to_check():
     corpus = richer_corpus()
     for user_id, item_id in corpus.pairs("train"):
-        yield build_pair_graph(corpus, user_id, item_id, "train")
+        yield build_pair_graph(corpus, user_id, item_id)
     rng = np.random.default_rng(3)
     for _ in range(10):
         yield toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng)
@@ -157,7 +193,7 @@ class TestNeighborView:
     `neighbors` plus every self loop, sorted by row."""
 
     def test_self_loops_on(self):
-        edges = build_pair_graph(minimal_corpus(), "u0", "c0", "train").edge_arrays()
+        edges = build_pair_graph(minimal_corpus(), "u0", "c0").edge_arrays()
         assert rows_of(edges) == [[0, 2], [1, 2], [0, 1, 2, 3], [2, 3]]
         assert edges.dst.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 3, 3]
         assert edges.starts.tolist() == [0, 2, 4, 8]
@@ -192,6 +228,6 @@ class TestNeighborView:
             cp.RawRecord("u1", "c1", 5.0, "The pool again.", 2),
         ]
         corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c1", "eval")
+        g = build_pair_graph(corpus, "u0", "c1")
         assert g.neighbors[0].size == 0
         assert rows_of(g.edge_arrays())[0] == [0]

@@ -5,7 +5,7 @@ from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
 from recexplain.model import CROSS_LAYERS, DEEP_LAYERS, Model, ModelConfig, _gat_layer_backward, dcn_forward, gat_layer
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
-from conftest import toy_graph, toy_inputs
+from conftest import toy_graph, toy_inputs, toy_labelled_graph
 from oracles import (
     dense_dcn_backward,
     dense_dcn_forward,
@@ -38,7 +38,6 @@ def line_graph(item_edge=True):
             np.array([0, 1, 3] if item_edge else [0, 3]),
             np.array([2]),
         ],
-        attr_labels=np.array([1.0]),
     )
 
 
@@ -480,7 +479,6 @@ class TestForward:
             attribute_ids=g.attribute_ids,
             sentence_ids=tuple(g.sentence_ids[int(old)] for old in perm),
             neighbors=neighbors,
-            attr_labels=g.attr_labels,
         )
         inputs2 = toy_inputs(g2, 3, 2, np.random.default_rng(0))
         inputs2.attr_X = inputs.attr_X
@@ -527,12 +525,11 @@ def finite_diff_check(model, graph, inputs, params, targets, pairs, labels, eps=
 
 def gradcheck_setup(rng, **model_kw):
     model, _ = small_model(**model_kw)
-    g = toy_graph(3, 4, rng)  # 9 nodes total
+    g, labels = toy_labelled_graph(3, 4, rng)  # 9 nodes total
     inputs = toy_inputs(g, 3, 2, rng, user_row=1, item_row=2)
     params = model.init_params(13)
     targets = rng.uniform(0, 1, size=4)
     pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])
-    labels = g.attr_labels
     return model, g, inputs, params, targets, pairs, labels
 
 

@@ -317,7 +317,7 @@ def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
     sids = sorted(corpus.sentences)
     sent_vecs = rng.normal(size=(len(sids), sent_dim))
     sent_table = EmbeddingTable(sent_vecs, index={s: i for i, s in enumerate(sids)})
-    return NodeFeatureProvider(hidden=hidden, word_table=word_table, sentence_table=sent_table)
+    return NodeFeatureProvider(corpus, hidden, word_table, sent_table)
 
 
 HASH = "0123456789abcdef"  # stands in for PipelineConfig.train_hash()
@@ -561,16 +561,42 @@ class TestTrainer:
         trainer = make_trainer(tmp_path / "c")
         for pair in trainer.valid_pairs:
             truth = set(
-                trainer.corpus.ground_truth_sentences(pair.user_id, pair.item_id, "valid")
+                trainer.corpus.ground_truth_sentences(pair.graph.user_id, pair.graph.item_id, "valid")
             )
             assert truth.isdisjoint(pair.graph.sentence_ids)
 
     def test_targets_one_for_positives(self, tmp_path):
         trainer = make_trainer(tmp_path / "d")
         for pair in trainer.train_pairs:
-            truth = trainer.corpus.ground_truth_sentences(pair.user_id, pair.item_id, "train")
+            truth = trainer.corpus.ground_truth_sentences(pair.graph.user_id, pair.graph.item_id, "train")
             positives = set(truth) & set(pair.graph.sentence_ids)
             assert positives
             for sid in positives:
                 idx = pair.graph.sentence_ids.index(sid)
                 assert pair.targets[idx] == pytest.approx(1.0, abs=1e-12)
+
+    def test_train_labels(self, tmp_path):
+        records = [
+            cp.RawRecord("u0", "c0", 5.0, "The room was big. The pool was warm.", 0),
+            cp.RawRecord("u1", "c0", 5.0, "The staff were kind.", 1),
+            cp.RawRecord("u0", "c1", 5.0, "The room was ok.", 2),
+        ]
+        trainer = make_trainer(tmp_path, corpus=cp.build_corpus(records, LEX, 1, (1.0, 0.0, 0.0), 0), epochs=1)
+        pair = next(p for p in trainer.train_pairs if (p.graph.user_id, p.graph.item_id) == ("u0", "c0"))
+        labels = dict(zip(pair.graph.attribute_ids, pair.attr_labels))
+        assert labels[0] == 1.0 and labels[3] == 1.0  # room, pool in target
+        assert labels[1] == 0.0  # staff only in the other user's review
+
+    def test_attr_labels_mark_attributes_of_target_sentences(self, tmp_path):
+        trainer = make_trainer(tmp_path)
+        for pair in trainer.train_pairs:
+            truth = trainer.corpus.ground_truth_sentences(pair.graph.user_id, pair.graph.item_id, "train")
+            mentioned = set().union(*(trainer.corpus.sentences[s].attributes for s in truth))
+            want = [1.0 if a in mentioned else 0.0 for a in pair.graph.attribute_ids]
+            assert pair.attr_labels.tolist() == want
+            assert 0.0 < pair.attr_labels.sum() <= len(want)
+
+    def test_valid_pairs_have_no_labels(self, tmp_path):
+        trainer = make_trainer(tmp_path)
+        assert trainer.valid_pairs
+        assert all(pair.attr_labels is None and pair.targets is None for pair in trainer.valid_pairs)
