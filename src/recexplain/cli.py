@@ -41,7 +41,7 @@ from .corpus import (
 )
 from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file
 from .graphs import EmptyPoolError, build_pair_graph
-from .model import Model
+from .model import Model, readout_chunks
 from .selector import TfidfVectorizer, select_for_pair
 from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params
 
@@ -127,28 +127,34 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
     vectorizer = TfidfVectorizer(corpus.train_words())
 
-    def one_pair(pair):
-        user_id, item_id = pair
-        try:
-            graph = build_pair_graph(corpus, user_id, item_id)
-        except EmptyPoolError:
-            log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
-            return None
-        inputs = graph_inputs(graph, corpus, provider)
-        trace = model.forward(graph, inputs, params)
-        words = [list(corpus.sentences[s].words) for s in graph.sentence_ids]
-        sel, order = select_for_pair(trace.scores, words, vectorizer, cfg.selection)
-        # ids by descending score, ties by index: `order` is in that order and sel.indices ascend
-        return {
-            "user_id": user_id,
-            "item_id": item_id,
-            "sentence_ids": [graph.sentence_ids[order[i]] for i in sel.indices],
-            "objective": sel.objective,
-            "solver": sel.solver,
-        }
-
     pairs = corpus.pairs("test")
-    results = [rec for rec in map(one_pair, pairs) if rec is not None]
+
+    def graphs():
+        for user_id, item_id in pairs:
+            try:
+                graph = build_pair_graph(corpus, user_id, item_id)
+            except EmptyPoolError:
+                log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
+                continue
+            yield graph, graph_inputs(graph, corpus, provider)
+
+    results = []
+    for chunk in readout_chunks(graphs(), lambda item: len(item[0].sentence_ids)):
+        trace = model.forward([g for g, _ in chunk], [inputs for _, inputs in chunk], params)
+        for b, (graph, _) in enumerate(chunk):
+            words = [list(corpus.sentences[s].words) for s in graph.sentence_ids]
+            sel, order = select_for_pair(trace.scores[trace.sentences(b)], words, vectorizer, cfg.selection)
+            # ids by descending score, ties by index: `order` is in that order and sel.indices ascend
+            results.append(
+                {
+                    "user_id": graph.user_id,
+                    "item_id": graph.item_id,
+                    "sentence_ids": [graph.sentence_ids[order[i]] for i in sel.indices],
+                    "objective": sel.objective,
+                    "solver": sel.solver,
+                }
+            )
+        del trace  # before the next chunk's forward
     out = Path(cfg.paths.workdir) / "selections.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config_hash": cfg.select_hash()}, sort_keys=True) + "\n")

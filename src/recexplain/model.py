@@ -16,18 +16,33 @@ sentence's own.  A cross layer x_{l+1} = x0 (x_l . w_l) + b_l + x_l keeps
     x_l = c_l x0 + B_l,   c_0 = 1, c_{l+1} = c_l + c_l (x0 . w_l) + B_l . w_l,
                           B_0 = 0, B_{l+1} = B_l + b_l,
 
-one scalar c_l per row and one vector B_l per graph.  So one product
-R @ V[ds:] plus g @ V[:ds] gives x0 . w_l for every cross weight and
-x0 . h for the score head's cross half h (the columns of V), the
-recursion runs on (S,) vectors, deep layer 0 is R W0[:, ds:]^T +
+one scalar c_l per row and one vector B_l, the same for every graph.  So
+one product R @ V[ds:] plus g @ V[:ds] gives x0 . w_l for every cross
+weight and x0 . h for the score head's cross half h (the columns of V),
+the recursion runs on (S,) vectors, deep layer 0 is R W0[:, ds:]^T +
 (W0[:, :ds] g + b0), and a score is c_L (x0 . h) + B_L . h + deep . h_deep.
-Backward splits the same way: a weight's shared columns get an outer
-product with g, its row columns a product with R, and the user and item
-states get their gradient as one vector instead of a sum over S rows.
+Backward splits the same way: a weight's shared columns get a product
+with g, its row columns a product with R, and the user and item states
+get their gradient as one vector per graph instead of a sum over S rows.
 The last cross layer's bias would enter the scores only as b_{L-1} . h,
 the same shift on every score of a graph, which the pairwise ranking loss
 cannot see and the attribute head does not read; its gradient is 0, so
 the model has no such bias.
+
+One readout per chunk.  `Model.forward` takes a chunk of graphs.  It runs
+attention per graph, then the readout (the DCN, the score head and the
+attribute head) once over the chunk, as PyTorch Geometric batches graphs
+as one disjoint union with a row-to-graph index (Fey & Lenssen 2019,
+arXiv 1903.02428).  The shared blocks form G (B, ds), one row per graph,
+and the sentence rows of all B graphs are stacked, graph by graph, into R:
+a = R @ V[ds:] + (G @ V[:ds])[gid], gid being each row's graph.  Backward
+takes the per-graph sums with `np.add.reduceat` over the graphs' first
+rows, so a weight's shared columns get one product with G per chunk
+(`deep.0.w`: dz_graph^T G), not one full-size write per graph.  A chunk
+holds every graph's attention trace until backward, so `readout_chunks`
+caps its sentence rows at READOUT_ROWS; a graph with more rows forms a
+chunk by itself.  Callers drop a chunk's trace before the next chunk's
+forward, so one chunk's traces are alive at a time.
 
 The two model ablations change x0's layout or what reads it, nothing
 else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
@@ -67,30 +82,37 @@ layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
 Each head works on the graph's edge list (`PairGraph.edge_arrays`: dst,
-src, row starts, flat cell index), as PyTorch Geometric does (Fey &
-Lenssen 2019, arXiv 1903.02428): u = H q and v = H k, the logit
-u[dst] + v[src] and its LeakyReLU per edge, the row max and row sum by
-`reduceat` over the row starts.  The weights are scattered into a zero
-(n, n) alpha and aggregated as alpha @ H, one BLAS product: gathering
-H[src] per edge instead costs more at sparse_pools' width 512.  Each
-head keeps its alpha for backward, so memory is still O(n^2) per head;
-the benchmark's largest graph (145 nodes, dense_pools) makes that 168 KB
-a head, and a synthetic n = 2,032 graph (hidden 32, heads (4, 1)) peaked
-at 213 MB for one forward plus backward against 346 MB for the dense
-masked form this replaced.
+src, row starts, flat cell index), as PyTorch Geometric does: u = H q and
+v = H k, the logit u[dst] + v[src] and its LeakyReLU per edge, the row
+max and row sum by `reduceat` over the row starts.  The weights are
+scattered into a zero (n, n) alpha and aggregated as alpha @ H, one BLAS
+product: gathering H[src] per edge instead costs more at sparse_pools'
+width 512.  That alpha is transient, one buffer per layer in forward and
+again in backward; the heads share the edges, so each head's scatter
+overwrites every cell the last one wrote.  A head keeps only its logits
+and weights, O(E) numbers, so a chunk's traces stay small while they wait
+for backward.  ELU's derivative comes from the layer's output h', which
+is already the next layer's input or Xhat: 1 where h' > 0, else h' + 1
+(= exp of the aggregate), so the aggregate is not kept and backward
+computes no exponential.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
-of any upstream loss on the scores/probabilities, with respect to every
-trainable tensor including the touched user/item embedding rows, into a
-dict the caller owns.  Each tensor element gets exactly one `+=` per graph
-(`deep.0.w` and `head.score` take theirs in two disjoint slices), so the
-trainer zeroes one buffer per batch and the sum is the same, bit for bit,
-as adding up one fresh gradient dict per graph.  Verified against central
-finite differences in the test suite.
+of any upstream loss on the chunk's scores/probabilities, with respect to
+every trainable tensor including the touched user/item embedding rows,
+into a dict the caller owns.  Each tensor element gets exactly one `+=`
+per chunk (`deep.0.w` and `head.score` take theirs in two disjoint
+slices; a head's q and k are summed over the chunk's graphs first, an
+embedding row over the chunk's graphs of its user or item).  So the
+result is the same, bit for bit, as adding one fresh gradient dict per
+chunk.  Chunking a batch another way sums the same terms in another
+order, which agrees to rounding (1e-12 of each tensor's largest entry in
+the tests), not bit for bit.  Verified against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +125,7 @@ LEAKY_SLOPE = 0.2  # attention logits, Velickovic et al. 2018
 EMBED_INIT_SCALE = 0.1  # user/item embeddings start uniform in [-0.1, 0.1]
 CROSS_LAYERS = 2
 DEEP_LAYERS = 2
+READOUT_ROWS = 128  # sentence rows per readout call; see `readout_chunks`
 
 
 @dataclass
@@ -112,6 +135,22 @@ class ModelConfig:
     deep_hidden: int = 128
     disable_gat: bool = False
     disable_dcn: bool = False
+
+
+def readout_chunks(items: Iterable, rows: Callable[[object], int]) -> Iterator[list]:
+    """Consecutive runs of `items`, in order, whose `rows(item)` add up to
+    at most READOUT_ROWS; an item with more rows than that is a run by
+    itself.  `items` is consumed lazily, one run ahead at most."""
+    chunk, total = [], 0
+    for item in items:
+        n = rows(item)
+        if chunk and total + n > READOUT_ROWS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -127,15 +166,10 @@ def _elu(x):
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
-def _delu(x):
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-
-
 @dataclass
 class HeadTrace:
     logits: np.ndarray  # (E,) u[dst] + v[src] per edge, before the LeakyReLU (u = H @ q, v = H @ k)
-    alpha: np.ndarray  # (n, n) attention weights, 0 off the edges
-    agg: np.ndarray  # (n, Din) pre-activation aggregate
+    weights: np.ndarray  # (E,) attention weight a_ij of each edge (i = dst, j = src)
 
 
 @dataclass
@@ -150,56 +184,69 @@ def gat_layer(H: np.ndarray, edges: Edges, head_params: list[tuple]):
 
     `edges` are the graph's attention edges (`PairGraph.edge_arrays`);
     logits, row max and row sum are computed per edge, and only the
-    aggregation forms the (n, n) alpha.  `head_params` is a list of (q, k)
-    per head, both of shape (Din,).
+    aggregation forms the (n, n) alpha, which the trace does not keep.
+    `head_params` is a list of (q, k) per head, both of shape (Din,).
     """
     dst, src, starts, flat = edges
     n = H.shape[0]
+    alpha = np.zeros(n * n)
     outs = []
     traces = []
     for q, k in head_params:
         pre = (H @ q)[dst] + (H @ k)[src]
         z = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
         ex = np.exp(z - np.maximum.reduceat(z, starts)[dst])
-        alpha = np.zeros(n * n)
-        alpha[flat] = ex / np.add.reduceat(ex, starts)[dst]
-        alpha = alpha.reshape(n, n)
-        agg = alpha @ H
-        outs.append(_elu(agg))
-        traces.append(HeadTrace(logits=pre, alpha=alpha, agg=agg))
+        weights = ex / np.add.reduceat(ex, starts)[dst]
+        alpha[flat] = weights
+        outs.append(_elu(alpha.reshape(n, n) @ H))
+        traces.append(HeadTrace(logits=pre, weights=weights))
     return np.concatenate(outs, axis=1), LayerTrace(H_in=H, edges=edges, heads=traces)
 
 
-def _gat_layer_backward(dH_out, head_params, trace: LayerTrace):
-    """Gradients of one attention layer.
+def _gat_layer_backward(dH_out, H_out, head_params, trace: LayerTrace):
+    """Gradients of one attention layer whose output was `H_out`.
 
-    Returns (dH_in, per-head [(dq, dk)]).  The message term goes through
-    the dense alpha as two BLAS products; the softmax and LeakyReLU steps
-    run per edge, gathering d(alpha) at the edges' flat cells, and the
-    logit u_i + v_j hands its gradient to u by row sums and to v by sums
-    over each src.
+    Returns (dH_in, per-head [(dq, dk)]).  ELU's derivative is read off
+    the output.  The message term goes through the dense alpha, scattered
+    again from the edge weights, as two BLAS products; the softmax and
+    LeakyReLU steps run per edge, gathering d(alpha) at the edges' flat
+    cells, and the logit u_i + v_j hands its gradient to u by row sums and
+    to v by sums over each src.
     """
     H = trace.H_in
     dst, src, starts, flat = trace.edges
     n, din = H.shape
     dH = np.zeros_like(H)
+    dout = dH_out * np.where(H_out > 0, 1.0, H_out + 1.0)
+    alpha = np.zeros(n * n)
     grads = []
     for head, (q, k) in enumerate(head_params):
-        ht = trace.heads[head]
-        dagg = dH_out[:, head * din : (head + 1) * din] * _delu(ht.agg)
+        a = trace.heads[head].weights
+        dagg = dout[:, head * din : (head + 1) * din]
         # message term: agg = alpha @ H
+        alpha[flat] = a
         da = (dagg @ H.T).ravel()[flat]
-        dH += ht.alpha.T @ dagg
+        dH += alpha.reshape(n, n).T @ dagg
         # row softmax, then LeakyReLU of the logit u_i + v_j
-        a = ht.alpha.ravel()[flat]
         dz = a * (da - np.add.reduceat(a * da, starts)[dst])
-        dpre = np.where(ht.logits > 0, dz, LEAKY_SLOPE * dz)
+        dpre = np.where(trace.heads[head].logits > 0, dz, LEAKY_SLOPE * dz)
         du = np.add.reduceat(dpre, starts)
         dv = np.bincount(src, weights=dpre, minlength=n)
         # u = H @ q and v = H @ k
         dH += np.outer(du, q) + np.outer(dv, k)
         grads.append((H.T @ du, H.T @ dv))
     return dH, grads
+
+
+def _row_graphs(starts: np.ndarray, n_rows: int) -> np.ndarray:
+    """The graph of each of `n_rows` stacked rows, graph b's starting at
+    starts[b].  Every graph must have a row: `np.add.reduceat` gives an
+    empty segment the row at its start, not 0."""
+    bounds = starts.tolist() + [n_rows]
+    counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    if bounds[0] != 0 or min(counts) <= 0:
+        raise ValueError(f"row starts {bounds[:-1]} over {n_rows} rows leave a graph without rows")
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 @dataclass
@@ -211,43 +258,46 @@ class DcnTrace:
     deep: list[np.ndarray]  # (S, deep_hidden) ReLU output of each deep layer
 
 
-def dcn_forward(g: np.ndarray, R: np.ndarray, params) -> tuple[np.ndarray, DcnTrace]:
+def dcn_forward(G: np.ndarray, R: np.ndarray, starts: np.ndarray, params) -> tuple[np.ndarray, DcnTrace]:
     """Scores from the cross network, the deep network and the score head
-    over x0 = [g | R[s]] for every sentence s, without forming x0.
+    over x0 = [G[b] | R[s]] for every sentence row s of every graph b,
+    without forming x0.
 
-    g (ds,) is the graph's shared block, R (S, dr) the per-sentence block.
-    Cross layer x_{l+1} = x0 (x_l . w_l) + b_l + x_l, run as its (S,)
-    coefficients c_l and shared sums B_l; deep layer x_{l+1} = relu(W_l x_l
-    + b_l), its first layer split at the shared columns.  Returns
-    (scores (S,), DcnTrace).
+    G (B, ds) holds each graph's shared block and R (S, dr) the sentence
+    rows of all B graphs, graph b's from row starts[b] on.  Cross layer
+    x_{l+1} = x0 (x_l . w_l) + b_l + x_l, run as its (S,) coefficients c_l
+    and shared sums B_l; deep layer x_{l+1} = relu(W_l x_l + b_l), its
+    first layer split at the shared columns.  Returns (scores (S,),
+    DcnTrace).
     """
-    ds = g.size
+    gid = _row_graphs(starts, len(R))
+    ds = G.shape[1]
     head = params["head.score"]
     d0 = ds + R.shape[1]
     V = np.column_stack([params[f"cross.{l}.w"] for l in range(CROSS_LAYERS)] + [head[:d0]])
-    a = R @ V[ds:] + g @ V[:ds]
+    a = R @ V[ds:] + (G @ V[:ds])[gid]
     c = [np.ones(len(R))]
     B = [np.zeros(d0)]
     for l in range(CROSS_LAYERS):
         c.append(c[l] + c[l] * a[:, l] + B[l] @ V[:, l])
         B.append(B[l] + params[f"cross.{l}.b"] if l < CROSS_LAYERS - 1 else B[l])
     W0 = params["deep.0.w"]
-    deep = [np.maximum(R @ W0[:, ds:].T + (W0[:, :ds] @ g + params["deep.0.b"]), 0.0)]
+    deep = [np.maximum(R @ W0[:, ds:].T + (G @ W0[:, :ds].T + params["deep.0.b"])[gid], 0.0)]
     for l in range(1, DEEP_LAYERS):
         deep.append(np.maximum(deep[-1] @ params[f"deep.{l}.w"].T + params[f"deep.{l}.b"], 0.0))
     scores = c[-1] * a[:, -1] + B[-1] @ V[:, -1] + deep[-1] @ head[d0:]
     return scores, DcnTrace(V=V, a=a, c=c, B=B, deep=deep)
 
 
-def _dcn_backward(d_scores, g, R, params, trace: DcnTrace, grads) -> tuple[np.ndarray, np.ndarray]:
+def _dcn_backward(d_scores, G, R, starts, params, trace: DcnTrace, grads) -> tuple[np.ndarray, np.ndarray]:
     """Add the gradients of `dcn_forward`'s tensors into `grads`, one `+=`
-    per element; return (dg, dR).
+    per element; return (dG, dR).
 
-    The shared columns of each weight get an outer product with g, the
-    row columns a product with R, and dg is one vector: nothing is summed
-    over S copies of g.
+    Per-graph sums are `np.add.reduceat` over `starts`; the shared columns
+    of each weight then get one product with G, the row columns one with
+    R, and dG has one row per graph.
     """
-    ds = g.size
+    ds = G.shape[1]
     V, a, c, B = trace.V, trace.a, trace.c, trace.B
     d0 = V.shape[0]
     L = CROSS_LAYERS
@@ -266,15 +316,15 @@ def _dcn_backward(d_scores, g, R, params, trace: DcnTrace, grads) -> tuple[np.nd
             grads[f"cross.{l}.b"] += dB
         dB = dB + shift[l] * V[:, l]
         dc = dc + dc * a[:, l]
-    total = dA.sum(axis=0)
+    dA_graph = np.add.reduceat(dA, starts, axis=0)
     dV = np.empty_like(V)
-    np.outer(g, total, out=dV[:ds])
+    np.matmul(G.T, dA_graph, out=dV[:ds])
     np.matmul(R.T, dA, out=dV[ds:])
     dV += np.column_stack(B) * shift
     for l in range(L):
         grads[f"cross.{l}.w"] += dV[:, l]
     grads["head.score"][:d0] += dV[:, L]
-    dg = V[:ds] @ total
+    dG = dA_graph @ V[:ds].T
     dR = dA @ V[ds:].T
 
     grads["head.score"][d0:] += trace.deep[-1].T @ d_scores
@@ -285,27 +335,48 @@ def _dcn_backward(d_scores, g, R, params, trace: DcnTrace, grads) -> tuple[np.nd
         grads[f"deep.{l}.b"] += dz.sum(axis=0)
         dd = dz @ params[f"deep.{l}.w"]
     dz = dd * (trace.deep[0] > 0)
-    dz_total = dz.sum(axis=0)
+    dz_graph = np.add.reduceat(dz, starts, axis=0)
     W0, dW0 = params["deep.0.w"], grads["deep.0.w"]
-    dW0[:, :ds] += np.outer(dz_total, g)
+    dW0[:, :ds] += dz_graph.T @ G
     dW0[:, ds:] += dz.T @ R
-    grads["deep.0.b"] += dz_total
-    dg += dz_total @ W0[:, :ds]
+    grads["deep.0.b"] += dz_graph.sum(axis=0)
+    dG += dz_graph @ W0[:, :ds]
     dR += dz @ W0[:, ds:]
-    return dg, dR
+    return dG, dR
+
+
+def _add_rows(table: np.ndarray, rows: list[int], values: np.ndarray) -> None:
+    """table[rows] += values, one `+=` per touched element: the values of
+    a repeated row are summed first."""
+    members: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        members.setdefault(row, []).append(i)
+    for row, idx in members.items():
+        table[row] += values[idx].sum(axis=0)
 
 
 @dataclass
 class ForwardTrace:
-    graph: PairGraph
-    inputs: GraphInputs
-    layer_traces: list[LayerTrace]
-    Xhat: np.ndarray
-    shared: np.ndarray  # (ds,) g = [user | item], the part of x0 every row repeats
-    rows: np.ndarray  # (S, d0 - ds) R = [(pooled attributes, --no-gat) | sentence]
+    graphs: Sequence[PairGraph]
+    inputs: Sequence[GraphInputs]
+    layer_traces: list[list[LayerTrace]]  # per graph
+    Xhat: list[np.ndarray]  # per graph, the final node states
+    sent_bounds: np.ndarray  # (B+1,) graph b's sentences are rows sent_bounds[b]:sent_bounds[b+1]
+    attr_bounds: np.ndarray  # (B+1,) graph b's attributes are rows attr_bounds[b]:attr_bounds[b+1]
+    shared: np.ndarray  # (B, ds) G, each graph's [user | item], the part of x0 its rows repeat
+    rows: np.ndarray  # (S, d0 - ds) R = [(pooled attributes, --no-gat) | sentence], stacked
+    attr_rows: np.ndarray  # (M, node_dim) the attribute nodes' final states, stacked
     dcn: DcnTrace | None
     scores: np.ndarray  # (S,)
     attr_probs: np.ndarray  # (M,)
+
+    def sentences(self, b: int) -> slice:
+        """Graph b's rows of `scores` and `rows`."""
+        return slice(self.sent_bounds[b], self.sent_bounds[b + 1])
+
+    def attributes(self, b: int) -> slice:
+        """Graph b's rows of `attr_probs` and `attr_rows`."""
+        return slice(self.attr_bounds[b], self.attr_bounds[b + 1])
 
 
 class Model:
@@ -371,59 +442,77 @@ class Model:
         p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
 
-    def _head_params(self, params, layer):
-        return [(params[f"gat.{layer}.{h}.q"], params[f"gat.{layer}.{h}.k"]) for h in range(self.cfg.gat_heads[layer])]
+    def _head_params(self, params):
+        """Per attention layer, its heads' (q, k)."""
+        return [
+            [(params[f"gat.{l}.{h}.q"], params[f"gat.{l}.{h}.k"]) for h in range(self.cfg.gat_heads[l])]
+            for l in range(len(self.gat_in))
+        ]
 
     # -- forward ------------------------------------------------------------
 
-    def _input_states(self, graph: PairGraph, inputs: GraphInputs, params) -> np.ndarray:
-        n = graph.n_nodes
-        h0 = np.zeros((n, self.cfg.hidden))
+    def _input_states(self, graph: PairGraph, inputs: GraphInputs, sentences: np.ndarray, params) -> np.ndarray:
+        h0 = np.zeros((graph.n_nodes, self.cfg.hidden))
         h0[USER_NODE] = params["embed.user"][inputs.user_row]
         h0[ITEM_NODE] = params["embed.item"][inputs.item_row]
         # NodeFeatureProvider has already checked the attribute vectors' width
         h0[graph.attr_slice] = inputs.attr_X
-        if self.project_sentences:
-            h0[graph.sent_slice] = inputs.sent_X @ params["proj.w"].T + params["proj.b"][None, :]
-        else:
-            h0[graph.sent_slice] = inputs.sent_X
+        h0[graph.sent_slice] = sentences
         return h0
 
-    def forward(self, graph: PairGraph, inputs: GraphInputs, params) -> ForwardTrace:
-        H = self._input_states(graph, inputs, params)
-        edges = graph.edge_arrays()
-        layer_traces: list[LayerTrace] = []
-        for l in range(len(self.gat_in)):
-            H, lt = gat_layer(H, edges, self._head_params(params, l))
-            layer_traces.append(lt)
-        Xhat = H
-
-        attr_rows = Xhat[graph.attr_slice]
-        attr_probs = _sigmoid(attr_rows @ params["head.attr"])
-
-        g = np.concatenate([Xhat[USER_NODE], Xhat[ITEM_NODE]])
-        R = Xhat[graph.sent_slice]
-        if self.cfg.disable_gat:
-            # mean of each sentence's attribute inputs; every sentence has
-            # one.  Its edges run to attributes and, last, to itself.
-            a0, s0 = graph.attr_slice.start, graph.sent_slice.start
-            dst, src = edges.dst[edges.starts[s0] :], edges.src[edges.starts[s0] :]
-            to_attr = src < s0
-            links = np.zeros((len(R), len(graph.attribute_ids)))
-            links[dst[to_attr] - s0, src[to_attr] - a0] = 1.0
-            R = np.concatenate([(links @ attr_rows) / links.sum(axis=1, keepdims=True), R], axis=1)
-
+    def forward(self, graphs: Sequence[PairGraph], inputs: Sequence[GraphInputs], params) -> ForwardTrace:
+        """Scores and attribute probabilities of a chunk of graphs, each
+        graph's in its rows of the trace (`ForwardTrace.sentences` and
+        `.attributes`)."""
+        nd = self.node_dim
+        sent_bounds = np.cumsum([0] + [len(g.sentence_ids) for g in graphs])
+        attr_bounds = np.cumsum([0] + [len(g.attribute_ids) for g in graphs])
+        sent_X = np.concatenate([inp.sent_X for inp in inputs])
+        if self.project_sentences:
+            sent_X = sent_X @ params["proj.w"].T + params["proj.b"][None, :]
+        heads = self._head_params(params)
+        G = np.empty((len(graphs), 2 * nd))
+        rows, attr_rows, layer_traces, Xhats = [], [], [], []
+        for b, (graph, inp) in enumerate(zip(graphs, inputs)):
+            H = self._input_states(graph, inp, sent_X[sent_bounds[b] : sent_bounds[b + 1]], params)
+            edges = graph.edge_arrays()
+            layers: list[LayerTrace] = []
+            for head_params in heads:
+                H, lt = gat_layer(H, edges, head_params)
+                layers.append(lt)
+            G[b, :nd] = H[USER_NODE]
+            G[b, nd:] = H[ITEM_NODE]
+            attr_rows.append(H[graph.attr_slice])
+            R = H[graph.sent_slice]
+            if self.cfg.disable_gat:
+                # mean of each sentence's attribute inputs; every sentence has
+                # one.  Its edges run to attributes and, last, to itself.
+                a0, s0 = graph.attr_slice.start, graph.sent_slice.start
+                dst, src = edges.dst[edges.starts[s0] :], edges.src[edges.starts[s0] :]
+                to_attr = src < s0
+                links = np.zeros((len(R), len(graph.attribute_ids)))
+                links[dst[to_attr] - s0, src[to_attr] - a0] = 1.0
+                R = np.concatenate([(links @ attr_rows[-1]) / links.sum(axis=1, keepdims=True), R], axis=1)
+            rows.append(R)
+            layer_traces.append(layers)
+            Xhats.append(H)
+        R = np.concatenate(rows)
+        A = np.concatenate(attr_rows)
+        attr_probs = _sigmoid(A @ params["head.attr"])
         if self.cfg.disable_dcn:
             scores, dcn_trace = R @ params["head.score"], None
         else:
-            scores, dcn_trace = dcn_forward(g, R, params)
+            scores, dcn_trace = dcn_forward(G, R, sent_bounds[:-1], params)
         return ForwardTrace(
-            graph=graph,
+            graphs=graphs,
             inputs=inputs,
             layer_traces=layer_traces,
-            Xhat=Xhat,
-            shared=g,
+            Xhat=Xhats,
+            sent_bounds=sent_bounds,
+            attr_bounds=attr_bounds,
+            shared=G,
             rows=R,
+            attr_rows=A,
             dcn=dcn_trace,
             scores=scores,
             attr_probs=attr_probs,
@@ -431,31 +520,33 @@ class Model:
 
     # -- backward -----------------------------------------------------------
 
-    def _readout_backward(self, trace: ForwardTrace, params, d_scores, d_attr_probs, grads) -> np.ndarray:
+    def _readout_backward(self, trace: ForwardTrace, params, d_scores, d_attr_probs, grads) -> list[np.ndarray]:
         """The score and attribute heads and the DCN: add their gradients
-        into `grads` and return d(loss)/d(Xhat).  Under --no-gat the pooled
-        block and the attribute rows read only the attribute inputs, which
-        nothing trains, so their gradients are not formed; under --no-dcn
-        the scores do not read the user and item rows."""
-        graph = trace.graph
-        g, R = trace.shared, trace.rows
+        into `grads` and return d(loss)/d(Xhat) per graph.  Under --no-gat
+        the pooled block and the attribute rows read only the attribute
+        inputs, which nothing trains, so their gradients are not formed;
+        under --no-dcn the scores do not read the user and item rows."""
         dlogit = d_attr_probs * trace.attr_probs * (1.0 - trace.attr_probs)
-        grads["head.attr"] += trace.Xhat[graph.attr_slice].T @ dlogit
+        grads["head.attr"] += trace.attr_rows.T @ dlogit
         if self.cfg.disable_dcn:
-            # scores = R @ head; g is not read
-            grads["head.score"] += R.T @ d_scores
-            dg, dR = None, np.outer(d_scores, params["head.score"])
+            # scores = R @ head; G is not read
+            grads["head.score"] += trace.rows.T @ d_scores
+            dG, dR = None, np.outer(d_scores, params["head.score"])
         else:
-            dg, dR = _dcn_backward(d_scores, g, R, params, trace.dcn, grads)
+            dG, dR = _dcn_backward(d_scores, trace.shared, trace.rows, trace.sent_bounds[:-1], params, trace.dcn, grads)
+        d_attr = np.outer(dlogit, params["head.attr"]) if self.gat_in else None
 
         nd = self.node_dim
-        dXhat = np.zeros_like(trace.Xhat)
-        if self.gat_in:
-            dXhat[graph.attr_slice] += np.outer(dlogit, params["head.attr"])
-        if dg is not None:
-            dXhat[USER_NODE] += dg[:nd]
-            dXhat[ITEM_NODE] += dg[nd:]
-        dXhat[graph.sent_slice] += dR[:, -nd:]
+        dXhat = []
+        for b, graph in enumerate(trace.graphs):
+            dX = np.zeros((graph.n_nodes, nd))
+            if d_attr is not None:
+                dX[graph.attr_slice] = d_attr[trace.attributes(b)]
+            if dG is not None:
+                dX[USER_NODE] = dG[b, :nd]
+                dX[ITEM_NODE] = dG[b, nd:]
+            dX[graph.sent_slice] = dR[trace.sentences(b), -nd:]
+            dXhat.append(dX)
         return dXhat
 
     def zero_grads(self, params) -> dict[str, np.ndarray]:
@@ -465,26 +556,39 @@ class Model:
         self, trace: ForwardTrace, params, d_scores: np.ndarray, d_attr_probs: np.ndarray, grads: dict[str, np.ndarray]
     ) -> None:
         """Add the exact gradients for upstream d(loss)/d(scores) and
-        d(loss)/d(probs) into `grads`, one `+=` per tensor element."""
-        graph = trace.graph
-        dH0 = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
-
-        # attention stack
-        for l in range(len(self.gat_in) - 1, -1, -1):
-            dH0, head_grads = _gat_layer_backward(dH0, self._head_params(params, l), trace.layer_traces[l])
-            for h, (dq, dk) in enumerate(head_grads):
-                grads[f"gat.{l}.{h}.q"] += dq
-                grads[f"gat.{l}.{h}.k"] += dk
+        d(loss)/d(probs), over the chunk's rows, into `grads`, one `+=` per
+        tensor element."""
+        dXhat = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
+        heads = self._head_params(params)
+        head_grads: dict[str, np.ndarray] = {}
+        d_user = np.empty((len(trace.graphs), self.cfg.hidden))
+        d_item = np.empty_like(d_user)
+        d_sent = []
+        for b, graph in enumerate(trace.graphs):
+            # attention stack; each layer's output is the next one's input
+            layers = trace.layer_traces[b]
+            outputs = [lt.H_in for lt in layers[1:]] + [trace.Xhat[b]]
+            dH = dXhat[b]
+            for l in range(len(layers) - 1, -1, -1):
+                dH, layer_grads = _gat_layer_backward(dH, outputs[l], heads[l], layers[l])
+                for h, (dq, dk) in enumerate(layer_grads):
+                    for name, d in ((f"gat.{l}.{h}.q", dq), (f"gat.{l}.{h}.k", dk)):
+                        head_grads[name] = head_grads.get(name, 0.0) + d
+            d_user[b] = dH[USER_NODE]
+            d_item[b] = dH[ITEM_NODE]
+            d_sent.append(dH[graph.sent_slice])
+        for name, d in head_grads.items():
+            grads[name] += d
 
         # input states back to trainable tables
-        grads["embed.user"][trace.inputs.user_row] += dH0[USER_NODE]
-        grads["embed.item"][trace.inputs.item_row] += dH0[ITEM_NODE]
+        _add_rows(grads["embed.user"], [inp.user_row for inp in trace.inputs], d_user)
+        _add_rows(grads["embed.item"], [inp.item_row for inp in trace.inputs], d_item)
         if self.project_sentences:
-            dsent = dH0[graph.sent_slice]
-            grads["proj.w"] += dsent.T @ trace.inputs.sent_X
+            d_sent = np.concatenate(d_sent)
+            grads["proj.w"] += d_sent.T @ np.concatenate([inp.sent_X for inp in trace.inputs])
             if self.gat_in or not self.cfg.disable_dcn:
                 # under --no-gat --no-dcn every score is linear in its own
                 # sentence row, so proj.b shifts a graph's scores alike; the
                 # ranking loss cannot see that, its gradient is analytically
                 # 0, and Adam leaves the tensor at its initial value
-                grads["proj.b"] += dsent.sum(axis=0)
+                grads["proj.b"] += d_sent.sum(axis=0)

@@ -14,6 +14,18 @@ bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
 `Trainer` owns a train pair's supervision: it computes the relevance
 targets and the attribute labels from the pair's ground-truth sentences.
 
+Chunks.  A minibatch runs as chunks of consecutive graphs
+(`model.readout_chunks`, at most `model.READOUT_ROWS` sentence rows each):
+one forward and one backward per chunk, each graph's losses taken on its
+slice of the chunk's scores, its rank pairs still drawn from the
+generator keyed by (seed, 2, epoch, position), and the loss terms kept
+in batch order.  Validation scores its pairs chunk by chunk through the
+same forward.  Each loop drops a chunk's trace before the next forward:
+two chunks' attention traces at once raised peak RSS on the benchmark's
+sparse pools by about 3 MB.  The chunks depend only on the batch, so a
+resumed run forms the same ones and retraces the uninterrupted run bit
+for bit; another chunk bound changes a batch's gradient by rounding only.
+
 Checkpoints.  Every epoch replaces `checkpoints/last.ntar`, the resume
 point; an epoch with a new best BLEU-4 first replaces `checkpoints/best.ntar`
 with the same bytes.  Each replace is atomic (`archive.save_tensors`), and
@@ -36,7 +48,7 @@ from .corpus import Corpus
 from .features import GraphInputs, NodeFeatureProvider, graph_inputs
 from .graphs import EmptyPoolError, PairGraph, build_pair_graph
 from .metrics import MAX_N
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, readout_chunks
 from .selector import SelectConfig
 
 log = logging.getLogger(__name__)
@@ -351,18 +363,32 @@ class Trainer:
                 pair.targets = targets
         return out
 
-    # -- one graph ----------------------------------------------------------
+    # -- one batch ----------------------------------------------------------
 
-    def _graph_loss(self, pair: TrainPair, rng: np.random.Generator, grads: dict[str, np.ndarray]):
-        """Loss terms of one graph; its gradient is added into `grads`."""
+    def _batch_loss(self, batch, epoch: int) -> tuple[dict[str, np.ndarray], list[tuple[float, float, float]]]:
+        """The summed gradient of a batch of train positions and each
+        graph's loss terms, in batch order.  The batch runs chunk by chunk
+        (`readout_chunks`); each graph's losses are taken on its slice of
+        its chunk's scores, its rank pairs drawn from the generator keyed
+        by (seed, 2, epoch, position)."""
         cfg = self.train_cfg
-        trace = self.model.forward(pair.graph, pair.inputs, self.params)
-        pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng)
-        l_rank, d_scores = pairwise_rank_loss(trace.scores, pair.targets, pairs)
-        l_attr, d_probs = attribute_loss(trace.attr_probs, pair.attr_labels)
-        loss = combined_loss(l_rank, l_attr, cfg.lam)
-        self.model.backward(trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs, grads)
-        return loss, l_rank, l_attr
+        grads = self.model.zero_grads(self.params)
+        terms = []
+        for chunk in readout_chunks(batch, lambda pos: len(self.train_pairs[pos].graph.sentence_ids)):
+            pairs = [self.train_pairs[pos] for pos in chunk]
+            trace = self.model.forward([p.graph for p in pairs], [p.inputs for p in pairs], self.params)
+            d_scores = np.empty_like(trace.scores)
+            d_probs = np.empty_like(trace.attr_probs)
+            for b, (pos, pair) in enumerate(zip(chunk, pairs)):
+                rows, attrs = trace.sentences(b), trace.attributes(b)
+                rng = np.random.default_rng([self.seed, 2, epoch, int(pos)])
+                rank_pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng)
+                l_rank, d_scores[rows] = pairwise_rank_loss(trace.scores[rows], pair.targets, rank_pairs)
+                l_attr, d_probs[attrs] = attribute_loss(trace.attr_probs[attrs], pair.attr_labels)
+                terms.append((combined_loss(l_rank, l_attr, cfg.lam), l_rank, l_attr))
+            self.model.backward(trace, self.params, cfg.lam * d_scores, (1.0 - cfg.lam) * d_probs, grads)
+            del trace  # before the next chunk's forward
+        return grads, terms
 
     # -- validation ---------------------------------------------------------
 
@@ -374,13 +400,15 @@ class Trainer:
         if not self.valid_pairs:
             return 0.0, 0.0, 0.0
         sums = [0.0, 0.0, 0.0]
-        for pair in self.valid_pairs:
-            trace = self.model.forward(pair.graph, pair.inputs, self.params)
-            top = np.argsort(-trace.scores, kind="stable")[: self.k]
-            cand = [w for idx in top for w in self.corpus.sentences[pair.graph.sentence_ids[idx]].words]
-            ref = [w for words in pair.truth_words for w in words]
-            for slot, max_n in enumerate((1, 2, 4)):
-                sums[slot] += metrics.sentence_bleu(cand, ref, max_n=max_n)
+        for chunk in readout_chunks(self.valid_pairs, lambda pair: len(pair.graph.sentence_ids)):
+            trace = self.model.forward([pair.graph for pair in chunk], [pair.inputs for pair in chunk], self.params)
+            for b, pair in enumerate(chunk):
+                top = np.argsort(-trace.scores[trace.sentences(b)], kind="stable")[: self.k]
+                cand = [w for idx in top for w in self.corpus.sentences[pair.graph.sentence_ids[idx]].words]
+                ref = [w for words in pair.truth_words for w in words]
+                for slot, max_n in enumerate((1, 2, 4)):
+                    sums[slot] += metrics.sentence_bleu(cand, ref, max_n=max_n)
+            del trace  # before the next chunk's forward
         n = len(self.valid_pairs)
         return sums[0] / n, sums[1] / n, sums[2] / n
 
@@ -407,10 +435,8 @@ class Trainer:
                 losses, rank_losses, attr_losses = [], [], []
                 for start in range(0, len(order), cfg.batch_size):
                     batch = order[start : start + cfg.batch_size]
-                    acc = self.model.zero_grads(self.params)
-                    for pos in batch:
-                        rng = np.random.default_rng([self.seed, 2, epoch, int(pos)])
-                        loss, l_rank, l_attr = self._graph_loss(self.train_pairs[pos], rng, acc)
+                    acc, terms = self._batch_loss(batch, epoch)
+                    for loss, l_rank, l_attr in terms:
                         losses.append(loss)
                         rank_losses.append(l_rank)
                         attr_losses.append(l_attr)

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from recexplain.features import GraphInputs
 from recexplain.graphs import PairGraph
+from recexplain.model import Model
 
 
 def toy_labelled_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
@@ -65,3 +68,22 @@ def toy_inputs(graph, hidden, sent_dim, rng, user_row=0, item_row=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def one_live_trace(monkeypatch):
+    """Wraps `Model.forward` to check that no trace it returned earlier is
+    still referenced when it runs again: a chunk's attention traces must
+    be released before the next chunk's forward.  Returns the list of
+    weak references, one per forward call."""
+    forward = Model.forward
+    traces = []
+
+    def checked(self, *args, **kwargs):
+        assert all(ref() is None for ref in traces), "an earlier chunk's trace is still alive"
+        trace = forward(self, *args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(Model, "forward", checked)
+    return traces

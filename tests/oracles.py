@@ -408,6 +408,80 @@ def dense_dcn_backward(dout, cross_params, deep_params, trace):
     return dx0, cross_grads, deep_grads
 
 
+def _layers(params, kind):
+    return sum(1 for name in params if name.startswith(f"{kind}.") and name.endswith(".w"))
+
+
+def graph_dcn_forward(g, R, params):
+    """The closed-form DCN of one graph: scores of x0 = [g | R[s]] for
+    every sentence row s, with g (ds,) the graph's shared block, as the
+    model computed them one graph at a time.  The last cross layer has no
+    bias.  Returns (scores (S,), trace (V, a, c, B, deep))."""
+    n_cross = _layers(params, "cross")
+    ds = g.size
+    head = params["head.score"]
+    d0 = ds + R.shape[1]
+    V = np.column_stack([params[f"cross.{l}.w"] for l in range(n_cross)] + [head[:d0]])
+    a = R @ V[ds:] + g @ V[:ds]
+    c = [np.ones(len(R))]
+    B = [np.zeros(d0)]
+    for l in range(n_cross):
+        c.append(c[l] + c[l] * a[:, l] + B[l] @ V[:, l])
+        B.append(B[l] + params[f"cross.{l}.b"] if l < n_cross - 1 else B[l])
+    W0 = params["deep.0.w"]
+    deep = [np.maximum(R @ W0[:, ds:].T + (W0[:, :ds] @ g + params["deep.0.b"]), 0.0)]
+    for l in range(1, _layers(params, "deep")):
+        deep.append(np.maximum(deep[-1] @ params[f"deep.{l}.w"].T + params[f"deep.{l}.b"], 0.0))
+    scores = c[-1] * a[:, -1] + B[-1] @ V[:, -1] + deep[-1] @ head[d0:]
+    return scores, (V, a, c, B, deep)
+
+
+def graph_dcn_backward(d_scores, g, R, params, trace, grads):
+    """Gradients of `graph_dcn_forward`, added into `grads`; returns
+    (dg (ds,), dR (S, dr))."""
+    V, a, c, B, deep = trace
+    ds = g.size
+    d0 = V.shape[0]
+    L = V.shape[1] - 1
+    dA = np.empty_like(a)
+    dA[:, L] = d_scores * c[L]
+    dc = d_scores * a[:, L]
+    shift = np.empty(L + 1)
+    shift[L] = d_scores.sum()
+    dB = shift[L] * V[:, L]
+    for l in range(L - 1, -1, -1):
+        dA[:, l] = dc * c[l]
+        shift[l] = dc.sum()
+        if l < L - 1:
+            grads[f"cross.{l}.b"] += dB
+        dB = dB + shift[l] * V[:, l]
+        dc = dc + dc * a[:, l]
+    total = dA.sum(axis=0)
+    dV = np.concatenate([np.outer(g, total), R.T @ dA]) + np.column_stack(B) * shift
+    for l in range(L):
+        grads[f"cross.{l}.w"] += dV[:, l]
+    grads["head.score"][:d0] += dV[:, L]
+    dg = V[:ds] @ total
+    dR = dA @ V[ds:].T
+
+    grads["head.score"][d0:] += deep[-1].T @ d_scores
+    dd = np.outer(d_scores, params["head.score"][d0:])
+    for l in range(len(deep) - 1, 0, -1):
+        dz = dd * (deep[l] > 0)
+        grads[f"deep.{l}.w"] += dz.T @ deep[l - 1]
+        grads[f"deep.{l}.b"] += dz.sum(axis=0)
+        dd = dz @ params[f"deep.{l}.w"]
+    dz = dd * (deep[0] > 0)
+    dz_total = dz.sum(axis=0)
+    W0 = params["deep.0.w"]
+    grads["deep.0.w"][:, :ds] += np.outer(dz_total, g)
+    grads["deep.0.w"][:, ds:] += dz.T @ R
+    grads["deep.0.b"] += dz_total
+    dg += dz_total @ W0[:, :ds]
+    dR += dz @ W0[:, ds:]
+    return dg, dR
+
+
 def graph_inputs_oracle(graph, corpus, word_table, sentence_table=None):
     """One graph's (attr_X, sent_X), assembled per graph, node by node.
 

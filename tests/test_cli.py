@@ -15,6 +15,7 @@ from recexplain.config import ConfigError, PipelineConfig
 from recexplain.corpus import load_corpus
 from recexplain.features import graph_inputs, load_vector_file
 from recexplain.graphs import build_pair_graph
+from recexplain import model as model_module
 from recexplain.model import Model
 from recexplain.selector import TfidfVectorizer
 from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT, checkpoint_params
@@ -134,7 +135,7 @@ class TestPipeline:
         assert len(records) == len(corpus.pairs("test"))
         for rec in records:
             graph = build_pair_graph(corpus, rec["user_id"], rec["item_id"])
-            scores = model.forward(graph, graph_inputs(graph, corpus, provider), params).scores
+            scores = model.forward([graph], [graph_inputs(graph, corpus, provider)], params).scores
             chosen = [graph.sentence_ids.index(sid) for sid in rec["sentence_ids"]]
             assert chosen == sorted(chosen, key=lambda i: (-scores[i], i))
             if name.endswith("--no-ilp"):
@@ -176,6 +177,16 @@ class TestPipeline:
         assert len(pooled) > len(calls)  # the pools share sentences
         written = (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8")
         assert written == (workdir / "selections.jsonl").read_text(encoding="utf-8")
+
+    def test_select_keeps_one_chunk_trace_alive(self, planted, tmp_path, monkeypatch, one_live_trace):
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        shutil.copytree(workdir / "checkpoints", tmp_path / "work" / "checkpoints")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 0)  # one graph per chunk
+        assert cli.main(["select", "--config", str(changed)]) == 0
+        _, records = selection_records(tmp_path / "work")
+        assert len(one_live_trace) == len(records) > 2
 
     def test_select_needs_attribute_vectors(self, planted, tmp_path, capsys):
         # without them every attribute node would score from zero inputs

@@ -1,8 +1,20 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from recexplain import model as model_module
 from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
-from recexplain.model import CROSS_LAYERS, DEEP_LAYERS, Model, ModelConfig, _gat_layer_backward, dcn_forward, gat_layer
+from recexplain.model import (
+    CROSS_LAYERS,
+    DEEP_LAYERS,
+    Model,
+    ModelConfig,
+    _gat_layer_backward,
+    dcn_forward,
+    gat_layer,
+    readout_chunks,
+)
 from recexplain.training import attribute_loss, combined_loss, pairwise_rank_loss
 
 from conftest import toy_graph, toy_inputs, toy_labelled_graph
@@ -12,6 +24,8 @@ from oracles import (
     dense_gat_layer,
     dense_gat_layer_backward,
     gat_scalar_oracle,
+    graph_dcn_backward,
+    graph_dcn_forward,
 )
 
 
@@ -39,6 +53,19 @@ def line_graph(item_edge=True):
             np.array([2]),
         ],
     )
+
+
+def forward_one(model, g, inputs, params):
+    """`Model.forward` over a chunk of one graph."""
+    return model.forward([g], [inputs], params)
+
+
+def dense_alpha(trace, head, n):
+    """A head's per-edge attention weights as the (n, n) alpha, 0 off the
+    edges."""
+    alpha = np.zeros(n * n)
+    alpha[trace.edges.flat] = trace.heads[head].weights
+    return alpha.reshape(n, n)
 
 
 def oracle_lists(g):
@@ -80,7 +107,7 @@ class TestGatLayer:
         H = rng.normal(size=(4, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
         out, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert trace.heads[0].alpha[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert dense_alpha(trace, 0, 4)[1].tolist() == [0.0, 1.0, 0.0, 0.0]
         elu = np.where(H[1] > 0, H[1], np.expm1(np.minimum(H[1], 0.0)))
         assert np.array_equal(out[1], elu)
 
@@ -91,7 +118,7 @@ class TestGatLayer:
         H[[0, 1, 3]] = H[2]
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
         _, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert trace.heads[0].alpha[2] == pytest.approx([1 / 4] * 4)
+        assert dense_alpha(trace, 0, 4)[2] == pytest.approx([1 / 4] * 4)
 
     def test_matches_scalar_oracle_two_layers(self, rng):
         g = line_graph()
@@ -111,7 +138,7 @@ class TestGatLayer:
         assert np.allclose(h1, np.array(o1), atol=1e-12)
         assert np.allclose(h2, np.array(o2), atol=1e-12)
         for head in range(2):
-            assert_alpha_matches(t1.heads[head].alpha, alphas1[head], g)
+            assert_alpha_matches(dense_alpha(t1, head, g.n_nodes), alphas1[head], g)
 
     def test_large_logits_through_gat_layer(self, rng):
         # logits in the thousands: exp without the row max would overflow
@@ -124,7 +151,7 @@ class TestGatLayer:
         assert np.all(np.isfinite(out))
         assert np.allclose(out, np.array(want), atol=1e-12)
         for head in range(2):
-            alpha = trace.heads[head].alpha
+            alpha = dense_alpha(trace, head, g.n_nodes)
             assert np.all(np.isfinite(alpha))
             assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             assert_alpha_matches(alpha, alphas[head], g)
@@ -135,7 +162,7 @@ class TestGatLayer:
             H = rng.normal(size=(g.n_nodes, 3))
             params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
             _, trace = gat_layer(H, g.edge_arrays(), folded(params))
-            alpha = trace.heads[0].alpha
+            alpha = dense_alpha(trace, 0, g.n_nodes)
             assert np.all(alpha >= 0.0)
             assert np.all(alpha[~attention_mask(g)] == 0.0)
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -159,12 +186,12 @@ class TestMatchesDenseOracle:
         out, trace = gat_layer(H, g.edge_arrays(), head_params)
         want, want_trace = dense_gat_layer(H, mask, head_params)
         assert_rel_close(out, want, "output")
-        for head, ht in enumerate(trace.heads):
-            want_alpha = want_trace[1][head][2]
-            assert_rel_close(ht.alpha, want_alpha, f"alpha {head}")
-            assert np.all(ht.alpha[~mask] == 0.0) and np.all(want_alpha[~mask] == 0.0)
+        for head in range(len(trace.heads)):
+            alpha, want_alpha = dense_alpha(trace, head, g.n_nodes), want_trace[1][head][2]
+            assert_rel_close(alpha, want_alpha, f"alpha {head}")
+            assert np.all(alpha[~mask] == 0.0) and np.all(want_alpha[~mask] == 0.0)
         dH_out = rng.normal(size=out.shape)
-        dH, grads = _gat_layer_backward(dH_out, head_params, trace)
+        dH, grads = _gat_layer_backward(dH_out, out, head_params, trace)
         want_dH, want_grads = dense_gat_layer_backward(dH_out, head_params, want_trace)
         # a head whose rows' logits all share a sign has du = 0 up to
         # rounding (softmax gradients sum to 0 over a row), so dq and dk are
@@ -231,7 +258,7 @@ class TestDcn:
         want, _ = dense_dcn_forward(x0, cross, deep)
         head = np.arange(1.0, want.shape[1] + 1)
         assert np.all(x0[:, :ds] == x0[0, :ds])  # the shared block
-        scores, trace = dcn_forward(x0[0, :ds], x0[:, ds:], dcn_params(cross, deep, head))
+        scores, trace = dcn_forward(x0[:1, :ds], x0[:, ds:], np.array([0]), dcn_params(cross, deep, head))
         x_last = trace.c[-1][:, None] * x0 + trace.B[-1]
         assert np.allclose(np.concatenate([x_last, trace.deep[-1]], axis=1), want, rtol=1e-13, atol=0.0)
         assert np.allclose(scores, want @ head, rtol=1e-13, atol=0.0)
@@ -296,13 +323,13 @@ class TestDcnMatchesDenseOracle:
         for name, t in params.items():
             if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
                 t[:] = 0.1 * rng.normal(size=t.shape)
-        trace = model.forward(g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.Xhat)
+        trace = forward_one(model, g, inputs, params)
+        x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
         head = params["head.score"]
         d0 = model.d0
         d_scores = rng.normal(size=len(g.sentence_ids))
         grads = model.zero_grads(params)
-        dXhat = model._readout_backward(trace, params, d_scores, np.zeros(len(g.attribute_ids)), grads)
+        [dXhat] = model._readout_backward(trace, params, d_scores, np.zeros(len(g.attribute_ids)), grads)
 
         if model.cfg.disable_dcn:
             ds = 2 * model.node_dim
@@ -363,7 +390,7 @@ class TestForward:
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(0)
         params["head.attr"][:] = 0.0
-        trace = model.forward(g, inputs, params)
+        trace = forward_one(model, g, inputs, params)
         assert np.allclose(trace.attr_probs, 0.5)
 
     def test_zero_score_head_gives_zero(self, rng):
@@ -372,14 +399,14 @@ class TestForward:
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(0)
         params["head.score"][:] = 0.0
-        trace = model.forward(g, inputs, params)
+        trace = forward_one(model, g, inputs, params)
         assert np.all(trace.scores == 0.0)
 
     def test_probs_in_open_interval(self, rng):
         model, _ = small_model()
         g = toy_graph(2, 3, rng)
         inputs = toy_inputs(g, 3, 2, rng)
-        trace = model.forward(g, inputs, model.init_params(3))
+        trace = forward_one(model, g, inputs, model.init_params(3))
         assert np.all(trace.attr_probs > 0.0) and np.all(trace.attr_probs < 1.0)
 
     def test_repeat_calls_bit_identical(self, rng):
@@ -387,8 +414,8 @@ class TestForward:
         g = toy_graph(3, 5, rng)
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(7)
-        a = model.forward(g, inputs, params)
-        b = model.forward(g, inputs, params)
+        a = forward_one(model, g, inputs, params)
+        b = forward_one(model, g, inputs, params)
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.attr_probs, b.attr_probs)
 
@@ -413,8 +440,8 @@ class TestForward:
         g = toy_graph(3, 4, rng)
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(2)
-        trace = model.forward(g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.Xhat)
+        trace = forward_one(model, g, inputs, params)
+        x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
         assert x0.shape == (4, model.d0)
         shared = np.tile(trace.shared, (4, 1))
         assert np.allclose(np.concatenate([shared, trace.rows], axis=1), x0, rtol=1e-13, atol=0.0)
@@ -436,9 +463,9 @@ class TestForward:
         for _ in range(5):
             g = toy_graph(int(rng.integers(1, 5)), int(rng.integers(1, 8)), rng)
             inputs = toy_inputs(g, 3, 2, rng)
-            trace = model.forward(g, inputs, params)
-            x0 = explicit_x0(model, g, inputs, trace.Xhat)
-            assert_rel_close(x0 @ full - trace.scores, np.full(len(g.sentence_ids), trace.shared @ full[:ds]),
+            trace = forward_one(model, g, inputs, params)
+            x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
+            assert_rel_close(x0 @ full - trace.scores, np.full(len(g.sentence_ids), trace.shared[0] @ full[:ds]),
                              "shift", np.abs(x0 @ full).max())
 
     @pytest.mark.parametrize(
@@ -464,7 +491,7 @@ class TestForward:
         g = toy_graph(3, 5, rng)
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(5)
-        base = model.forward(g, inputs, params).scores
+        base = forward_one(model, g, inputs, params).scores
 
         perm = rng.permutation(5)
         start = g.sent_slice.start
@@ -483,25 +510,32 @@ class TestForward:
         inputs2 = toy_inputs(g2, 3, 2, np.random.default_rng(0))
         inputs2.attr_X = inputs.attr_X
         inputs2.sent_X = inputs.sent_X[perm]
-        permuted = model.forward(g2, inputs2, params).scores
+        permuted = forward_one(model, g2, inputs2, params).scores
         assert np.allclose(permuted, base[perm], atol=1e-9)
 
 
-def loss_through_model(model, graph, inputs, params, targets, pairs, labels, lam=0.4):
-    trace = model.forward(graph, inputs, params)
-    l_rank, d_scores = pairwise_rank_loss(trace.scores, targets, pairs)
-    l_attr, d_probs = attribute_loss(trace.attr_probs, labels)
-    loss = combined_loss(l_rank, l_attr, lam)
+def loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=0.4):
+    """The summed losses of a chunk's graphs, each on its own rows, and
+    their gradient from one backward."""
+    trace = model.forward(graphs, inputs, params)
+    loss = 0.0
+    d_scores = np.empty_like(trace.scores)
+    d_probs = np.empty_like(trace.attr_probs)
+    for b in range(len(graphs)):
+        rows, attrs = trace.sentences(b), trace.attributes(b)
+        l_rank, d_scores[rows] = pairwise_rank_loss(trace.scores[rows], targets[b], pairs[b])
+        l_attr, d_probs[attrs] = attribute_loss(trace.attr_probs[attrs], labels[b])
+        loss += combined_loss(l_rank, l_attr, lam)
     grads = model.zero_grads(params)
     model.backward(trace, params, lam * d_scores, (1 - lam) * d_probs, grads)
     return loss, grads
 
 
-def finite_diff_check(model, graph, inputs, params, targets, pairs, labels, eps=1e-5, tol=1e-4):
-    _, grads = loss_through_model(model, graph, inputs, params, targets, pairs, labels)
+def finite_diff_check(model, graphs, inputs, params, targets, pairs, labels, eps=1e-5, tol=1e-4):
+    _, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
 
     def loss_only():
-        return loss_through_model(model, graph, inputs, params, targets, pairs, labels)[0]
+        return loss_through_model(model, graphs, inputs, params, targets, pairs, labels)[0]
 
     worst = 0.0
     for name, tensor in params.items():
@@ -524,51 +558,62 @@ def finite_diff_check(model, graph, inputs, params, targets, pairs, labels, eps=
 
 
 def gradcheck_setup(rng, **model_kw):
+    """A chunk of two graphs of unequal sizes (9 and 7 nodes) for different
+    users and the same item, with their targets, rank pairs and labels."""
     model, _ = small_model(**model_kw)
-    g, labels = toy_labelled_graph(3, 4, rng)  # 9 nodes total
-    inputs = toy_inputs(g, 3, 2, rng, user_row=1, item_row=2)
+    g0, labels0 = toy_labelled_graph(3, 4, rng)
+    g1, labels1 = toy_labelled_graph(2, 3, rng)
+    inputs = [toy_inputs(g0, 3, 2, rng, user_row=1, item_row=2), toy_inputs(g1, 3, 2, rng, user_row=0, item_row=2)]
     params = model.init_params(13)
-    targets = rng.uniform(0, 1, size=4)
-    pairs = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])
-    return model, g, inputs, params, targets, pairs, labels
+    targets = [rng.uniform(0, 1, size=4), rng.uniform(0, 1, size=3)]
+    pairs = [np.array([[0, 1], [0, 2], [1, 3], [2, 3]]), np.array([[0, 1], [1, 2], [0, 2]])]
+    return model, [g0, g1], inputs, params, targets, pairs, [labels0, labels1]
 
 
 class TestGradients:
     def test_zero_upstream_zero_grads(self, rng):
-        model, g, inputs, params, *_ = gradcheck_setup(rng)
-        trace = model.forward(g, inputs, params)
+        model, graphs, inputs, params, *_ = gradcheck_setup(rng)
+        trace = model.forward(graphs, inputs, params)
         grads = model.zero_grads(params)
-        model.backward(trace, params, np.zeros(4), np.zeros(3), grads)
+        model.backward(trace, params, np.zeros(7), np.zeros(5), grads)
         assert all(np.all(v == 0.0) for v in grads.values())
 
     def test_backward_adds_into_given_grads(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        _, fresh = loss_through_model(model, g, inputs, params, targets, pairs, labels)
+        # one `+=` per tensor element per chunk: adding into a dict that
+        # already holds numbers gives its start plus the chunk's fresh
+        # gradient, bit for bit, though the two graphs share the item row
+        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
+        _, fresh = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
         start = {name: rng.normal(size=t.shape) for name, t in params.items()}
         grads = {name: t.copy() for name, t in start.items()}
-        trace = model.forward(g, inputs, params)
-        l_rank, d_scores = pairwise_rank_loss(trace.scores, targets, pairs)
-        l_attr, d_probs = attribute_loss(trace.attr_probs, labels)
+        trace = model.forward(graphs, inputs, params)
+        d_scores = np.concatenate(
+            [pairwise_rank_loss(trace.scores[trace.sentences(b)], targets[b], pairs[b])[1] for b in range(2)]
+        )
+        d_probs = np.concatenate(
+            [attribute_loss(trace.attr_probs[trace.attributes(b)], labels[b])[1] for b in range(2)]
+        )
         assert model.backward(trace, params, 0.4 * d_scores, 0.6 * d_probs, grads) is None
         for name in params:
             assert np.array_equal(grads[name], start[name] + fresh[name]), name
 
     def test_untouched_rows_zero(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        _, grads = loss_through_model(model, g, inputs, params, targets, pairs, labels)
-        for row in range(3):
-            expect_zero = row != inputs.user_row
-            assert np.all(grads["embed.user"][row] == 0.0) == expect_zero
+        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
+        _, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
+        for table, touched in (("embed.user", {1, 0}), ("embed.item", {2})):
+            for row in range(3):
+                assert np.all(grads[table][row] == 0.0) == (row not in touched), (table, row)
 
     def test_attr_head_idle_when_attr_loss_off(self, rng):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        loss, grads = loss_through_model(model, g, inputs, params, targets, pairs, labels, lam=1.0)
+        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
+        loss, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=1.0)
         assert np.all(grads["head.attr"] == 0.0)
 
     @pytest.mark.parametrize("disable_dcn", [False, True], ids=["dcn", "no-dcn"])
     @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
     def test_finite_difference(self, rng, disable_gat, disable_dcn):
-        model, g, inputs, params, targets, pairs, labels = gradcheck_setup(
+        # through a two-graph chunk, so a row-to-graph index error fails it
+        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(
             rng, disable_gat=disable_gat, disable_dcn=disable_dcn
         )
         assert model.d0 == (4 if disable_gat else 3) * model.node_dim
@@ -576,4 +621,113 @@ class TestGradients:
             # the score head reads x0's rows past g = [user | item]
             assert not [name for name in params if name.startswith(("lin.", "cross.", "deep."))]
             assert params["head.score"].shape == (model.d0 - 2 * model.node_dim,)
-        finite_diff_check(model, g, inputs, params, targets, pairs, labels)
+        finite_diff_check(model, graphs, inputs, params, targets, pairs, labels)
+
+
+class TestChunkReadoutMatchesPerGraphOracle:
+    """One readout over a chunk of graphs of unequal sizes against the
+    per-graph closed form (`graph_dcn_forward` / `graph_dcn_backward`) and
+    the attribute head run on each graph's own rows: scores, attribute
+    probabilities, d(Xhat) and every readout gradient, each to 1e-12 of the
+    reference tensor's largest entry."""
+
+    @ABLATIONS
+    def test_unequal_graphs(self, rng, disable_gat, disable_dcn):
+        model, _ = small_model(disable_gat=disable_gat, disable_dcn=disable_dcn)
+        graphs = [toy_graph(a, s, rng) for a, s in ((2, 5), (1, 1), (4, 9), (3, 2))]
+        assert len(graphs[1].sentence_ids) == 1
+        # users 0, 1, 0, 1: two graphs share each user row
+        inputs = [toy_inputs(g, 3, 2, rng, user_row=b % 2, item_row=b % 3) for b, g in enumerate(graphs)]
+        params = model.init_params(int(rng.integers(1000)))
+        for name, t in params.items():
+            if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
+                t[:] = 0.1 * rng.normal(size=t.shape)
+        trace = model.forward(graphs, inputs, params)
+        d_scores = rng.normal(size=trace.scores.shape)
+        d_probs = rng.normal(size=trace.attr_probs.shape)
+        grads = model.zero_grads(params)
+        dXhat = model._readout_backward(trace, params, d_scores, d_probs, grads)
+
+        readout = [name for name in params if name.startswith(("cross.", "deep.", "head."))]
+        want = {name: np.zeros_like(params[name]) for name in readout}
+        nd = model.node_dim
+        for b, g in enumerate(graphs):
+            Xhat = trace.Xhat[b]
+            shared = np.concatenate([Xhat[USER_NODE], Xhat[ITEM_NODE]])
+            rows, attrs = trace.sentences(b), trace.attributes(b)
+            R = trace.rows[rows]
+            assert np.array_equal(trace.shared[b], shared)
+            assert np.array_equal(R[:, -nd:], Xhat[g.sent_slice])
+            if disable_dcn:
+                scores = R @ params["head.score"]
+                want["head.score"] += R.T @ d_scores[rows]
+                dg, dR = np.zeros(2 * nd), np.outer(d_scores[rows], params["head.score"])
+            else:
+                scores, dcn = graph_dcn_forward(shared, R, params)
+                dg, dR = graph_dcn_backward(d_scores[rows], shared, R, params, dcn, want)
+            assert_rel_close(trace.scores[rows], scores, f"scores {b}")
+            logits = Xhat[g.attr_slice] @ params["head.attr"]
+            probs = 1.0 / (1.0 + np.exp(-logits))
+            assert_rel_close(trace.attr_probs[attrs], probs, f"attr_probs {b}")
+            dlogit = d_probs[attrs] * probs * (1.0 - probs)
+            want["head.attr"] += Xhat[g.attr_slice].T @ dlogit
+            want_dX = np.zeros_like(Xhat)
+            if not disable_gat:
+                want_dX[g.attr_slice] = np.outer(dlogit, params["head.attr"])
+            want_dX[USER_NODE], want_dX[ITEM_NODE] = dg[:nd], dg[nd:]
+            want_dX[g.sent_slice] = dR[:, -nd:]
+            assert_rel_close(dXhat[b], want_dX, f"dXhat {b}")
+        for name in readout:
+            assert_rel_close(grads[name], want[name], name)
+
+    def test_a_graph_without_rows_is_refused(self):
+        # np.add.reduceat would give an empty segment the row at its start
+        params = dcn_params([(np.ones(2), np.zeros(2))] * 2, [(np.eye(2), np.zeros(2))] * 2, np.ones(4))
+        with pytest.raises(ValueError, match="without rows"):
+            dcn_forward(np.ones((2, 1)), np.ones((3, 1)), np.array([0, 3]), params)
+        with pytest.raises(ValueError, match="without rows"):
+            dcn_forward(np.ones((3, 1)), np.ones((3, 1)), np.array([0, 1, 1]), params)
+
+
+class TestReadoutChunks:
+    def test_rows_bound_each_chunk(self, monkeypatch):
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 10)
+        sizes = [4, 5, 2, 12, 3, 7, 1]
+        assert list(readout_chunks(sizes, lambda n: n)) == [[4, 5], [2], [12], [3, 7], [1]]
+
+    def test_lazy_and_empty(self, monkeypatch):
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 3)
+        drawn = []
+
+        def items():
+            for n in (2, 2, 2):
+                drawn.append(n)
+                yield n
+
+        chunks = readout_chunks(items(), lambda n: n)
+        assert next(chunks) == [2] and drawn == [2, 2]
+        assert list(readout_chunks([], lambda n: n)) == []
+
+
+class TestAttentionTraceMemory:
+    """A training chunk holds every graph's attention trace until backward.
+    At the dense pools' sizes, a dense (n, n) alpha per head in each trace
+    pushes peak memory past the benchmark's bound, so each head keeps O(E)
+    numbers and no trace holds an (n, n) array."""
+
+    def test_heads_keep_per_edge_arrays_only(self, rng):
+        cfg = ModelConfig(hidden=8, gat_heads=(4, 1), deep_hidden=8)
+        model = Model(cfg, 3, 3, 8)
+        g = toy_graph(6, 44, rng)  # n = 52
+        n, n_edges = g.n_nodes, len(g.edge_arrays().dst)
+        assert n_edges < n * n // 4
+        trace = model.forward([g], [toy_inputs(g, 8, 8, rng)], model.init_params(0))
+        [layers] = trace.layer_traces
+        for l, layer in enumerate(layers):
+            assert layer.H_in.shape == (n, model.gat_in[l])
+            assert all(np.ndim(a) == 1 for a in layer.edges)
+            for head in layer.heads:
+                for f in fields(head):
+                    assert getattr(head, f.name).shape == (n_edges,), f.name
+        kept = [layer.H_in for layer in layers] + [t for layer in layers for h in layer.heads for t in vars(h).values()]
+        assert not [a for a in kept if a.ndim == 2 and a.shape[1] == n]

@@ -13,7 +13,8 @@ from recexplain import metrics
 from recexplain import training as tr
 from recexplain.archive import load_tensors, save_tensors
 from recexplain.features import EmbeddingTable, NodeFeatureProvider
-from recexplain.model import ModelConfig
+from recexplain import model as model_module
+from recexplain.model import ModelConfig, readout_chunks
 
 from oracles import bleu_oracle
 
@@ -358,6 +359,37 @@ class TestTrainer:
         assert len(losses) == 5
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize(
+        "disable_gat, disable_dcn", [(False, False), (True, False), (False, True)], ids=["default", "no-gat", "no-dcn"]
+    )
+    def test_chunking_changes_a_batch_only_by_rounding(self, tmp_path, monkeypatch, disable_gat, disable_dcn):
+        # the same minibatch, one graph per readout and all in one readout
+        model_cfg = ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4, disable_gat=disable_gat, disable_dcn=disable_dcn)
+        trainer = make_trainer(tmp_path, model_cfg=model_cfg)
+        batch = np.random.default_rng([trainer.seed, 1, 0]).permutation(len(trainer.train_pairs))
+        rows = lambda pos: len(trainer.train_pairs[pos].graph.sentence_ids)
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 0)
+        assert len(list(readout_chunks(batch, rows))) == len(batch) > 2
+        single, single_terms = trainer._batch_loss(batch, 3)
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 10**9)
+        assert len(list(readout_chunks(batch, rows))) == 1
+        whole, whole_terms = trainer._batch_loss(batch, 3)
+        # BLAS products over stacked rows round differently: the losses
+        # agree to a few ulps, not bit for bit
+        assert len(whole_terms) == len(single_terms)
+        for got, want in zip(whole_terms, single_terms):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        for name, grad in whole.items():
+            err = np.abs(grad - single[name]).max()
+            assert err <= 1e-12 * np.abs(single[name]).max(), name
+
+    def test_one_chunk_trace_alive_at_a_time(self, tmp_path, monkeypatch, one_live_trace):
+        # training and validation, one graph per chunk
+        trainer = make_trainer(tmp_path, epochs=2)
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 0)
+        trainer.run()
+        assert len(one_live_trace) == 2 * (len(trainer.train_pairs) + len(trainer.valid_pairs)) > 4
+
     def test_lambda_one_leaves_attr_head_at_init(self, tmp_path):
         trainer = make_trainer(tmp_path / "b", epochs=2, lam=1.0)
         init_attr = trainer.params["head.attr"].copy()
@@ -549,7 +581,7 @@ class TestTrainer:
         assert trainer.valid_pairs
         want = [0.0, 0.0, 0.0]
         for pair in trainer.valid_pairs:
-            scores = trainer.model.forward(pair.graph, pair.inputs, trainer.params).scores
+            scores = trainer.model.forward([pair.graph], [pair.inputs], trainer.params).scores
             top = pair.graph.sentence_ids[int(np.argmax(scores))]
             ref = [w for words in pair.truth_words for w in words]
             for slot, max_n in enumerate((1, 2, 4)):
