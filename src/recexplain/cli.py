@@ -166,11 +166,12 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
 def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
     """The hash header (empty when absent) and the records of a selections
     file; a line that is not UTF-8 or not JSON, a record without a pair or
-    sentence ids, or a sentence id the corpus lacks is an error naming its
-    line.
+    sentence ids, a sentence id the corpus lacks, or a pair an earlier line
+    holds is an error naming its line.
     """
     header: dict = {}
     entries: list[dict] = []
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, "rb") as fh:
         for n, raw in enumerate(fh, 1):
             try:
@@ -195,6 +196,10 @@ def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
             for sid in rec["sentence_ids"]:
                 if not isinstance(sid, str) or sid not in corpus.sentences:
                     raise StalenessError(f"{path} line {n}: sentence id {sid!r} is not in the corpus")
+            pair = rec["user_id"], rec["item_id"]
+            if pair in first_line:
+                raise StalenessError(f"{path} line {n}: repeats the pair {pair} of line {first_line[pair]}")
+            first_line[pair] = n
             entries.append(rec)
     return header, entries
 
@@ -218,12 +223,12 @@ def cmd_evaluate(cfg: PipelineConfig, selections: str | None = None) -> metrics.
         pred = [corpus.sentences[s] for s in rec["sentence_ids"]]
         truth = [corpus.sentences[s] for s in truth_ids]
         records.append(
-            {
-                "pred_sentences": [list(s.words) for s in pred],
-                "truth_sentences": [list(s.words) for s in truth],
-                "pred_attrs": set().union(*(s.attributes for s in pred)),
-                "truth_attrs": set().union(*(s.attributes for s in truth)),
-            }
+            (
+                [w for s in pred for w in s.words],
+                [w for s in truth for w in s.words],
+                set().union(*(s.attributes for s in pred)),
+                set().union(*(s.attributes for s in truth)),
+            )
         )
     report = metrics.evaluate_pairs(records)
     report.excluded = missing

@@ -5,15 +5,18 @@ supervision for ranking, and the full suite scores final explanations
 against held-out reviews.
 
 Every metric scores a candidate against one reference, because every
-caller has exactly one:
-- `training.relevance_targets` counts each candidate's clipped matches
-  against each target sentence itself, scores them with
-  `bleu_from_matches` and keeps the best;
+caller has exactly one.  `overlap` counts the n-grams: a pair's two
+lengths and clipped matches of orders 1..max_n, all that BLEU and ROUGE-N
+read of it.
 - `Trainer.validate` scores the top-K sentences joined against the
   held-out review's sentences joined (`sentence_bleu`);
-- `evaluate_pairs` scores the selected sentences joined against the
-  test review's sentences joined (`corpus_bleu`, `rouge_n_f1`,
-  `rouge_l_f1`).
+- `evaluate_pairs` counts one `overlap` per pair, the selected sentences
+  joined against the test review's joined, and reads it for BLEU-1/2/4
+  (`corpus_bleu`) and ROUGE-1/2 (`rouge_n_f1`);
+- `training.relevance_targets` is the one deliberate second counter, kept
+  for speed: interned n-gram keys give every candidate's matches against
+  every target sentence in one matrix product per problem.  A test pins
+  its counts to `overlap`'s; `bleu_from_matches` scores them.
 """
 
 from __future__ import annotations
@@ -26,33 +29,25 @@ from dataclasses import dataclass, field
 log = logging.getLogger(__name__)
 
 Tokens = list[str]
-Profile = tuple[int, tuple[Counter, ...]]
+Overlap = tuple[int, int, tuple[int, ...]]  # (candidate length, reference length, matches)
 
 MAX_N = 4  # BLEU's highest n-gram order unless a caller asks for fewer
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def ngram_profile(tokens, max_n: int = MAX_N) -> Profile:
-    """A sentence's length and its n-gram counts for orders 1..max_n, all
-    that BLEU reads of it."""
+def ngram_profile(tokens, max_n: int = MAX_N) -> tuple[Counter, ...]:
+    """A sentence's n-gram counts for orders 1..max_n; `overlap`'s helper."""
     tokens = tuple(tokens)
-    return len(tokens), tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1))
+    return tuple(Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1)) for n in range(1, max_n + 1))
 
 
-def _clipped_matches(candidate: Profile, reference: Profile, n: int) -> tuple[int, int]:
-    """Modified n-gram precision counts: (clipped matches, candidate total)."""
-    total = max(candidate[0] - n + 1, 0)
-    if total == 0:
-        return 0, 0
-    cand = candidate[1][n - 1]
-    ref = reference[1][n - 1]
-    matches = 0
-    for gram in cand.keys() & ref.keys():
-        matches += min(cand[gram], ref[gram])
-    return matches, total
+def overlap(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> Overlap:
+    """(candidate length, reference length, clipped matches of orders
+    1..max_n): per order, the sum over the candidate's n-grams of the
+    smaller of its two counts.  That is BLEU's clipped match count and
+    ROUGE-N's matched count alike."""
+    cand, ref = ngram_profile(candidate, max_n), ngram_profile(reference, max_n)
+    matches = tuple(sum(min(c[g], r[g]) for g in c.keys() & r.keys()) for c, r in zip(cand, ref))
+    return len(candidate), len(reference), matches
 
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
@@ -88,52 +83,47 @@ def bleu_from_matches(matches, cand_len: int, ref_len: int) -> float:
 
 
 def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> float:
-    """Smoothed sentence-level BLEU of a token list against one reference,
-    their clipped n-gram matches scored by `bleu_from_matches`;
-    `Trainer.validate` passes the held-out review's sentences joined."""
-    candidate, reference = ngram_profile(candidate, max_n), ngram_profile(reference, max_n)
-    if not candidate[0]:
+    """Smoothed sentence-level BLEU of a token list against one reference:
+    their `overlap` scored by `bleu_from_matches`; `Trainer.validate`
+    passes the held-out review's sentences joined."""
+    cand_len, ref_len, matches = overlap(candidate, reference, max_n)
+    if not cand_len:
         log.warning("sentence_bleu: empty candidate scored 0")
-    matches = [_clipped_matches(candidate, reference, n)[0] for n in range(1, max_n + 1)]
-    return bleu_from_matches(matches, candidate[0], reference[0])
+    return bleu_from_matches(matches, cand_len, ref_len)
 
 
-def corpus_bleu(pairs: list[tuple[Tokens, Tokens]], max_n: int = MAX_N) -> float:
-    """Corpus-level BLEU over (candidate, reference) pairs with pooled
-    n-gram statistics, no smoothing; `evaluate_pairs` passes each test
-    review's sentences joined as the reference.
+def corpus_bleu(overlaps: list[Overlap], max_n: int = MAX_N) -> float:
+    """Corpus-level BLEU with n-gram statistics pooled over the pairs'
+    `overlap`s, each counted to at least max_n; no smoothing.
+    `evaluate_pairs` counts each test review's sentences joined as the
+    reference.
 
     Pairs with an empty reference are skipped.  Any order with pooled
     matches == 0 (but a nonzero candidate count) zeroes the score; orders
     no candidate is long enough for are vacuous.  Single-pair input agrees
     with sentence_bleu whenever all raw precisions are positive.
     """
-    match_tot = [0] * (max_n + 1)
-    cand_tot = [0] * (max_n + 1)
+    match_tot = [0] * max_n
+    cand_tot = [0] * max_n
     cand_len = 0
     ref_len = 0
-    for candidate, reference in pairs:
-        if not reference:
+    for c_len, r_len, matches in overlaps:
+        if not r_len:
             continue
-        candidate = ngram_profile(candidate, max_n)
-        reference = ngram_profile(reference, max_n)
-        cand_len += candidate[0]
-        ref_len += reference[0]
-        if not candidate[0]:
-            continue
-        for n in range(1, max_n + 1):
-            m, t = _clipped_matches(candidate, reference, n)
-            match_tot[n] += m
-            cand_tot[n] += t
+        cand_len += c_len
+        ref_len += r_len
+        for i in range(max_n):  # order i + 1
+            match_tot[i] += matches[i]
+            cand_tot[i] += max(c_len - i, 0)
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
-        if cand_tot[n] == 0:
+    for m, t in zip(match_tot, cand_tot):
+        if t == 0:
             continue
-        if match_tot[n] == 0:
+        if m == 0:
             return 0.0
-        log_sum += math.log(match_tot[n] / cand_tot[n])
+        log_sum += math.log(m / t)
     return _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / max_n)
 
 
@@ -143,16 +133,16 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_n_f1(candidate: Tokens, reference: Tokens, n: int) -> float:
-    """ROUGE-N F1 against one reference, which `evaluate_pairs` gives as
-    the test review's sentences joined; a reference shorter than n scores 0."""
-    ref_total = len(reference) - n + 1
+def rouge_n_f1(pair: Overlap, n: int) -> float:
+    """ROUGE-N F1 from a pair's `overlap` (counted to at least order n);
+    `evaluate_pairs` counts the test review's sentences joined as the
+    reference.  A reference shorter than n scores 0."""
+    cand_len, ref_len, matches = pair
+    ref_total = ref_len - n + 1
     if ref_total <= 0:
         return 0.0
-    cand_total = max(len(candidate) - n + 1, 0)
-    cand_counts = _ngram_counts(candidate, n)
-    ref_counts = _ngram_counts(reference, n)
-    matched = sum(min(cnt, cand_counts[gram]) for gram, cnt in ref_counts.items())
+    cand_total = max(cand_len - n + 1, 0)
+    matched = matches[n - 1]
     recall = matched / ref_total
     precision = matched / cand_total if cand_total > 0 else 0.0
     return _f1(precision, recall)
@@ -236,26 +226,24 @@ class EvalReport:
 def evaluate_pairs(records) -> EvalReport:
     """Aggregate per-pair results into an EvalReport.
 
-    `records` is an iterable of dicts with keys `pred_sentences` (list of
-    token lists), `truth_sentences` (list of token lists), and `lexicon`
-    lookups already applied as `pred_attrs`/`truth_attrs` sets.
+    `records` is an iterable of (pred_tokens, truth_tokens, pred_attrs,
+    truth_attrs): the selected sentences joined, the test review's
+    sentences joined, and the attribute sets of each side.
     """
-    bleu_pairs = []
+    overlaps = []
     r1 = r2 = rl = 0.0
     ap = ar = af = 0.0
     n = 0
     attr_n = 0
-    for rec in records:
-        pred_concat = [t for s in rec["pred_sentences"] for t in s]
-        truth_concat = [t for s in rec["truth_sentences"] for t in s]
-        bleu_pairs.append((pred_concat, truth_concat))
-        r1 += rouge_n_f1(pred_concat, truth_concat, 1)
-        r2 += rouge_n_f1(pred_concat, truth_concat, 2)
-        rl += rouge_l_f1(pred_concat, truth_concat)
+    for pred, truth, pred_attrs, truth_attrs in records:
+        pair = overlap(pred, truth)
+        overlaps.append(pair)
+        r1 += rouge_n_f1(pair, 1)
+        r2 += rouge_n_f1(pair, 2)
+        rl += rouge_l_f1(pred, truth)
         n += 1
-        truth_attrs = rec["truth_attrs"]
         if truth_attrs:
-            p, r, f = set_prf(rec["pred_attrs"], truth_attrs)
+            p, r, f = set_prf(pred_attrs, truth_attrs)
             ap += p
             ar += r
             af += f
@@ -263,9 +251,9 @@ def evaluate_pairs(records) -> EvalReport:
     report = EvalReport(pairs=n)
     if n == 0:
         return report
-    report.bleu1 = corpus_bleu(bleu_pairs, 1)
-    report.bleu2 = corpus_bleu(bleu_pairs, 2)
-    report.bleu4 = corpus_bleu(bleu_pairs, 4)
+    report.bleu1 = corpus_bleu(overlaps, 1)
+    report.bleu2 = corpus_bleu(overlaps, 2)
+    report.bleu4 = corpus_bleu(overlaps, 4)
     report.rouge1 = r1 / n
     report.rouge2 = r2 / n
     report.rougeL = rl / n

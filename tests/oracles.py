@@ -58,6 +58,44 @@ def bleu_oracle(candidate, references, max_n=4):
     return bp * math.exp(log_sum / max_n)
 
 
+def corpus_bleu_oracle(pairs, max_n=4):
+    """Unsmoothed BLEU pooled over (candidate, reference) pairs; a pair
+    with an empty reference is skipped, an order no candidate is long
+    enough for is vacuous, and any other order without a match scores 0."""
+    matches = [0] * (max_n + 1)
+    totals = [0] * (max_n + 1)
+    c_len = 0
+    r_len = 0
+    for candidate, reference in pairs:
+        if len(reference) == 0:
+            continue
+        c_len += len(candidate)
+        r_len += len(reference)
+        for n in range(1, max_n + 1):
+            for i in range(len(candidate) - n + 1):
+                totals[n] += 1
+            ref_grams = {}
+            for i in range(len(reference) - n + 1):
+                g = tuple(reference[i : i + n])
+                ref_grams[g] = ref_grams.get(g, 0) + 1
+            for i in range(len(candidate) - n + 1):
+                g = tuple(candidate[i : i + n])
+                if ref_grams.get(g, 0) > 0:
+                    ref_grams[g] -= 1
+                    matches[n] += 1
+    if c_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        if totals[n] == 0:
+            continue
+        if matches[n] == 0:
+            return 0.0
+        log_sum += math.log(matches[n] / totals[n])
+    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_sum / max_n)
+
+
 def rouge_n_oracle(candidate, references, n):
     best = None
     for ref in references:

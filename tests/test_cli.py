@@ -409,11 +409,15 @@ class TestPipeline:
             ('{"user_id": "u", "item_id": "i"}', "record has no sentence_ids list"),
             ('{"user_id": "u", "item_id": "i", "sentence_ids": ["no-such-sentence"]}',
              "sentence id 'no-such-sentence' is not in the corpus"),
+            (None, "repeats the pair"),  # None: line 2's record again
         ],
     )
     def test_malformed_selections_name_the_line(self, planted, tmp_path, capsys, bad, message):
         config, workdir, _, _ = planted
         header, records = selection_records(workdir)
+        if bad is None:
+            rec = json.loads(records[0])
+            bad, message = records[0], f"{message} {(rec['user_id'], rec['item_id'])} of line 2"
         path = tmp_path / "selections.jsonl"
         path.write_text("\n".join([header, records[0], "", bad, *records[1:]]) + "\n", encoding="utf-8")
         assert cli.main(["evaluate", "--config", str(config), "--selections", str(path)]) == 1
@@ -461,6 +465,15 @@ class TestPipeline:
         # the skipped line was no record, so every review keeps its id
         corpus_json = "corpus/corpus.json"
         assert (tmp_path / "work" / corpus_json).read_bytes() == (workdir / corpus_json).read_bytes()
+
+    def test_evaluate_counts_each_pair_once(self, planted, monkeypatch):
+        # one n-gram profile of each side per pair, read by BLEU-1/2/4 and ROUGE-1/2
+        config, _, _, _ = planted
+        calls = []
+        profile = cli.metrics.ngram_profile
+        monkeypatch.setattr(cli.metrics, "ngram_profile", lambda *a, **k: calls.append(a) or profile(*a, **k))
+        report = cli.cmd_evaluate(PipelineConfig.load(config))
+        assert report.pairs > 0 and len(calls) == 2 * report.pairs
 
     @pytest.mark.parametrize("keep_header", [True, False])
     def test_explicit_selections_evaluate_every_record(self, planted, tmp_path, keep_header):

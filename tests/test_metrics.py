@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from recexplain import metrics
 
-from oracles import bleu_oracle, lcs_oracle, rouge_l_oracle, rouge_n_oracle
+from oracles import bleu_oracle, corpus_bleu_oracle, lcs_oracle, rouge_l_oracle, rouge_n_oracle
 
 CAT_CAND = ["the", "cat", "sat"]
 CAT_REF = ["the", "cat", "ate"]
@@ -16,6 +16,14 @@ CAT_REF = ["the", "cat", "ate"]
 
 def random_tokens(rng, lo=1, hi=12, vocab=8):
     return [f"w{rng.randrange(vocab)}" for _ in range(rng.randrange(lo, hi))]
+
+
+def pooled_bleu(pairs, max_n):
+    return metrics.corpus_bleu([metrics.overlap(c, r) for c, r in pairs], max_n)
+
+
+def rouge_n(candidate, reference, n):
+    return metrics.rouge_n_f1(metrics.overlap(candidate, reference), n)
 
 
 def token_lists(alphabet, max_len=150):
@@ -64,13 +72,13 @@ class TestSentenceBleu:
 class TestCorpusBleu:
     def test_all_identical_is_one(self):
         pairs = [(["a", "b"], ["a", "b"]), (["c", "d", "e"], ["c", "d", "e"])]
-        assert metrics.corpus_bleu(pairs, 4) == pytest.approx(1.0)
+        assert pooled_bleu(pairs, 4) == pytest.approx(1.0)
 
     def test_single_pair_matches_sentence_bleu_when_unsmoothed(self):
         cand = ["a", "b", "c", "a", "b", "c", "d"]
         ref = ["a", "b", "c", "d", "a", "b", "c"]
         # all four raw precisions are positive here
-        assert metrics.corpus_bleu([(cand, ref)], 4) == pytest.approx(
+        assert pooled_bleu([(cand, ref)], 4) == pytest.approx(
             metrics.sentence_bleu(cand, ref, 4), abs=1e-12
         )
 
@@ -81,29 +89,29 @@ class TestCorpusBleu:
         ]
         # pooled counts: p1 = (2+2)/5, p2 = (1+1)/3; orders 3,4 vacuous for
         # the 2-token pair, the 3-token pair has no 3-gram match -> 0 score
-        assert metrics.corpus_bleu(pairs, 4) == 0.0
+        assert pooled_bleu(pairs, 4) == 0.0
         p1 = 4 / 5
         p2 = 2 / 3
         bp = math.exp(1 - 6 / 5)
-        assert metrics.corpus_bleu(pairs, 2) == pytest.approx(bp * math.sqrt(p1 * p2), abs=1e-12)
+        assert pooled_bleu(pairs, 2) == pytest.approx(bp * math.sqrt(p1 * p2), abs=1e-12)
 
     def test_zero_match_order_zeroes(self):
-        assert metrics.corpus_bleu([(["a", "b"], ["c", "d"])], 1) == 0.0
+        assert pooled_bleu([(["a", "b"], ["c", "d"])], 1) == 0.0
 
 
 class TestRouge:
     def test_identity(self):
         c = ["u", "v", "w"]
-        assert metrics.rouge_n_f1(c, c, 1) == 1.0
-        assert metrics.rouge_n_f1(c, c, 2) == 1.0
+        assert rouge_n(c, c, 1) == 1.0
+        assert rouge_n(c, c, 2) == 1.0
         assert metrics.rouge_l_f1(c, c) == 1.0
 
     def test_disjoint(self):
-        assert metrics.rouge_n_f1(["a"], ["b"], 1) == 0.0
+        assert rouge_n(["a"], ["b"], 1) == 0.0
         assert metrics.rouge_l_f1(["a", "b"], ["c", "d"]) == 0.0
 
     def test_cat_example(self):
-        assert abs(metrics.rouge_n_f1(CAT_CAND, CAT_REF, 1) - 2 / 3) < 1e-12
+        assert abs(rouge_n(CAT_CAND, CAT_REF, 1) - 2 / 3) < 1e-12
         assert abs(metrics.rouge_l_f1(CAT_CAND, CAT_REF) - 2 / 3) < 1e-12
 
     def test_reversed_reference(self):
@@ -113,7 +121,7 @@ class TestRouge:
         assert metrics.rouge_l_f1(cand, ref) == pytest.approx(2 * (1 / 4) * (1 / 4) / (2 / 4))
 
     def test_short_reference_skipped(self):
-        assert metrics.rouge_n_f1(["a", "b"], ["a"], 2) == 0.0
+        assert rouge_n(["a", "b"], ["a"], 2) == 0.0
 
     def test_oracle_agreement_random(self):
         rng = random.Random(99)
@@ -121,7 +129,7 @@ class TestRouge:
             cand = random_tokens(rng)
             ref = random_tokens(rng)
             for n in (1, 2):
-                assert abs(metrics.rouge_n_f1(cand, ref, n) - rouge_n_oracle(cand, [ref], n)) < 1e-9
+                assert abs(rouge_n(cand, ref, n) - rouge_n_oracle(cand, [ref], n)) < 1e-9
             assert abs(metrics.rouge_l_f1(cand, ref) - rouge_l_oracle(cand, [ref])) < 1e-9
 
     def test_lcs_at_least_common_bigram_run(self):
@@ -157,10 +165,7 @@ class TestAttributePrf:
 
     @staticmethod
     def attr_scores(*pairs):
-        records = [
-            {"pred_sentences": [["w"]], "truth_sentences": [["w"]], "pred_attrs": pred, "truth_attrs": truth}
-            for pred, truth in pairs
-        ]
+        records = [(["w"], ["w"], pred, truth) for pred, truth in pairs]
         report = metrics.evaluate_pairs(records)
         return report.attr_precision, report.attr_recall, report.attr_f1, report.attr_pairs
 
@@ -185,13 +190,23 @@ class TestEvalReport:
         for key in ("bleu1", "bleu4", "rouge1", "rougeL", "attr_f1"):
             assert doc[key] == 0.0
 
+    def test_pooled_bleu_and_macro_rouge_match_oracles_random(self):
+        # empty candidates and references shorter than n are drawn often
+        rng = random.Random(2024)
+        nonzero = 0
+        for _ in range(300):
+            pairs = [(random_tokens(rng, 0, 10, vocab=3), random_tokens(rng, 0, 10, vocab=3)) for _ in range(rng.randrange(1, 6))]
+            report = metrics.evaluate_pairs([(c, r, set(), set()) for c, r in pairs])
+            assert report.pairs == len(pairs)
+            for max_n, got in ((1, report.bleu1), (2, report.bleu2), (4, report.bleu4)):
+                assert abs(got - corpus_bleu_oracle(pairs, max_n)) <= 1e-12
+            for n, got in ((1, report.rouge1), (2, report.rouge2)):
+                assert abs(got - sum(rouge_n_oracle(c, [r], n) for c, r in pairs) / len(pairs)) <= 1e-12
+            nonzero += report.bleu4 > 0
+        assert nonzero > 50
+
     def test_perfect_records(self):
-        rec = {
-            "pred_sentences": [["a", "b", "c", "d", "e"]],
-            "truth_sentences": [["a", "b", "c", "d", "e"]],
-            "pred_attrs": {1},
-            "truth_attrs": {1},
-        }
+        rec = (["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "e"], {1}, {1})
         report = metrics.evaluate_pairs([rec])
         assert report.bleu1 == pytest.approx(1.0)
         assert report.bleu4 == pytest.approx(1.0)
