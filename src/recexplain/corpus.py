@@ -453,6 +453,8 @@ def _corpus_from(doc: dict) -> Corpus:
         if not s.attributes <= attribute_ids:
             raise CorpusError(f"key ['sentences'][{sid!r}]['attributes'] holds an id outside the lexicon")
     for rid, r in reviews.items():
+        if not r.sentence_ids:
+            raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] is empty")
         unknown = [sid for sid in r.sentence_ids if sid not in sentences]
         if unknown:
             raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] names unknown sentence {unknown[0]!r}")

@@ -8,8 +8,9 @@ Every metric scores a candidate against one reference, because every
 caller has exactly one.  `overlap` counts the n-grams: a pair's two
 lengths and clipped matches of orders 1..max_n, all that BLEU and ROUGE-N
 read of it.
-- `Trainer.validate` scores the top-K sentences joined against the
-  held-out review's sentences joined (`sentence_bleu`);
+- `Trainer.validate` counts one `overlap` per pair, the top-K sentences
+  joined against the held-out review's joined, and reads it for
+  BLEU-1/2/4 (`bleu_from_matches`);
 - `evaluate_pairs` counts one `overlap` per pair, the selected sentences
   joined against the test review's joined, and reads it for BLEU-1/2/4
   (`corpus_bleu`) and ROUGE-1/2 (`rouge_n_f1`);
@@ -17,6 +18,8 @@ read of it.
   for speed: interned n-gram keys give every candidate's matches against
   every target sentence in one matrix product per problem.  A test pins
   its counts to `overlap`'s; `bleu_from_matches` scores them.
+The pipeline does not call `sentence_bleu`: it stays as the tests'
+reference and as the name the benchmark's BLEU counter hooks.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def bleu_from_matches(matches, cand_len: int, ref_len: int) -> float:
 
 def sentence_bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_N) -> float:
     """Smoothed sentence-level BLEU of a token list against one reference:
-    their `overlap` scored by `bleu_from_matches`; `Trainer.validate`
-    passes the held-out review's sentences joined."""
+    their `overlap` scored by `bleu_from_matches`."""
     cand_len, ref_len, matches = overlap(candidate, reference, max_n)
     if not cand_len:
         log.warning("sentence_bleu: empty candidate scored 0")

@@ -41,8 +41,9 @@ rows, so a weight's shared columns get one product with G per chunk
 (`deep.0.w`: dz_graph^T G), not one full-size write per graph.  A chunk
 holds every graph's attention trace until backward, so `readout_chunks`
 caps its sentence rows at READOUT_ROWS; a graph with more rows forms a
-chunk by itself.  Callers drop a chunk's trace before the next chunk's
-forward, so one chunk's traces are alive at a time.
+chunk by itself.  Training drops a chunk's trace after its backward;
+`Model.scores` owns scoring without backward (validation, select) and
+drops each trace before yielding, so one chunk's traces are alive at a time.
 
 The two model ablations change x0's layout or what reads it, nothing
 else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
@@ -89,12 +90,12 @@ scattered into a zero (n, n) alpha and aggregated as alpha @ H, one BLAS
 product: gathering H[src] per edge instead costs more at sparse_pools'
 width 512.  That alpha is transient, one buffer per layer in forward and
 again in backward; the heads share the edges, so each head's scatter
-overwrites every cell the last one wrote.  A head keeps only its logits
-and weights, O(E) numbers, so a chunk's traces stay small while they wait
-for backward.  ELU's derivative comes from the layer's output h', which
-is already the next layer's input or Xhat: 1 where h' > 0, else h' + 1
-(= exp of the aggregate), so the aggregate is not kept and backward
-computes no exponential.
+overwrites every cell the last one wrote.  Besides the node states, a
+trace keeps each head's logits and weights, O(E) numbers, so a chunk's
+traces stay small while they wait for backward.  ELU's derivative comes
+from the layer's output h', the next layer's input or the final states:
+1 where h' > 0, else h' + 1 (= exp of the aggregate), so the aggregate is
+not kept and backward computes no exponential.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the chunk's scores/probabilities, with respect to
@@ -166,32 +167,21 @@ def _elu(x):
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
-@dataclass
-class HeadTrace:
-    logits: np.ndarray  # (E,) u[dst] + v[src] per edge, before the LeakyReLU (u = H @ q, v = H @ k)
-    weights: np.ndarray  # (E,) attention weight a_ij of each edge (i = dst, j = src)
-
-
-@dataclass
-class LayerTrace:
-    H_in: np.ndarray
-    edges: Edges
-    heads: list[HeadTrace]
-
-
 def gat_layer(H: np.ndarray, edges: Edges, head_params: list[tuple]):
-    """One multi-head attention layer; returns (H_next, LayerTrace).
+    """One multi-head attention layer; returns (H_next, [(logits, weights)
+    per head]), both (E,) per edge: u[dst] + v[src] before the LeakyReLU
+    (u = H @ q, v = H @ k) and the attention weight a_ij (i = dst, j = src).
 
     `edges` are the graph's attention edges (`PairGraph.edge_arrays`);
     logits, row max and row sum are computed per edge, and only the
-    aggregation forms the (n, n) alpha, which the trace does not keep.
-    `head_params` is a list of (q, k) per head, both of shape (Din,).
+    aggregation forms the (n, n) alpha, which is not kept.  `head_params`
+    is a list of (q, k) per head, both of shape (Din,).
     """
     dst, src, starts, flat = edges
     n = H.shape[0]
     alpha = np.zeros(n * n)
     outs = []
-    traces = []
+    heads = []
     for q, k in head_params:
         pre = (H @ q)[dst] + (H @ k)[src]
         z = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
@@ -199,12 +189,13 @@ def gat_layer(H: np.ndarray, edges: Edges, head_params: list[tuple]):
         weights = ex / np.add.reduceat(ex, starts)[dst]
         alpha[flat] = weights
         outs.append(_elu(alpha.reshape(n, n) @ H))
-        traces.append(HeadTrace(logits=pre, weights=weights))
-    return np.concatenate(outs, axis=1), LayerTrace(H_in=H, edges=edges, heads=traces)
+        heads.append((pre, weights))
+    return np.concatenate(outs, axis=1), heads
 
 
-def _gat_layer_backward(dH_out, H_out, head_params, trace: LayerTrace):
-    """Gradients of one attention layer whose output was `H_out`.
+def _gat_layer_backward(dH_out, H, H_out, edges: Edges, head_params, heads):
+    """Gradients of one attention layer from `H` to `H_out`, whose heads
+    gave the per-edge (logits, weights) `heads`.
 
     Returns (dH_in, per-head [(dq, dk)]).  ELU's derivative is read off
     the output.  The message term goes through the dense alpha, scattered
@@ -213,15 +204,13 @@ def _gat_layer_backward(dH_out, H_out, head_params, trace: LayerTrace):
     cells, and the logit u_i + v_j hands its gradient to u by row sums and
     to v by sums over each src.
     """
-    H = trace.H_in
-    dst, src, starts, flat = trace.edges
+    dst, src, starts, flat = edges
     n, din = H.shape
     dH = np.zeros_like(H)
     dout = dH_out * np.where(H_out > 0, 1.0, H_out + 1.0)
     alpha = np.zeros(n * n)
     grads = []
-    for head, (q, k) in enumerate(head_params):
-        a = trace.heads[head].weights
+    for head, ((q, k), (logits, a)) in enumerate(zip(head_params, heads)):
         dagg = dout[:, head * din : (head + 1) * din]
         # message term: agg = alpha @ H
         alpha[flat] = a
@@ -229,7 +218,7 @@ def _gat_layer_backward(dH_out, H_out, head_params, trace: LayerTrace):
         dH += alpha.reshape(n, n).T @ dagg
         # row softmax, then LeakyReLU of the logit u_i + v_j
         dz = a * (da - np.add.reduceat(a * da, starts)[dst])
-        dpre = np.where(trace.heads[head].logits > 0, dz, LEAKY_SLOPE * dz)
+        dpre = np.where(logits > 0, dz, LEAKY_SLOPE * dz)
         du = np.add.reduceat(dpre, starts)
         dv = np.bincount(src, weights=dpre, minlength=n)
         # u = H @ q and v = H @ k
@@ -359,8 +348,8 @@ def _add_rows(table: np.ndarray, rows: list[int], values: np.ndarray) -> None:
 class ForwardTrace:
     graphs: Sequence[PairGraph]
     inputs: Sequence[GraphInputs]
-    layer_traces: list[list[LayerTrace]]  # per graph
-    Xhat: list[np.ndarray]  # per graph, the final node states
+    states: list[list[np.ndarray]]  # per graph, each attention layer's input, then the final node states
+    attention: list[list[list[tuple]]]  # per graph and layer, each head's per-edge (logits, weights)
     sent_bounds: np.ndarray  # (B+1,) graph b's sentences are rows sent_bounds[b]:sent_bounds[b+1]
     attr_bounds: np.ndarray  # (B+1,) graph b's attributes are rows attr_bounds[b]:attr_bounds[b+1]
     shared: np.ndarray  # (B, ds) G, each graph's [user | item], the part of x0 its rows repeat
@@ -472,14 +461,16 @@ class Model:
             sent_X = sent_X @ params["proj.w"].T + params["proj.b"][None, :]
         heads = self._head_params(params)
         G = np.empty((len(graphs), 2 * nd))
-        rows, attr_rows, layer_traces, Xhats = [], [], [], []
+        rows, attr_rows, states, attention = [], [], [], []
         for b, (graph, inp) in enumerate(zip(graphs, inputs)):
             H = self._input_states(graph, inp, sent_X[sent_bounds[b] : sent_bounds[b + 1]], params)
             edges = graph.edge_arrays()
-            layers: list[LayerTrace] = []
+            states.append([H])
+            attention.append([])
             for head_params in heads:
-                H, lt = gat_layer(H, edges, head_params)
-                layers.append(lt)
+                H, per_head = gat_layer(H, edges, head_params)
+                states[-1].append(H)
+                attention[-1].append(per_head)
             G[b, :nd] = H[USER_NODE]
             G[b, nd:] = H[ITEM_NODE]
             attr_rows.append(H[graph.attr_slice])
@@ -494,8 +485,6 @@ class Model:
                 links[dst[to_attr] - s0, src[to_attr] - a0] = 1.0
                 R = np.concatenate([(links @ attr_rows[-1]) / links.sum(axis=1, keepdims=True), R], axis=1)
             rows.append(R)
-            layer_traces.append(layers)
-            Xhats.append(H)
         R = np.concatenate(rows)
         A = np.concatenate(attr_rows)
         attr_probs = _sigmoid(A @ params["head.attr"])
@@ -506,8 +495,8 @@ class Model:
         return ForwardTrace(
             graphs=graphs,
             inputs=inputs,
-            layer_traces=layer_traces,
-            Xhat=Xhats,
+            states=states,
+            attention=attention,
             sent_bounds=sent_bounds,
             attr_bounds=attr_bounds,
             shared=G,
@@ -518,12 +507,23 @@ class Model:
             attr_probs=attr_probs,
         )
 
+    def scores(self, items: Iterable[tuple[PairGraph, GraphInputs]], params) -> Iterator[tuple[PairGraph, np.ndarray]]:
+        """(graph, its sentence scores) for each (graph, inputs) of `items`,
+        in order: one `forward` per `readout_chunks` chunk, whose trace is
+        dropped before the chunk's first yield.  `items` is read lazily,
+        as `readout_chunks` reads it."""
+        for chunk in readout_chunks(items, lambda item: len(item[0].sentence_ids)):
+            trace = self.forward([graph for graph, _ in chunk], [inputs for _, inputs in chunk], params)
+            scores = [trace.scores[trace.sentences(b)] for b in range(len(chunk))]
+            del trace
+            yield from zip([graph for graph, _ in chunk], scores)
+
     # -- backward -----------------------------------------------------------
 
     def _readout_backward(self, trace: ForwardTrace, params, d_scores, d_attr_probs, grads) -> list[np.ndarray]:
         """The score and attribute heads and the DCN: add their gradients
-        into `grads` and return d(loss)/d(Xhat) per graph.  Under --no-gat
-        the pooled block and the attribute rows read only the attribute
+        into `grads` and return d(loss)/d(final node states) per graph.
+        Under --no-gat the pooled block and the attribute rows read only the attribute
         inputs, which nothing trains, so their gradients are not formed;
         under --no-dcn the scores do not read the user and item rows."""
         dlogit = d_attr_probs * trace.attr_probs * (1.0 - trace.attr_probs)
@@ -566,11 +566,10 @@ class Model:
         d_sent = []
         for b, graph in enumerate(trace.graphs):
             # attention stack; each layer's output is the next one's input
-            layers = trace.layer_traces[b]
-            outputs = [lt.H_in for lt in layers[1:]] + [trace.Xhat[b]]
+            states, edges = trace.states[b], graph.edge_arrays()
             dH = dXhat[b]
-            for l in range(len(layers) - 1, -1, -1):
-                dH, layer_grads = _gat_layer_backward(dH, outputs[l], heads[l], layers[l])
+            for l in range(len(heads) - 1, -1, -1):
+                dH, layer_grads = _gat_layer_backward(dH, states[l], states[l + 1], edges, heads[l], trace.attention[b][l])
                 for h, (dq, dk) in enumerate(layer_grads):
                     for name, d in ((f"gat.{l}.{h}.q", dq), (f"gat.{l}.{h}.k", dk)):
                         head_grads[name] = head_grads.get(name, 0.0) + d

@@ -44,6 +44,7 @@ import itertools
 import logging
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -492,13 +493,14 @@ class SelectConfig:
 
 def select_for_pair(
     scores: np.ndarray,
-    sentence_words: list[list[str]],
+    sentence_words: Sequence[Sequence[str]],
     vectorizer: TfidfVectorizer,
     cfg: SelectConfig,
 ) -> tuple[Selection, list[int]]:
     """Truncate to the top-`pool` scored candidates, build the similarity
-    matrix, and solve with `solve_exact`.  Returns the selection plus the
-    mapping from subproblem indices back to the caller's candidate indices.
+    matrix, and solve with `solve_exact`.  Returns the selection and
+    `chosen`, the caller's indices of the selected candidates in
+    descending-score order, ties by index.
 
     The subproblem is in descending-score order, so with alpha = 0 (the
     --no-ilp ablation) the selection is its first K positions; no term
@@ -513,5 +515,5 @@ def select_for_pair(
         sim = np.zeros((len(order), len(order)))
     else:
         sim = vectorizer.matrix([sentence_words[i] for i in order])
-    problem = SelectionProblem(scores[order], sim, cfg.k, cfg.alpha)
-    return solve_exact(problem, cap=cfg.exact_cap), order
+    selection = solve_exact(SelectionProblem(scores[order], sim, cfg.k, cfg.alpha), cap=cfg.exact_cap)
+    return selection, [order[i] for i in selection.indices]

@@ -19,10 +19,12 @@ Chunks.  A minibatch runs as chunks of consecutive graphs
 one forward and one backward per chunk, each graph's losses taken on its
 slice of the chunk's scores, its rank pairs still drawn from the
 generator keyed by (seed, 2, epoch, position), and the loss terms kept
-in batch order.  Validation scores its pairs chunk by chunk through the
-same forward.  Each loop drops a chunk's trace before the next forward:
+in batch order.  `_batch_loss` is the one caller outside the model that
+holds a trace: it drops each chunk's trace before the next forward, since
 two chunks' attention traces at once raised peak RSS on the benchmark's
-sparse pools by about 3 MB.  The chunks depend only on the batch, so a
+sparse pools by about 3 MB.  Validation needs no backward, so it scores
+through `Model.scores`, which runs the same chunks and drops each trace
+before it yields a score.  The chunks depend only on the batch, so a
 resumed run forms the same ones and retraces the uninterrupted run bit
 for bit; another chunk bound changes a batch's gradient by rounding only.
 
@@ -162,15 +164,12 @@ def relevance_targets(problems) -> list[np.ndarray]:
     return out
 
 
-def sample_rank_pairs(
-    targets: np.ndarray, budget: int, rng: np.random.Generator, tol: float = TIE_TOL
-) -> np.ndarray:
-    """Unordered candidate pairs with |r_i - r_j| > tol, uniformly sampled
-    down to `budget`.  Shape (P, 2).
+def sample_rank_pairs(targets: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Unordered candidate pairs with |r_i - r_j| > TIE_TOL, uniformly
+    sampled down to `budget`.  Shape (P, 2).
     """
-    n = targets.shape[0]
     diff = np.abs(targets[:, None] - targets[None, :])
-    ii, jj = np.where(np.triu(diff > tol, k=1))
+    ii, jj = np.where(np.triu(diff > TIE_TOL, k=1))
     pairs = np.stack([ii, jj], axis=1) if ii.size else np.zeros((0, 2), dtype=np.int64)
     if pairs.shape[0] <= budget:
         return pairs
@@ -178,19 +177,17 @@ def sample_rank_pairs(
     return pairs[np.sort(pick)]
 
 
-def pairwise_rank_loss(
-    scores: np.ndarray, targets: np.ndarray, pairs: np.ndarray, tol: float = TIE_TOL
-) -> tuple[float, np.ndarray]:
+def pairwise_rank_loss(scores: np.ndarray, targets: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean logistic ranking loss over the given pairs and its gradient on
     the scores.  A pair oriented so the higher-target side leads
-    contributes -log sigmoid(g_hi - g_lo); ties (within tol) contribute 0,
-    and swapping a pair's order changes nothing.
+    contributes -log sigmoid(g_hi - g_lo); ties (within TIE_TOL) contribute
+    0, and swapping a pair's order changes nothing.
     """
     if pairs.shape[0] == 0:
         return 0.0, np.zeros_like(scores)
     i = pairs[:, 0]
     j = pairs[:, 1]
-    sign = np.where(targets[i] - targets[j] > tol, 1.0, np.where(targets[j] - targets[i] > tol, -1.0, 0.0))
+    sign = np.where(targets[i] - targets[j] > TIE_TOL, 1.0, np.where(targets[j] - targets[i] > TIE_TOL, -1.0, 0.0))
     d = sign * (scores[i] - scores[j])
     live = sign != 0.0
     # -log sigmoid(d) = softplus(-d)
@@ -338,9 +335,6 @@ class Trainer:
         for user_id, item_id in self.corpus.pairs(part):
             truth_ids = self.corpus.ground_truth_sentences(user_id, item_id, part)
             truth_words = [self.corpus.sentences[s].words for s in truth_ids]
-            if not truth_words:
-                skipped += 1
-                continue
             try:
                 graph = build_pair_graph(self.corpus, user_id, item_id)
             except EmptyPoolError:
@@ -353,7 +347,7 @@ class Trainer:
                 labels = np.array([1.0 if a in mentioned else 0.0 for a in graph.attribute_ids])
             out.append(TrainPair(graph, inputs, None, labels, truth_words))
         if skipped:
-            log.warning("%s: skipped %d pairs with empty pools or ground truth", part, skipped)
+            log.warning("%s: skipped %d pairs with empty pools", part, skipped)
         if part == "train":
             problems = [
                 ([self.corpus.sentences[s].words for s in pair.graph.sentence_ids], pair.truth_words)
@@ -395,20 +389,20 @@ class Trainer:
     def validate(self) -> tuple[float, float, float]:
         """Macro smoothed BLEU-{1,2,4} of the top-K scored sentences (by
         descending score, K = `self.k`) against the held-out review, over
-        valid pairs.
+        valid pairs; each pair's n-grams are counted once (`metrics.overlap`)
+        and read at orders 1, 2 and 4.
         """
         if not self.valid_pairs:
             return 0.0, 0.0, 0.0
         sums = [0.0, 0.0, 0.0]
-        for chunk in readout_chunks(self.valid_pairs, lambda pair: len(pair.graph.sentence_ids)):
-            trace = self.model.forward([pair.graph for pair in chunk], [pair.inputs for pair in chunk], self.params)
-            for b, pair in enumerate(chunk):
-                top = np.argsort(-trace.scores[trace.sentences(b)], kind="stable")[: self.k]
-                cand = [w for idx in top for w in self.corpus.sentences[pair.graph.sentence_ids[idx]].words]
-                ref = [w for words in pair.truth_words for w in words]
-                for slot, max_n in enumerate((1, 2, 4)):
-                    sums[slot] += metrics.sentence_bleu(cand, ref, max_n=max_n)
-            del trace  # before the next chunk's forward
+        items = ((pair.graph, pair.inputs) for pair in self.valid_pairs)
+        for pair, (graph, scores) in zip(self.valid_pairs, self.model.scores(items, self.params)):
+            top = np.argsort(-scores, kind="stable")[: self.k]
+            cand = [w for idx in top for w in self.corpus.sentences[graph.sentence_ids[idx]].words]
+            ref = [w for words in pair.truth_words for w in words]
+            cand_len, ref_len, matches = metrics.overlap(cand, ref)
+            for slot, max_n in enumerate((1, 2, 4)):
+                sums[slot] += metrics.bleu_from_matches(matches[:max_n], cand_len, ref_len)
         n = len(self.valid_pairs)
         return sums[0] / n, sums[1] / n, sums[2] / n
 

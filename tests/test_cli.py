@@ -86,6 +86,13 @@ def changed_config(config, tmp_path, section, key, value):
     return changed
 
 
+def emptied_review(text):
+    """corpus.json text with the first review's sentence list emptied."""
+    doc = json.loads(text)
+    doc["reviews"][min(doc["reviews"])]["sentence_ids"] = []
+    return json.dumps(doc)
+
+
 def selection_records(workdir):
     lines = (workdir / "selections.jsonl").read_text(encoding="utf-8").splitlines()
     return lines[0], lines[1:]
@@ -326,10 +333,12 @@ class TestPipeline:
              "key ['split'] is missing"),
             ("corpus.json", lambda text: text.replace('"sentence_ids": ["', '"sentence_ids": ["r999.s0", "', 1),
              "names unknown sentence 'r999.s0'"),
+            # build_corpus never writes one; training would see a pair without ground truth
+            ("corpus.json", emptied_review, "key ['reviews']['r0']['sentence_ids'] is empty"),
             ("corpus.json", None, "no such file; re-run preprocess"),
             ("meta.json", lambda text: text + "garbage\n", "not JSON"),
         ],
-        ids=["corpus-garbage", "corpus-key-removed", "unknown-sentence", "no-corpus", "meta-garbage"],
+        ids=["corpus-garbage", "corpus-key-removed", "unknown-sentence", "empty-review", "no-corpus", "meta-garbage"],
     )
     def test_malformed_corpus_is_an_error(self, planted, tmp_path, capsys, name, edit, message):
         # "no-corpus" is also what a workdir preprocessed before corpus.json gets

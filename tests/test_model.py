@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -60,12 +61,12 @@ def forward_one(model, g, inputs, params):
     return model.forward([g], [inputs], params)
 
 
-def dense_alpha(trace, head, n):
-    """A head's per-edge attention weights as the (n, n) alpha, 0 off the
-    edges."""
-    alpha = np.zeros(n * n)
-    alpha[trace.edges.flat] = trace.heads[head].weights
-    return alpha.reshape(n, n)
+def dense_alpha(g, weights):
+    """A head's per-edge attention weights on graph g as the (n, n) alpha,
+    0 off the edges."""
+    alpha = np.zeros(g.n_nodes**2)
+    alpha[g.edge_arrays().flat] = weights
+    return alpha.reshape(g.n_nodes, g.n_nodes)
 
 
 def oracle_lists(g):
@@ -106,8 +107,8 @@ class TestGatLayer:
         g = line_graph(item_edge=False)
         H = rng.normal(size=(4, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        out, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert dense_alpha(trace, 0, 4)[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+        out, heads = gat_layer(H, g.edge_arrays(), folded(params))
+        assert dense_alpha(g, heads[0][1])[1].tolist() == [0.0, 1.0, 0.0, 0.0]
         elu = np.where(H[1] > 0, H[1], np.expm1(np.minimum(H[1], 0.0)))
         assert np.array_equal(out[1], elu)
 
@@ -117,8 +118,8 @@ class TestGatLayer:
         H = rng.normal(size=(4, 3))
         H[[0, 1, 3]] = H[2]
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        _, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert dense_alpha(trace, 0, 4)[2] == pytest.approx([1 / 4] * 4)
+        _, heads = gat_layer(H, g.edge_arrays(), folded(params))
+        assert dense_alpha(g, heads[0][1])[2] == pytest.approx([1 / 4] * 4)
 
     def test_matches_scalar_oracle_two_layers(self, rng):
         g = line_graph()
@@ -138,20 +139,20 @@ class TestGatLayer:
         assert np.allclose(h1, np.array(o1), atol=1e-12)
         assert np.allclose(h2, np.array(o2), atol=1e-12)
         for head in range(2):
-            assert_alpha_matches(dense_alpha(t1, head, g.n_nodes), alphas1[head], g)
+            assert_alpha_matches(dense_alpha(g, t1[head][1]), alphas1[head], g)
 
     def test_large_logits_through_gat_layer(self, rng):
         # logits in the thousands: exp without the row max would overflow
         g = toy_graph(3, 5, rng)
         H = rng.normal(size=(g.n_nodes, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1e3 * rng.normal(size=6)) for _ in range(2)]
-        out, trace = gat_layer(H, g.edge_arrays(), folded(params))
-        assert np.abs(trace.heads[0].logits).max() > 100.0
+        out, heads = gat_layer(H, g.edge_arrays(), folded(params))
+        assert np.abs(heads[0][0]).max() > 100.0
         want, alphas = gat_scalar_oracle([row.tolist() for row in H], oracle_lists(g), as_lists(params), 0.2)
         assert np.all(np.isfinite(out))
         assert np.allclose(out, np.array(want), atol=1e-12)
         for head in range(2):
-            alpha = dense_alpha(trace, head, g.n_nodes)
+            alpha = dense_alpha(g, heads[head][1])
             assert np.all(np.isfinite(alpha))
             assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             assert_alpha_matches(alpha, alphas[head], g)
@@ -161,8 +162,8 @@ class TestGatLayer:
             g = toy_graph(int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
             H = rng.normal(size=(g.n_nodes, 3))
             params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-            _, trace = gat_layer(H, g.edge_arrays(), folded(params))
-            alpha = dense_alpha(trace, 0, g.n_nodes)
+            _, heads = gat_layer(H, g.edge_arrays(), folded(params))
+            alpha = dense_alpha(g, heads[0][1])
             assert np.all(alpha >= 0.0)
             assert np.all(alpha[~attention_mask(g)] == 0.0)
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -183,15 +184,15 @@ class TestMatchesDenseOracle:
 
     def check(self, g, H, head_params, rng):
         mask = attention_mask(g)
-        out, trace = gat_layer(H, g.edge_arrays(), head_params)
+        out, heads = gat_layer(H, g.edge_arrays(), head_params)
         want, want_trace = dense_gat_layer(H, mask, head_params)
         assert_rel_close(out, want, "output")
-        for head in range(len(trace.heads)):
-            alpha, want_alpha = dense_alpha(trace, head, g.n_nodes), want_trace[1][head][2]
+        for head in range(len(heads)):
+            alpha, want_alpha = dense_alpha(g, heads[head][1]), want_trace[1][head][2]
             assert_rel_close(alpha, want_alpha, f"alpha {head}")
             assert np.all(alpha[~mask] == 0.0) and np.all(want_alpha[~mask] == 0.0)
         dH_out = rng.normal(size=out.shape)
-        dH, grads = _gat_layer_backward(dH_out, out, head_params, trace)
+        dH, grads = _gat_layer_backward(dH_out, H, out, g.edge_arrays(), head_params, heads)
         want_dH, want_grads = dense_gat_layer_backward(dH_out, head_params, want_trace)
         # a head whose rows' logits all share a sign has du = 0 up to
         # rounding (softmax gradients sum to 0 over a row), so dq and dk are
@@ -221,8 +222,8 @@ class TestMatchesDenseOracle:
         g = toy_graph(3, 5, rng)
         H = rng.normal(size=(g.n_nodes, 3))
         heads = self.heads(rng, 2, 3, scale=1e3)
-        _, trace = gat_layer(H, g.edge_arrays(), heads)
-        assert np.abs(trace.heads[0].logits).max() > 500.0
+        _, attention = gat_layer(H, g.edge_arrays(), heads)
+        assert np.abs(attention[0][0]).max() > 500.0
         self.check(g, H, heads, rng)
 
     def test_dense_pools_shape_two_layers(self, rng):
@@ -324,7 +325,7 @@ class TestDcnMatchesDenseOracle:
             if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
                 t[:] = 0.1 * rng.normal(size=t.shape)
         trace = forward_one(model, g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
+        x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
         head = params["head.score"]
         d0 = model.d0
         d_scores = rng.normal(size=len(g.sentence_ids))
@@ -441,7 +442,7 @@ class TestForward:
         inputs = toy_inputs(g, 3, 2, rng)
         params = model.init_params(2)
         trace = forward_one(model, g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
+        x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
         assert x0.shape == (4, model.d0)
         shared = np.tile(trace.shared, (4, 1))
         assert np.allclose(np.concatenate([shared, trace.rows], axis=1), x0, rtol=1e-13, atol=0.0)
@@ -464,7 +465,7 @@ class TestForward:
             g = toy_graph(int(rng.integers(1, 5)), int(rng.integers(1, 8)), rng)
             inputs = toy_inputs(g, 3, 2, rng)
             trace = forward_one(model, g, inputs, params)
-            x0 = explicit_x0(model, g, inputs, trace.Xhat[0])
+            x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
             assert_rel_close(x0 @ full - trace.scores, np.full(len(g.sentence_ids), trace.shared[0] @ full[:ds]),
                              "shift", np.abs(x0 @ full).max())
 
@@ -652,7 +653,7 @@ class TestChunkReadoutMatchesPerGraphOracle:
         want = {name: np.zeros_like(params[name]) for name in readout}
         nd = model.node_dim
         for b, g in enumerate(graphs):
-            Xhat = trace.Xhat[b]
+            Xhat = trace.states[b][-1]
             shared = np.concatenate([Xhat[USER_NODE], Xhat[ITEM_NODE]])
             rows, attrs = trace.sentences(b), trace.attributes(b)
             R = trace.rows[rows]
@@ -722,12 +723,58 @@ class TestAttentionTraceMemory:
         n, n_edges = g.n_nodes, len(g.edge_arrays().dst)
         assert n_edges < n * n // 4
         trace = model.forward([g], [toy_inputs(g, 8, 8, rng)], model.init_params(0))
-        [layers] = trace.layer_traces
-        for l, layer in enumerate(layers):
-            assert layer.H_in.shape == (n, model.gat_in[l])
-            assert all(np.ndim(a) == 1 for a in layer.edges)
-            for head in layer.heads:
-                for f in fields(head):
-                    assert getattr(head, f.name).shape == (n_edges,), f.name
-        kept = [layer.H_in for layer in layers] + [t for layer in layers for h in layer.heads for t in vars(h).values()]
-        assert not [a for a in kept if a.ndim == 2 and a.shape[1] == n]
+        [states], [attention] = trace.states, trace.attention
+        assert [H.shape for H in states] == [(n, width) for width in model.gat_in] + [(n, model.node_dim)]
+        assert [len(heads) for heads in attention] == list(cfg.gat_heads)
+        for heads in attention:
+            for logits, weights in heads:
+                assert logits.shape == weights.shape == (n_edges,)
+        # every array the trace holds, the readout's too
+        held = [getattr(trace, f.name) for f in fields(trace) if f.name not in ("graphs", "inputs")]
+        arrays = []
+        while held:
+            value = held.pop()
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (list, tuple)):
+                held.extend(value)
+            elif value is not None:
+                held.extend(getattr(value, f.name) for f in fields(value))
+        assert len(arrays) > 20
+        assert not [a for a in arrays if a.ndim == 2 and a.shape[1] == n]
+
+
+class TestScores:
+    """`Model.scores` yields `forward`'s scores chunk by chunk and holds no
+    trace while its caller reads them."""
+
+    def test_chunks_scores_and_released_traces(self, rng, monkeypatch):
+        monkeypatch.setattr(model_module, "READOUT_ROWS", 10)
+        model, _ = small_model()
+        params = model.init_params(3)
+        graphs = [toy_graph(a, s, rng) for a, s in ((2, 4), (1, 5), (3, 12), (2, 3), (1, 6))]
+        items = [(g, toy_inputs(g, 3, 2, rng)) for g in graphs]
+        chunks = list(readout_chunks(items, lambda item: len(item[0].sentence_ids)))
+        assert [len(chunk) for chunk in chunks] == [2, 1, 2]  # 12 rows form a chunk alone
+        forward = Model.forward
+        traces = []
+
+        def recorded(self, *args):
+            trace = forward(self, *args)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(Model, "forward", recorded)
+        got, forwards = [], []
+        for graph, scores in model.scores(iter(items), params):
+            assert traces[-1]() is None, "the chunk's trace is alive at a yield"
+            forwards.append(len(traces))
+            got.append((graph, scores))
+        assert forwards == [1, 1, 2, 3, 3]
+        assert all(graph is g for (graph, _), g in zip(got, graphs, strict=True))
+        want = []
+        for chunk in chunks:
+            trace = forward(model, [g for g, _ in chunk], [inputs for _, inputs in chunk], params)
+            want += [trace.scores[trace.sentences(b)] for b in range(len(chunk))]
+        for (_, scores), expect in zip(got, want, strict=True):
+            assert scores.shape == expect.shape and scores.tobytes() == expect.tobytes()

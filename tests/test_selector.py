@@ -541,32 +541,58 @@ class TestTfidf:
 
 
 class TestSelectForPair:
-    def test_no_truncation_below_pool(self):
+    @staticmethod
+    def solved(monkeypatch):
+        """The subproblems `select_for_pair` hands to `solve_exact`."""
+        problems = []
+        solve = sel.solve_exact
+        monkeypatch.setattr(sel, "solve_exact", lambda problem, cap: problems.append(problem) or solve(problem, cap=cap))
+        return problems
+
+    def test_no_truncation_below_pool(self, monkeypatch):
+        problems = self.solved(monkeypatch)
         v = sel.TfidfVectorizer([["a"], ["b"], ["c"]])
         cfg = sel.SelectConfig(k=2, alpha=0.5, pool=100)
-        out, order = sel.select_for_pair(
+        out, chosen = sel.select_for_pair(
             np.array([0.3, 0.9, 0.5]), [["a"], ["b"], ["c"]], v, cfg
         )
-        assert sorted(order) == [0, 1, 2]
-        assert {order[i] for i in out.indices} == {1, 2}
+        [problem] = problems
+        assert problem.scores.tolist() == [0.9, 0.5, 0.3]
+        assert chosen == [1, 2]
 
-    def test_truncation_to_pool(self):
+    def test_truncation_to_pool(self, monkeypatch):
+        problems = self.solved(monkeypatch)
         v = sel.TfidfVectorizer([["a"]])
         cfg = sel.SelectConfig(k=1, alpha=0.0, pool=2)
         scores = np.array([0.1, 0.9, 0.5, 0.7])
-        out, order = sel.select_for_pair(scores, [["a"]] * 4, v, cfg)
-        assert order == [1, 3]
+        out, chosen = sel.select_for_pair(scores, [["a"]] * 4, v, cfg)
+        [problem] = problems
+        assert problem.scores.tolist() == [0.9, 0.7]
+        assert chosen == [1]
 
     def test_alpha_zero_descending_topk(self, monkeypatch):
         # the --no-ilp ablation: no similarity matrix is built, and the top K
         # by score is the exact optimum, past the cap too
+        problems = self.solved(monkeypatch)
         v = sel.TfidfVectorizer([["a"]])
         monkeypatch.setattr(v, "matrix", None)
         cfg = sel.SelectConfig(k=2, alpha=0.0, pool=100, exact_cap=1)
         scores = np.array([0.2, 0.9, 0.5])
-        out, order = sel.select_for_pair(scores, [["a"]] * 3, v, cfg)
-        assert order == [1, 2, 0]
+        out, chosen = sel.select_for_pair(scores, [["a"]] * 3, v, cfg)
+        [problem] = problems
+        assert problem.scores.tolist() == [0.9, 0.5, 0.2]
+        assert chosen == [1, 2]
         assert out == sel.Selection((0, 1), 0.9 + 0.5, "exact")
+
+    def test_chosen_in_descending_score_order(self, monkeypatch):
+        # ties by index: the subproblem's ascending indices map to the
+        # caller's candidates best first
+        v = sel.TfidfVectorizer([["a"]])
+        cfg = sel.SelectConfig(k=3, alpha=0.0, pool=4)
+        scores = np.array([0.4, 0.1, 0.8, 0.4, 0.6])
+        out, chosen = sel.select_for_pair(scores, [["a"]] * 5, v, cfg)
+        assert out.indices == (0, 1, 2)
+        assert chosen == [2, 4, 0]
 
     def test_empty_candidates(self):
         v = sel.TfidfVectorizer([["a"]])

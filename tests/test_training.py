@@ -588,6 +588,16 @@ class TestTrainer:
         n = len(trainer.valid_pairs)
         assert list(trainer.validate()) == [total / n for total in want]
 
+    def test_validation_counts_each_pair_once(self, tmp_path, monkeypatch):
+        # one `metrics.overlap` per pair, read for BLEU-1, 2 and 4: two profiles
+        trainer = make_trainer(tmp_path)
+        assert trainer.valid_pairs
+        profile = metrics.ngram_profile
+        calls = []
+        monkeypatch.setattr(metrics, "ngram_profile", lambda *args: calls.append(args) or profile(*args))
+        trainer.validate()
+        assert len(calls) == 2 * len(trainer.valid_pairs)
+
     def test_validation_pairs_use_eval_pools(self, tmp_path):
         trainer = make_trainer(tmp_path / "c")
         for pair in trainer.valid_pairs:
