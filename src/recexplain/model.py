@@ -82,33 +82,40 @@ dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
 layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
-Each head works on the graph's edge list (`PairGraph.edge_arrays`: dst,
-src, row starts, flat cell index), as PyTorch Geometric does: u = H q and
-v = H k, the logit u[dst] + v[src] and its LeakyReLU per edge, the row
-max and row sum by `reduceat` over the row starts.  The weights are
-scattered into a zero (n, n) alpha and aggregated as alpha @ H, one BLAS
-product: gathering H[src] per edge instead costs more at sparse_pools'
-width 512.  That alpha is transient, one buffer per layer in forward and
-again in backward; the heads share the edges, so each head's scatter
-overwrites every cell the last one wrote.  Besides the node states, a
-trace keeps each head's logits and weights, O(E) numbers, so a chunk's
-traces stay small while they wait for backward.  ELU's derivative comes
-from the layer's output h', the next layer's input or the final states:
-1 where h' > 0, else h' + 1 (= exp of the aggregate), so the aggregate is
-not kept and backward computes no exponential.
+A layer works on the graph's edge list (`PairGraph.edge_arrays`: dst,
+src, row starts, flat cell index), as PyTorch Geometric does, and does
+its per-edge work once for all h heads, with the head as a column: one
+product H @ [q_1 .. q_h | k_1 .. k_h] gives every u and v, the logits
+u[dst] + v[src] and their LeakyReLU form one (E, h) array, and the row
+max and row sum are `reduceat` over the row starts along its first axis.
+The per-edge softmax never forms a dense (h, n, n) one.  Each head's
+weights are scattered into a zero (n, n) alpha and aggregated as alpha @
+H, one BLAS product written into the head's column block of the output:
+gathering H[src] per edge instead costs more at sparse_pools' width 512.
+That alpha is transient, one buffer per layer in forward and again in
+backward; the heads share the edges, so each head's scatter overwrites
+every cell the last one wrote.  ELU then runs once, in place, on the whole
+output.  Besides the node states, a trace keeps each layer's (E, h)
+logits and weights, O(E) numbers per head, so a chunk's traces stay small
+while they wait for backward.  ELU's derivative comes from the layer's
+output h', the next layer's input or the final states: 1 where h' > 0,
+else h' + 1 (= exp of the aggregate), so the aggregate is not kept and
+backward computes no exponential.  Backward runs the softmax and
+LeakyReLU gradients once over (E, h), and one product with [q | k]^T and
+one with H^T serve every head's u and v.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the chunk's scores/probabilities, with respect to
 every trainable tensor including the touched user/item embedding rows,
 into a dict the caller owns.  Each tensor element gets exactly one `+=`
 per chunk (`deep.0.w` and `head.score` take theirs in two disjoint
-slices; a head's q and k are summed over the chunk's graphs first, an
-embedding row over the chunk's graphs of its user or item).  So the
-result is the same, bit for bit, as adding one fresh gradient dict per
-chunk.  Chunking a batch another way sums the same terms in another
-order, which agrees to rounding (1e-12 of each tensor's largest entry in
-the tests), not bit for bit.  Verified against central finite
-differences in the test suite.
+slices; each layer's stacked (Din, 2h) head gradient is summed over the
+chunk's graphs first, an embedding row over the chunk's graphs of its
+user or item).  So the result is the same, bit for bit, as adding one
+fresh gradient dict per chunk.  Chunking a batch another way sums the
+same terms in another order, which agrees to rounding (1e-12 of each
+tensor's largest entry in the tests), not bit for bit.  Verified against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -163,68 +170,77 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elu(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+def gat_layer(H: np.ndarray, edges: Edges, QK: np.ndarray):
+    """One multi-head attention layer, every head's per-edge work at once.
 
-
-def gat_layer(H: np.ndarray, edges: Edges, head_params: list[tuple]):
-    """One multi-head attention layer; returns (H_next, [(logits, weights)
-    per head]), both (E,) per edge: u[dst] + v[src] before the LeakyReLU
-    (u = H @ q, v = H @ k) and the attention weight a_ij (i = dst, j = src).
-
-    `edges` are the graph's attention edges (`PairGraph.edge_arrays`);
-    logits, row max and row sum are computed per edge, and only the
-    aggregation forms the (n, n) alpha, which is not kept.  `head_params`
-    is a list of (q, k) per head, both of shape (Din,).
-    """
-    dst, src, starts, flat = edges
-    n = H.shape[0]
-    alpha = np.zeros(n * n)
-    outs = []
-    heads = []
-    for q, k in head_params:
-        pre = (H @ q)[dst] + (H @ k)[src]
-        z = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
-        ex = np.exp(z - np.maximum.reduceat(z, starts)[dst])
-        weights = ex / np.add.reduceat(ex, starts)[dst]
-        alpha[flat] = weights
-        outs.append(_elu(alpha.reshape(n, n) @ H))
-        heads.append((pre, weights))
-    return np.concatenate(outs, axis=1), heads
-
-
-def _gat_layer_backward(dH_out, H, H_out, edges: Edges, head_params, heads):
-    """Gradients of one attention layer from `H` to `H_out`, whose heads
-    gave the per-edge (logits, weights) `heads`.
-
-    Returns (dH_in, per-head [(dq, dk)]).  ELU's derivative is read off
-    the output.  The message term goes through the dense alpha, scattered
-    again from the edge weights, as two BLAS products; the softmax and
-    LeakyReLU steps run per edge, gathering d(alpha) at the edges' flat
-    cells, and the logit u_i + v_j hands its gradient to u by row sums and
-    to v by sums over each src.
+    `QK` (Din, 2h) stacks the heads' (q, k) as columns [q_1 .. q_h | k_1 ..
+    k_h], and `edges` are the graph's attention edges
+    (`PairGraph.edge_arrays`).  Returns (H_next, logits, weights): the
+    logits u[dst] + v[src] before the LeakyReLU (u = H @ q, v = H @ k) and
+    the attention weights a_ij (i = dst, j = src), both (E, h) with head t
+    in column t.  Only the aggregation forms an (n, n) alpha, one buffer
+    that each head overwrites in turn and that is not kept.
     """
     dst, src, starts, flat = edges
     n, din = H.shape
-    dH = np.zeros_like(H)
-    dout = dH_out * np.where(H_out > 0, 1.0, H_out + 1.0)
+    heads = QK.shape[1] // 2
+    UV = H @ QK
+    logits = UV[dst, :heads] + UV[src, heads:]
+    weights = np.maximum(logits, LEAKY_SLOPE * logits)
+    weights -= np.maximum.reduceat(weights, starts, axis=0)[dst]
+    np.exp(weights, out=weights)
+    weights /= np.add.reduceat(weights, starts, axis=0)[dst]
+    out = np.empty((n, heads * din))
     alpha = np.zeros(n * n)
-    grads = []
-    for head, ((q, k), (logits, a)) in enumerate(zip(head_params, heads)):
-        dagg = dout[:, head * din : (head + 1) * din]
+    for t in range(heads):
+        alpha[flat] = weights[:, t]
+        np.matmul(alpha.reshape(n, n), H, out=out[:, t * din : (t + 1) * din])
+    # ELU in place: max(x, 0) + expm1(min(x, 0))
+    neg = np.minimum(out, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(out, 0.0, out=out)
+    out += neg
+    return out, logits, weights
+
+
+def _gat_layer_backward(dH_out, H, H_out, edges: Edges, QK, logits, weights):
+    """Gradients of one attention layer from `H` to `H_out`, whose heads
+    gave the per-edge (E, h) `logits` and `weights`.
+
+    Returns (dH_in, dQK), dQK (Din, 2h) laid out as `QK`.  ELU's derivative
+    is read off the output.  The message term goes through the dense alpha,
+    scattered again from each head's edge weights, as two BLAS products per
+    head; the softmax and LeakyReLU steps run once over (E, h), gathering
+    d(alpha) at the edges' flat cells, and the logit u_i + v_j hands its
+    gradient to u by row sums and to v by sums over each src.  Then one
+    product with QK^T and one with H^T serve every head's u and v.
+    """
+    dst, src, starts, flat = edges
+    n, din = H.shape
+    heads = weights.shape[1]
+    dout = np.minimum(H_out, 0.0)
+    dout += 1.0
+    dout *= dH_out
+    dH = np.zeros_like(H)
+    da = np.empty_like(weights)
+    alpha = np.zeros(n * n)
+    for t in range(heads):
+        dagg = dout[:, t * din : (t + 1) * din]
         # message term: agg = alpha @ H
-        alpha[flat] = a
-        da = (dagg @ H.T).ravel()[flat]
+        alpha[flat] = weights[:, t]
+        da[:, t] = (dagg @ H.T).ravel()[flat]
         dH += alpha.reshape(n, n).T @ dagg
-        # row softmax, then LeakyReLU of the logit u_i + v_j
-        dz = a * (da - np.add.reduceat(a * da, starts)[dst])
-        dpre = np.where(logits > 0, dz, LEAKY_SLOPE * dz)
-        du = np.add.reduceat(dpre, starts)
-        dv = np.bincount(src, weights=dpre, minlength=n)
-        # u = H @ q and v = H @ k
-        dH += np.outer(du, q) + np.outer(dv, k)
-        grads.append((H.T @ du, H.T @ dv))
-    return dH, grads
+    # row softmax, then LeakyReLU of the logit u_i + v_j
+    dz = da - np.add.reduceat(weights * da, starts, axis=0)[dst]
+    dz *= weights
+    dpre = np.where(logits > 0, dz, LEAKY_SLOPE * dz)
+    dUV = np.empty((n, 2 * heads))
+    dUV[:, :heads] = np.add.reduceat(dpre, starts, axis=0)
+    cells = (src[:, None] * heads + np.arange(heads)).ravel()
+    dUV[:, heads:] = np.bincount(cells, weights=dpre.ravel(), minlength=n * heads).reshape(n, heads)
+    # [u | v] = H @ QK
+    dH += dUV @ QK.T
+    return dH, H.T @ dUV
 
 
 def _row_graphs(starts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -349,7 +365,7 @@ class ForwardTrace:
     graphs: Sequence[PairGraph]
     inputs: Sequence[GraphInputs]
     states: list[list[np.ndarray]]  # per graph, each attention layer's input, then the final node states
-    attention: list[list[list[tuple]]]  # per graph and layer, each head's per-edge (logits, weights)
+    attention: list[list[tuple]]  # per graph and layer, its (E, h) per-edge (logits, weights)
     sent_bounds: np.ndarray  # (B+1,) graph b's sentences are rows sent_bounds[b]:sent_bounds[b+1]
     attr_bounds: np.ndarray  # (B+1,) graph b's attributes are rows attr_bounds[b]:attr_bounds[b+1]
     shared: np.ndarray  # (B, ds) G, each graph's [user | item], the part of x0 its rows repeat
@@ -431,10 +447,11 @@ class Model:
         p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
 
-    def _head_params(self, params):
-        """Per attention layer, its heads' (q, k)."""
+    def _head_params(self, params) -> list[np.ndarray]:
+        """Per attention layer, its heads' (q, k) stacked as `gat_layer`'s
+        (Din, 2h) QK."""
         return [
-            [(params[f"gat.{l}.{h}.q"], params[f"gat.{l}.{h}.k"]) for h in range(self.cfg.gat_heads[l])]
+            np.column_stack([params[f"gat.{l}.{h}.{v}"] for v in "qk" for h in range(self.cfg.gat_heads[l])])
             for l in range(len(self.gat_in))
         ]
 
@@ -467,10 +484,10 @@ class Model:
             edges = graph.edge_arrays()
             states.append([H])
             attention.append([])
-            for head_params in heads:
-                H, per_head = gat_layer(H, edges, head_params)
+            for QK in heads:
+                H, logits, weights = gat_layer(H, edges, QK)
                 states[-1].append(H)
-                attention[-1].append(per_head)
+                attention[-1].append((logits, weights))
             G[b, :nd] = H[USER_NODE]
             G[b, nd:] = H[ITEM_NODE]
             attr_rows.append(H[graph.attr_slice])
@@ -560,7 +577,7 @@ class Model:
         tensor element."""
         dXhat = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
         heads = self._head_params(params)
-        head_grads: dict[str, np.ndarray] = {}
+        dQK = [np.zeros_like(QK) for QK in heads]
         d_user = np.empty((len(trace.graphs), self.cfg.hidden))
         d_item = np.empty_like(d_user)
         d_sent = []
@@ -569,15 +586,16 @@ class Model:
             states, edges = trace.states[b], graph.edge_arrays()
             dH = dXhat[b]
             for l in range(len(heads) - 1, -1, -1):
-                dH, layer_grads = _gat_layer_backward(dH, states[l], states[l + 1], edges, heads[l], trace.attention[b][l])
-                for h, (dq, dk) in enumerate(layer_grads):
-                    for name, d in ((f"gat.{l}.{h}.q", dq), (f"gat.{l}.{h}.k", dk)):
-                        head_grads[name] = head_grads.get(name, 0.0) + d
+                dH, d = _gat_layer_backward(dH, states[l], states[l + 1], edges, heads[l], *trace.attention[b][l])
+                dQK[l] += d
             d_user[b] = dH[USER_NODE]
             d_item[b] = dH[ITEM_NODE]
             d_sent.append(dH[graph.sent_slice])
-        for name, d in head_grads.items():
-            grads[name] += d
+        for l, d in enumerate(dQK):
+            h = self.cfg.gat_heads[l]
+            for t in range(h):
+                grads[f"gat.{l}.{t}.q"] += d[:, t]
+                grads[f"gat.{l}.{t}.k"] += d[:, h + t]
 
         # input states back to trainable tables
         _add_rows(grads["embed.user"], [inp.user_row for inp in trace.inputs], d_user)

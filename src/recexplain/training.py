@@ -59,6 +59,7 @@ TIE_TOL = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EXP_MAX = float(np.log(np.finfo(np.float64).max))  # exp(d) is finite exactly for d <= EXP_MAX
 
 LAST_CHECKPOINT = Path("checkpoints", "last.ntar")  # under the workdir
 BEST_CHECKPOINT = Path("checkpoints", "best.ntar")
@@ -195,8 +196,12 @@ def pairwise_rank_loss(scores: np.ndarray, targets: np.ndarray, pairs: np.ndarra
     count = int(live.sum())
     if count == 0:
         return 0.0, np.zeros_like(scores)
-    # d/d(g_i) of softplus(-sign*(g_i - g_j)) = -sign * sigmoid(-sign*(g_i-g_j))
-    coeff = np.where(live, -sign / (1.0 + np.exp(d)), 0.0) / count
+    # d/d(g_i) of softplus(-sign*(g_i - g_j)) = -sign * sigmoid(-d), as
+    # 1 / (1 + e^d); where e^d would overflow, sigmoid(-d) is e^-d to rounding
+    big = d > EXP_MAX
+    sig = 1.0 / (1.0 + np.exp(np.where(big, 0.0, d)))
+    sig[big] = np.exp(-d[big])
+    coeff = np.where(live, -sign * sig, 0.0) / count
     # bincount adds in array order: every i term, then every j term
     grad = np.bincount(
         np.concatenate([i, j]), weights=np.concatenate([coeff, -coeff]), minlength=scores.shape[0]

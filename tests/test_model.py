@@ -61,11 +61,11 @@ def forward_one(model, g, inputs, params):
     return model.forward([g], [inputs], params)
 
 
-def dense_alpha(g, weights):
-    """A head's per-edge attention weights on graph g as the (n, n) alpha,
-    0 off the edges."""
+def dense_alpha(g, weights, head):
+    """One head's column of a layer's (E, heads) attention weights on graph
+    g as the (n, n) alpha, 0 off the edges."""
     alpha = np.zeros(g.n_nodes**2)
-    alpha[g.edge_arrays().flat] = weights
+    alpha[g.edge_arrays().flat] = weights[:, head]
     return alpha.reshape(g.n_nodes, g.n_nodes)
 
 
@@ -79,9 +79,14 @@ def as_lists(head_params):
 
 
 def folded(head_params):
-    """GAT's factored heads (W_q, W_k, w_a) as the (q, k) pairs `gat_layer`
-    takes: q = W_q^T w_a[:A], k = W_k^T w_a[A:]."""
+    """GAT's factored heads (W_q, W_k, w_a) as folded (q, k) pairs:
+    q = W_q^T w_a[:A], k = W_k^T w_a[A:]."""
     return [(wq.T @ wa[: wq.shape[0]], wk.T @ wa[wq.shape[0] :]) for wq, wk, wa in head_params]
+
+
+def stacked(pairs):
+    """(q, k) pairs as the (Din, 2h) QK `gat_layer` takes: [q_1..q_h | k_1..k_h]."""
+    return np.column_stack([q for q, _ in pairs] + [k for _, k in pairs])
 
 
 def attention_mask(g):
@@ -107,8 +112,8 @@ class TestGatLayer:
         g = line_graph(item_edge=False)
         H = rng.normal(size=(4, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        out, heads = gat_layer(H, g.edge_arrays(), folded(params))
-        assert dense_alpha(g, heads[0][1])[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+        out, _, weights = gat_layer(H, g.edge_arrays(), stacked(folded(params)))
+        assert dense_alpha(g, weights, 0)[1].tolist() == [0.0, 1.0, 0.0, 0.0]
         elu = np.where(H[1] > 0, H[1], np.expm1(np.minimum(H[1], 0.0)))
         assert np.array_equal(out[1], elu)
 
@@ -118,8 +123,8 @@ class TestGatLayer:
         H = rng.normal(size=(4, 3))
         H[[0, 1, 3]] = H[2]
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-        _, heads = gat_layer(H, g.edge_arrays(), folded(params))
-        assert dense_alpha(g, heads[0][1])[2] == pytest.approx([1 / 4] * 4)
+        _, _, weights = gat_layer(H, g.edge_arrays(), stacked(folded(params)))
+        assert dense_alpha(g, weights, 0)[2] == pytest.approx([1 / 4] * 4)
 
     def test_matches_scalar_oracle_two_layers(self, rng):
         g = line_graph()
@@ -130,8 +135,8 @@ class TestGatLayer:
             for _ in range(2)
         ]
         layer2 = [(rng.normal(size=(d, 2 * d)), rng.normal(size=(d, 2 * d)), rng.normal(size=2 * d))]
-        h1, t1 = gat_layer(H, g.edge_arrays(), folded(layer1))
-        h2, t2 = gat_layer(h1, g.edge_arrays(), folded(layer2))
+        h1, _, w1 = gat_layer(H, g.edge_arrays(), stacked(folded(layer1)))
+        h2, _, _ = gat_layer(h1, g.edge_arrays(), stacked(folded(layer2)))
 
         nbr_lists = oracle_lists(g)
         o1, alphas1 = gat_scalar_oracle([row.tolist() for row in H], nbr_lists, as_lists(layer1), 0.2)
@@ -139,20 +144,20 @@ class TestGatLayer:
         assert np.allclose(h1, np.array(o1), atol=1e-12)
         assert np.allclose(h2, np.array(o2), atol=1e-12)
         for head in range(2):
-            assert_alpha_matches(dense_alpha(g, t1[head][1]), alphas1[head], g)
+            assert_alpha_matches(dense_alpha(g, w1, head), alphas1[head], g)
 
     def test_large_logits_through_gat_layer(self, rng):
         # logits in the thousands: exp without the row max would overflow
         g = toy_graph(3, 5, rng)
         H = rng.normal(size=(g.n_nodes, 3))
         params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), 1e3 * rng.normal(size=6)) for _ in range(2)]
-        out, heads = gat_layer(H, g.edge_arrays(), folded(params))
-        assert np.abs(heads[0][0]).max() > 100.0
+        out, logits, weights = gat_layer(H, g.edge_arrays(), stacked(folded(params)))
+        assert np.abs(logits[:, 0]).max() > 100.0
         want, alphas = gat_scalar_oracle([row.tolist() for row in H], oracle_lists(g), as_lists(params), 0.2)
         assert np.all(np.isfinite(out))
         assert np.allclose(out, np.array(want), atol=1e-12)
         for head in range(2):
-            alpha = dense_alpha(g, heads[head][1])
+            alpha = dense_alpha(g, weights, head)
             assert np.all(np.isfinite(alpha))
             assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             assert_alpha_matches(alpha, alphas[head], g)
@@ -162,8 +167,8 @@ class TestGatLayer:
             g = toy_graph(int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
             H = rng.normal(size=(g.n_nodes, 3))
             params = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=6))]
-            _, heads = gat_layer(H, g.edge_arrays(), folded(params))
-            alpha = dense_alpha(g, heads[0][1])
+            _, _, weights = gat_layer(H, g.edge_arrays(), stacked(folded(params)))
+            alpha = dense_alpha(g, weights, 0)
             assert np.all(alpha >= 0.0)
             assert np.all(alpha[~attention_mask(g)] == 0.0)
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -184,24 +189,27 @@ class TestMatchesDenseOracle:
 
     def check(self, g, H, head_params, rng):
         mask = attention_mask(g)
-        out, heads = gat_layer(H, g.edge_arrays(), head_params)
+        out, logits, weights = gat_layer(H, g.edge_arrays(), stacked(head_params))
         want, want_trace = dense_gat_layer(H, mask, head_params)
         assert_rel_close(out, want, "output")
-        for head in range(len(heads)):
-            alpha, want_alpha = dense_alpha(g, heads[head][1]), want_trace[1][head][2]
+        h = len(head_params)
+        assert logits.shape == weights.shape == (len(g.edge_arrays().dst), h)
+        for head in range(h):
+            alpha, want_alpha = dense_alpha(g, weights, head), want_trace[1][head][2]
             assert_rel_close(alpha, want_alpha, f"alpha {head}")
             assert np.all(alpha[~mask] == 0.0) and np.all(want_alpha[~mask] == 0.0)
         dH_out = rng.normal(size=out.shape)
-        dH, grads = _gat_layer_backward(dH_out, H, out, g.edge_arrays(), head_params, heads)
+        dH, dQK = _gat_layer_backward(dH_out, H, out, g.edge_arrays(), stacked(head_params), logits, weights)
+        assert dQK.shape == (H.shape[1], 2 * h)
         want_dH, want_grads = dense_gat_layer_backward(dH_out, head_params, want_trace)
         # a head whose rows' logits all share a sign has du = 0 up to
         # rounding (softmax gradients sum to 0 over a row), so dq and dk are
         # held to the layer's gradient scale rather than their own
         scale = max(np.abs(t).max() for t in [want_dH, *(t for pair in want_grads for t in pair)])
         assert_rel_close(dH, want_dH, "dH", scale)
-        for head, ((dq, dk), (want_dq, want_dk)) in enumerate(zip(grads, want_grads)):
-            assert_rel_close(dq, want_dq, f"dq {head}", scale)
-            assert_rel_close(dk, want_dk, f"dk {head}", scale)
+        for head, (want_dq, want_dk) in enumerate(want_grads):
+            assert_rel_close(dQK[:, head], want_dq, f"dq {head}", scale)
+            assert_rel_close(dQK[:, h + head], want_dk, f"dk {head}", scale)
         return out
 
     def heads(self, rng, n_heads, din, scale=1.0):
@@ -222,8 +230,8 @@ class TestMatchesDenseOracle:
         g = toy_graph(3, 5, rng)
         H = rng.normal(size=(g.n_nodes, 3))
         heads = self.heads(rng, 2, 3, scale=1e3)
-        _, attention = gat_layer(H, g.edge_arrays(), heads)
-        assert np.abs(attention[0][0]).max() > 500.0
+        _, logits, _ = gat_layer(H, g.edge_arrays(), stacked(heads))
+        assert np.abs(logits[:, 0]).max() > 500.0
         self.check(g, H, heads, rng)
 
     def test_dense_pools_shape_two_layers(self, rng):
@@ -310,6 +318,11 @@ ABLATIONS = pytest.mark.parametrize(
     ids=["default", "no-gat", "no-dcn", "no-gat-no-dcn"],
 )
 
+# small_model's heads (2, 1) under each ablation, then a multi-head last
+# layer and a three-layer stack, whose stacked (Din, 2h) head gradients a
+# one-head last layer would not index
+HEADS = [(2, 1), (2, 3), (2, 1, 2)]
+
 
 class TestDcnMatchesDenseOracle:
     """The closed-form readout (`dcn_forward`, or the linear head on x0's
@@ -362,9 +375,14 @@ class TestDcnMatchesDenseOracle:
         for name, ref in want.items():
             assert_rel_close(grads[name], ref, name)
 
-    @ABLATIONS
-    def test_random_toy_graphs(self, rng, disable_gat, disable_dcn):
-        model, _ = small_model(disable_gat=disable_gat, disable_dcn=disable_dcn)
+    @pytest.mark.parametrize(
+        "disable_gat, disable_dcn, heads",
+        [(False, False, HEADS[0]), (True, False, HEADS[0]), (False, True, HEADS[0]), (True, True, HEADS[0])]
+        + [(False, False, heads) for heads in HEADS[1:]],
+        ids=["default", "no-gat", "no-dcn", "no-gat-no-dcn", "heads-2-3", "heads-2-1-2"],
+    )
+    def test_random_toy_graphs(self, rng, disable_gat, disable_dcn, heads):
+        model, _ = small_model(heads=heads, disable_gat=disable_gat, disable_dcn=disable_dcn)
         for _ in range(10):
             g = toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 10)), rng)
             self.check(model, g, toy_inputs(g, 3, 2, rng), rng)
@@ -610,18 +628,29 @@ class TestGradients:
         loss, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=1.0)
         assert np.all(grads["head.attr"] == 0.0)
 
-    @pytest.mark.parametrize("disable_dcn", [False, True], ids=["dcn", "no-dcn"])
-    @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
-    def test_finite_difference(self, rng, disable_gat, disable_dcn):
+    @pytest.mark.parametrize(
+        "disable_gat, disable_dcn, heads",
+        [(False, False, HEADS[0]), (False, True, HEADS[0]), (True, False, HEADS[0]), (True, True, HEADS[0])]
+        + [(False, disable_dcn, heads) for heads in HEADS[1:] for disable_dcn in (False, True)],
+        ids=["gat-dcn", "gat-no-dcn", "no-gat-dcn", "no-gat-no-dcn"]
+        + [f"gat-{dcn}-heads-{'-'.join(map(str, heads))}" for heads in HEADS[1:] for dcn in ("dcn", "no-dcn")],
+    )
+    def test_finite_difference(self, rng, disable_gat, disable_dcn, heads):
         # through a two-graph chunk, so a row-to-graph index error fails it
         model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(
-            rng, disable_gat=disable_gat, disable_dcn=disable_dcn
+            rng, heads=heads, disable_gat=disable_gat, disable_dcn=disable_dcn
         )
         assert model.d0 == (4 if disable_gat else 3) * model.node_dim
         if disable_dcn:
             # the score head reads x0's rows past g = [user | item]
             assert not [name for name in params if name.startswith(("lin.", "cross.", "deep."))]
             assert params["head.score"].shape == (model.d0 - 2 * model.node_dim,)
+        # central differences need a point where every ReLU is smooth: with
+        # the zero initial biases, a row whose first deep layer is all 0
+        # puts its second layer exactly at the kink (heads (2, 3) has one)
+        for name, t in params.items():
+            if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
+                t[:] = 0.1 * rng.normal(size=t.shape)
         finite_diff_check(model, graphs, inputs, params, targets, pairs, labels)
 
 
@@ -713,8 +742,9 @@ class TestReadoutChunks:
 class TestAttentionTraceMemory:
     """A training chunk holds every graph's attention trace until backward.
     At the dense pools' sizes, a dense (n, n) alpha per head in each trace
-    pushes peak memory past the benchmark's bound, so each head keeps O(E)
-    numbers and no trace holds an (n, n) array."""
+    pushes peak memory past the benchmark's bound, so each layer keeps its
+    heads' (E, heads) logits and weights, O(E) numbers per head, and no
+    trace holds an (n, n) array."""
 
     def test_heads_keep_per_edge_arrays_only(self, rng):
         cfg = ModelConfig(hidden=8, gat_heads=(4, 1), deep_hidden=8)
@@ -725,10 +755,9 @@ class TestAttentionTraceMemory:
         trace = model.forward([g], [toy_inputs(g, 8, 8, rng)], model.init_params(0))
         [states], [attention] = trace.states, trace.attention
         assert [H.shape for H in states] == [(n, width) for width in model.gat_in] + [(n, model.node_dim)]
-        assert [len(heads) for heads in attention] == list(cfg.gat_heads)
-        for heads in attention:
-            for logits, weights in heads:
-                assert logits.shape == weights.shape == (n_edges,)
+        assert len(attention) == len(cfg.gat_heads)
+        for (logits, weights), heads in zip(attention, cfg.gat_heads):
+            assert logits.shape == weights.shape == (n_edges, heads)
         # every array the trace holds, the readout's too
         held = [getattr(trace, f.name) for f in fields(trace) if f.name not in ("graphs", "inputs")]
         arrays = []
