@@ -476,7 +476,7 @@ class Model:
         sent_X = np.concatenate([inp.sent_X for inp in inputs])
         if self.project_sentences:
             sent_X = sent_X @ params["proj.w"].T + params["proj.b"][None, :]
-        heads = self._head_params(params)
+        qk = self._head_params(params)
         G = np.empty((len(graphs), 2 * nd))
         rows, attr_rows, states, attention = [], [], [], []
         for b, (graph, inp) in enumerate(zip(graphs, inputs)):
@@ -484,7 +484,7 @@ class Model:
             edges = graph.edge_arrays()
             states.append([H])
             attention.append([])
-            for QK in heads:
+            for QK in qk:
                 H, logits, weights = gat_layer(H, edges, QK)
                 states[-1].append(H)
                 attention[-1].append((logits, weights))
@@ -576,8 +576,8 @@ class Model:
         d(loss)/d(probs), over the chunk's rows, into `grads`, one `+=` per
         tensor element."""
         dXhat = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
-        heads = self._head_params(params)
-        dQK = [np.zeros_like(QK) for QK in heads]
+        qk = self._head_params(params)
+        dQK = [np.zeros_like(QK) for QK in qk]
         d_user = np.empty((len(trace.graphs), self.cfg.hidden))
         d_item = np.empty_like(d_user)
         d_sent = []
@@ -585,8 +585,8 @@ class Model:
             # attention stack; each layer's output is the next one's input
             states, edges = trace.states[b], graph.edge_arrays()
             dH = dXhat[b]
-            for l in range(len(heads) - 1, -1, -1):
-                dH, d = _gat_layer_backward(dH, states[l], states[l + 1], edges, heads[l], *trace.attention[b][l])
+            for l in range(len(qk) - 1, -1, -1):
+                dH, d = _gat_layer_backward(dH, states[l], states[l + 1], edges, qk[l], *trace.attention[b][l])
                 dQK[l] += d
             d_user[b] = dH[USER_NODE]
             d_item[b] = dH[ITEM_NODE]

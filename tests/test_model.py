@@ -318,11 +318,6 @@ ABLATIONS = pytest.mark.parametrize(
     ids=["default", "no-gat", "no-dcn", "no-gat-no-dcn"],
 )
 
-# small_model's heads (2, 1) under each ablation, then a multi-head last
-# layer and a three-layer stack, whose stacked (Din, 2h) head gradients a
-# one-head last layer would not index
-HEADS = [(2, 1), (2, 3), (2, 1, 2)]
-
 
 class TestDcnMatchesDenseOracle:
     """The closed-form readout (`dcn_forward`, or the linear head on x0's
@@ -375,11 +370,18 @@ class TestDcnMatchesDenseOracle:
         for name, ref in want.items():
             assert_rel_close(grads[name], ref, name)
 
+    # small_model's heads (2, 1) under each ablation, then a multi-head last
+    # layer and a three-layer stack
     @pytest.mark.parametrize(
         "disable_gat, disable_dcn, heads",
-        [(False, False, HEADS[0]), (True, False, HEADS[0]), (False, True, HEADS[0]), (True, True, HEADS[0])]
-        + [(False, False, heads) for heads in HEADS[1:]],
-        ids=["default", "no-gat", "no-dcn", "no-gat-no-dcn", "heads-2-3", "heads-2-1-2"],
+        [
+            pytest.param(False, False, (2, 1), id="default"),
+            pytest.param(True, False, (2, 1), id="no-gat"),
+            pytest.param(False, True, (2, 1), id="no-dcn"),
+            pytest.param(True, True, (2, 1), id="no-gat-no-dcn"),
+            pytest.param(False, False, (2, 3), id="heads-2-3"),
+            pytest.param(False, False, (2, 1, 2), id="heads-2-1-2"),
+        ],
     )
     def test_random_toy_graphs(self, rng, disable_gat, disable_dcn, heads):
         model, _ = small_model(heads=heads, disable_gat=disable_gat, disable_dcn=disable_dcn)
@@ -628,12 +630,21 @@ class TestGradients:
         loss, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=1.0)
         assert np.all(grads["head.attr"] == 0.0)
 
+    # small_model's heads (2, 1) under each ablation, then a multi-head last
+    # layer and a three-layer stack, whose stacked (Din, 2h) head gradients a
+    # one-head last layer would not index
     @pytest.mark.parametrize(
         "disable_gat, disable_dcn, heads",
-        [(False, False, HEADS[0]), (False, True, HEADS[0]), (True, False, HEADS[0]), (True, True, HEADS[0])]
-        + [(False, disable_dcn, heads) for heads in HEADS[1:] for disable_dcn in (False, True)],
-        ids=["gat-dcn", "gat-no-dcn", "no-gat-dcn", "no-gat-no-dcn"]
-        + [f"gat-{dcn}-heads-{'-'.join(map(str, heads))}" for heads in HEADS[1:] for dcn in ("dcn", "no-dcn")],
+        [
+            pytest.param(False, False, (2, 1), id="gat-dcn"),
+            pytest.param(False, True, (2, 1), id="gat-no-dcn"),
+            pytest.param(True, False, (2, 1), id="no-gat-dcn"),
+            pytest.param(True, True, (2, 1), id="no-gat-no-dcn"),
+            pytest.param(False, False, (2, 3), id="gat-dcn-heads-2-3"),
+            pytest.param(False, True, (2, 3), id="gat-no-dcn-heads-2-3"),
+            pytest.param(False, False, (2, 1, 2), id="gat-dcn-heads-2-1-2"),
+            pytest.param(False, True, (2, 1, 2), id="gat-no-dcn-heads-2-1-2"),
+        ],
     )
     def test_finite_difference(self, rng, disable_gat, disable_dcn, heads):
         # through a two-graph chunk, so a row-to-graph index error fails it

@@ -153,19 +153,14 @@ class TestPairwiseRankLoss:
             assert grad[i] == pytest.approx(fd, abs=1e-7)
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]], ids=["hi-first", "lo-first"])
-    @pytest.mark.parametrize("gap", [800.0, -800.0], ids=["ranked", "misranked"])
-    def test_gap_800_stays_finite(self, gap, pair):
-        # e^d overflows past d = 709.78; pytest.ini makes that warning an error
+    @pytest.mark.parametrize("gap", [800.0, 720.0, -800.0], ids=["ranked-800", "ranked-720", "misranked-800"])
+    def test_gap_past_exp_overflow(self, gap, pair):
+        # e^d overflows past d = 709.78, and pytest.ini makes that warning an
+        # error; sigmoid(-d) is then e^-d: 0 at 800, a subnormal at 720
         loss, grad = tr.pairwise_rank_loss(np.array([gap, 0.0]), np.array([1.0, 0.0]), np.array([pair]))
-        if gap > 0:
-            assert loss == 0.0 and np.all(grad == 0.0)
-        else:
-            assert loss == 800.0 and grad.tolist() == [-1.0, 1.0]
-
-    def test_gap_past_exp_overflow_keeps_its_subnormal_gradient(self):
-        # sigmoid(-720) = e^-720, a subnormal, where 1 / (1 + e^720) overflows
-        _, grad = tr.pairwise_rank_loss(np.array([720.0, 0.0]), np.array([1.0, 0.0]), np.array([[0, 1]]))
-        assert grad[0] == -np.exp(-720.0) != 0.0 and grad[1] == np.exp(-720.0)
+        want = -1.0 if gap < 0 else -np.exp(-gap)
+        assert loss == np.logaddexp(0.0, -gap)
+        assert grad.tolist() == [want, -want]
 
     def test_no_pairs(self):
         loss, grad = tr.pairwise_rank_loss(np.zeros(3), np.zeros(3), np.zeros((0, 2), dtype=int))
