@@ -7,7 +7,10 @@ current config.
 
 train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
 `checkpoints/best.ntar`, which select reads (and hash-checks) unless
-`--checkpoint` names another; each is replaced atomically.
+`--checkpoint` names another; each is replaced atomically.  The vector
+files feed train and the train hash: train builds the attribute and
+sentence node inputs from them and stores them in every checkpoint, and
+select reads them from the checkpoint, so it parses neither file.
 
 Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
 sentence's row also carries its attributes' mean input), --no-dcn sets
@@ -43,7 +46,7 @@ from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_v
 from .graphs import EmptyPoolError, build_pair_graph
 from .model import Model
 from .selector import TfidfVectorizer, select_for_pair
-from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params
+from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params, checkpoint_provider
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +125,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     tensors, meta = load_tensors(ckpt_path)
     if not checkpoint:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")
-    provider = _build_provider(cfg, corpus)
+    provider = checkpoint_provider(tensors, corpus, cfg.model.hidden)
     model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
     params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
     vectorizer = TfidfVectorizer(corpus.train_words())

@@ -21,6 +21,8 @@ range, which every stage checks after the CLI overrides:
   `training.batch_size`, `training.epochs`, `training.pair_budget`,
   `selection.k` and `selection.pool` >= 1;
 - `model.gat_heads` non-empty, every entry >= 1;
+- every entry of `corpus.ratios` >= 0 (preprocess also checks that they
+  sum to 1);
 - `training.lambda` in [0, 1], `training.learning_rate` > 0;
 - `selection.alpha` >= 0, which the exact selector's bound assumes.
 
@@ -121,6 +123,7 @@ def _at_least(low):
 _RANGES = {
     "seed": _at_least(0),
     "corpus.min_activity": _at_least(1),
+    "corpus.ratios": (lambda v: min(v) >= 0, "a list of shares >= 0"),
     "model.hidden": _at_least(1),
     "model.gat_heads": (lambda v: len(v) > 0 and min(v) >= 1, "a non-empty list of head counts >= 1"),
     "model.deep_hidden": _at_least(1),

@@ -6,7 +6,9 @@ model parameters.  Vector file format: first line `<count> <dim>`, then
 `<id> <v1> ... <vdim>` per line, whitespace separated.
 
 This module owns each node's input vector: `NodeFeatureProvider` computes
-them once per stage, and `graph_inputs` gathers one graph's rows.
+them once per training run from the vector files, every checkpoint stores
+them, and select reads them back (`NodeFeatureProvider.from_tables`);
+`graph_inputs` gathers one graph's rows.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ def load_vector_file(path) -> EmbeddingTable:
 
     A file that is not UTF-8, a malformed header, a row of the wrong length
     or with a non-numeric, NaN or infinite value, and a duplicate id are
-    fatal and named by row; a completely empty file yields an empty table
-    with a warning.  Blank lines are skipped: rows are counted, and numbered
-    from 1, over data lines only.  The table is built from the rows read, so
-    a header's count and dim allocate nothing.
+    fatal and named by row; a file of blank lines only yields an empty table
+    with a warning.  Blank lines are skipped, before the header too: rows
+    are counted, and numbered from 1, over data lines only.  The table is
+    built from the rows read, so a header's count and dim allocate nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -62,8 +64,8 @@ def load_vector_file(path) -> EmbeddingTable:
 
 
 def _read_vectors(fh, path) -> EmbeddingTable:
-    header = fh.readline().split()
-    if not header:
+    header = next((parts for line in fh if (parts := line.split())), None)
+    if header is None:
         log.warning("vector file %s is empty", path)
         return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
     if len(header) != 2 or not all(h.isdecimal() for h in header):
@@ -120,19 +122,26 @@ def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray
     return np.mean(rows, axis=0)
 
 
+def sentence_rows(corpus: Corpus) -> dict[str, int]:
+    """Each training sentence's row in a provider's `sent_X`: only training
+    sentences enter a pool, in sorted id order."""
+    sids = sorted(set().union(*corpus.user_sentences.values()))
+    return {sid: i for i, sid in enumerate(sids)}
+
+
 class NodeFeatureProvider:
-    """The static (non-trainable) node input tables of one stage.
+    """The static (non-trainable) node input tables of one training run.
 
     `attr_X` has a row per lexicon attribute id, from the word table
     (attributes are vocabulary words; multiword surfaces average their
     constituents), and must match `hidden`.  A surface with no word vector
     gets zeros, counted in `missing_attributes` and logged once.  `sent_X`
-    has a row per training sentence (`sentence_rows` maps ids to rows), as
-    only training sentences enter a pool.  Rows come from the sentence table
-    when present; without one (the average-word-embedding ablation) they
-    average word vectors.  An empty word or sentence table is an error, and
-    so is a training sentence the sentence table lacks: the table is from
-    another preprocess run.
+    has a row per training sentence (`sentence_rows` maps ids to rows).
+    Rows come from the sentence table when present; without one (the
+    average-word-embedding ablation) they average word vectors.  An empty
+    word or sentence table is an error, and so is a training sentence the
+    sentence table lacks: the table is from another preprocess run.
+    `from_tables` wraps tables built earlier.
     """
 
     def __init__(self, corpus: Corpus, hidden: int, word_table: EmbeddingTable, sentence_table: EmbeddingTable | None = None):
@@ -154,8 +163,8 @@ class NodeFeatureProvider:
         if self.missing_attributes:
             log.warning("%d attribute vectors missing; used zeros", self.missing_attributes)
 
-        sids = sorted(set().union(*corpus.user_sentences.values()))
-        self.sentence_rows = {sid: i for i, sid in enumerate(sids)}
+        self.sentence_rows = sentence_rows(corpus)
+        sids = list(self.sentence_rows)
         if sentence_table is None:
             self.sent_X = np.zeros((len(sids), word_table.dim))
             for i, sid in enumerate(sids):
@@ -166,6 +175,19 @@ class NodeFeatureProvider:
                 sid = sids[rows.index(None)]
                 raise VectorFileError(f"{sentence_table.path}: no vector for sentence id {sid!r}; rebuild it from this corpus")
             self.sent_X = sentence_table.vectors[rows]
+
+    @classmethod
+    def from_tables(cls, corpus: Corpus, attr_X: np.ndarray, sent_X: np.ndarray) -> "NodeFeatureProvider":
+        """A provider over tables an earlier provider built for `corpus`, as
+        a checkpoint stores them; `training.checkpoint_provider` checks
+        their shapes against `sentence_rows`.  Missing attributes were
+        counted and logged when the tables were built, so
+        `missing_attributes` is None here."""
+        provider = cls.__new__(cls)
+        provider.attr_X, provider.sent_X = attr_X, sent_X
+        provider.missing_attributes = None
+        provider.sentence_rows = sentence_rows(corpus)
+        return provider
 
     @property
     def sentence_dim(self) -> int:

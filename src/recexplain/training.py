@@ -32,6 +32,12 @@ Checkpoints.  Every epoch replaces `checkpoints/last.ntar`, the resume
 point; an epoch with a new best BLEU-4 first replaces `checkpoints/best.ntar`
 with the same bytes.  Each replace is atomic (`archive.save_tensors`), and
 a run killed between the two retraces that epoch when resumed from last.
+A checkpoint holds the parameters (`param.*`), Adam's moments (`adam.m.*`,
+`adam.v.*`) and the provider's node input tables (`feature.attr`,
+`feature.sent`), which select scores with instead of re-reading the vector
+files; its metadata holds the epoch, Adam's step count, the best record and
+the train config hash.  Resuming reads the parameters and Adam's state; the
+tables come from the vector files again, whose digests the hash covers.
 """
 
 from __future__ import annotations
@@ -472,6 +478,8 @@ class Trainer:
     def _save_checkpoint(self, path, record: EpochRecord) -> None:
         tables = (("param", self.params), ("adam.m", self.adam.m), ("adam.v", self.adam.v))
         tensors = {f"{prefix}.{name}": t for prefix, table in tables for name, t in table.items()}
+        tensors["feature.attr"] = self.provider.attr_X
+        tensors["feature.sent"] = self.provider.sent_X
         meta = {
             "epoch": record.epoch,
             "adam_t": self.adam.t,
@@ -524,3 +532,22 @@ def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray
             raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value")
         params[name] = tensors[key]
     return params
+
+
+def checkpoint_provider(tensors: dict[str, np.ndarray], corpus: Corpus, hidden: int) -> NodeFeatureProvider:
+    """The provider over a checkpoint's node input tables.  `feature.attr`
+    needs a row per lexicon attribute at width `hidden`, `feature.sent` a
+    row per training sentence of `corpus` (in `sentence_rows` order), and
+    every value must be finite; anything else is an error naming the
+    tensor.  The checkpoint's parameters fix the sentence width.
+    """
+    provider = NodeFeatureProvider.from_tables(corpus, tensors.get("feature.attr"), tensors.get("feature.sent"))
+    for key, table, rows, width in (
+        ("feature.attr", provider.attr_X, len(corpus.lexicon), hidden),
+        ("feature.sent", provider.sent_X, len(provider.sentence_rows), None),
+    ):
+        if table is None or table.ndim != 2 or table.shape[0] != rows or width not in (None, table.shape[1]):
+            raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen; re-run train")
+        if not np.all(np.isfinite(table)):
+            raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value; re-run train")
+    return provider

@@ -18,7 +18,7 @@ from recexplain.graphs import build_pair_graph
 from recexplain import model as model_module
 from recexplain.model import Model
 from recexplain.selector import TfidfVectorizer
-from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT, checkpoint_params
+from recexplain.training import BEST_CHECKPOINT, LAST_CHECKPOINT, checkpoint_params, checkpoint_provider
 
 HIDDEN = 32
 EPOCHS = 8
@@ -96,6 +96,17 @@ def emptied_review(text):
 def selection_records(workdir):
     lines = (workdir / "selections.jsonl").read_text(encoding="utf-8").splitlines()
     return lines[0], lines[1:]
+
+
+def assert_selects_as_trained(config, workdir, outputs):
+    """select --checkpoint with `config` (whose vector files differ from the
+    trained ones) writes the trained selections: it reads the node inputs
+    from the checkpoint.  The header differs, as it hashes the files."""
+    cfg = PipelineConfig.load(config)
+    argv = ["select", "--config", str(config), "--checkpoint", str(workdir / BEST_CHECKPOINT)]
+    assert cli.main(argv) == 0
+    _, records = selection_records(Path(cfg.paths.workdir))
+    assert records == outputs["selections.jsonl"].splitlines()[1:]
 
 
 class TestPipeline:
@@ -184,6 +195,67 @@ class TestPipeline:
         assert len(pooled) > len(calls)  # the pools share sentences
         written = (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8")
         assert written == (workdir / "selections.jsonl").read_text(encoding="utf-8")
+
+    def test_select_reads_no_vector_file(self, planted, tmp_path, monkeypatch):
+        config, workdir, _, outputs = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        shutil.copytree(workdir / "checkpoints", tmp_path / "work" / "checkpoints")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+
+        def unreadable(path):
+            raise AssertionError(f"select read {path}")
+
+        monkeypatch.setattr(cli, "load_vector_file", unreadable)
+        assert cli.main(["select", "--config", str(changed)]) == 0
+        assert (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8") == outputs["selections.jsonl"]
+
+    @pytest.mark.parametrize("paths", [{}, {"sentence_vectors": ""}], ids=["sentence-vectors", "average-word-vectors"])
+    def test_checkpoints_store_the_provider_tables(self, planted, tmp_path, paths):
+        config, workdir, _, _ = planted
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["paths"].update(paths, workdir=str(tmp_path / "work"))
+        doc["training"]["epochs"] = 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        assert cli.main(["train", "--config", str(changed)]) == 0
+        cfg = PipelineConfig.load(changed)
+        corpus = load_corpus(tmp_path / "work" / "corpus")
+        built = cli._build_provider(cfg, corpus)
+        for name in (BEST_CHECKPOINT, LAST_CHECKPOINT):
+            tensors, _ = load_tensors(tmp_path / "work" / name)
+            assert tensors["feature.attr"].tobytes() == built.attr_X.tobytes()
+            assert tensors["feature.sent"].tobytes() == built.sent_X.tobytes()
+            stored = checkpoint_provider(tensors, corpus, cfg.model.hidden)
+            assert stored.sentence_rows == built.sentence_rows and stored.sentence_dim == built.sentence_dim
+
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            ("feature.attr", None, "missing or misshapen"),
+            ("feature.sent", None, "missing or misshapen"),
+            ("feature.attr", lambda t: t[:, :-1], "missing or misshapen"),
+            ("feature.attr", lambda t: t[:-1], "missing or misshapen"),
+            ("feature.sent", lambda t: t[1:], "missing or misshapen"),
+            ("feature.sent", lambda t: t.ravel(), "missing or misshapen"),
+            ("feature.attr", lambda t: np.where(np.arange(t.size).reshape(t.shape) == 3, np.inf, t), "holds a non-finite value"),
+            ("feature.sent", lambda t: np.where(np.arange(t.size).reshape(t.shape) == 5, np.nan, t), "holds a non-finite value"),
+        ],
+        ids=["attr-missing", "sent-missing", "attr-narrow", "attr-row-short", "sent-row-short", "sent-flat",
+             "attr-inf", "sent-nan"],
+    )
+    def test_bad_checkpoint_tables_are_an_error(self, planted, tmp_path, capsys, key, edit, message):
+        config, workdir, _, _ = planted
+        tensors, meta = load_tensors(workdir / BEST_CHECKPOINT)
+        if edit is None:
+            del tensors[key]
+        else:
+            tensors[key] = edit(tensors[key])
+        path = tmp_path / "bad.ntar"
+        save_tensors(path, tensors, meta)
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(config), "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint tensor {key!r} {message}; re-run train")
 
     def test_select_keeps_one_chunk_trace_alive(self, planted, tmp_path, monkeypatch, one_live_trace):
         config, workdir, _, _ = planted
@@ -388,7 +460,7 @@ class TestPipeline:
 
     def test_sentence_id_missing_from_vectors_is_an_error(self, planted, tmp_path, capsys):
         # the planted sentence vectors are 16-d against hidden 32
-        config, workdir, _, _ = planted
+        config, workdir, _, outputs = planted
         corpus = load_corpus(workdir / "corpus")
         missing = build_pair_graph(corpus, *corpus.pairs("test")[0]).sentence_ids[0]
         doc = json.loads(config.read_text(encoding="utf-8"))
@@ -402,11 +474,11 @@ class TestPipeline:
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
-        for argv in (["select", "--checkpoint", str(workdir / LAST_CHECKPOINT)], ["train"]):
-            # the provider is built before either stage reads a pool
-            assert cli.main([*argv, "--config", str(changed)]) == 1, argv[0]
-            assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}"), argv[0]
+        # train reads the vector files, and builds the provider before it reads a pool
+        assert cli.main(["train", "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {vectors}: no vector for sentence id {missing!r}")
         assert not (tmp_path / "work" / "checkpoints").exists()
+        assert_selects_as_trained(changed, workdir, outputs)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -434,7 +506,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["config", "lexicon", "attribute_vectors", "sentence_vectors", "selections"])
     def test_file_not_utf8_is_an_error(self, planted, tmp_path, capsys, name):
-        config, workdir, _, _ = planted
+        config, workdir, _, outputs = planted
         bad = tmp_path / f"{name}.bad"
         header, _ = selection_records(workdir)
         bad.write_bytes(header.encode() + b"\n\xff\n" if name == "selections" else b"\xff\n")
@@ -445,17 +517,18 @@ class TestPipeline:
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc), encoding="utf-8")
         shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
-        checkpoint = str(workdir / LAST_CHECKPOINT)
         argv, where = {
             "config": (["preprocess", "--config", str(bad)], f"{bad}:"),
             "lexicon": (["preprocess", "--config", str(changed)], f"{bad}:"),
-            "attribute_vectors": (["select", "--config", str(changed), "--checkpoint", checkpoint], f"{bad}:"),
-            "sentence_vectors": (["select", "--config", str(changed), "--checkpoint", checkpoint], f"{bad}:"),
+            "attribute_vectors": (["train", "--config", str(changed)], f"{bad}:"),
+            "sentence_vectors": (["train", "--config", str(changed)], f"{bad}:"),
             "selections": (["evaluate", "--config", str(changed), "--selections", str(bad)], f"{bad} line 2:"),
         }[name]
         capsys.readouterr()
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {where} not UTF-8 (invalid start byte)")
+        if name.endswith("_vectors"):  # select reads neither vector file
+            assert_selects_as_trained(changed, workdir, outputs)
 
     def test_review_line_not_utf8_is_skipped(self, planted, tmp_path, capsys, caplog):
         config, workdir, _, _ = planted
@@ -498,6 +571,7 @@ class TestPipeline:
 OUT_OF_RANGE = [
     ("seed", -1),
     ("corpus.min_activity", 0),
+    ("corpus.ratios", [1.2, -0.1, -0.1]),
     ("model.hidden", 0),
     ("model.deep_hidden", 0),
     ("model.gat_heads", []),
@@ -634,6 +708,16 @@ class TestConfig:
         argv = ["preprocess", "--config", str(config), "--workdir", str(tmp_path / "work"), "--seed", "-1"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: config key seed must be >= 0, got -1")
+
+    def test_negative_ratio_rejected_before_ingest(self, planted, tmp_path, monkeypatch, capsys):
+        # they sum to 1, so only the range check stops them before the corpus is read
+        config, _, _, _ = planted
+        changed = changed_config(config, tmp_path, "corpus", "ratios", [1.2, -0.1, -0.1])
+        monkeypatch.setattr(cli, "ingest_reviews", lambda *a: pytest.fail("ingested the reviews"))
+        assert cli.main(["preprocess", "--config", str(changed), "--workdir", str(tmp_path / "work")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config key corpus.ratios must be a list of shares >= 0, got [1.2, -0.1, -0.1]"
+        )
 
 
 class TestAblations:

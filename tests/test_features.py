@@ -82,6 +82,24 @@ class TestLoadVectorFile:
         assert len(table) == 0
         assert any("empty" in rec.message for rec in caplog.records)
 
+    def test_whitespace_only_file_warns(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        path.write_text(" \n\n\t\n")
+        with caplog.at_level("WARNING"):
+            table = ft.load_vector_file(path)
+        assert len(table) == 0
+        assert any("empty" in rec.message for rec in caplog.records)
+
+    def test_blank_lines_before_header_are_skipped(self, tmp_path, caplog):
+        plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+        plain.write_text("2 2\na 1 2\nb 3 4\n")
+        padded.write_text("\n  \n2 2\na 1 2\nb 3 4\n")
+        with caplog.at_level("WARNING"):
+            got = ft.load_vector_file(padded)
+        want = ft.load_vector_file(plain)
+        assert got.index == want.index == {"a": 0, "b": 1}
+        assert np.array_equal(got.vectors, want.vectors) and not caplog.records
+
     def test_count_mismatch_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1 0\n")
