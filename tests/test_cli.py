@@ -98,6 +98,13 @@ def selection_records(workdir):
     return lines[0], lines[1:]
 
 
+def with_value(table, at, value):
+    """A copy of `table` whose element `at` (in flat order) is `value`."""
+    table = table.copy()
+    table.flat[at] = value
+    return table
+
+
 def assert_selects_as_trained(config, workdir, outputs):
     """select --checkpoint with `config` (whose vector files differ from the
     trained ones) writes the trained selections: it reads the node inputs
@@ -238,8 +245,8 @@ class TestPipeline:
             ("feature.attr", lambda t: t[:-1], "missing or misshapen"),
             ("feature.sent", lambda t: t[1:], "missing or misshapen"),
             ("feature.sent", lambda t: t.ravel(), "missing or misshapen"),
-            ("feature.attr", lambda t: np.where(np.arange(t.size).reshape(t.shape) == 3, np.inf, t), "holds a non-finite value"),
-            ("feature.sent", lambda t: np.where(np.arange(t.size).reshape(t.shape) == 5, np.nan, t), "holds a non-finite value"),
+            ("feature.attr", lambda t: with_value(t, 3, np.inf), "holds a non-finite value"),
+            ("feature.sent", lambda t: with_value(t, 5, np.nan), "holds a non-finite value"),
         ],
         ids=["attr-missing", "sent-missing", "attr-narrow", "attr-row-short", "sent-row-short", "sent-flat",
              "attr-inf", "sent-nan"],
@@ -268,7 +275,7 @@ class TestPipeline:
         assert len(one_live_trace) == len(records) > 2
 
     def test_select_needs_attribute_vectors(self, planted, tmp_path, capsys):
-        # without them every attribute node would score from zero inputs
+        # select reads its node inputs from the checkpoint, but the train hash digests the file
         config, workdir, _, _ = planted
         changed = changed_config(config, tmp_path, "paths", "attribute_vectors", "")
         ckpt = workdir / LAST_CHECKPOINT
