@@ -9,8 +9,9 @@ train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
 `checkpoints/best.ntar`, which select reads (and hash-checks) unless
 `--checkpoint` names another; each is replaced atomically.  The vector
 files feed train and the train hash: train builds the attribute and
-sentence node inputs from them and stores them in every checkpoint, and
-select reads them from the checkpoint, so it parses neither file.
+sentence node inputs from them (`features.provider_from_vectors`) and
+stores them in every checkpoint, and select reads them from the checkpoint
+(`training.checkpoint_provider`), so it parses neither file.
 
 Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
 sentence's row also carries its attributes' mean input), --no-dcn sets
@@ -42,7 +43,7 @@ from .corpus import (
     load_meta,
     save_corpus,
 )
-from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file
+from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file, provider_from_vectors
 from .graphs import EmptyPoolError, build_pair_graph
 from .model import Model
 from .selector import TfidfVectorizer, select_for_pair
@@ -94,7 +95,7 @@ def _load_processed(cfg: PipelineConfig) -> Corpus:
 def _build_provider(cfg: PipelineConfig, corpus: Corpus) -> NodeFeatureProvider:
     word_table = load_vector_file(cfg.paths.attribute_vectors)
     sentence_table = load_vector_file(cfg.paths.sentence_vectors) if cfg.paths.sentence_vectors else None
-    return NodeFeatureProvider(corpus, cfg.model.hidden, word_table, sentence_table)
+    return provider_from_vectors(corpus, cfg.model.hidden, word_table, sentence_table)
 
 
 def cmd_train(cfg: PipelineConfig, resume: str | None = None):
@@ -128,7 +129,7 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     provider = checkpoint_provider(tensors, corpus, cfg.model.hidden)
     model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
     params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
-    vectorizer = TfidfVectorizer(corpus.train_words())
+    vectorizer = TfidfVectorizer([corpus.sentences[sid].words for sid in corpus.sentence_rows])
 
     pairs = corpus.pairs("test")
 

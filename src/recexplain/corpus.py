@@ -20,10 +20,11 @@ A processed corpus directory holds two JSON files, written with sorted keys:
 there is one, for a missing corpus.json (re-run preprocess), content that
 is not a JSON object, a missing key, a value of the wrong JSON type (types
 are exact: a boolean is not an integer), an attribute id outside the
-lexicon, a review that names an unknown sentence or is in no split, and a
-split that names a review twice or names one that does not exist.  Keys
-it does not name are ignored.  `load_meta` reads a missing meta.json as
-empty and rejects one that is not a JSON object.
+lexicon, a review that names an unknown sentence or one that a review
+has named already, a review in no split, and a split that names a review
+twice or names one that does not exist.  Keys it does not name are
+ignored.  `load_meta` reads a missing meta.json as empty and rejects one
+that is not a JSON object.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,15 +122,13 @@ def load_attribute_lexicon(path) -> AttributeLexicon:
     return AttributeLexicon(surfaces)
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     sentence_id: str
     words: tuple[str, ...]
     attributes: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Review:
+class Review(NamedTuple):
     review_id: str
     user_id: str
     item_id: str
@@ -268,8 +269,10 @@ def split_corpus(review_ids, ratios, seed: int) -> CorpusSplit:
 class Corpus:
     """Processed corpus with split-aware per-user/per-item indexes: the
     sentence ids and attribute ids of each user's and item's training
-    reviews, and each one's row in the model's embedding tables.  It makes
-    no per-pair decision; the pool rule is `graphs.build_pair_graph`'s."""
+    reviews, and each one's row in the model's embedding tables.  It also
+    numbers the training sentences (`sentence_rows`), the rows of the node
+    input tables.  It makes no per-pair decision; the pool rule is
+    `graphs.build_pair_graph`'s."""
 
     def __init__(self, reviews: dict[str, Review], sentences: dict[str, Sentence], lexicon: AttributeLexicon, split: CorpusSplit):
         self.reviews = reviews
@@ -300,13 +303,12 @@ class Corpus:
 
     # -- split-aware views -------------------------------------------------
 
-    def train_words(self) -> list[tuple[str, ...]]:
-        """Words of every training-split sentence, in review-id order."""
-        return [
-            self.sentences[sid].words
-            for rid in sorted(self.split.train)
-            for sid in self.reviews[rid].sentence_ids
-        ]
+    @cached_property
+    def sentence_rows(self) -> dict[str, int]:
+        """Each training sentence's row in the node input tables, in sorted
+        id order: only training sentences enter a pool."""
+        sids = sorted({sid for rid in self.split.train for sid in self.reviews[rid].sentence_ids})
+        return {sid: i for i, sid in enumerate(sids)}
 
     def pairs(self, part: str) -> list[tuple[str, str]]:
         """Distinct (user, item) pairs with at least one review in `part`."""
@@ -452,12 +454,16 @@ def _corpus_from(doc: dict) -> Corpus:
     for sid, s in sentences.items():
         if not s.attributes <= attribute_ids:
             raise CorpusError(f"key ['sentences'][{sid!r}]['attributes'] holds an id outside the lexicon")
+    owner: dict[str, str] = {}  # sentence id -> the review that names it
     for rid, r in reviews.items():
         if not r.sentence_ids:
             raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] is empty")
-        unknown = [sid for sid in r.sentence_ids if sid not in sentences]
-        if unknown:
-            raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] names unknown sentence {unknown[0]!r}")
+        for sid in r.sentence_ids:
+            if sid not in sentences:
+                raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] names unknown sentence {sid!r}")
+            if sid in owner:
+                raise CorpusError(f"key ['reviews'][{rid!r}]['sentence_ids'] repeats sentence {sid!r} of review {owner[sid]!r}")
+            owner[sid] = rid
     split = doc["split"]
     listed = [rid for p in _PARTS for rid in split[p]]
     unlisted = sorted(reviews.keys() - set(listed))

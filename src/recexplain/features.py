@@ -5,9 +5,10 @@ are produced elsewhere); the trainable user and item tables live with the
 model parameters.  Vector file format: first line `<count> <dim>`, then
 `<id> <v1> ... <vdim>` per line, whitespace separated.
 
-This module owns each node's input vector: `NodeFeatureProvider` computes
-them once per training run from the vector files, every checkpoint stores
-them, and select reads them back (`NodeFeatureProvider.from_tables`);
+This module owns each node's input vector: `provider_from_vectors` builds
+a `NodeFeatureProvider`, the attribute and sentence tables, once per
+training run from the vector files; every checkpoint stores the tables,
+and select reads them back (`training.checkpoint_provider`).
 `graph_inputs` gathers one graph's rows.
 """
 
@@ -122,76 +123,62 @@ def sentence_fallback_embedding(words, word_table: EmbeddingTable) -> np.ndarray
     return np.mean(rows, axis=0)
 
 
-def sentence_rows(corpus: Corpus) -> dict[str, int]:
-    """Each training sentence's row in a provider's `sent_X`: only training
-    sentences enter a pool, in sorted id order."""
-    sids = sorted(set().union(*corpus.user_sentences.values()))
-    return {sid: i for i, sid in enumerate(sids)}
-
-
+@dataclass
 class NodeFeatureProvider:
-    """The static (non-trainable) node input tables of one training run.
+    """The static (non-trainable) node input tables of one training run:
+    train builds them (`provider_from_vectors`), select reads them from a
+    checkpoint (`training.checkpoint_provider`)."""
 
-    `attr_X` has a row per lexicon attribute id, from the word table
-    (attributes are vocabulary words; multiword surfaces average their
-    constituents), and must match `hidden`.  A surface with no word vector
-    gets zeros, counted in `missing_attributes` and logged once.  `sent_X`
-    has a row per training sentence (`sentence_rows` maps ids to rows).
-    Rows come from the sentence table when present; without one (the
-    average-word-embedding ablation) they average word vectors.  An empty
-    word or sentence table is an error, and so is a training sentence the
-    sentence table lacks: the table is from another preprocess run.
-    `from_tables` wraps tables built earlier.
-    """
-
-    def __init__(self, corpus: Corpus, hidden: int, word_table: EmbeddingTable, sentence_table: EmbeddingTable | None = None):
-        if len(word_table) == 0:
-            raise VectorFileError(f"{word_table.path}: attribute/word vector table is empty")
-        if word_table.dim != hidden:
-            raise VectorFileError(f"attribute/word vectors have dim {word_table.dim}, expected {hidden}")
-        if sentence_table is not None and len(sentence_table) == 0:
-            raise VectorFileError(f"{sentence_table.path}: sentence vector table is empty")
-
-        self.attr_X = np.zeros((len(corpus.lexicon), hidden))
-        self.missing_attributes = 0
-        for fid, surface in enumerate(corpus.lexicon.surfaces):
-            rows = [row for p in surface.split() if (row := word_table.lookup(p)) is not None]
-            if rows:
-                self.attr_X[fid] = np.mean(rows, axis=0)
-            else:
-                self.missing_attributes += 1
-        if self.missing_attributes:
-            log.warning("%d attribute vectors missing; used zeros", self.missing_attributes)
-
-        self.sentence_rows = sentence_rows(corpus)
-        sids = list(self.sentence_rows)
-        if sentence_table is None:
-            self.sent_X = np.zeros((len(sids), word_table.dim))
-            for i, sid in enumerate(sids):
-                self.sent_X[i] = sentence_fallback_embedding(corpus.sentences[sid].words, word_table)
-        else:
-            rows = [sentence_table.index.get(sid) for sid in sids]
-            if None in rows:
-                sid = sids[rows.index(None)]
-                raise VectorFileError(f"{sentence_table.path}: no vector for sentence id {sid!r}; rebuild it from this corpus")
-            self.sent_X = sentence_table.vectors[rows]
-
-    @classmethod
-    def from_tables(cls, corpus: Corpus, attr_X: np.ndarray, sent_X: np.ndarray) -> "NodeFeatureProvider":
-        """A provider over tables an earlier provider built for `corpus`, as
-        a checkpoint stores them; `training.checkpoint_provider` checks
-        their shapes against `sentence_rows`.  Missing attributes were
-        counted and logged when the tables were built, so
-        `missing_attributes` is None here."""
-        provider = cls.__new__(cls)
-        provider.attr_X, provider.sent_X = attr_X, sent_X
-        provider.missing_attributes = None
-        provider.sentence_rows = sentence_rows(corpus)
-        return provider
+    attr_X: np.ndarray  # (lexicon size, hidden): a row per attribute id
+    sent_X: np.ndarray  # (training sentences, sentence_dim): rows in `Corpus.sentence_rows` order
 
     @property
     def sentence_dim(self) -> int:
         return int(self.sent_X.shape[1])
+
+
+def provider_from_vectors(corpus: Corpus, hidden: int, word_table: EmbeddingTable, sentence_table: EmbeddingTable | None = None) -> NodeFeatureProvider:
+    """The node input tables of `corpus`, built from the vector files.
+
+    `attr_X` comes from the word table (attributes are vocabulary words;
+    multiword surfaces average their constituents), whose width must be
+    `hidden`.  A surface with no word vector gets zeros; their count is
+    logged once.  `sent_X` rows come from the sentence table when present;
+    without one (the average-word-embedding ablation) they average word
+    vectors.  An empty word or sentence table is an error, and so is a
+    training sentence the sentence table lacks: the table is from another
+    preprocess run.
+    """
+    if len(word_table) == 0:
+        raise VectorFileError(f"{word_table.path}: attribute/word vector table is empty")
+    if word_table.dim != hidden:
+        raise VectorFileError(f"attribute/word vectors have dim {word_table.dim}, expected {hidden}")
+    if sentence_table is not None and len(sentence_table) == 0:
+        raise VectorFileError(f"{sentence_table.path}: sentence vector table is empty")
+
+    attr_X = np.zeros((len(corpus.lexicon), hidden))
+    missing = 0
+    for fid, surface in enumerate(corpus.lexicon.surfaces):
+        rows = [row for p in surface.split() if (row := word_table.lookup(p)) is not None]
+        if rows:
+            attr_X[fid] = np.mean(rows, axis=0)
+        else:
+            missing += 1
+    if missing:
+        log.warning("%d attribute vectors missing; used zeros", missing)
+
+    sids = list(corpus.sentence_rows)
+    if sentence_table is None:
+        sent_X = np.zeros((len(sids), word_table.dim))
+        for i, sid in enumerate(sids):
+            sent_X[i] = sentence_fallback_embedding(corpus.sentences[sid].words, word_table)
+    else:
+        rows = [sentence_table.index.get(sid) for sid in sids]
+        if None in rows:
+            sid = sids[rows.index(None)]
+            raise VectorFileError(f"{sentence_table.path}: no vector for sentence id {sid!r}; rebuild it from this corpus")
+        sent_X = sentence_table.vectors[rows]
+    return NodeFeatureProvider(attr_X, sent_X)
 
 
 @dataclass
@@ -209,7 +196,7 @@ def graph_inputs(graph, corpus: Corpus, provider: NodeFeatureProvider) -> GraphI
     from the provider's tables, its user and item rows from the corpus."""
     return GraphInputs(
         attr_X=provider.attr_X[list(graph.attribute_ids)],
-        sent_X=provider.sent_X[[provider.sentence_rows[s] for s in graph.sentence_ids]],
+        sent_X=provider.sent_X[[corpus.sentence_rows[s] for s in graph.sentence_ids]],
         user_row=corpus.user_rows[graph.user_id],
         item_row=corpus.item_rows[graph.item_id],
     )

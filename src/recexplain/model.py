@@ -461,7 +461,7 @@ class Model:
         h0 = np.zeros((graph.n_nodes, self.cfg.hidden))
         h0[USER_NODE] = params["embed.user"][inputs.user_row]
         h0[ITEM_NODE] = params["embed.item"][inputs.item_row]
-        # NodeFeatureProvider has already checked the attribute vectors' width
+        # provider_from_vectors (train) or checkpoint_provider (select) has checked the attribute vectors' width
         h0[graph.attr_slice] = inputs.attr_X
         h0[graph.sent_slice] = sentences
         return h0

@@ -131,7 +131,7 @@ def write_vector_files(corpus_dir, out_dir, hidden: int, sent_dim: int = 16, see
     """
     out_dir = Path(out_dir)
     corpus = load_corpus(corpus_dir)
-    tokens = [UNK_TOKEN] + sorted({w for words in corpus.train_words() for w in words})
+    tokens = [UNK_TOKEN] + sorted({w for sid in corpus.sentence_rows for w in corpus.sentences[sid].words})
     word_vecs = np.stack(
         [_token_rng(seed, "word", tok).normal(scale=0.5, size=hidden) for tok in tokens]
     )

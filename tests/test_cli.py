@@ -1,6 +1,7 @@
 """The command-line pipeline and its config on the planted corpus."""
 
 import json
+import logging
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -234,7 +235,7 @@ class TestPipeline:
             assert tensors["feature.attr"].tobytes() == built.attr_X.tobytes()
             assert tensors["feature.sent"].tobytes() == built.sent_X.tobytes()
             stored = checkpoint_provider(tensors, corpus, cfg.model.hidden)
-            assert stored.sentence_rows == built.sentence_rows and stored.sentence_dim == built.sentence_dim
+            assert stored.attr_X.tobytes() == built.attr_X.tobytes() and stored.sentence_dim == built.sentence_dim
 
     @pytest.mark.parametrize(
         "key, edit, message",
@@ -554,6 +555,32 @@ class TestPipeline:
         # the skipped line was no record, so every review keeps its id
         corpus_json = "corpus/corpus.json"
         assert (tmp_path / "work" / corpus_json).read_bytes() == (workdir / corpus_json).read_bytes()
+
+    def test_pairs_with_empty_pools_are_skipped(self, planted, tmp_path, caplog):
+        # a valid and a test review of an item no training review names:
+        # both pairs' pools are empty
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        path = tmp_path / "work" / "corpus" / "corpus.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for rid, user_id, part in (("rx0", "u0", "valid"), ("rx1", "u1", "test")):
+            doc["sentences"][f"{rid}.s0"] = {"attributes": [0], "words": list(sc.template_words(sc.ATTRS[0]))}
+            doc["reviews"][rid] = {"user_id": user_id, "item_id": "cx", "sentence_ids": [f"{rid}.s0"]}
+            doc["split"][part].append(rid)
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+        with caplog.at_level(logging.WARNING, logger="recexplain.training"):
+            cli.cmd_train(PipelineConfig.load(changed))
+        # the benchmark counts skipped operations by this message's wording
+        assert [r.getMessage() for r in caplog.records if r.name == "recexplain.training"] == [
+            "valid: skipped 1 pairs with empty pools"
+        ]
+        info = cli.cmd_select(PipelineConfig.load(changed))
+        _, records = selection_records(tmp_path / "work")
+        assert info["skipped"] == 1 and info["pairs"] == len(records) == len(load_corpus(path.parent).pairs("test")) - 1
+        assert "cx" not in {json.loads(line)["item_id"] for line in records}
+        report = cli.cmd_evaluate(PipelineConfig.load(changed))
+        assert report.pairs + report.excluded == len(records)
 
     def test_evaluate_counts_each_pair_once(self, planted, monkeypatch):
         # one n-gram profile of each side per pair, read by BLEU-1/2/4 and ROUGE-1/2

@@ -227,12 +227,12 @@ class TestBuildCorpus:
         for s in corpus.sentences.values():
             assert s.attributes
 
-    def test_train_words_from_train_only(self, lexicon):
+    def test_sentence_rows_number_training_sentences(self, lexicon):
         corpus = toy_corpus(lexicon)
         review_of = {sid: rid for rid, r in corpus.reviews.items() for sid in r.sentence_ids}
-        want = [s.words for sid, s in corpus.sentences.items() if corpus.split.of(review_of[sid]) == "train"]
+        want = sorted(sid for sid in corpus.sentences if corpus.split.of(review_of[sid]) == "train")
         assert want and len(want) < len(corpus.sentences)
-        assert sorted(corpus.train_words()) == sorted(want)
+        assert corpus.sentence_rows == {sid: row for row, sid in enumerate(want)}
 
     def test_training_indexes(self, lexicon):
         corpus = toy_corpus(lexicon)
@@ -309,6 +309,11 @@ class TestLoadCorpus:
             (lambda doc: first(doc["reviews"]).update(user_id=None), "key ['reviews']['r0']['user_id'] is missing"),
             (lambda doc: first(doc["reviews"])["sentence_ids"].append("r99.s0"),
              "key ['reviews']['r0']['sentence_ids'] names unknown sentence 'r99.s0'"),
+            # a sentence belongs to one review, once: a repeat would count twice in the tf-idf fit and the ground truth
+            (lambda doc: first(doc["reviews"])["sentence_ids"].append("r0.s0"),
+             "key ['reviews']['r0']['sentence_ids'] repeats sentence 'r0.s0' of review 'r0'"),
+            (lambda doc: doc["reviews"][max(doc["reviews"])]["sentence_ids"].append("r0.s0"),
+             "['sentence_ids'] repeats sentence 'r0.s0' of review 'r0'"),
             (lambda doc: [doc["split"][p].remove("r0") for p in ("train", "valid", "test") if "r0" in doc["split"][p]],
              "key ['reviews']['r0'] is a review in no split"),
             (lambda doc: doc["split"]["test"].append("r99"), "key ['split'] names a review twice, or one"),

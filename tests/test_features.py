@@ -172,7 +172,7 @@ def tiny_corpus(surfaces=("a", "a b")):
 class TestNodeFeatureProvider:
     def test_dim_mismatch_fails_fast(self):
         with pytest.raises(ft.VectorFileError):
-            ft.NodeFeatureProvider(tiny_corpus(), 3, word_table())
+            ft.provider_from_vectors(tiny_corpus(), 3, word_table())
 
     @pytest.mark.parametrize("kind", ["word", "sentence"])
     def test_empty_table_names_its_file(self, tmp_path, kind):
@@ -181,26 +181,26 @@ class TestNodeFeatureProvider:
         empty = ft.load_vector_file(path)
         tables = (empty, None) if kind == "word" else (word_table(), empty)
         with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: ") + f".*{kind} vector table is empty"):
-            ft.NodeFeatureProvider(tiny_corpus(), 2, *tables)
+            ft.provider_from_vectors(tiny_corpus(), 2, *tables)
 
     def test_attribute_vectors_and_multiword_mean(self):
-        prov = ft.NodeFeatureProvider(tiny_corpus(("a", "a b")), 2, word_table())
+        prov = ft.provider_from_vectors(tiny_corpus(("a", "a b")), 2, word_table())
         assert np.allclose(prov.attr_X, [[1.0, 0.0], [0.5, 0.5]])
 
     def test_missing_attribute_counts_warning(self, caplog):
         # a row per lexicon surface, so each surface counts once, whether
         # or not a graph holds it
         with caplog.at_level(logging.WARNING, logger="recexplain.features"):
-            prov = ft.NodeFeatureProvider(tiny_corpus(("a", "zz", "qq zz")), 2, word_table())
-        assert prov.missing_attributes == 2
+            prov = ft.provider_from_vectors(tiny_corpus(("a", "zz", "qq zz")), 2, word_table())
         assert np.array_equal(prov.attr_X[1:], np.zeros((2, 2)))
         assert [r.getMessage() for r in caplog.records] == ["2 attribute vectors missing; used zeros"]
 
     def test_sentence_table_preferred(self):
         st = ft.EmbeddingTable(np.array([[9.0, 9.0, 9.0], [8.0, 8.0, 8.0]]), index={"s2": 0, "s1": 1})
-        prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), st)
+        corpus = tiny_corpus()
+        prov = ft.provider_from_vectors(corpus, 2, word_table(), st)
         assert prov.sentence_dim == 3
-        assert np.array_equal(prov.sent_X[[prov.sentence_rows["s1"], prov.sentence_rows["s2"]]], [[8.0] * 3, [9.0] * 3])
+        assert np.array_equal(prov.sent_X[[corpus.sentence_rows["s1"], corpus.sentence_rows["s2"]]], [[8.0] * 3, [9.0] * 3])
 
     def test_missing_sentence_id_is_an_error(self):
         # the table was built from another preprocess run; width hidden or
@@ -208,19 +208,20 @@ class TestNodeFeatureProvider:
         for width in (2, 3):
             st = ft.EmbeddingTable(np.full((2, width), 9.0), index={"s1": 0, "other": 1}, path="sents.txt")
             with pytest.raises(ft.VectorFileError, match=r"^sents\.txt: no vector for sentence id 's2'"):
-                ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), st)
+                ft.provider_from_vectors(tiny_corpus(), 2, word_table(), st)
 
     def test_only_training_sentences_have_rows(self):
         # s3 is a test review's: no pool holds it, so the table needs no row for it
         st = ft.EmbeddingTable(np.full((2, 3), 9.0), index={"s1": 0, "s2": 1})
+        corpus = tiny_corpus()
+        assert corpus.sentence_rows == {"s1": 0, "s2": 1}
         for table in (st, None):
-            prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), table)
-            assert prov.sentence_rows == {"s1": 0, "s2": 1}
+            prov = ft.provider_from_vectors(corpus, 2, word_table(), table)
             assert prov.sent_X.shape == (2, prov.sentence_dim)
 
     def test_avg_word_mode_ignores_sentence_table(self):
         # the average-word ablation is a provider given no sentence table
-        prov = ft.NodeFeatureProvider(tiny_corpus(), 2, word_table(), None)
+        prov = ft.provider_from_vectors(tiny_corpus(), 2, word_table(), None)
         assert prov.sentence_dim == 2
         assert np.array_equal(prov.sent_X, [[1.0, 0.0], [0.5, 0.5]])
 
@@ -254,7 +255,7 @@ class TestGraphInputs:
         # gets zeros and the sentences holding it average the unknown token
         corpus, words, sents = planted
         word_table, sentence_table = tables(words, sents)
-        prov = ft.NodeFeatureProvider(corpus, 8, word_table, sentence_table)
+        prov = ft.provider_from_vectors(corpus, 8, word_table, sentence_table)
         checked = 0
         for part in ("train", "valid", "test"):
             for user_id, item_id in corpus.pairs(part):

@@ -12,7 +12,7 @@ from recexplain import corpus as cp
 from recexplain import metrics
 from recexplain import training as tr
 from recexplain.archive import load_tensors, save_tensors
-from recexplain.features import EmbeddingTable, NodeFeatureProvider
+from recexplain.features import EmbeddingTable, provider_from_vectors
 from recexplain import model as model_module
 from recexplain.model import ModelConfig, readout_chunks
 
@@ -321,13 +321,13 @@ def tiny_corpus():
 
 def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    tokens = [cp.UNK_TOKEN] + sorted({w for words in corpus.train_words() for w in words})
+    tokens = [cp.UNK_TOKEN] + sorted({w for sid in corpus.sentence_rows for w in corpus.sentences[sid].words})
     word_vecs = rng.normal(size=(len(tokens), hidden))
     word_table = EmbeddingTable(word_vecs, index={t: i for i, t in enumerate(tokens)})
     sids = sorted(corpus.sentences)
     sent_vecs = rng.normal(size=(len(sids), sent_dim))
     sent_table = EmbeddingTable(sent_vecs, index={s: i for i, s in enumerate(sids)})
-    return NodeFeatureProvider(corpus, hidden, word_table, sent_table)
+    return provider_from_vectors(corpus, hidden, word_table, sent_table)
 
 
 HASH = "0123456789abcdef"  # stands in for PipelineConfig.train_hash()
