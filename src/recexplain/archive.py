@@ -55,7 +55,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read an archive back; returns (tensors, meta)."""
+    """Read an archive back; returns (tensors, meta).  A header that names
+    a tensor twice, or bytes after the last buffer, is an ArchiveError."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -65,9 +66,10 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         if len(size) != 8:
             raise ArchiveError(f"{path}: truncated header length")
         header_len = int.from_bytes(size, "little")
-        blob = fh.read(header_len)
-        if len(blob) != header_len:
+        file_size = os.fstat(fh.fileno()).st_size
+        if header_len > file_size - fh.tell():  # checked before read() allocates header_len
             raise ArchiveError(f"{path}: truncated header")
+        blob = fh.read(header_len)
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -78,13 +80,16 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             and isinstance(header.get("meta"), dict)
         ):
             raise ArchiveError(f"{path}: header has no 'tensors' list and 'meta' object")
-        file_size = os.fstat(fh.fileno()).st_size
         tensors: dict[str, np.ndarray] = {}
         for index, entry in enumerate(header["tensors"]):
             name, dtype, shape, nbytes = _layout(path, index, entry)
+            if name in tensors:
+                raise ArchiveError(f"{path}: tensor '{name}' is named twice in the header")
             if nbytes > file_size - fh.tell():  # checked before read() allocates nbytes
                 raise ArchiveError(f"{path}: truncated buffer for '{name}'")
             tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+        if fh.tell() != file_size:
+            raise ArchiveError(f"{path}: {file_size - fh.tell()} bytes after the last tensor buffer")
     return tensors, header["meta"]
 
 

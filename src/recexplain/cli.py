@@ -166,8 +166,8 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
 def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
     """The hash header (empty when absent) and the records of a selections
     file; a line that is not UTF-8 or not JSON, a record without a pair or
-    sentence ids, a sentence id the corpus lacks, or a pair an earlier line
-    holds is an error naming its line.
+    sentence ids, a sentence id the corpus lacks or the record repeats, or
+    a pair an earlier line holds is an error naming its line.
     """
     header: dict = {}
     entries: list[dict] = []
@@ -193,9 +193,11 @@ def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:
             for key, kind, noun in (("user_id", str, "string"), ("item_id", str, "string"), ("sentence_ids", list, "list")):
                 if not isinstance(rec.get(key), kind):
                     raise StalenessError(f"{path} line {n}: record has no {key} {noun}")
-            for sid in rec["sentence_ids"]:
+            for i, sid in enumerate(rec["sentence_ids"]):
                 if not isinstance(sid, str) or sid not in corpus.sentences:
                     raise StalenessError(f"{path} line {n}: sentence id {sid!r} is not in the corpus")
+                if sid in rec["sentence_ids"][:i]:
+                    raise StalenessError(f"{path} line {n}: repeats sentence id {sid!r}")
             pair = rec["user_id"], rec["item_id"]
             if pair in first_line:
                 raise StalenessError(f"{path} line {n}: repeats the pair {pair} of line {first_line[pair]}")

@@ -70,22 +70,25 @@ Attention for node i over N(i), its graph neighbors plus i itself:
 GAT (Velickovic et al. 2018, arXiv 1710.10903) writes the logit as
 w_a . [W_q h_i || W_k h_j] = (W_q^T w_a[:A]) . h_i + (W_k^T w_a[A:]) . h_j.
 The sum runs over raw neighbor states (no linear transform inside it), so
-the factors act only through q = W_q^T w_a[:A] and k = W_k^T w_a[A:], and
-each head trains q and k, two vectors of its input width: the same
-functions, another Adam trajectory.  `init_params` draws W_q, W_k and w_a
-Glorot-uniform and stores q and k: the factored init, bit for bit.  PAPER.md
-holds only the abstract, so the published equation is not checked.  Heads
-keep their input width and concatenate, so widths multiply layer by layer;
-at hidden 128, heads (4, 1) the stack has 2,048 parameters (263,424 as
-factors), 251,904 in all on the sparse_pools benchmark, 17,728 on
-dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
+the factors act only through q = W_q^T w_a[:A] and k = W_k^T w_a[A:], two
+vectors of the head's input width, and q and k are what trains: the same
+functions, another Adam trajectory.  Layer l keeps all its heads in one
+tensor, `gat.{l}.qk` (Din, 2h), the matrix the layer multiplies by: column
+t is head t's q and column h + t its k.  `init_params` draws each head's
+W_q, W_k and w_a Glorot-uniform and writes its q and k into those columns:
+the factored init, bit for bit.  PAPER.md holds only the abstract, so the
+published equation is not checked.  Heads keep their input width and
+concatenate, so widths multiply layer by layer; at hidden 128, heads (4, 1)
+the stack is `gat.0.qk` (128, 8) and `gat.1.qk` (512, 2), 2,048 parameters
+(263,424 as factors), 251,904 in all on the sparse_pools benchmark, 17,728
+on dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
 layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
 A layer works on the graph's edge list (`PairGraph.edge_arrays`: dst,
 src, row starts, flat cell index), as PyTorch Geometric does, and does
 its per-edge work once for all h heads, with the head as a column: one
-product H @ [q_1 .. q_h | k_1 .. k_h] gives every u and v, the logits
+product H @ `gat.{l}.qk` gives every u and v, the logits
 u[dst] + v[src] and their LeakyReLU form one (E, h) array, and the row
 max and row sum are `reduceat` over the row starts along its first axis.
 The per-edge softmax never forms a dense (h, n, n) one.  Each head's
@@ -101,16 +104,16 @@ while they wait for backward.  ELU's derivative comes from the layer's
 output h', the next layer's input or the final states: 1 where h' > 0,
 else h' + 1 (= exp of the aggregate), so the aggregate is not kept and
 backward computes no exponential.  Backward runs the softmax and
-LeakyReLU gradients once over (E, h), and one product with [q | k]^T and
-one with H^T serve every head's u and v.
+LeakyReLU gradients once over (E, h), and one product with `gat.{l}.qk`^T
+and one with H^T serve every head's u and v.
 
 `backward` consumes the trace produced by `forward` and adds the gradient
 of any upstream loss on the chunk's scores/probabilities, with respect to
 every trainable tensor including the touched user/item embedding rows,
 into a dict the caller owns.  Each tensor element gets exactly one `+=`
 per chunk (`deep.0.w` and `head.score` take theirs in two disjoint
-slices; each layer's stacked (Din, 2h) head gradient is summed over the
-chunk's graphs first, an embedding row over the chunk's graphs of its
+slices; each layer's `gat.{l}.qk` gradient is summed over the chunk's
+graphs first, an embedding row over the chunk's graphs of its
 user or item).  So the result is the same, bit for bit, as adding one
 fresh gradient dict per chunk.  Chunking a batch another way sums the
 same terms in another order, which agrees to rounding (1e-12 of each
@@ -422,14 +425,15 @@ class Model:
         if self.project_sentences:
             p["proj.w"] = self._glorot(rng, (cfg.hidden, self.sentence_dim))
             p["proj.b"] = np.zeros(cfg.hidden)
-        for l, din in enumerate(self.gat_in):
-            for h in range(cfg.gat_heads[l]):
+        for l, (din, heads) in enumerate(zip(self.gat_in, cfg.gat_heads)):
+            qk = p[f"gat.{l}.qk"] = np.empty((din, 2 * heads))
+            for h in range(heads):
                 # GAT's factors W_q, W_k (hidden x din) and w_a, folded
                 w_q = self._glorot(rng, (cfg.hidden, din))
                 w_k = self._glorot(rng, (cfg.hidden, din))
                 w_a = self._glorot(rng, (2 * cfg.hidden,))
-                p[f"gat.{l}.{h}.q"] = w_q.T @ w_a[: cfg.hidden]
-                p[f"gat.{l}.{h}.k"] = w_k.T @ w_a[cfg.hidden :]
+                qk[:, h] = w_q.T @ w_a[: cfg.hidden]
+                qk[:, heads + h] = w_k.T @ w_a[cfg.hidden :]
         if cfg.disable_dcn:
             # a deep_hidden-wide linear layer (zero bias) and its head,
             # folded; the rows that would read g = [user | item] are dropped
@@ -446,14 +450,6 @@ class Model:
             p["head.score"] = self._glorot(rng, (self.d0 + cfg.deep_hidden,))
         p["head.attr"] = self._glorot(rng, (self.node_dim,))
         return p
-
-    def _head_params(self, params) -> list[np.ndarray]:
-        """Per attention layer, its heads' (q, k) stacked as `gat_layer`'s
-        (Din, 2h) QK."""
-        return [
-            np.column_stack([params[f"gat.{l}.{h}.{v}"] for v in "qk" for h in range(self.cfg.gat_heads[l])])
-            for l in range(len(self.gat_in))
-        ]
 
     # -- forward ------------------------------------------------------------
 
@@ -476,7 +472,6 @@ class Model:
         sent_X = np.concatenate([inp.sent_X for inp in inputs])
         if self.project_sentences:
             sent_X = sent_X @ params["proj.w"].T + params["proj.b"][None, :]
-        qk = self._head_params(params)
         G = np.empty((len(graphs), 2 * nd))
         rows, attr_rows, states, attention = [], [], [], []
         for b, (graph, inp) in enumerate(zip(graphs, inputs)):
@@ -484,8 +479,8 @@ class Model:
             edges = graph.edge_arrays()
             states.append([H])
             attention.append([])
-            for QK in qk:
-                H, logits, weights = gat_layer(H, edges, QK)
+            for l in range(len(self.gat_in)):
+                H, logits, weights = gat_layer(H, edges, params[f"gat.{l}.qk"])
                 states[-1].append(H)
                 attention[-1].append((logits, weights))
             G[b, :nd] = H[USER_NODE]
@@ -576,7 +571,7 @@ class Model:
         d(loss)/d(probs), over the chunk's rows, into `grads`, one `+=` per
         tensor element."""
         dXhat = self._readout_backward(trace, params, d_scores, d_attr_probs, grads)
-        qk = self._head_params(params)
+        qk = [params[f"gat.{l}.qk"] for l in range(len(self.gat_in))]
         dQK = [np.zeros_like(QK) for QK in qk]
         d_user = np.empty((len(trace.graphs), self.cfg.hidden))
         d_item = np.empty_like(d_user)
@@ -592,10 +587,7 @@ class Model:
             d_item[b] = dH[ITEM_NODE]
             d_sent.append(dH[graph.sent_slice])
         for l, d in enumerate(dQK):
-            h = self.cfg.gat_heads[l]
-            for t in range(h):
-                grads[f"gat.{l}.{t}.q"] += d[:, t]
-                grads[f"gat.{l}.{t}.k"] += d[:, h + t]
+            grads[f"gat.{l}.qk"] += d
 
         # input states back to trainable tables
         _add_rows(grads["embed.user"], [inp.user_row for inp in trace.inputs], d_user)

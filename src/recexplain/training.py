@@ -494,7 +494,8 @@ class Trainer:
         """Resume from a checkpoint: parameters, Adam state, epoch and best
         record.  The metadata must hold the current config's `config_hash`,
         `adam_t` and `epoch` as integers, and `best` as an object with
-        exactly `EpochRecord`'s fields.
+        exactly `EpochRecord`'s fields: `epoch` an integer, the others
+        finite numbers (a bool is neither).
         """
         tensors, meta = load_tensors(path)
         if meta.get("config_hash") != self.config_hash:
@@ -511,6 +512,12 @@ class Trainer:
             raise TrainingError(
                 f"checkpoint metadata 'best' has fields {sorted(meta['best'])}, not {record_fields}"
             )
+        for name in record_fields:
+            value = meta["best"][name]
+            kind, noun = (int, "an int") if name == "epoch" else ((int, float), "a finite number")
+            typed = isinstance(value, kind) and not isinstance(value, bool)
+            if not typed or isinstance(value, float) and not math.isfinite(value):
+                raise TrainingError(f"checkpoint metadata 'best.{name}' is {value!r}, not {noun}")
         self.params.update(checkpoint_params(tensors, self.params, "param"))
         self.adam.m = checkpoint_params(tensors, self.params, "adam.m")
         self.adam.v = checkpoint_params(tensors, self.params, "adam.v")

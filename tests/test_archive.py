@@ -98,6 +98,21 @@ def test_malformed_header(tmp_path, header):
         load_tensors(path)
 
 
+def test_header_length_past_the_end_of_the_file(tmp_path):
+    # rejected before reading, so the length is never allocated
+    path = tmp_path / "h.ntar"
+    path.write_bytes(MAGIC + (2**62).to_bytes(8, "little") + b"{}")
+    with pytest.raises(ArchiveError, match="h.ntar: truncated header"):
+        load_tensors(path)
+
+
+def test_bytes_after_the_last_buffer(archive, tmp_path):
+    path = tmp_path / "long.ntar"
+    path.write_bytes(archive.read_bytes() + b"\x00" * 5)
+    with pytest.raises(ArchiveError, match="long.ntar: 5 bytes after the last tensor buffer"):
+        load_tensors(path)
+
+
 def rewritten(archive, path, edit):
     """A copy of `archive` at `path` whose header went through `edit`."""
     raw = archive.read_bytes()
@@ -135,6 +150,8 @@ def rewritten(archive, path, edit):
         (lambda entries: entries[0].update(nbytes=-8), "tensor 'f64': 'nbytes' is not a non-negative integer"),
         # consistent but past the end of the file: rejected before reading
         (lambda entries: entries[0].update(shape=[10**12], nbytes=8 * 10**12), "truncated buffer for 'f64'"),
+        # the second entry takes the first one's name; its own layout is whole
+        (lambda entries: entries[1].update(name="f64"), "tensor 'f64' is named twice in the header"),
     ],
 )
 def test_bad_entry_names_the_tensor(archive, tmp_path, edit, message):

@@ -436,20 +436,30 @@ class TestPipeline:
             assert err.startswith(f"error: {path}: ") and message in err, (stage, err)
 
     def test_checkpoint_with_factored_heads_is_an_error(self, planted, tmp_path, capsys):
-        # a checkpoint from before the heads were folded holds gat.*.wq/wk/wa
+        # older checkpoints hold each head apart: gat.{l}.{h}.wq/wk/wa from
+        # before the heads were folded, gat.{l}.{h}.q/k from before each
+        # layer's heads became one gat.{l}.qk
         config, workdir, _, _ = planted
         tensors, meta = load_tensors(workdir / LAST_CHECKPOINT)
-        old = {name: t for name, t in tensors.items() if not name.startswith("param.gat.")}
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        current = {name: t for name, t in tensors.items() if not name.startswith("param.gat.")}
+        factored, per_head = dict(current), dict(current)
         for layer, heads in enumerate((4, 1)):
             for head in range(heads):
-                old[f"param.gat.{layer}.{head}.wq"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
-                old[f"param.gat.{layer}.{head}.wk"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
-                old[f"param.gat.{layer}.{head}.wa"] = np.zeros(2 * HIDDEN)
-        path = tmp_path / "factored.ntar"
-        save_tensors(path, old, meta)
+                factored[f"param.gat.{layer}.{head}.wq"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
+                factored[f"param.gat.{layer}.{head}.wk"] = np.zeros((HIDDEN, HIDDEN * 4**layer))
+                factored[f"param.gat.{layer}.{head}.wa"] = np.zeros(2 * HIDDEN)
+                for v, column in (("q", head), ("k", heads + head)):
+                    per_head[f"param.gat.{layer}.{head}.{v}"] = tensors[f"param.gat.{layer}.qk"][:, column]
         capsys.readouterr()
-        assert cli.main(["select", "--config", str(config), "--checkpoint", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: checkpoint tensor 'param.gat.0.0.q' missing or misshapen")
+        for name, old in (("factored", factored), ("per-head", per_head)):
+            path = tmp_path / f"{name}.ntar"
+            save_tensors(path, old, meta)
+            for stage, flag in (("select", "--checkpoint"), ("train", "--resume")):
+                argv = [stage, "--config", str(config), "--workdir", str(tmp_path / "work"), flag, str(path)]
+                assert cli.main(argv) == 1, (name, stage)
+                err = capsys.readouterr().err
+                assert err.startswith("error: checkpoint tensor 'param.gat.0.qk' missing or misshapen"), (name, stage)
 
     def test_non_finite_checkpoint_tensor_is_an_error(self, planted, tmp_path, capsys):
         config, workdir, _, _ = planted
@@ -499,14 +509,18 @@ class TestPipeline:
             ('{"user_id": "u", "item_id": "i", "sentence_ids": ["no-such-sentence"]}',
              "sentence id 'no-such-sentence' is not in the corpus"),
             (None, "repeats the pair"),  # None: line 2's record again
+            # line 2's first sentence three times, as another pair
+            (lambda rec: {**rec, "user_id": "u", "sentence_ids": rec["sentence_ids"][:1] * 3}, "repeats sentence id"),
         ],
     )
     def test_malformed_selections_name_the_line(self, planted, tmp_path, capsys, bad, message):
         config, workdir, _, _ = planted
         header, records = selection_records(workdir)
+        rec = json.loads(records[0])
         if bad is None:
-            rec = json.loads(records[0])
             bad, message = records[0], f"{message} {(rec['user_id'], rec['item_id'])} of line 2"
+        elif callable(bad):
+            bad, message = json.dumps(bad(rec)), f"{message} {rec['sentence_ids'][0]!r}"
         path = tmp_path / "selections.jsonl"
         path.write_text("\n".join([header, records[0], "", bad, *records[1:]]) + "\n", encoding="utf-8")
         assert cli.main(["evaluate", "--config", str(config), "--selections", str(path)]) == 1

@@ -446,13 +446,31 @@ class TestForward:
         ids=["sparse_pools", "dense_pools"],
     )
     def test_attention_heads_are_two_vectors(self, n_users, n_items, hidden, sent_dim, total):
-        # each head is its folded (q, k); shapes of the benchmark's workloads
+        # each head is its folded (q, k), two columns of its layer's one
+        # tensor; shapes of the benchmark's workloads
         cfg = ModelConfig(hidden=hidden, gat_heads=(4, 1), deep_hidden=hidden)
         params = Model(cfg, n_users, n_items, sent_dim).init_params(0)
         gat = {name: t.shape for name, t in params.items() if name.startswith("gat.")}
-        heads = [(0, h, hidden) for h in range(4)] + [(1, 0, 4 * hidden)]
-        assert gat == {f"gat.{l}.{h}.{v}": (width,) for l, h, width in heads for v in "qk"}
+        assert gat == {"gat.0.qk": (hidden, 8), "gat.1.qk": (4 * hidden, 2)}
         assert sum(t.size for t in params.values()) == total
+
+    @pytest.mark.parametrize("sent_dim", [3, 2], ids=["no-projection", "projection"])
+    def test_attention_columns_are_the_folded_init(self, sent_dim, monkeypatch):
+        # column h of gat.{l}.qk is W_q^T w_a[:hidden] and column heads + h
+        # is W_k^T w_a[hidden:], from the head's three draws in order
+        model, cfg = small_model(hidden=3, heads=(2, 3), sent_dim=sent_dim)
+        draws = []
+        glorot = Model._glorot
+        monkeypatch.setattr(Model, "_glorot", lambda self, r, shape: draws.append(glorot(self, r, shape)) or draws[-1])
+        params = model.init_params(6)
+        factors = iter(draws[1:] if model.project_sentences else draws)
+        for l, heads in enumerate(cfg.gat_heads):
+            qk = params[f"gat.{l}.qk"]
+            assert qk.shape == (model.gat_in[l], 2 * heads)
+            for h in range(heads):
+                w_q, w_k, w_a = next(factors), next(factors), next(factors)
+                assert qk[:, h].tobytes() == (w_q.T @ w_a[: cfg.hidden]).tobytes()
+                assert qk[:, heads + h].tobytes() == (w_k.T @ w_a[cfg.hidden :]).tobytes()
 
     @pytest.mark.parametrize("disable_gat", [False, True], ids=["gat", "no-gat"])
     def test_x0_layout(self, rng, disable_gat):

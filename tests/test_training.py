@@ -462,8 +462,13 @@ class TestTrainer:
             (lambda meta: {**meta, "best": {**meta["best"], "val_bleu3": 0.0}}, "'best' has fields"),
             (lambda meta: {**meta, "best": {k: v for k, v in meta["best"].items() if k != "epoch"}},
              "'best' has fields"),
+            (lambda meta: {**meta, "best": {**meta["best"], "val_bleu4": "0.5"}}, r"'best\.val_bleu4' is '0\.5', not a"),
+            (lambda meta: {**meta, "best": {**meta["best"], "val_bleu4": None}}, r"'best\.val_bleu4' is None, not a"),
+            (lambda meta: {**meta, "best": {**meta["best"], "epoch": 0.0}}, r"'best\.epoch' is 0\.0, not an int"),
+            (lambda meta: {**meta, "best": {**meta["best"], "epoch": True}}, r"'best\.epoch' is True, not an int"),
         ],
-        ids=["hash-only", "float-adam-t", "string-epoch", "null-best", "extra-best-field", "best-without-epoch"],
+        ids=["hash-only", "float-adam-t", "string-epoch", "null-best", "extra-best-field", "best-without-epoch",
+             "string-best-bleu", "null-best-bleu", "float-best-epoch", "bool-best-epoch"],
     )
     def test_resume_rejects_bad_metadata(self, tmp_path, edit, message):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
