@@ -1,11 +1,13 @@
 """Review corpus preprocessing and the processed corpus on disk.
 
 Raw reviews (JSON lines with user_id, item_id, rating, text) are filtered
-by rating, segmented into sentences, tokenized, tagged with lexicon
-attributes, pruned of attribute-free sentences, activity-filtered to a
-fixpoint, split into train/valid/test, and indexed per user and per item
-over the training split (see `Corpus`).  Everything is deterministic given
-(input files, seed).
+by rating, activity-filtered once as raw records, segmented into
+sentences, tokenized, tagged with lexicon attributes, pruned of
+attribute-free sentences, activity-filtered to a fixpoint again, split into
+train/valid/test, and indexed per user and per item over the training split
+(see `Corpus`).  The first activity filter changes no output: it only
+spares the text work for reviews the second one would drop (see
+`build_corpus`).  Everything is deterministic given (input files, seed).
 
 A processed corpus directory holds two JSON files, written with sorted keys:
 
@@ -29,6 +31,7 @@ that is not a JSON object.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import math
@@ -71,23 +74,25 @@ def segment_and_tokenize(text: str) -> list[list[str]]:
 class AttributeLexicon:
     """Item-property surface strings with dense, stable ids.
 
-    Entries may span several tokens; those match as contiguous runs.
-    Entries and tokens are case-folded, like the tokenizer's output.
+    Each entry is case-folded and split into tokens by the tokenizer's rule,
+    so `wi-fi` is the run `wi`, `-`, `fi`; entries of several tokens match
+    as contiguous runs.  Two entries with the same tokens are an error.
     """
 
     def __init__(self, surfaces: list[str]):
         self.surfaces: tuple[str, ...] = tuple(s.lower().strip() for s in surfaces)
-        seen = set()
-        for s in self.surfaces:
-            if not s:
-                raise CorpusError("attribute lexicon contains an empty entry")
-            if s in seen:
-                raise CorpusError(f"duplicate attribute surface: {s!r}")
-            seen.add(s)
         self._single: dict[str, int] = {}
         self._multi: list[tuple[tuple[str, ...], int]] = []
+        owner: dict[tuple[str, ...], str] = {}  # token run -> the surface that gave it
         for fid, surface in enumerate(self.surfaces):
-            parts = tuple(surface.split())
+            if not surface:
+                raise CorpusError("attribute lexicon contains an empty entry")
+            parts = tuple(_TOKEN.findall(surface))
+            if parts in owner:
+                if owner[parts] == surface:
+                    raise CorpusError(f"duplicate attribute surface: {surface!r}")
+                raise CorpusError(f"attribute surfaces {owner[parts]!r} and {surface!r} are the same tokens {list(parts)}")
+            owner[parts] = surface
             if len(parts) == 1:
                 self._single[parts[0]] = fid
             else:
@@ -99,23 +104,24 @@ class AttributeLexicon:
     def surface(self, fid: int) -> str:
         return self.surfaces[fid]
 
-    def match(self, tokens) -> frozenset[int]:
-        """Ids of every lexicon attribute present in the token list."""
-        toks = [t.lower() for t in tokens]
-        hits = {self._single[t] for t in toks if t in self._single}
+    def match(self, tokens: list[str]) -> frozenset[int]:
+        """Ids of every lexicon attribute present in the token list.  The
+        tokens must be case-folded, as `segment_and_tokenize` gives them."""
+        hits = {self._single[t] for t in tokens if t in self._single}
         for parts, fid in self._multi:
             span = len(parts)
-            for i in range(len(toks) - span + 1):
-                if tuple(toks[i : i + span]) == parts:
+            for i in range(len(tokens) - span + 1):
+                if tuple(tokens[i : i + span]) == parts:
                     hits.add(fid)
                     break
         return frozenset(hits)
 
 
 def load_attribute_lexicon(path) -> AttributeLexicon:
-    """Read a plain-text lexicon, one attribute per line (may be multiword)."""
+    """Read a plain-text lexicon, one attribute per line (may be multiword).
+    A UTF-8 byte order mark at the start of the file is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             surfaces = [line.strip() for line in fh if line.strip()]
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from None
@@ -171,11 +177,14 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
     """Read JSON-lines reviews, keeping records rated strictly above the
     threshold.  Malformed records, among them a line that is not UTF-8 and
     a rating that is not a finite number (see `_rating`), are reported (with
-    line numbers), not fatal; an unreadable file is.
+    line numbers), not fatal; an unreadable file is.  A UTF-8 byte order
+    mark at the start of the file is skipped.
     """
     records: list[RawRecord] = []
     errors: list[str] = []
     with open(path, "rb") as fh:  # decoded a line at a time, so a bad byte costs one record
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -205,26 +214,36 @@ def ingest_reviews(path, rating_threshold: float) -> tuple[list[RawRecord], list
     return records, errors
 
 
+def _active_rows(pairs: list[tuple[str, str]], min_count: int) -> list[int]:
+    """Indices, in order, of the largest subset of the (user_id, item_id)
+    `pairs` in which every user and every item occurs at least `min_count`
+    times, found by dropping the rows of users/items below the count until
+    a pass drops nothing (removals can demote the other side)."""
+    if min_count < 1:
+        raise CorpusError("min_count must be >= 1")
+    kept = list(range(len(pairs)))
+    while True:
+        users = Counter(pairs[i][0] for i in kept)
+        items = Counter(pairs[i][1] for i in kept)
+        next_kept = [i for i in kept if users[pairs[i][0]] >= min_count and items[pairs[i][1]] >= min_count]
+        if len(next_kept) == len(kept):
+            return kept
+        kept = next_kept
+
+
+def _warn_all_removed(min_count: int) -> None:
+    log.warning("activity filter removed every review (min_count=%d)", min_count)
+
+
 def filter_min_activity(reviews, min_count: int):
     """Drop reviews of users/items with fewer than `min_count` reviews,
-    iterating to a fixpoint (removals can demote the other side).
+    iterating to a fixpoint (see `_active_rows`).
 
     `reviews` is any list of objects with user_id/item_id; order is kept.
     """
-    if min_count < 1:
-        raise CorpusError("min_count must be >= 1")
-    kept = list(reviews)
-    while True:
-        users = Counter(r.user_id for r in kept)
-        items = Counter(r.item_id for r in kept)
-        next_kept = [
-            r for r in kept if users[r.user_id] >= min_count and items[r.item_id] >= min_count
-        ]
-        if len(next_kept) == len(kept):
-            break
-        kept = next_kept
+    kept = [reviews[i] for i in _active_rows([(r.user_id, r.item_id) for r in reviews], min_count)]
     if not kept and reviews:
-        log.warning("activity filter removed every review (min_count=%d)", min_count)
+        _warn_all_removed(min_count)
     return kept
 
 
@@ -333,34 +352,54 @@ class Corpus:
         }
 
 
+def _tagged_sentences(rid: str, text: str, lexicon: AttributeLexicon) -> list[Sentence]:
+    """The review's attribute-bearing sentences; the k-th segment of the
+    text, counting the dropped ones, is sentence `{rid}.s{k}`."""
+    out = []
+    for k, words in enumerate(segment_and_tokenize(text)):
+        attrs = lexicon.match(words)
+        if attrs:
+            out.append(Sentence(f"{rid}.s{k}", tuple(words), attrs))
+    return out
+
+
 def build_corpus(records: list[RawRecord], lexicon: AttributeLexicon, min_activity: int, ratios, seed: int) -> Corpus:
-    """Run the full preprocessing pipeline over ingested records.
+    """Run the full preprocessing pipeline over ingested records; record i
+    is review `r{i}`.
 
     Order matters: attribute-free sentences are dropped before the
     activity filter, so activity counts only attribute-bearing reviews.
-    Sentence records are made only for the reviews the filter keeps, which
-    on a corpus with a long tail of rare users are a small share.
+
+    Only the records that survive the activity filter as raw records are
+    segmented and tagged, which on a corpus with a long tail of rare users
+    is a small share.  This changes no output.  The filter returns the
+    largest subset in which every user and every item has at least
+    `min_activity` reviews (such subsets are closed under union), so it is
+    monotone: A ⊆ B gives filter(A) ⊆ filter(B).  Let F = filter(raw) and
+    T be the records whose text keeps a sentence, matched by index.
+    filter(T) is a subset of raw that meets the count, so it lies in F, the
+    largest one; so it lies in T ∩ F and, as its own filter, in
+    filter(T ∩ F).  Monotonicity gives the reverse, so filter(T) =
+    filter(T ∩ F).  The warning that the filter removed every review is
+    logged as if T had been filtered: when T ∩ F is empty, the other
+    records are tagged until one keeps a sentence.
     """
-    reviews: list[Review] = []
-    tagged: dict[str, tuple[list[str], frozenset[int]]] = {}  # sentence id -> (words, attribute ids)
-    for idx, rec in enumerate(records):
-        rid = f"r{idx}"
-        sids = []
-        for k, words in enumerate(segment_and_tokenize(rec.text)):
-            attrs = lexicon.match(words)
-            if attrs:
-                sid = f"{rid}.s{k}"
-                tagged[sid] = (words, attrs)
-                sids.append(sid)
-        if sids:
-            reviews.append(Review(rid, rec.user_id, rec.item_id, tuple(sids)))
-    reviews = filter_min_activity(reviews, min_activity)
+    active = _active_rows([(r.user_id, r.item_id) for r in records], min_activity)
+    candidates: list[Review] = []
+    tagged: dict[str, Sentence] = {}
+    for idx in active:
+        rec = records[idx]
+        sents = _tagged_sentences(f"r{idx}", rec.text, lexicon)
+        if sents:
+            candidates.append(Review(f"r{idx}", rec.user_id, rec.item_id, tuple(s.sentence_id for s in sents)))
+            tagged.update((s.sentence_id, s) for s in sents)
+    reviews = filter_min_activity(candidates, min_activity)
+    if not candidates:
+        kept = set(active)
+        if any(_tagged_sentences(f"r{i}", rec.text, lexicon) for i, rec in enumerate(records) if i not in kept):
+            _warn_all_removed(min_activity)
     split = split_corpus([r.review_id for r in reviews], ratios, seed)
-    sentences: dict[str, Sentence] = {}
-    for r in reviews:
-        for sid in r.sentence_ids:
-            words, attrs = tagged[sid]
-            sentences[sid] = Sentence(sid, tuple(words), attrs)
+    sentences = {sid: tagged[sid] for r in reviews for sid in r.sentence_ids}
     return Corpus({r.review_id: r for r in reviews}, sentences, lexicon, split)
 
 

@@ -493,7 +493,8 @@ class Trainer:
     def load_checkpoint(self, path) -> None:
         """Resume from a checkpoint: parameters, Adam state, epoch and best
         record.  The metadata must hold the current config's `config_hash`,
-        `adam_t` and `epoch` as integers, and `best` as an object with
+        `adam_t` as an integer >= 1 (a saved run has taken a step), `epoch`
+        as an integer >= 0, and `best` as an object with
         exactly `EpochRecord`'s fields: `epoch` an integer, the others
         finite numbers (a bool is neither).
         """
@@ -507,6 +508,9 @@ class Trainer:
             value = meta.get(key)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise TrainingError(f"checkpoint metadata {key!r} missing or not {kind.__name__}")
+        for key, least in (("adam_t", 1), ("epoch", 0)):
+            if meta[key] < least:
+                raise TrainingError(f"checkpoint metadata {key!r} is {meta[key]}, not an int >= {least}")
         record_fields = sorted(f.name for f in fields(EpochRecord))
         if sorted(meta["best"]) != record_fields:
             raise TrainingError(

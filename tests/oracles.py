@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from recexplain.corpus import segment_and_tokenize
+
 
 def bleu_oracle(candidate, references, max_n=4):
     if len(candidate) == 0:
@@ -549,3 +551,64 @@ def graph_inputs_oracle(graph, corpus, word_table, sentence_table=None):
             words.append(word_table.vectors[word_table.index[w]] if w in word_table.index else unk)
         sent_rows.append(np.mean(words, axis=0))
     return np.stack(attr_rows), np.stack(sent_rows)
+
+
+def build_corpus_oracle(records, lexicon, min_activity):
+    """Preprocessing's reviews, sentences and stats, found by tagging every
+    record and only then filtering by activity.
+
+    Review i is `r{i}`, and the k-th sentence of its text, counting the
+    attribute-free ones it drops, is `r{i}.s{k}`.  A review keeps its
+    attribute-bearing sentences, and one with none is dropped.  Then every
+    review of a user or item with fewer than `min_activity` reviews left is
+    dropped, pass after pass, until a pass drops none.  Returns reviews
+    (id -> (user_id, item_id, sentence ids)), sentences (id -> (words,
+    attribute ids)), the `Corpus.stats()` counts, and whether the filter
+    removed every review (some review was tagged and none is left).
+    """
+    reviews = {}
+    sentences = {}
+    for i in range(len(records)):
+        rid = "r" + str(i)
+        sids = []
+        k = 0
+        for words in segment_and_tokenize(records[i].text):
+            attrs = lexicon.match(words)
+            if len(attrs) > 0:
+                sid = rid + ".s" + str(k)
+                sentences[sid] = (tuple(words), frozenset(attrs))
+                sids.append(sid)
+            k += 1
+        if sids:
+            reviews[rid] = (records[i].user_id, records[i].item_id, tuple(sids))
+    tagged_any = len(reviews) > 0
+    while True:
+        user_count = {}
+        item_count = {}
+        for user, item, _ in reviews.values():
+            user_count[user] = user_count.get(user, 0) + 1
+            item_count[item] = item_count.get(item, 0) + 1
+        dropped = []
+        for rid, (user, item, _) in reviews.items():
+            if user_count[user] < min_activity or item_count[item] < min_activity:
+                dropped.append(rid)
+        if not dropped:
+            break
+        for rid in dropped:
+            del reviews[rid]
+    kept_sentences = {}
+    for rid in reviews:
+        for sid in reviews[rid][2]:
+            kept_sentences[sid] = sentences[sid]
+    attributes = set()
+    for _, attrs in kept_sentences.values():
+        for a in attrs:
+            attributes.add(a)
+    stats = {
+        "users": len({user for user, _, _ in reviews.values()}),
+        "items": len({item for _, item, _ in reviews.values()}),
+        "reviews": len(reviews),
+        "sentences": len(kept_sentences),
+        "attributes": len(attributes),
+    }
+    return reviews, kept_sentences, stats, tagged_any and len(reviews) == 0

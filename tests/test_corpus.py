@@ -1,7 +1,11 @@
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import build_corpus_oracle
 from recexplain import corpus as cp
 from recexplain.graphs import build_pair_graph
 
@@ -53,6 +57,25 @@ class TestLexicon:
     def test_duplicate_surface_rejected(self):
         with pytest.raises(cp.CorpusError):
             cp.AttributeLexicon(["room", "Room"])
+
+    def test_entry_with_punctuation_matches_its_tokens(self):
+        lexicon = cp.AttributeLexicon(["room", "wi-fi", "check-in desk"])
+        [words] = cp.segment_and_tokenize("The Wi-Fi was fast at the check-in desk.")
+        assert lexicon.match(words) == {1, 2}
+        assert lexicon.match(cp.segment_and_tokenize("The wifi was fast.")[0]) == frozenset()
+        assert lexicon.surfaces == ("room", "wi-fi", "check-in desk")
+
+    @pytest.mark.parametrize("first, second", [("wi-fi", "Wi - Fi"), ("hot tub", "hot  tub")])
+    def test_surfaces_with_the_same_tokens_rejected(self, first, second):
+        with pytest.raises(cp.CorpusError, match=f"{first.lower()!r} and {second.lower()!r} are the same tokens"):
+            cp.AttributeLexicon(["room", first, second])
+
+    def test_lexicon_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_bytes("\ufeffroom\nstaff\n".encode("utf-8"))
+        lexicon = cp.load_attribute_lexicon(path)
+        assert lexicon.surfaces == ("room", "staff")
+        assert lexicon.match(["the", "room"]) == {0}
 
 
 class TestIngest:
@@ -130,6 +153,21 @@ class TestIngest:
         records, errors = cp.ingest_reviews(path, 0.5)
         assert [r.line_no for r in records] == [2]
         assert len(errors) == 1 and errors[0].startswith("line 1: bad record (rating ")
+
+    def test_reviews_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        row = {"user_id": "u1", "item_id": "i1", "rating": 5, "text": "Nice room."}
+        path.write_bytes(b"\xef\xbb\xbf" + (json.dumps(row) + "\n" + json.dumps(row) + "\n").encode("utf-8"))
+        records, errors = cp.ingest_reviews(path, 0)
+        assert errors == [] and [(r.line_no, r.user_id) for r in records] == [(1, "u1"), (2, "u1")]
+
+    def test_byte_order_mark_after_the_first_line_reported(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        row = json.dumps({"user_id": "u1", "item_id": "i1", "rating": 5, "text": "Nice room."})
+        path.write_bytes((row + "\n\ufeff" + row + "\n").encode("utf-8"))
+        records, errors = cp.ingest_reviews(path, 0)
+        assert [r.line_no for r in records] == [1]
+        assert len(errors) == 1 and errors[0].startswith("line 2: invalid JSON (Unexpected UTF-8 BOM")
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -282,6 +320,108 @@ class TestBuildCorpus:
         assert a.split == b.split
         assert a.sentences == b.sentences
         assert set(a.sentences) == set(b.sentences)
+
+
+_ATTRIBUTE_TEXTS = ["The room was clean. I liked it.", "Nice staff! Great view.", "The hot tub was warm.", "Meh. The view, though."]
+_TEXTS = ["", "I liked it.", "Fine. Just fine!", *_ATTRIBUTE_TEXTS]
+
+
+@st.composite
+def tail_corpora(draw):
+    """(records, min_activity): active users over a few items, one-off
+    users, texts that are empty, attribute-free or attribute-bearing, and a
+    ladder the activity filter takes apart one rung per pass."""
+    min_activity = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        rows.append((f"u{draw(st.integers(0, 5))}", f"c{draw(st.integers(0, 4))}", draw(st.sampled_from(_TEXTS))))
+    for k in range(draw(st.integers(0, 8))):
+        rows.append((f"solo{k}", f"c{draw(st.integers(0, 4))}", draw(st.sampled_from(_TEXTS))))
+    # user a{j} reviews item x{j} once and x{j+1} min_activity - 1 times:
+    # x0 has one review, so (for min_activity >= 2) dropping it drops a0,
+    # which drops x1 below the count, which drops a1, and so on
+    attribute_text = st.sampled_from(_ATTRIBUTE_TEXTS)
+    for j in range(draw(st.integers(0, 3))):
+        rows.append((f"a{j}", f"x{j}", draw(attribute_text)))
+        rows += [(f"a{j}", f"x{j + 1}", draw(attribute_text)) for _ in range(min_activity - 1)]
+    rows = draw(st.permutations(rows))
+    return [cp.RawRecord(u, c, 5.0, text, line) for line, (u, c, text) in enumerate(rows)], min_activity
+
+
+class _Messages(logging.Handler):
+    """Keeps the messages of the records it handles."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestActivityPrefilter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tail_corpora())
+    def test_equals_tagging_everything_then_filtering(self, case):
+        records, min_activity = case
+        lexicon = cp.AttributeLexicon(["room", "staff", "view", "hot tub"])
+        warnings = _Messages()
+        cp.log.addHandler(warnings)
+        try:
+            corpus = cp.build_corpus(records, lexicon, min_activity, (0.6, 0.2, 0.2), 3)
+        finally:
+            cp.log.removeHandler(warnings)
+        reviews, sentences, stats, emptied = build_corpus_oracle(records, lexicon, min_activity)
+        assert warnings.messages == [f"activity filter removed every review (min_count={min_activity})"] * emptied
+        assert {rid: (r.user_id, r.item_id, r.sentence_ids) for rid, r in corpus.reviews.items()} == reviews
+        assert {sid: (s.words, s.attributes) for sid, s in corpus.sentences.items()} == sentences
+        assert all(sid == s.sentence_id for sid, s in corpus.sentences.items())
+        assert corpus.split == cp.split_corpus(list(reviews), (0.6, 0.2, 0.2), 3)
+        assert corpus.stats() == stats
+
+    def test_one_off_reviewers_are_not_tokenized(self, lexicon, monkeypatch):
+        records = [cp.RawRecord(f"u{u}", f"c{c}", 5.0, "The room was clean. I liked it.", 0)
+                   for u in range(2) for c in range(2)]
+        records += [cp.RawRecord(f"solo{k}", "c0", 5.0, "Solo room. Solo staff!", 0) for k in range(5)]
+        seen = []
+        match = lexicon.match
+        monkeypatch.setattr(lexicon, "match", lambda tokens: seen.append(tokens) or match(tokens))
+        corpus = cp.build_corpus(records, lexicon, 2, (1.0, 0.0, 0.0), 0)
+        assert len(seen) == 2 * 4 and not any("solo" in tokens for tokens in seen)
+        assert sorted(corpus.reviews) == ["r0", "r1", "r2", "r3"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # no user or item has two records: the raw filter leaves nothing
+            [("u0", "c0", "Nice room."), ("u1", "c1", "Nice staff.")],
+            # every record passes the raw filter, but the attribute-free ones
+            # leave each user and item one tagged review
+            [("u0", "c0", "Nice room."), ("u1", "c1", "Nice staff."), ("u0", "c1", "I liked it."), ("u1", "c0", "")],
+            # only a one-off reviewer's record keeps a sentence
+            [("u0", "c0", "Fine."), ("u1", "c1", "Fine."), ("u0", "c1", "Fine."), ("u1", "c0", "Fine."),
+             ("solo", "c0", "Nice room.")],
+        ],
+        ids=["raw-filter-empties", "tagged-filter-empties", "tagged-only-outside-raw-filter"],
+    )
+    def test_removed_every_review_logged_once(self, lexicon, caplog, rows):
+        records = [cp.RawRecord(u, c, 5.0, text, line) for line, (u, c, text) in enumerate(rows)]
+        with caplog.at_level(logging.WARNING, logger="recexplain.corpus"):
+            corpus = cp.build_corpus(records, lexicon, 2, (1.0, 0.0, 0.0), 0)
+        assert corpus.reviews == {}
+        assert caplog.messages == ["activity filter removed every review (min_count=2)"]
+
+    def test_nothing_tagged_is_not_a_removal(self, lexicon, caplog):
+        # filtering no tagged review removes none, so nothing is logged
+        records = [cp.RawRecord(u, c, 5.0, "Fine.", 0) for u in ("u0", "u1") for c in ("c0", "c1")]
+        records.append(cp.RawRecord("solo", "c0", 5.0, "Fine.", 0))
+        with caplog.at_level(logging.WARNING, logger="recexplain.corpus"):
+            assert cp.build_corpus(records, lexicon, 2, (1.0, 0.0, 0.0), 0).reviews == {}
+        assert caplog.messages == []
+
+    def test_min_activity_below_one_rejected(self, lexicon):
+        with pytest.raises(cp.CorpusError, match="min_count must be >= 1"):
+            cp.build_corpus([cp.RawRecord("u0", "c0", 5.0, "Nice room.", 0)], lexicon, 0, (1.0, 0.0, 0.0), 0)
 
 
 def corpus_json(tmp_path, lexicon):

@@ -458,6 +458,9 @@ class TestTrainer:
             (lambda meta: {"config_hash": meta["config_hash"]}, "'adam_t' missing or not int"),
             (lambda meta: {**meta, "adam_t": 3.0}, "'adam_t' missing or not int"),
             (lambda meta: {**meta, "epoch": "0"}, "'epoch' missing or not int"),
+            (lambda meta: {**meta, "adam_t": 0}, "'adam_t' is 0, not an int >= 1"),
+            (lambda meta: {**meta, "adam_t": -1}, "'adam_t' is -1, not an int >= 1"),
+            (lambda meta: {**meta, "epoch": -1}, "'epoch' is -1, not an int >= 0"),
             (lambda meta: {**meta, "best": None}, "'best' missing or not dict"),
             (lambda meta: {**meta, "best": {**meta["best"], "val_bleu3": 0.0}}, "'best' has fields"),
             (lambda meta: {**meta, "best": {k: v for k, v in meta["best"].items() if k != "epoch"}},
@@ -467,8 +470,8 @@ class TestTrainer:
             (lambda meta: {**meta, "best": {**meta["best"], "epoch": 0.0}}, r"'best\.epoch' is 0\.0, not an int"),
             (lambda meta: {**meta, "best": {**meta["best"], "epoch": True}}, r"'best\.epoch' is True, not an int"),
         ],
-        ids=["hash-only", "float-adam-t", "string-epoch", "null-best", "extra-best-field", "best-without-epoch",
-             "string-best-bleu", "null-best-bleu", "float-best-epoch", "bool-best-epoch"],
+        ids=["hash-only", "float-adam-t", "string-epoch", "zero-adam-t", "negative-adam-t", "negative-epoch",
+             "null-best", "extra-best-field", "best-without-epoch", "string-best-bleu", "null-best-bleu", "float-best-epoch", "bool-best-epoch"],
     )
     def test_resume_rejects_bad_metadata(self, tmp_path, edit, message):
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
