@@ -212,12 +212,11 @@ class PipelineConfig:
             value = getattr(getattr(self, section) if section else self, _FIELD_KEYS.get(key, key))
             if not ok(value):
                 raise ConfigError(f"config key {dotted} must be {wanted}, got {json.dumps(value)}")
-        need = {
-            "preprocess": ["paths.reviews", "paths.lexicon", "paths.workdir"],
-            "train": ["paths.workdir", "paths.attribute_vectors"],
-            "select": ["paths.workdir", "paths.attribute_vectors"],
-            "evaluate": ["paths.workdir"],
-        }[stage]
+        # every path a stage's stamp digests (the later stamps chain the
+        # earlier ones), except the optional paths.sentence_vectors
+        need = ["paths.reviews", "paths.lexicon", "paths.workdir"]
+        if stage != "preprocess":
+            need.append("paths.attribute_vectors")
         for dotted in need:
             section, name = dotted.split(".")
             if not getattr(getattr(self, section), name):

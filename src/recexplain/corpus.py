@@ -74,20 +74,21 @@ def segment_and_tokenize(text: str) -> list[list[str]]:
 class AttributeLexicon:
     """Item-property surface strings with dense, stable ids.
 
-    Each entry is case-folded and split into tokens by the tokenizer's rule,
-    so `wi-fi` is the run `wi`, `-`, `fi`; entries of several tokens match
-    as contiguous runs.  Two entries with the same tokens are an error.
+    Each entry is case-folded and split into tokens (`tokens`) by the
+    tokenizer's rule, so `wi-fi` is the run `wi`, `-`, `fi`; entries of
+    several tokens match as contiguous runs.  Two entries with the same
+    tokens are an error.
     """
 
     def __init__(self, surfaces: list[str]):
         self.surfaces: tuple[str, ...] = tuple(s.lower().strip() for s in surfaces)
+        self.tokens: tuple[tuple[str, ...], ...] = tuple(tuple(_TOKEN.findall(s)) for s in self.surfaces)
         self._single: dict[str, int] = {}
         self._multi: list[tuple[tuple[str, ...], int]] = []
         owner: dict[tuple[str, ...], str] = {}  # token run -> the surface that gave it
-        for fid, surface in enumerate(self.surfaces):
+        for fid, (surface, parts) in enumerate(zip(self.surfaces, self.tokens)):
             if not surface:
                 raise CorpusError("attribute lexicon contains an empty entry")
-            parts = tuple(_TOKEN.findall(surface))
             if parts in owner:
                 if owner[parts] == surface:
                     raise CorpusError(f"duplicate attribute surface: {surface!r}")

@@ -140,12 +140,12 @@ class NodeFeatureProvider:
 def provider_from_vectors(corpus: Corpus, hidden: int, word_table: EmbeddingTable, sentence_table: EmbeddingTable | None = None) -> NodeFeatureProvider:
     """The node input tables of `corpus`, built from the vector files.
 
-    `attr_X` comes from the word table (attributes are vocabulary words;
-    multiword surfaces average their constituents), whose width must be
-    `hidden`.  A surface with no word vector gets zeros; their count is
-    logged once.  `sent_X` rows come from the sentence table when present;
-    without one (the average-word-embedding ablation) they average word
-    vectors.  An empty word or sentence table is an error, and so is a
+    `attr_X` comes from the word table, whose width must be `hidden`: an
+    attribute's row averages the vectors of its lexicon tokens (so `wi-fi`
+    averages `wi`, `-` and `fi`).  An attribute none of whose tokens has a
+    word vector gets zeros; their count is logged once.  `sent_X` rows come
+    from the sentence table when present; without one (the
+    average-word-embedding ablation) they average word vectors.  An empty word or sentence table is an error, and so is a
     training sentence the sentence table lacks: the table is from another
     preprocess run.
     """
@@ -158,8 +158,8 @@ def provider_from_vectors(corpus: Corpus, hidden: int, word_table: EmbeddingTabl
 
     attr_X = np.zeros((len(corpus.lexicon), hidden))
     missing = 0
-    for fid, surface in enumerate(corpus.lexicon.surfaces):
-        rows = [row for p in surface.split() if (row := word_table.lookup(p)) is not None]
+    for fid, tokens in enumerate(corpus.lexicon.tokens):
+        rows = [row for p in tokens if (row := word_table.lookup(p)) is not None]
         if rows:
             attr_X[fid] = np.mean(rows, axis=0)
         else:

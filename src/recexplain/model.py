@@ -85,12 +85,14 @@ on dense_pools.  The feature interaction is 2 cross layers beside 2 ReLU deep
 layers, as published; user and item embeddings start uniform in
 [-0.1, 0.1], everything else Glorot-uniform, and every tensor is float64.
 
-A layer works on the graph's edge list (`PairGraph.edge_arrays`: dst,
-src, row starts, flat cell index), as PyTorch Geometric does, and does
-its per-edge work once for all h heads, with the head as a column: one
-product H @ `gat.{l}.qk` gives every u and v, the logits
-u[dst] + v[src] and their LeakyReLU form one (E, h) array, and the row
-max and row sum are `reduceat` over the row starts along its first axis.
+A layer works on the graph's one adjacency, its edge list
+(`PairGraph.edge_arrays`, made once by `graphs.attention_edges`: dst, src,
+row starts, flat cell index, self loops included), like PyTorch
+Geometric's `edge_index`, and does its per-edge work once for all h
+heads, with the head as a column: one product H @ `gat.{l}.qk` gives
+every u and v, the logits u[dst] + v[src] and their LeakyReLU form one
+(E, h) array, and the row max and row sum are `reduceat` over the row
+starts along its first axis.
 The per-edge softmax never forms a dense (h, n, n) one.  Each head's
 weights are scattered into a zero (n, n) alpha and aggregated as alpha @
 H, one BLAS product written into the head's column block of the output:

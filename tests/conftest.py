@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recexplain.features import GraphInputs
-from recexplain.graphs import PairGraph
+from recexplain.graphs import PairGraph, attention_edges
 from recexplain.model import Model
 
 
@@ -45,7 +45,7 @@ def toy_labelled_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
         item_id="c",
         attribute_ids=tuple(range(n_attr)),
         sentence_ids=tuple(f"s{k}" for k in range(n_sent)),
-        neighbors=[np.array(sorted(s), dtype=np.int64) for s in adj],
+        edges=attention_edges(n, [(i, j) for i in range(n) for j in adj[i] if i < j]),
     )
     return graph, labels
 

@@ -522,11 +522,78 @@ def graph_dcn_backward(d_scores, g, R, params, trace, grads):
     return dg, dR
 
 
+def pair_graph_oracle(corpus, user_id, item_id):
+    """The (user, item) graph's attention edges, built from one set of
+    neighbors per node.
+
+    Node 0 is the user, 1 the item, then the pool's attributes by id, then
+    its sentences by id.  The pool is the user's and the item's training
+    sentences that share an attribute with the item's training reviews.
+    The user and the item link to the attributes they have in training, and
+    each sentence links to its attributes; every link is both ways.  Row i
+    lists i's neighbors and i itself in increasing order.  Returns (dst,
+    src, starts, flat) as int64 arrays, flat being dst * n + src.
+    """
+    item_attrs = corpus.item_attributes[item_id]
+    pool = []
+    for sid in sorted(corpus.user_sentences[user_id] | corpus.item_sentences[item_id]):
+        if corpus.sentences[sid].attributes & item_attrs:
+            pool.append(sid)
+    attrs = set()
+    for sid in pool:
+        attrs |= corpus.sentences[sid].attributes
+    attrs = sorted(attrs)
+    n = 2 + len(attrs) + len(pool)
+    adj = [set() for _ in range(n)]
+
+    def link(i, j):
+        adj[i].add(j)
+        adj[j].add(i)
+
+    for k, a in enumerate(attrs):
+        if a in corpus.user_attributes[user_id]:
+            link(0, 2 + k)
+        if a in item_attrs:
+            link(1, 2 + k)
+    for k, sid in enumerate(pool):
+        for a in corpus.sentences[sid].attributes:
+            link(2 + len(attrs) + k, 2 + attrs.index(a))
+    dst, src, starts = [], [], []
+    for i in range(n):
+        starts.append(len(dst))
+        for j in sorted(adj[i] | {i}):
+            dst.append(i)
+            src.append(j)
+    dst = np.array(dst, dtype=np.int64)
+    src = np.array(src, dtype=np.int64)
+    return dst, src, np.array(starts, dtype=np.int64), dst * n + src
+
+
+def surface_tokens(surface):
+    """A lexicon surface's tokens, read one character at a time."""
+    tokens = []
+    word = ""
+    for ch in surface:
+        if ch in "abcdefghijklmnopqrstuvwxyz0123456789'":
+            word += ch
+            continue
+        if word:
+            tokens.append(word)
+            word = ""
+        if not ch.isspace():
+            tokens.append(ch)
+    if word:
+        tokens.append(word)
+    return tokens
+
+
 def graph_inputs_oracle(graph, corpus, word_table, sentence_table=None):
     """One graph's (attr_X, sent_X), assembled per graph, node by node.
 
     An attribute node's row is the mean of the word vectors of its
-    surface's words that have one, or zeros when none has.  A sentence
+    surface's tokens that have one, or zeros when none has.  A surface's
+    tokens are its runs of letters a-z, digits and apostrophes, and each
+    other character that is not white space on its own.  A sentence
     node's row is its `sentence_table` row or, without a table, the mean
     of its words' vectors, a word without one taking the unknown token's
     vector, or zeros when that has none too.
@@ -534,7 +601,7 @@ def graph_inputs_oracle(graph, corpus, word_table, sentence_table=None):
     attr_rows = []
     for a in graph.attribute_ids:
         found = []
-        for part in corpus.lexicon.surfaces[a].split():
+        for part in surface_tokens(corpus.lexicon.surfaces[a]):
             if part in word_table.index:
                 found.append(word_table.vectors[word_table.index[part]])
         attr_rows.append(np.mean(found, axis=0) if found else np.zeros(word_table.dim))

@@ -283,6 +283,24 @@ class TestPipeline:
         assert cli.main(["select", "--config", str(changed), "--checkpoint", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith("error: missing required config field paths.attribute_vectors")
 
+    @pytest.mark.parametrize(
+        "stage, field",
+        [
+            (stage, field)
+            for stage in ("preprocess", "train", "select", "evaluate")
+            for field in ("reviews", "lexicon", "attribute_vectors", "workdir")
+            if (stage, field) != ("preprocess", "attribute_vectors")
+        ],
+    )
+    def test_stage_needs_every_path_its_stamp_digests(self, planted, tmp_path, capsys, stage, field):
+        # an unset path digests as "", so running on would only report a
+        # stale stamp that re-running the producing stage cannot mend
+        config, _, _, _ = planted
+        changed = changed_config(config, tmp_path, "paths", field, "")
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: missing required config field paths.{field}")
+
     def test_changed_hidden_asks_to_retrain(self, planted, tmp_path, capsys):
         config, _, _, _ = planted
         changed = changed_config(config, tmp_path, "model", "hidden", 2 * HIDDEN)

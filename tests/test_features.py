@@ -195,6 +195,20 @@ class TestNodeFeatureProvider:
         assert np.array_equal(prov.attr_X[1:], np.zeros((2, 2)))
         assert [r.getMessage() for r in caplog.records] == ["2 attribute vectors missing; used zeros"]
 
+    def test_attribute_row_averages_lexicon_tokens(self, tmp_path, caplog):
+        # the lexicon tags `wi-fi` as the tokens wi, -, fi, so its row is
+        # looked up by those, not by the whitespace-split word "wi-fi"
+        path = tmp_path / "words.txt"
+        write_vectors(path, [("wi", [3.0, 0.0]), ("-", [0.0, 3.0]), ("fi", [0.0, 0.0]), ("a", [1.0, 1.0])])
+        words = ft.load_vector_file(path)
+        corpus = tiny_corpus(("wi-fi",))
+        with caplog.at_level(logging.WARNING, logger="recexplain.features"):
+            prov = ft.provider_from_vectors(corpus, 2, words)
+        assert np.allclose(prov.attr_X, [[1.0, 1.0]])
+        assert not any("attribute vectors missing" in r.getMessage() for r in caplog.records)
+        graph = build_pair_graph(corpus, "u0", "c0")
+        assert np.array_equal(graph_inputs_oracle(graph, corpus, words)[0], prov.attr_X)
+
     def test_sentence_table_preferred(self):
         st = ft.EmbeddingTable(np.array([[9.0, 9.0, 9.0], [8.0, 8.0, 8.0]]), index={"s2": 0, "s1": 1})
         corpus = tiny_corpus()

@@ -6,6 +6,7 @@ from recexplain import corpus as cp
 from recexplain.graphs import EmptyPoolError, build_pair_graph
 
 from conftest import toy_graph
+from oracles import pair_graph_oracle
 
 LEX = cp.AttributeLexicon(["room", "staff", "view", "pool"])
 
@@ -171,7 +172,7 @@ class TestGraphInvariants:
         b = build_pair_graph(corpus, "u0", "c0")
         assert a.attribute_ids == b.attribute_ids
         assert a.sentence_ids == b.sentence_ids
-        assert all(np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors))
+        assert all(np.array_equal(x, y) for x, y in zip(a.edges, b.edges))
 
 
 def rows_of(edges):
@@ -190,7 +191,7 @@ def graphs_to_check():
 
 class TestNeighborView:
     """What each node attends to: `edge_arrays` is the attention edge list,
-    `neighbors` plus every self loop, sorted by row."""
+    both directions of every link plus every self loop, sorted by row."""
 
     def test_self_loops_on(self):
         edges = build_pair_graph(minimal_corpus(), "u0", "c0").edge_arrays()
@@ -222,12 +223,58 @@ class TestNeighborView:
 
     def test_isolated_node_attends_to_itself(self):
         # a user who never shares attributes with the pool has no neighbors
-        records = [
-            cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
-            cp.RawRecord("u1", "c0", 5.0, "The pool was cold.", 1),
-            cp.RawRecord("u1", "c1", 5.0, "The pool again.", 2),
-        ]
-        corpus = corpus_from_records(records)
-        g = build_pair_graph(corpus, "u0", "c1")
+        g = build_pair_graph(isolated_user_corpus(), "u0", "c1")
         assert g.neighbors[0].size == 0
         assert rows_of(g.edge_arrays())[0] == [0]
+
+
+def isolated_user_corpus():
+    """u0 mentions only the room, and c1's pool only the pool."""
+    records = [
+        cp.RawRecord("u0", "c0", 5.0, "The room was big.", 0),
+        cp.RawRecord("u1", "c0", 5.0, "The pool was cold.", 1),
+        cp.RawRecord("u1", "c1", 5.0, "The pool again.", 2),
+    ]
+    return corpus_from_records(records)
+
+
+def every_pair_graph(planted):
+    """(corpus, graph) for every pair of the planted corpus, and for every
+    user and item with a non-empty pool in this module's small corpora."""
+    for part in ("train", "valid", "test"):
+        for user_id, item_id in planted.pairs(part):
+            yield planted, build_pair_graph(planted, user_id, item_id)
+    for corpus in (minimal_corpus(), richer_corpus(), isolated_user_corpus()):
+        for user_id in corpus.users:
+            for item_id in corpus.items:
+                try:
+                    yield corpus, build_pair_graph(corpus, user_id, item_id)
+                except EmptyPoolError:
+                    pass
+
+
+class TestAttentionEdges:
+    """`build_pair_graph` lists its links straight from the pool; the
+    oracle builds one neighbor set per node and reads the edges off them."""
+
+    def test_edges_match_set_oracle(self, planted):
+        seen, lone_users = 0, 0
+        for corpus, g in every_pair_graph(planted):
+            want = pair_graph_oracle(corpus, g.user_id, g.item_id)
+            got = g.edge_arrays()
+            assert got is g.edges
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
+            seen += 1
+            lone_users += rows_of(got)[0] == [0]
+        assert seen > len(planted.pairs("train"))
+        assert lone_users  # (u0, c1) of `isolated_user_corpus` at least
+
+    def test_neighbors_are_the_rows_less_the_self_loop(self, planted):
+        for _, g in every_pair_graph(planted):
+            rows = rows_of(g.edges)
+            assert len(g.neighbors) == g.n_nodes
+            for i, nbrs in enumerate(g.neighbors):
+                assert nbrs.dtype == np.int64
+                assert nbrs.tolist() == [j for j in rows[i] if j != i]
+            # the count the benchmark halves for graphs.edges_p50
+            assert sum(len(x) for x in g.neighbors) == len(g.edges.dst) - g.n_nodes

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recexplain import model as model_module
-from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph
+from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph, attention_edges
 from recexplain.model import (
     CROSS_LAYERS,
     DEEP_LAYERS,
@@ -47,12 +47,7 @@ def line_graph(item_edge=True):
         item_id="c",
         attribute_ids=(0,),
         sentence_ids=("s0",),
-        neighbors=[
-            np.array([2]),
-            np.array([2] if item_edge else [], dtype=np.int64),
-            np.array([0, 1, 3] if item_edge else [0, 3]),
-            np.array([2]),
-        ],
+        edges=attention_edges(4, [(0, 2), (2, 3)] + ([(1, 2)] if item_edge else [])),
     )
 
 
@@ -70,8 +65,10 @@ def dense_alpha(g, weights, head):
 
 
 def oracle_lists(g):
-    """Each node's attention list for the scalar oracle: neighbors plus itself."""
-    return [sorted({i, *g.neighbors[i].tolist()}) for i in range(g.n_nodes)]
+    """Each node's attention list for the scalar oracle: its row of the
+    edge list, neighbors and itself, sorted."""
+    edges = g.edge_arrays()
+    return [row.tolist() for row in np.split(edges.src, edges.starts[1:])]
 
 
 def as_lists(head_params):
@@ -90,10 +87,9 @@ def stacked(pairs):
 
 
 def attention_mask(g):
-    """(n, n) True where node i attends to j: j in neighbors[i], or j = i."""
-    mask = np.eye(g.n_nodes, dtype=bool)
-    for i, nbrs in enumerate(g.neighbors):
-        mask[i, nbrs] = True
+    """(n, n) True where node i attends to j: (i, j) is an edge."""
+    mask = np.zeros((g.n_nodes, g.n_nodes), dtype=bool)
+    mask[g.edge_arrays().dst, g.edge_arrays().src] = True
     return mask
 
 
@@ -306,7 +302,7 @@ def explicit_x0(model, g, inputs, Xhat):
     if model.cfg.disable_gat:
         # each sentence's attribute inputs, averaged
         attrs = range(g.attr_slice.start, g.attr_slice.stop)
-        linked = [[j - attrs.start for j in g.neighbors[i] if j in attrs] for i in range(g.sent_slice.start, g.n_nodes)]
+        linked = [[j - attrs.start for j in row if j in attrs] for row in oracle_lists(g)[g.sent_slice]]
         blocks.append(np.array([inputs.attr_X[rows].mean(axis=0) for rows in linked]))
     blocks.append(Xhat[g.sent_slice])
     return np.concatenate(blocks, axis=1)
@@ -536,15 +532,14 @@ class TestForward:
         start = g.sent_slice.start
         mapping = {start + int(old): start + int(new) for new, old in enumerate(perm)}
         relabel = lambda j: mapping.get(int(j), int(j))
-        neighbors = [None] * g.n_nodes
-        for i in range(g.n_nodes):
-            neighbors[relabel(i)] = np.array(sorted(relabel(j) for j in g.neighbors[i]), dtype=np.int64)
+        edges = g.edge_arrays()
+        links = [(relabel(i), relabel(j)) for i, j in zip(edges.dst, edges.src) if i < j]
         g2 = PairGraph(
             user_id=g.user_id,
             item_id=g.item_id,
             attribute_ids=g.attribute_ids,
             sentence_ids=tuple(g.sentence_ids[int(old)] for old in perm),
-            neighbors=neighbors,
+            edges=attention_edges(g.n_nodes, links),
         )
         inputs2 = toy_inputs(g2, 3, 2, np.random.default_rng(0))
         inputs2.attr_X = inputs.attr_X
