@@ -14,8 +14,10 @@ The 24 settable values are `seed` and the fields of five sections: paths
 deep_hidden, disable_gat, disable_dcn), training (lambda, batch_size,
 learning_rate, epochs, pair_budget, patience) and selection (k, alpha,
 pool, exact_cap).  Any other key, or a value whose JSON type
-does not fit its field, is rejected by name.  So is a value outside its
-range, which every stage checks after the CLI overrides:
+does not fit its field, is rejected by name, and so is a float field's
+NaN or infinity (Python's json reads `NaN`, `Infinity` and `-Infinity`).
+So is a value outside its range, which every stage checks after the CLI
+overrides:
 - `seed`, `training.patience` and `selection.exact_cap` >= 0;
 - `corpus.min_activity`, `model.hidden`, `model.deep_hidden`,
   `training.batch_size`, `training.epochs`, `training.pair_budget`,
@@ -47,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,6 +114,8 @@ def _from_dict(cls, data, section: str):
         _check_type(f"{section}.{key}", value, fields[name].type)
         if "float" in fields[name].type and value is not None:  # so 2 and 2.0 hash alike
             value = [float(v) for v in value] if isinstance(value, list) else float(value)
+            if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+                raise ConfigError(f"config key {section}.{key} must be finite, got {json.dumps(value)}")
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -169,22 +174,17 @@ class PipelineConfig:
     # input path -> content digest, filled by `_digest`
     _digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    _SECTIONS = {
-        "paths": PathsConfig,
-        "corpus": CorpusConfig,
-        "model": ModelConfig,
-        "training": TrainConfig,
-        "selection": SelectConfig,
-    }
-
     @classmethod
     def from_dict(cls, data) -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {json.dumps(data)}")
+        # a section field's default_factory is its class
+        fields = dataclasses.fields(cls)
+        sections = {f.name: f.default_factory for f in fields if f.init and f.default_factory is not dataclasses.MISSING}
         kwargs = {}
         for key, value in data.items():
-            if key in cls._SECTIONS:
-                kwargs[key] = _from_dict(cls._SECTIONS[key], value, key)
+            if key in sections:
+                kwargs[key] = _from_dict(sections[key], value, key)
             elif key == "seed":
                 _check_type("seed", value, "int")
                 kwargs[key] = value

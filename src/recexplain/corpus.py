@@ -16,7 +16,9 @@ A processed corpus directory holds two JSON files, written with sorted keys:
   `reviews`, review id -> user_id, item_id and sentence_ids; and `split`,
   the sorted train, valid and test review ids.
 - `meta.json`: the preprocess stage's record: the config hash, the count
-  of ingest errors and the `Corpus.stats()` counts.
+  of ingest errors and the `Corpus.stats()` counts.  `save_corpus` removes
+  it before writing corpus.json and writes it last, so a preprocess that
+  stops in between leaves no stamp, and a later stage asks for a re-run.
 
 `load_corpus` raises a CorpusError naming the file, and the key where
 there is one, for a missing corpus.json (re-run preprocess), content that
@@ -232,22 +234,6 @@ def _active_rows(pairs: list[tuple[str, str]], min_count: int) -> list[int]:
         kept = next_kept
 
 
-def _warn_all_removed(min_count: int) -> None:
-    log.warning("activity filter removed every review (min_count=%d)", min_count)
-
-
-def filter_min_activity(reviews, min_count: int):
-    """Drop reviews of users/items with fewer than `min_count` reviews,
-    iterating to a fixpoint (see `_active_rows`).
-
-    `reviews` is any list of objects with user_id/item_id; order is kept.
-    """
-    kept = [reviews[i] for i in _active_rows([(r.user_id, r.item_id) for r in reviews], min_count)]
-    if not kept and reviews:
-        _warn_all_removed(min_count)
-    return kept
-
-
 @dataclass(frozen=True)
 class CorpusSplit:
     train: frozenset[str]
@@ -382,8 +368,10 @@ def build_corpus(records: list[RawRecord], lexicon: AttributeLexicon, min_activi
     largest one; so it lies in T ∩ F and, as its own filter, in
     filter(T ∩ F).  Monotonicity gives the reverse, so filter(T) =
     filter(T ∩ F).  The warning that the filter removed every review is
-    logged as if T had been filtered: when T ∩ F is empty, the other
-    records are tagged until one keeps a sentence.
+    decided here, in one test, as if T had been filtered: no review is left
+    and T is not empty.  A tagged candidate (T ∩ F) settles that T is not
+    empty; without one, the records outside F are tagged until one keeps a
+    sentence.
     """
     active = _active_rows([(r.user_id, r.item_id) for r in records], min_activity)
     candidates: list[Review] = []
@@ -394,11 +382,12 @@ def build_corpus(records: list[RawRecord], lexicon: AttributeLexicon, min_activi
         if sents:
             candidates.append(Review(f"r{idx}", rec.user_id, rec.item_id, tuple(s.sentence_id for s in sents)))
             tagged.update((s.sentence_id, s) for s in sents)
-    reviews = filter_min_activity(candidates, min_activity)
-    if not candidates:
-        kept = set(active)
-        if any(_tagged_sentences(f"r{i}", rec.text, lexicon) for i, rec in enumerate(records) if i not in kept):
-            _warn_all_removed(min_activity)
+    reviews = [candidates[i] for i in _active_rows([(r.user_id, r.item_id) for r in candidates], min_activity)]
+    kept = set(active)
+    if not reviews and (candidates or any(
+        _tagged_sentences(f"r{i}", rec.text, lexicon) for i, rec in enumerate(records) if i not in kept
+    )):
+        log.warning("activity filter removed every review (min_count=%d)", min_activity)
     split = split_corpus([r.review_id for r in reviews], ratios, seed)
     sentences = {sid: tagged[sid] for r in reviews for sid in r.sentence_ids}
     return Corpus({r.review_id: r for r in reviews}, sentences, lexicon, split)
@@ -419,9 +408,12 @@ _SCHEMA = {
 
 
 def save_corpus(corpus: Corpus, dirpath, meta: dict) -> None:
-    """Write `corpus` as corpus.json and `meta` as meta.json under `dirpath`."""
+    """Write `corpus` as corpus.json and `meta` as meta.json under `dirpath`.
+    An old meta.json goes first and the new one is written last, so a stop
+    in between leaves the new corpus with no stamp, not the old one."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    (dirpath / "meta.json").unlink(missing_ok=True)
     doc = {
         "lexicon": corpus.lexicon.surfaces,
         "sentences": {

@@ -3,7 +3,8 @@
 Word/attribute and sentence vectors are consumed from text files (they
 are produced elsewhere); the trainable user and item tables live with the
 model parameters.  Vector file format: first line `<count> <dim>`, then
-`<id> <v1> ... <vdim>` per line, whitespace separated.
+`<id> <v1> ... <vdim>` per line, whitespace separated.  A file with no
+vectors is an error where it is read (`load_vector_file`).
 
 This module owns each node's input vector: `provider_from_vectors` builds
 a `NodeFeatureProvider`, the attribute and sentence tables, once per
@@ -52,10 +53,11 @@ def load_vector_file(path) -> EmbeddingTable:
 
     A file that is not UTF-8, a malformed header, a row of the wrong length
     or with a non-numeric, NaN or infinite value, and a duplicate id are
-    fatal and named by row; a file of blank lines only yields an empty table
-    with a warning.  Blank lines are skipped, before the header too: rows
-    are counted, and numbered from 1, over data lines only.  The table is
-    built from the rows read, so a header's count and dim allocate nothing.
+    fatal and named by row; so is a file with no vectors, one of blank lines
+    only or one whose header declares 0 rows.  Blank lines are skipped,
+    before the header too: rows are counted, and numbered from 1, over data
+    lines only.  The table is built from the rows read, so a header's count
+    and dim allocate nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -67,13 +69,14 @@ def load_vector_file(path) -> EmbeddingTable:
 def _read_vectors(fh, path) -> EmbeddingTable:
     header = next((parts for line in fh if (parts := line.split())), None)
     if header is None:
-        log.warning("vector file %s is empty", path)
-        return EmbeddingTable(np.zeros((0, 0)), index={}, path=str(path))
+        raise VectorFileError(f"{path}: no vectors (the file is empty)")
     if len(header) != 2 or not all(h.isdecimal() for h in header):
         raise VectorFileError(
             f"{path}: header row must be '<count> <dim>' as two integers, got {' '.join(header)!r}"
         )
     count, dim = int(header[0]), int(header[1])
+    if count == 0:
+        raise VectorFileError(f"{path}: no vectors (the header declares 0 rows)")
     index: dict[str, int] = {}
     values_read = array("d")  # 8 bytes a value, where a list of floats takes 32
     for line in fh:
@@ -145,16 +148,12 @@ def provider_from_vectors(corpus: Corpus, hidden: int, word_table: EmbeddingTabl
     averages `wi`, `-` and `fi`).  An attribute none of whose tokens has a
     word vector gets zeros; their count is logged once.  `sent_X` rows come
     from the sentence table when present; without one (the
-    average-word-embedding ablation) they average word vectors.  An empty word or sentence table is an error, and so is a
-    training sentence the sentence table lacks: the table is from another
-    preprocess run.
+    average-word-embedding ablation) they average word vectors.  A training
+    sentence the sentence table lacks is an error: the table is from
+    another preprocess run.
     """
-    if len(word_table) == 0:
-        raise VectorFileError(f"{word_table.path}: attribute/word vector table is empty")
     if word_table.dim != hidden:
         raise VectorFileError(f"attribute/word vectors have dim {word_table.dim}, expected {hidden}")
-    if sentence_table is not None and len(sentence_table) == 0:
-        raise VectorFileError(f"{sentence_table.path}: sentence vector table is empty")
 
     attr_X = np.zeros((len(corpus.lexicon), hidden))
     missing = 0

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -439,35 +439,28 @@ class Trainer:
                     log.info("early stop after epoch %d (patience %d)", epoch - 1, cfg.patience)
                     break
                 order = np.random.default_rng([self.seed, 1, epoch]).permutation(len(self.train_pairs))
-                losses, rank_losses, attr_losses = [], [], []
+                terms = []  # a (loss, rank loss, attribute loss) per train pair
                 for start in range(0, len(order), cfg.batch_size):
                     batch = order[start : start + cfg.batch_size]
-                    acc, terms = self._batch_loss(batch, epoch)
-                    for loss, l_rank, l_attr in terms:
-                        losses.append(loss)
-                        rank_losses.append(l_rank)
-                        attr_losses.append(l_attr)
+                    acc, batch_terms = self._batch_loss(batch, epoch)
+                    terms.extend(batch_terms)
                     for name in acc:
                         acc[name] /= len(batch)
                     adam_step(self.params, acc, self.adam, cfg.learning_rate)
                 b1, b2, b4 = self.validate()
                 if not all(math.isfinite(v) for v in (b1, b2, b4)):
                     raise TrainingError(f"validation BLEU is not finite at epoch {epoch}")
+                loss, rank_loss, attr_loss = (float(np.mean(column)) for column in zip(*terms))
                 record = EpochRecord(
                     epoch=epoch,
-                    loss=float(np.mean(losses)),
-                    rank_loss=float(np.mean(rank_losses)),
-                    attr_loss=float(np.mean(attr_losses)),
+                    loss=loss,
+                    rank_loss=rank_loss,
+                    attr_loss=attr_loss,
                     val_bleu1=b1,
                     val_bleu2=b2,
                     val_bleu4=b4,
                 )
-                line = (
-                    f"{record.epoch} {record.loss:.10g} {record.rank_loss:.10g} "
-                    f"{record.attr_loss:.10g} {record.val_bleu1:.10g} "
-                    f"{record.val_bleu2:.10g} {record.val_bleu4:.10g}"
-                )
-                fh.write(line + "\n")
+                fh.write(" ".join(format(value, ".10g") for value in astuple(record)) + "\n")
                 fh.flush()
                 if self.best is None or record.val_bleu4 > self.best.val_bleu4:
                     self.best = record

@@ -342,6 +342,26 @@ class TestPipeline:
         assert cli.main(["train", "--config", str(changed)]) == 1
         assert "re-run preprocess" in capsys.readouterr().err
 
+    def test_preprocess_stopped_before_its_stamp_asks_to_preprocess(self, planted, tmp_path, monkeypatch):
+        # a new corpus.json beside the old meta.json would pass the old config's hash check
+        config, _, _, _ = planted
+        argv = ["preprocess", "--config", str(config), "--workdir", str(tmp_path / "work")]
+        assert cli.main([*argv, "--seed", "0"]) == 0
+        write_text = Path.write_text
+
+        def stop_at_meta(path, *args, **kwargs):
+            if path.name == "meta.json":
+                raise OSError("stopped before meta.json")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", stop_at_meta)
+        assert cli.main([*argv, "--seed", "1"]) == 1
+        monkeypatch.undo()
+        cfg = PipelineConfig.load(config)
+        cfg.paths.workdir = str(tmp_path / "work")
+        with pytest.raises(cli.StalenessError, match="re-run preprocess"):
+            cli._load_processed(cfg)
+
     def test_vector_width_mismatch_is_an_error(self, planted, tmp_path, capsys):
         config, _, _, _ = planted
         doc = json.loads(config.read_text(encoding="utf-8"))
@@ -360,7 +380,7 @@ class TestPipeline:
             (["x 32"], "header row"),
             (["1 2", "room 0.5 abc"], "row 1 ('room') has a non-numeric value"),
             (["2 2", "room 0.5 0.5", "bed nan 0.5"], "row 2 ('bed') has a non-finite value"),
-            ([""], "attribute/word vector table is empty"),
+            ([""], "no vectors (the file is empty)"),
             (["\u00b2 2", "room 0.5 0.5"], "header row"),
         ],
     )
@@ -767,6 +787,24 @@ class TestConfig:
         changed.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["preprocess", "--config", str(changed)]) == 1
         assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("selection.alpha", "Infinity"),
+            ("training.learning_rate", "Infinity"),
+            ("corpus.rating_threshold", "NaN"),
+            ("training.lambda", "-Infinity"),
+        ],
+    )
+    def test_non_finite_number_rejected_by_name(self, planted, tmp_path, capsys, key, text):
+        # Python's json reads NaN and the infinities, and no range check stops them all
+        config, _, _, _ = planted
+        section, name = key.split(".")
+        changed = changed_config(config, tmp_path, section, name, float(text))
+        assert text in changed.read_text(encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(changed), "--workdir", str(tmp_path / "work")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key} must be finite, got {text}")
 
     def test_negative_seed_flag_rejected(self, planted, tmp_path, capsys):
         # the range check sees the config after the CLI overrides

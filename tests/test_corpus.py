@@ -180,16 +180,21 @@ class _R:
         self.item_id = item_id
 
 
+def active(reviews, min_count):
+    """The reviews whose indices `_active_rows` keeps, in order."""
+    return [reviews[i] for i in cp._active_rows([(r.user_id, r.item_id) for r in reviews], min_count)]
+
+
 class TestActivityFilter:
     def test_already_fixpoint(self):
         reviews = [_R(f"u{i}", f"c{j}") for i in range(2) for j in range(3)]
-        assert cp.filter_min_activity(reviews, 2) == reviews
+        assert active(reviews, 2) == reviews
 
     def test_user_below_threshold_removed(self):
         reviews = [_R("a", f"c{j}") for j in range(14)] + [_R("b", f"c{j}") for j in range(15)]
         # items all have < 15 reviews here, so give each item enough mass
         reviews = [_R("a", "c0") for _ in range(14)] + [_R("b", "c0") for _ in range(15)]
-        kept = cp.filter_min_activity(reviews, 15)
+        kept = active(reviews, 15)
         assert {r.user_id for r in kept} == {"b"}
 
     def test_chain_removal_two_passes(self):
@@ -200,7 +205,7 @@ class TestActivityFilter:
             + [_R("B", "X"), _R("B", "Y"), _R("B", "Y")]
             + [_R("C", "Y"), _R("C", "Y"), _R("C", "Y")]
         )
-        kept = cp.filter_min_activity(reviews, 3)
+        kept = active(reviews, 3)
         # exhaustive recount: the fixpoint must satisfy both constraints
         from collections import Counter
 
@@ -216,11 +221,11 @@ class TestActivityFilter:
 
     def test_rerun_is_identity(self):
         reviews = [_R(f"u{i % 3}", f"c{i % 2}") for i in range(12)]
-        once = cp.filter_min_activity(reviews, 2)
-        assert cp.filter_min_activity(once, 2) == once
+        once = active(reviews, 2)
+        assert active(once, 2) == once
 
     def test_empty_result(self):
-        assert cp.filter_min_activity([_R("a", "x")], 2) == []
+        assert active([_R("a", "x")], 2) == []
 
 
 class TestSplit:

@@ -6,7 +6,9 @@ import pytest
 
 import synthetic_corpus as sc
 from oracles import graph_inputs_oracle
+from recexplain import cli
 from recexplain import features as ft
+from recexplain.config import PipelineConfig
 from recexplain.corpus import AttributeLexicon, Corpus, CorpusSplit, Review, Sentence
 from recexplain.graphs import build_pair_graph
 
@@ -74,21 +76,16 @@ class TestLoadVectorFile:
         with pytest.raises(ft.VectorFileError, match="duplicate"):
             ft.load_vector_file(path)
 
-    def test_empty_file_warns(self, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("", "the file is empty"), (" \n\n\t\n", "the file is empty"), ("\n0 3\n\n", "the header declares 0 rows")],
+        ids=["empty", "whitespace-only", "zero-count"],
+    )
+    def test_file_with_no_vectors_is_an_error(self, tmp_path, text, reason):
         path = tmp_path / "v.txt"
-        path.write_text("")
-        with caplog.at_level("WARNING"):
-            table = ft.load_vector_file(path)
-        assert len(table) == 0
-        assert any("empty" in rec.message for rec in caplog.records)
-
-    def test_whitespace_only_file_warns(self, tmp_path, caplog):
-        path = tmp_path / "v.txt"
-        path.write_text(" \n\n\t\n")
-        with caplog.at_level("WARNING"):
-            table = ft.load_vector_file(path)
-        assert len(table) == 0
-        assert any("empty" in rec.message for rec in caplog.records)
+        path.write_text(text)
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: no vectors ({reason})")):
+            ft.load_vector_file(path)
 
     def test_blank_lines_before_header_are_skipped(self, tmp_path, caplog):
         plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
@@ -175,13 +172,19 @@ class TestNodeFeatureProvider:
             ft.provider_from_vectors(tiny_corpus(), 3, word_table())
 
     @pytest.mark.parametrize("kind", ["word", "sentence"])
-    def test_empty_table_names_its_file(self, tmp_path, kind):
-        path = tmp_path / f"{kind}s.txt"
-        path.write_text("")
-        empty = ft.load_vector_file(path)
-        tables = (empty, None) if kind == "word" else (word_table(), empty)
-        with pytest.raises(ft.VectorFileError, match=re.escape(f"{path}: ") + f".*{kind} vector table is empty"):
-            ft.provider_from_vectors(tiny_corpus(), 2, *tables)
+    def test_empty_table_names_its_file(self, tmp_path, kind, monkeypatch):
+        # the read rejects either file with no vectors, before a provider is built
+        paths = {name: tmp_path / f"{name}s.txt" for name in ("word", "sentence")}
+        write_vectors(paths["word"], [("a", [1, 0]), ("b", [0, 1])])
+        write_vectors(paths["sentence"], [("s1", [1, 0]), ("s2", [0, 1])])
+        paths[kind].write_text("")
+        cfg = PipelineConfig.from_dict(
+            {"paths": {"attribute_vectors": str(paths["word"]), "sentence_vectors": str(paths["sentence"])},
+             "model": {"hidden": 2}}
+        )
+        monkeypatch.setattr(cli, "provider_from_vectors", lambda *a: pytest.fail("built a provider"))
+        with pytest.raises(ft.VectorFileError, match=re.escape(f"{paths[kind]}: no vectors")):
+            cli._build_provider(cfg, tiny_corpus())
 
     def test_attribute_vectors_and_multiword_mean(self):
         prov = ft.provider_from_vectors(tiny_corpus(("a", "a b")), 2, word_table())
