@@ -9,6 +9,13 @@ little-endian buffers concatenated in header order.
 `save_tensors` writes `<path>.tmp` and moves it onto `path` with
 `os.replace`, so a killed process leaves the previous archive whole, never
 a truncated one.  Nothing is fsynced: a power loss is not covered.
+
+Neither side copies a buffer.  `save_tensors` hands each array to the file
+as it is (a little-endian, C-ordered array is its own buffer), and
+`load_tensors` reads each buffer straight into the array it returns.  A
+caller may load only the tensors whose names start with given prefixes: the
+others are seeked past, unread, but every header entry, every buffer's
+extent and the file's total length are checked all the same.
 """
 
 from __future__ import annotations
@@ -30,15 +37,14 @@ class ArchiveError(Exception):
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write `tensors` (insertion order preserved) and `meta` to `path`
     atomically; a write that raises removes its temporary file."""
-    entries = []
-    buffers = []
-    for name, arr in tensors.items():
+    arrays = []
+    for arr in tensors.values():
         arr = np.asarray(arr, order="C")  # ascontiguousarray would make 0-d arrays 1-d
-        buf = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        entries.append(
-            {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape), "nbytes": len(buf)}
-        )
-        buffers.append(buf)
+        arrays.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+    entries = [
+        {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape), "nbytes": arr.nbytes}
+        for name, arr in zip(tensors, arrays)
+    ]
     header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -46,17 +52,20 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
             fh.write(MAGIC)
             fh.write(len(header).to_bytes(8, "little"))
             fh.write(header)
-            for buf in buffers:
-                fh.write(buf)
+            for arr in arrays:
+                fh.write(arr)  # the array's own buffer, 0-d and 0-size ones included
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
 
 
-def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read an archive back; returns (tensors, meta).  A header that names
-    a tensor twice, or bytes after the last buffer, is an ArchiveError."""
+def load_tensors(path, prefixes: tuple[str, ...] | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read an archive back; returns (tensors, meta).  With `prefixes`, only
+    the tensors whose names start with one of them are read; the others are
+    skipped, after the same checks.  A header that names a tensor twice, a
+    buffer past the end of the file, or bytes after the last buffer, is an
+    ArchiveError."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -81,13 +90,21 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         ):
             raise ArchiveError(f"{path}: header has no 'tensors' list and 'meta' object")
         tensors: dict[str, np.ndarray] = {}
+        names: set[str] = set()
         for index, entry in enumerate(header["tensors"]):
             name, dtype, shape, nbytes = _layout(path, index, entry)
-            if name in tensors:
+            if name in names:
                 raise ArchiveError(f"{path}: tensor '{name}' is named twice in the header")
-            if nbytes > file_size - fh.tell():  # checked before read() allocates nbytes
+            names.add(name)
+            if nbytes > file_size - fh.tell():  # checked before the buffer is allocated
                 raise ArchiveError(f"{path}: truncated buffer for '{name}'")
-            tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+            if prefixes is None or name.startswith(prefixes):
+                arr = np.empty(shape, dtype=dtype)
+                if fh.readinto(arr) != nbytes:
+                    raise ArchiveError(f"{path}: truncated buffer for '{name}'")
+                tensors[name] = arr
+            else:
+                fh.seek(nbytes, os.SEEK_CUR)
         if fh.tell() != file_size:
             raise ArchiveError(f"{path}: {file_size - fh.tell()} bytes after the last tensor buffer")
     return tensors, header["meta"]

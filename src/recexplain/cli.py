@@ -11,7 +11,9 @@ train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
 files feed train and the train hash: train builds the attribute and
 sentence node inputs from them (`features.provider_from_vectors`) and
 stores them in every checkpoint, and select reads them from the checkpoint
-(`training.checkpoint_provider`), so it parses neither file.
+(`training.checkpoint_provider`), so it parses neither file.  Select reads
+a checkpoint's parameters and tables only, not Adam's moments, and checks
+the parameters against the shapes the model states (`Model.param_shapes`).
 
 Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
 sentence's row also carries its attributes' mean input), --no-dcn sets
@@ -46,7 +48,7 @@ from .corpus import (
 from .features import NodeFeatureProvider, VectorFileError, graph_inputs, load_vector_file, provider_from_vectors
 from .graphs import EmptyPoolError, build_pair_graph
 from .model import Model
-from .selector import TfidfVectorizer, select_for_pair
+from .selector import SelectorError, TfidfVectorizer, select_for_pair
 from .training import BEST_CHECKPOINT, Trainer, TrainingError, checkpoint_params, checkpoint_provider
 
 log = logging.getLogger(__name__)
@@ -123,12 +125,12 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
     ckpt_path = Path(checkpoint or Path(cfg.paths.workdir) / BEST_CHECKPOINT)
     if not checkpoint and not ckpt_path.exists():
         raise StalenessError(f"no checkpoint at {ckpt_path}; run train first")
-    tensors, meta = load_tensors(ckpt_path)
+    tensors, meta = load_tensors(ckpt_path, ("param.", "feature."))
     if not checkpoint:
         _check_hash(meta.get("config_hash"), cfg.train_hash(), "train")
     provider = checkpoint_provider(tensors, corpus, cfg.model.hidden)
     model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
-    params = checkpoint_params(tensors, model.init_params(cfg.seed), "param")
+    params = checkpoint_params(tensors, model.param_shapes(), "param")
     vectorizer = TfidfVectorizer([corpus.sentences[sid].words for sid in corpus.sentence_rows])
 
     pairs = corpus.pairs("test")
@@ -140,12 +142,15 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
             except EmptyPoolError:
                 log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
                 continue
-            yield graph, graph_inputs(graph, corpus, provider)
+            yield graph, graph_inputs(graph, corpus)
 
     results = []
-    for graph, scores in model.scores(graphs(), params):
+    for graph, scores in model.scores(graphs(), params, provider):
         words = [corpus.sentences[s].words for s in graph.sentence_ids]
-        sel, chosen = select_for_pair(scores, words, vectorizer, cfg.selection)
+        try:
+            sel, chosen = select_for_pair(scores, words, vectorizer, cfg.selection)
+        except SelectorError as exc:
+            raise SelectorError(f"select: pair ({graph.user_id}, {graph.item_id}): {exc}") from exc
         results.append(
             {
                 "user_id": graph.user_id,
@@ -306,7 +311,7 @@ def main(argv=None) -> int:
             report = cmd_evaluate(cfg, selections=getattr(args, "selections", None))
             print(report.format_table())
     except (
-        ArchiveError, ConfigError, CorpusError, StalenessError, TrainingError, VectorFileError, OSError
+        ArchiveError, ConfigError, CorpusError, SelectorError, StalenessError, TrainingError, VectorFileError, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

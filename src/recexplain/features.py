@@ -10,7 +10,9 @@ This module owns each node's input vector: `provider_from_vectors` builds
 a `NodeFeatureProvider`, the attribute and sentence tables, once per
 training run from the vector files; every checkpoint stores the tables,
 and select reads them back (`training.checkpoint_provider`).
-`graph_inputs` gathers one graph's rows.
+`graph_inputs` names one graph's rows of those tables, as indices only:
+`Model.forward` gathers a chunk's rows when it runs, so the tables are the
+one float copy of each input vector, however many pools hold a sentence.
 """
 
 from __future__ import annotations
@@ -182,20 +184,22 @@ def provider_from_vectors(corpus: Corpus, hidden: int, word_table: EmbeddingTabl
 
 @dataclass
 class GraphInputs:
-    """Static node inputs plus embedding-table rows for one graph."""
+    """One graph's node input rows, as indices: its attribute and sentence
+    rows of the provider's tables and its user and item rows of the
+    trainable embeddings.  It holds no float data."""
 
-    attr_X: np.ndarray  # (M, hidden)
-    sent_X: np.ndarray  # (S, sentence_dim)
+    attr_rows: np.ndarray  # (M,) intp rows of `NodeFeatureProvider.attr_X`: the graph's attribute ids
+    sent_rows: np.ndarray  # (S,) intp rows of `NodeFeatureProvider.sent_X`: its sentences' `Corpus.sentence_rows`
     user_row: int
     item_row: int
 
 
-def graph_inputs(graph, corpus: Corpus, provider: NodeFeatureProvider) -> GraphInputs:
-    """The graph's node inputs: its attribute and sentence rows gathered
-    from the provider's tables, its user and item rows from the corpus."""
+def graph_inputs(graph, corpus: Corpus) -> GraphInputs:
+    """The graph's node input rows: its attribute ids, its sentences' rows
+    of the sentence table and its user and item rows, all from the corpus."""
     return GraphInputs(
-        attr_X=provider.attr_X[list(graph.attribute_ids)],
-        sent_X=provider.sent_X[[corpus.sentence_rows[s] for s in graph.sentence_ids]],
+        attr_rows=np.array(graph.attribute_ids, dtype=np.intp),
+        sent_rows=np.array([corpus.sentence_rows[s] for s in graph.sentence_ids], dtype=np.intp),
         user_row=corpus.user_rows[graph.user_id],
         item_row=corpus.item_rows[graph.item_id],
     )

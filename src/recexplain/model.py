@@ -38,12 +38,16 @@ and the sentence rows of all B graphs are stacked, graph by graph, into R:
 a = R @ V[ds:] + (G @ V[:ds])[gid], gid being each row's graph.  Backward
 takes the per-graph sums with `np.add.reduceat` over the graphs' first
 rows, so a weight's shared columns get one product with G per chunk
-(`deep.0.w`: dz_graph^T G), not one full-size write per graph.  A chunk
-holds every graph's attention trace until backward, so `readout_chunks`
-caps its sentence rows at READOUT_ROWS; a graph with more rows forms a
-chunk by itself.  Training drops a chunk's trace after its backward;
-`Model.scores` owns scoring without backward (validation, select) and
-drops each trace before yielding, so one chunk's traces are alive at a time.
+(`deep.0.w`: dz_graph^T G), not one full-size write per graph.  A graph
+brings row indices only (`features.GraphInputs`): `forward` gathers the
+chunk's attribute and sentence inputs from the provider's tables, one
+gather per table, and the trace keeps the gathered sentence block, which
+the `proj.w` gradient reads.  A chunk holds every graph's attention trace
+until backward, so `readout_chunks` caps its sentence rows at
+READOUT_ROWS; a graph with more rows forms a chunk by itself.  Training
+drops a chunk's trace after its backward; `Model.scores` owns scoring
+without backward (validation, select) and drops each trace before
+yielding, so one chunk's traces are alive at a time.
 
 The two model ablations change x0's layout or what reads it, nothing
 else.  --no-gat runs no attention layer (node_dim = hidden) and adds the
@@ -130,7 +134,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import GraphInputs
+from .features import GraphInputs, NodeFeatureProvider
 from .graphs import ITEM_NODE, USER_NODE, Edges, PairGraph
 
 
@@ -369,6 +373,7 @@ def _add_rows(table: np.ndarray, rows: list[int], values: np.ndarray) -> None:
 class ForwardTrace:
     graphs: Sequence[PairGraph]
     inputs: Sequence[GraphInputs]
+    sent_inputs: np.ndarray | None  # (S, sentence_dim) the gathered sentence rows, kept when they are projected
     states: list[list[np.ndarray]]  # per graph, each attention layer's input, then the final node states
     attention: list[list[tuple]]  # per graph and layer, its (E, h) per-edge (logits, weights)
     sent_bounds: np.ndarray  # (B+1,) graph b's sentences are rows sent_bounds[b]:sent_bounds[b+1]
@@ -417,67 +422,99 @@ class Model:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every trainable tensor's shape, in the order `init_params` draws
+        them."""
+        cfg = self.cfg
+        shapes = {"embed.user": (self.n_users, cfg.hidden), "embed.item": (self.n_items, cfg.hidden)}
+        if self.project_sentences:
+            shapes["proj.w"] = (cfg.hidden, self.sentence_dim)
+            shapes["proj.b"] = (cfg.hidden,)
+        for l, (din, heads) in enumerate(zip(self.gat_in, cfg.gat_heads)):
+            shapes[f"gat.{l}.qk"] = (din, 2 * heads)
+        if cfg.disable_dcn:
+            shapes["head.score"] = (self.d0 - 2 * self.node_dim,)  # x0 without [user | item]
+        else:
+            for l in range(CROSS_LAYERS):
+                shapes[f"cross.{l}.w"] = (self.d0,)
+                if l < CROSS_LAYERS - 1:  # the last layer's bias would shift every score alike
+                    shapes[f"cross.{l}.b"] = (self.d0,)
+            for l in range(DEEP_LAYERS):
+                shapes[f"deep.{l}.w"] = (self.deep_dims[l + 1], self.deep_dims[l])
+                shapes[f"deep.{l}.b"] = (self.deep_dims[l + 1],)
+            shapes["head.score"] = (self.d0 + cfg.deep_hidden,)
+        shapes["head.attr"] = (self.node_dim,)
+        return shapes
+
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
+        """A fresh draw of every tensor of `param_shapes`, in its order:
+        embeddings uniform, biases zero, the rest Glorot-uniform, attention
+        and the --no-dcn head drawn as factors and folded."""
         cfg = self.cfg
         rng = np.random.default_rng([seed, 0])
         p: dict[str, np.ndarray] = {}
-        scale = EMBED_INIT_SCALE
-        p["embed.user"] = rng.uniform(-scale, scale, size=(self.n_users, cfg.hidden))
-        p["embed.item"] = rng.uniform(-scale, scale, size=(self.n_items, cfg.hidden))
-        if self.project_sentences:
-            p["proj.w"] = self._glorot(rng, (cfg.hidden, self.sentence_dim))
-            p["proj.b"] = np.zeros(cfg.hidden)
-        for l, (din, heads) in enumerate(zip(self.gat_in, cfg.gat_heads)):
-            qk = p[f"gat.{l}.qk"] = np.empty((din, 2 * heads))
-            for h in range(heads):
-                # GAT's factors W_q, W_k (hidden x din) and w_a, folded
-                w_q = self._glorot(rng, (cfg.hidden, din))
-                w_k = self._glorot(rng, (cfg.hidden, din))
-                w_a = self._glorot(rng, (2 * cfg.hidden,))
-                qk[:, h] = w_q.T @ w_a[: cfg.hidden]
-                qk[:, heads + h] = w_k.T @ w_a[cfg.hidden :]
-        if cfg.disable_dcn:
-            # a deep_hidden-wide linear layer (zero bias) and its head,
-            # folded; the rows that would read g = [user | item] are dropped
-            lin = self._glorot(rng, (cfg.deep_hidden, self.d0))
-            p["head.score"] = (lin.T @ self._glorot(rng, (cfg.deep_hidden,)))[2 * self.node_dim :]
-        else:
-            for l in range(CROSS_LAYERS):
-                p[f"cross.{l}.w"] = self._glorot(rng, (self.d0,))
-                if l < CROSS_LAYERS - 1:  # the last layer's bias would shift every score alike
-                    p[f"cross.{l}.b"] = np.zeros(self.d0)
-            for l in range(DEEP_LAYERS):
-                p[f"deep.{l}.w"] = self._glorot(rng, (self.deep_dims[l + 1], self.deep_dims[l]))
-                p[f"deep.{l}.b"] = np.zeros(self.deep_dims[l + 1])
-            p["head.score"] = self._glorot(rng, (self.d0 + cfg.deep_hidden,))
-        p["head.attr"] = self._glorot(rng, (self.node_dim,))
+        for name, shape in self.param_shapes().items():
+            if name.startswith("embed."):
+                p[name] = rng.uniform(-EMBED_INIT_SCALE, EMBED_INIT_SCALE, size=shape)
+            elif name.endswith(".b"):
+                p[name] = np.zeros(shape)
+            elif name.startswith("gat."):
+                din, heads = shape[0], shape[1] // 2
+                qk = p[name] = np.empty(shape)
+                for h in range(heads):
+                    # GAT's factors W_q, W_k (hidden x din) and w_a, folded
+                    w_q = self._glorot(rng, (cfg.hidden, din))
+                    w_k = self._glorot(rng, (cfg.hidden, din))
+                    w_a = self._glorot(rng, (2 * cfg.hidden,))
+                    qk[:, h] = w_q.T @ w_a[: cfg.hidden]
+                    qk[:, heads + h] = w_k.T @ w_a[cfg.hidden :]
+            elif name == "head.score" and cfg.disable_dcn:
+                # a deep_hidden-wide linear layer (zero bias) and its head,
+                # folded; the rows that would read g = [user | item] are dropped
+                lin = self._glorot(rng, (cfg.deep_hidden, self.d0))
+                p[name] = (lin.T @ self._glorot(rng, (cfg.deep_hidden,)))[2 * self.node_dim :]
+            else:
+                p[name] = self._glorot(rng, shape)
         return p
 
     # -- forward ------------------------------------------------------------
 
-    def _input_states(self, graph: PairGraph, inputs: GraphInputs, sentences: np.ndarray, params) -> np.ndarray:
+    def _input_states(
+        self, graph: PairGraph, inputs: GraphInputs, attributes: np.ndarray, sentences: np.ndarray, params
+    ) -> np.ndarray:
         h0 = np.zeros((graph.n_nodes, self.cfg.hidden))
         h0[USER_NODE] = params["embed.user"][inputs.user_row]
         h0[ITEM_NODE] = params["embed.item"][inputs.item_row]
         # provider_from_vectors (train) or checkpoint_provider (select) has checked the attribute vectors' width
-        h0[graph.attr_slice] = inputs.attr_X
+        h0[graph.attr_slice] = attributes
         h0[graph.sent_slice] = sentences
         return h0
 
-    def forward(self, graphs: Sequence[PairGraph], inputs: Sequence[GraphInputs], params) -> ForwardTrace:
+    def forward(
+        self, graphs: Sequence[PairGraph], inputs: Sequence[GraphInputs], params, provider: NodeFeatureProvider
+    ) -> ForwardTrace:
         """Scores and attribute probabilities of a chunk of graphs, each
         graph's in its rows of the trace (`ForwardTrace.sentences` and
-        `.attributes`)."""
+        `.attributes`).  The graphs' input rows are gathered from
+        `provider`'s tables, one gather per table for the chunk."""
         nd = self.node_dim
         sent_bounds = np.cumsum([0] + [len(g.sentence_ids) for g in graphs])
         attr_bounds = np.cumsum([0] + [len(g.attribute_ids) for g in graphs])
-        sent_X = np.concatenate([inp.sent_X for inp in inputs])
+        attr_X = provider.attr_X[np.concatenate([inp.attr_rows for inp in inputs])]
+        sent_inputs = provider.sent_X[np.concatenate([inp.sent_rows for inp in inputs])]
+        sent_X = sent_inputs
         if self.project_sentences:
-            sent_X = sent_X @ params["proj.w"].T + params["proj.b"][None, :]
+            sent_X = sent_inputs @ params["proj.w"].T + params["proj.b"][None, :]
         G = np.empty((len(graphs), 2 * nd))
         rows, attr_rows, states, attention = [], [], [], []
         for b, (graph, inp) in enumerate(zip(graphs, inputs)):
-            H = self._input_states(graph, inp, sent_X[sent_bounds[b] : sent_bounds[b + 1]], params)
+            H = self._input_states(
+                graph,
+                inp,
+                attr_X[attr_bounds[b] : attr_bounds[b + 1]],
+                sent_X[sent_bounds[b] : sent_bounds[b + 1]],
+                params,
+            )
             edges = graph.edge_arrays()
             states.append([H])
             attention.append([])
@@ -509,6 +546,7 @@ class Model:
         return ForwardTrace(
             graphs=graphs,
             inputs=inputs,
+            sent_inputs=sent_inputs if self.project_sentences else None,
             states=states,
             attention=attention,
             sent_bounds=sent_bounds,
@@ -521,13 +559,15 @@ class Model:
             attr_probs=attr_probs,
         )
 
-    def scores(self, items: Iterable[tuple[PairGraph, GraphInputs]], params) -> Iterator[tuple[PairGraph, np.ndarray]]:
+    def scores(
+        self, items: Iterable[tuple[PairGraph, GraphInputs]], params, provider: NodeFeatureProvider
+    ) -> Iterator[tuple[PairGraph, np.ndarray]]:
         """(graph, its sentence scores) for each (graph, inputs) of `items`,
         in order: one `forward` per `readout_chunks` chunk, whose trace is
         dropped before the chunk's first yield.  `items` is read lazily,
         as `readout_chunks` reads it."""
         for chunk in readout_chunks(items, lambda item: len(item[0].sentence_ids)):
-            trace = self.forward([graph for graph, _ in chunk], [inputs for _, inputs in chunk], params)
+            trace = self.forward([graph for graph, _ in chunk], [inputs for _, inputs in chunk], params, provider)
             scores = [trace.scores[trace.sentences(b)] for b in range(len(chunk))]
             del trace
             yield from zip([graph for graph, _ in chunk], scores)
@@ -596,7 +636,7 @@ class Model:
         _add_rows(grads["embed.item"], [inp.item_row for inp in trace.inputs], d_item)
         if self.project_sentences:
             d_sent = np.concatenate(d_sent)
-            grads["proj.w"] += d_sent.T @ np.concatenate([inp.sent_X for inp in trace.inputs])
+            grads["proj.w"] += d_sent.T @ trace.sent_inputs
             if self.gat_in or not self.cfg.disable_dcn:
                 # under --no-gat --no-dcn every score is linear in its own
                 # sentence row, so proj.b shifts a graph's scores alike; the

@@ -88,7 +88,8 @@ class SelectionProblem:
             raise SelectorError("scores must be finite")
         if not np.isfinite(self.sim).all():
             raise SelectorError("similarity matrix must be finite")
-        if not np.allclose(self.sim, self.sim.T, atol=1e-12):
+        # np.allclose(sim, sim.T, atol=1e-12)'s rule, without its overhead; both are finite
+        if not (np.abs(self.sim - self.sim.T) <= 1e-12 + 1e-5 * np.abs(self.sim.T)).all():
             raise SelectorError("similarity matrix must be symmetric")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise SelectorError(f"alpha must be finite and >= 0, got {self.alpha}")

@@ -38,8 +38,10 @@ A checkpoint holds the parameters (`param.*`), Adam's moments (`adam.m.*`,
 instead of re-reading the vector files (`checkpoint_provider` checks them
 against the corpus); its metadata holds the epoch, Adam's step count, the
 best record and the train config hash.  Resuming reads the parameters and
-Adam's state; the tables come from the vector files again
-(`features.provider_from_vectors`), whose digests the hash covers.
+Adam's state and skips the tables, unread (`archive.load_tensors` with
+prefixes); they come from the vector files again
+(`features.provider_from_vectors`), whose digests the hash covers.  Select
+reads the parameters and the tables and skips Adam's moments.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ class Trainer:
             except EmptyPoolError:
                 skipped += 1
                 continue
-            inputs = graph_inputs(graph, self.corpus, self.provider)
+            inputs = graph_inputs(graph, self.corpus)
             labels = None
             if part == "train":
                 mentioned = set().union(*(self.corpus.sentences[s].attributes for s in truth_ids))
@@ -383,7 +385,7 @@ class Trainer:
         terms = []
         for chunk in readout_chunks(batch, lambda pos: len(self.train_pairs[pos].graph.sentence_ids)):
             pairs = [self.train_pairs[pos] for pos in chunk]
-            trace = self.model.forward([p.graph for p in pairs], [p.inputs for p in pairs], self.params)
+            trace = self.model.forward([p.graph for p in pairs], [p.inputs for p in pairs], self.params, self.provider)
             d_scores = np.empty_like(trace.scores)
             d_probs = np.empty_like(trace.attr_probs)
             for b, (pos, pair) in enumerate(zip(chunk, pairs)):
@@ -409,7 +411,7 @@ class Trainer:
             return 0.0, 0.0, 0.0
         sums = [0.0, 0.0, 0.0]
         items = ((pair.graph, pair.inputs) for pair in self.valid_pairs)
-        for pair, (graph, scores) in zip(self.valid_pairs, self.model.scores(items, self.params)):
+        for pair, (graph, scores) in zip(self.valid_pairs, self.model.scores(items, self.params, self.provider)):
             top = np.argsort(-scores, kind="stable")[: self.k]
             cand = [w for idx in top for w in self.corpus.sentences[graph.sentence_ids[idx]].words]
             ref = [w for words in pair.truth_words for w in words]
@@ -491,7 +493,7 @@ class Trainer:
         exactly `EpochRecord`'s fields: `epoch` an integer, the others
         finite numbers (a bool is neither).
         """
-        tensors, meta = load_tensors(path)
+        tensors, meta = load_tensors(path, ("param.", "adam."))
         if meta.get("config_hash") != self.config_hash:
             raise TrainingError(
                 f"checkpoint config hash {meta.get('config_hash')!r} does not match "
@@ -515,24 +517,25 @@ class Trainer:
             typed = isinstance(value, kind) and not isinstance(value, bool)
             if not typed or isinstance(value, float) and not math.isfinite(value):
                 raise TrainingError(f"checkpoint metadata 'best.{name}' is {value!r}, not {noun}")
-        self.params.update(checkpoint_params(tensors, self.params, "param"))
-        self.adam.m = checkpoint_params(tensors, self.params, "adam.m")
-        self.adam.v = checkpoint_params(tensors, self.params, "adam.v")
+        shapes = self.model.param_shapes()
+        self.params.update(checkpoint_params(tensors, shapes, "param"))
+        self.adam.m = checkpoint_params(tensors, shapes, "adam.m")
+        self.adam.v = checkpoint_params(tensors, shapes, "adam.v")
         self.adam.t = meta["adam_t"]
         self.start_epoch = meta["epoch"] + 1
         self.best = EpochRecord(**meta["best"])
 
 
-def checkpoint_params(tensors: dict[str, np.ndarray], like: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+def checkpoint_params(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], prefix: str) -> dict[str, np.ndarray]:
     """The checkpoint's `<prefix>.*` tensors (`param`, `adam.m` or
-    `adam.v`), one per entry of `like` and of the same shape; anything else
-    means the checkpoint belongs to another model config.  A NaN or an
-    infinity is an error naming its tensor.
+    `adam.v`), one per entry of `shapes` (`Model.param_shapes`) and of that
+    shape; anything else means the checkpoint belongs to another model
+    config.  A NaN or an infinity is an error naming its tensor.
     """
     params = {}
-    for name, p in like.items():
+    for name, shape in shapes.items():
         key = f"{prefix}.{name}"
-        if key not in tensors or tensors[key].shape != p.shape:
+        if key not in tensors or tensors[key].shape != shape:
             raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
         if not np.all(np.isfinite(tensors[key])):
             raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value")

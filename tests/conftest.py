@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from recexplain.features import GraphInputs
+from recexplain.features import GraphInputs, NodeFeatureProvider
 from recexplain.graphs import PairGraph, attention_edges
 from recexplain.model import Model
 
@@ -56,13 +56,22 @@ def toy_graph(n_attr, n_sent, rng, user_attrs=None, item_attrs=None):
     return toy_labelled_graph(n_attr, n_sent, rng, user_attrs, item_attrs)[0]
 
 
-def toy_inputs(graph, hidden, sent_dim, rng, user_row=0, item_row=0):
-    return GraphInputs(
-        attr_X=rng.normal(size=(len(graph.attribute_ids), hidden)),
-        sent_X=rng.normal(size=(len(graph.sentence_ids), sent_dim)),
-        user_row=user_row,
-        item_row=item_row,
-    )
+def toy_inputs(graphs, hidden, sent_dim, rng, rows=None):
+    """Random node inputs for a chunk of `graphs`: a provider whose small
+    tables stack the graphs' attribute rows and their sentence rows, drawn
+    graph by graph (attributes first), and each graph's `GraphInputs`, its
+    indices into them.  `rows` holds each graph's (user row, item row),
+    (0, 0) by default.  Returns (inputs, provider)."""
+    rows = [(0, 0)] * len(graphs) if rows is None else rows
+    attr, sent, inputs = [], [], []
+    n_attr = n_sent = 0
+    for graph, (user_row, item_row) in zip(graphs, rows, strict=True):
+        m, s = len(graph.attribute_ids), len(graph.sentence_ids)
+        attr.append(rng.normal(size=(m, hidden)))
+        sent.append(rng.normal(size=(s, sent_dim)))
+        inputs.append(GraphInputs(np.arange(n_attr, n_attr + m), np.arange(n_sent, n_sent + s), user_row, item_row))
+        n_attr, n_sent = n_attr + m, n_sent + s
+    return inputs, NodeFeatureProvider(np.concatenate(attr), np.concatenate(sent))
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ replacement, and every truncation reported as an ArchiveError that names
 the file."""
 
 import builtins
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,32 @@ def test_round_trip(archive):
         got = tensors[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_format_is_pinned(tmp_path):
+    # the sha256 of these bytes as the buffer-copying writer wrote them,
+    # before save_tensors streamed each array's own buffer: a 2-D float, an
+    # int, a bool, a 0-d and a 0-element tensor
+    tensors = {
+        "f64": np.array([[1.5, -2.0, np.pi], [0.0, 1e-300, -0.0]]),
+        "i64": np.array([3, -7, 2**40], dtype=np.int64),
+        "flags": np.array([True, False, True]),
+        "scalar": np.array(2.25),
+        "empty": np.zeros((0, 3)),
+    }
+    path = tmp_path / "pinned.ntar"
+    save_tensors(path, tensors, {"epoch": 3, "config_hash": "abc"})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "cb9ee4babacc8c472e81635f1bf0c5426544af492447e46d677a0aff8b38a409"
+
+
+def test_non_contiguous_and_big_endian_tensors_round_trip(tmp_path):
+    path = tmp_path / "t.ntar"
+    grid = np.arange(12.0).reshape(3, 4)
+    save_tensors(path, {"columns": grid[:, ::2], "big": grid.astype(">f8")})
+    tensors, _ = load_tensors(path)
+    assert tensors["columns"].tobytes() == np.ascontiguousarray(grid[:, ::2]).tobytes()
+    assert tensors["big"].dtype == np.dtype("<f8") and tensors["big"].tobytes() == grid.tobytes()
 
 
 def test_two_saves_identical_bytes(archive, tmp_path):
@@ -159,3 +186,62 @@ def test_bad_entry_names_the_tensor(archive, tmp_path, edit, message):
     with pytest.raises(ArchiveError) as err:
         load_tensors(path)
     assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+
+@pytest.mark.parametrize("prefixes", [("f", "s"), ("",), ("nothing.",)], ids=["some", "all", "none"])
+def test_selective_load_reads_only_the_named_tensors(archive, monkeypatch, prefixes):
+    read = []
+
+    class Counting:
+        """The file, counting the bytes each read hands back."""
+
+        def __init__(self, path, mode):
+            self.fh = builtins.open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def read(self, size):
+            data = self.fh.read(size)
+            read.append(len(data))
+            return data
+
+        def readinto(self, buffer):
+            read.append(self.fh.readinto(buffer))
+            return read[-1]
+
+    monkeypatch.setattr(archive_module, "open", Counting, raising=False)
+    tensors, meta = load_tensors(archive, prefixes)
+    monkeypatch.undo()
+    wanted = [name for name in TENSORS if name.startswith(prefixes)]
+    assert list(tensors) == wanted and meta == META
+    for name in wanted:
+        assert tensors[name].tobytes() == TENSORS[name].tobytes(), name
+    raw = archive.read_bytes()
+    header_end = len(MAGIC) + 8 + int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    assert sum(read) == header_end + sum(TENSORS[name].nbytes for name in wanted)
+
+
+def test_skipped_tensors_are_checked(archive, tmp_path):
+    # loading only "scalar" still checks the other entries and extents
+    raw = archive.read_bytes()
+    cut = tmp_path / "cut.ntar"
+    cut.write_bytes(raw[:-1])  # "scalar" is the last tensor with bytes
+    with pytest.raises(ArchiveError, match="cut.ntar: truncated buffer for 'scalar'"):
+        load_tensors(cut, ("f64",))
+    path = rewritten(archive, tmp_path / "e.ntar", lambda entries: entries[1].update(shape=[4]))
+    with pytest.raises(ArchiveError, match="tensor 'i64': 'nbytes' 24 is not 4 elements of 8 bytes"):
+        load_tensors(path, ("scalar",))
+    path = rewritten(archive, tmp_path / "past.ntar", lambda entries: entries[0].update(shape=[10**12], nbytes=8 * 10**12))
+    with pytest.raises(ArchiveError, match="past.ntar: truncated buffer for 'f64'"):
+        load_tensors(path, ("scalar",))
+    long = tmp_path / "long.ntar"
+    long.write_bytes(raw + b"\x00" * 3)
+    with pytest.raises(ArchiveError, match="long.ntar: 3 bytes after the last tensor buffer"):
+        load_tensors(long, ("f64",))

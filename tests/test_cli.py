@@ -156,12 +156,12 @@ class TestPipeline:
         corpus = load_corpus(workdir / "corpus")
         provider = cli._build_provider(cfg, corpus)
         model = Model(cfg.model, len(corpus.users), len(corpus.items), provider.sentence_dim)
-        params = checkpoint_params(load_tensors(workdir / BEST_CHECKPOINT)[0], model.init_params(cfg.seed), "param")
+        params = checkpoint_params(load_tensors(workdir / BEST_CHECKPOINT)[0], model.param_shapes(), "param")
         records = [json.loads(line) for line in outputs[name].splitlines()[1:]]
         assert len(records) == len(corpus.pairs("test"))
         for rec in records:
             graph = build_pair_graph(corpus, rec["user_id"], rec["item_id"])
-            scores = model.forward([graph], [graph_inputs(graph, corpus, provider)], params).scores
+            scores = model.forward([graph], [graph_inputs(graph, corpus)], params, provider).scores
             chosen = [graph.sentence_ids.index(sid) for sid in rec["sentence_ids"]]
             assert chosen == sorted(chosen, key=lambda i: (-scores[i], i))
             if name.endswith("--no-ilp"):
@@ -274,6 +274,46 @@ class TestPipeline:
         assert cli.main(["select", "--config", str(changed)]) == 0
         _, records = selection_records(tmp_path / "work")
         assert len(one_live_trace) == len(records) > 2
+
+    def test_select_reads_only_params_and_tables(self, planted, tmp_path, monkeypatch):
+        # no Adam moment is read, and no parameter is drawn only to be replaced
+        config, workdir, _, outputs = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        shutil.copytree(workdir / "checkpoints", tmp_path / "work" / "checkpoints")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+        loaded = []
+
+        def recorded(*args):
+            tensors, meta = load_tensors(*args)
+            loaded.extend(tensors)
+            return tensors, meta
+
+        monkeypatch.setattr(cli, "load_tensors", recorded)
+        monkeypatch.setattr(Model, "init_params", lambda self, seed: pytest.fail("select drew an init"))
+        assert cli.main(["select", "--config", str(changed)]) == 0
+        assert (tmp_path / "work" / "selections.jsonl").read_text(encoding="utf-8") == outputs["selections.jsonl"]
+        stored = list(load_tensors(workdir / BEST_CHECKPOINT)[0])
+        assert [name for name in stored if name.startswith("adam.")]
+        assert loaded == [name for name in stored if not name.startswith("adam.")]
+
+    def test_non_finite_scores_are_an_error_naming_the_pair(self, planted, tmp_path, monkeypatch, capsys):
+        config, workdir, _, _ = planted
+        shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
+        shutil.copytree(workdir / "checkpoints", tmp_path / "work" / "checkpoints")
+        changed = changed_config(config, tmp_path, "paths", "workdir", str(tmp_path / "work"))
+        scores = Model.scores
+        scored = []
+
+        def non_finite(self, *args):
+            for graph, values in scores(self, *args):
+                scored.append(graph)
+                yield graph, np.full_like(values, np.nan)
+
+        monkeypatch.setattr(Model, "scores", non_finite)
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(changed)]) == 1
+        pair = f"({scored[0].user_id}, {scored[0].item_id})"
+        assert capsys.readouterr().err == f"error: select: pair {pair}: scores must be finite\n"
 
     def test_select_needs_attribute_vectors(self, planted, tmp_path, capsys):
         # select reads its node inputs from the checkpoint, but the train hash digests the file

@@ -277,9 +277,11 @@ class TestGraphInputs:
         for part in ("train", "valid", "test"):
             for user_id, item_id in corpus.pairs(part):
                 graph = build_pair_graph(corpus, user_id, item_id)
-                got = ft.graph_inputs(graph, corpus, prov)
+                got = ft.graph_inputs(graph, corpus)
                 attr_X, sent_X = graph_inputs_oracle(graph, corpus, word_table, sentence_table)
-                assert np.array_equal(got.attr_X, attr_X) and np.array_equal(got.sent_X, sent_X)
+                # the rows it names, gathered from the provider
+                assert np.array_equal(prov.attr_X[got.attr_rows], attr_X)
+                assert np.array_equal(prov.sent_X[got.sent_rows], sent_X)
                 assert (got.user_row, got.item_row) == (corpus.users.index(user_id), corpus.items.index(item_id))
                 checked += 1
         assert checked == sum(len(corpus.pairs(part)) for part in ("train", "valid", "test"))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from recexplain import model as model_module
+from recexplain.features import GraphInputs
 from recexplain.graphs import ITEM_NODE, USER_NODE, PairGraph, attention_edges
 from recexplain.model import (
     CROSS_LAYERS,
@@ -51,9 +52,9 @@ def line_graph(item_edge=True):
     )
 
 
-def forward_one(model, g, inputs, params):
+def forward_one(model, g, inputs, provider, params):
     """`Model.forward` over a chunk of one graph."""
-    return model.forward([g], [inputs], params)
+    return model.forward([g], [inputs], params, provider)
 
 
 def dense_alpha(g, weights, head):
@@ -294,7 +295,7 @@ class TestDcn:
         assert np.allclose(out, [[0.5, 1.5, 0.5, 1.5]])
 
 
-def explicit_x0(model, g, inputs, Xhat):
+def explicit_x0(model, g, inputs, provider, Xhat):
     """x0 = [user | item | (pooled attributes, --no-gat) | sentence], one
     row per sentence, built block by block from the final node states."""
     n_sent = len(g.sentence_ids)
@@ -303,7 +304,8 @@ def explicit_x0(model, g, inputs, Xhat):
         # each sentence's attribute inputs, averaged
         attrs = range(g.attr_slice.start, g.attr_slice.stop)
         linked = [[j - attrs.start for j in row if j in attrs] for row in oracle_lists(g)[g.sent_slice]]
-        blocks.append(np.array([inputs.attr_X[rows].mean(axis=0) for rows in linked]))
+        attr_X = provider.attr_X[inputs.attr_rows]
+        blocks.append(np.array([attr_X[rows].mean(axis=0) for rows in linked]))
     blocks.append(Xhat[g.sent_slice])
     return np.concatenate(blocks, axis=1)
 
@@ -323,13 +325,14 @@ class TestDcnMatchesDenseOracle:
     score-head gradients, each to 1e-12 of the reference tensor's largest
     entry."""
 
-    def check(self, model, g, inputs, rng):
+    def check(self, model, g, toy, rng):
+        [inputs], provider = toy
         params = model.init_params(int(rng.integers(1000)))
         for name, t in params.items():
             if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
                 t[:] = 0.1 * rng.normal(size=t.shape)
-        trace = forward_one(model, g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
+        trace = forward_one(model, g, inputs, provider, params)
+        x0 = explicit_x0(model, g, inputs, provider, trace.states[0][-1])
         head = params["head.score"]
         d0 = model.d0
         d_scores = rng.normal(size=len(g.sentence_ids))
@@ -383,56 +386,56 @@ class TestDcnMatchesDenseOracle:
         model, _ = small_model(heads=heads, disable_gat=disable_gat, disable_dcn=disable_dcn)
         for _ in range(10):
             g = toy_graph(int(rng.integers(1, 6)), int(rng.integers(1, 10)), rng)
-            self.check(model, g, toy_inputs(g, 3, 2, rng), rng)
+            self.check(model, g, toy_inputs([g], 3, 2, rng), rng)
 
     @ABLATIONS
     def test_dense_pools_shape(self, rng, disable_gat, disable_dcn):
         # 120 sentences, hidden 32, heads (4, 1)
         cfg = ModelConfig(hidden=32, gat_heads=(4, 1), deep_hidden=32, disable_gat=disable_gat, disable_dcn=disable_dcn)
         g = toy_graph(8, 120, rng)
-        self.check(Model(cfg, 64, 3, 32), g, toy_inputs(g, 32, 32, rng), rng)
+        self.check(Model(cfg, 64, 3, 32), g, toy_inputs([g], 32, 32, rng), rng)
 
     @ABLATIONS
     def test_sparse_pools_shape(self, rng, disable_gat, disable_dcn):
         # hidden 128 and 64-wide sentence vectors, projected
         cfg = ModelConfig(hidden=128, gat_heads=(4, 1), deep_hidden=128, disable_gat=disable_gat, disable_dcn=disable_dcn)
         g = toy_graph(6, 19, rng)
-        self.check(Model(cfg, 140, 28, 64), g, toy_inputs(g, 128, 64, rng), rng)
+        self.check(Model(cfg, 140, 28, 64), g, toy_inputs([g], 128, 64, rng), rng)
 
 
 class TestForward:
     def test_zero_attr_head_gives_half(self, rng):
         model, _ = small_model()
         g = toy_graph(3, 4, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
         params = model.init_params(0)
         params["head.attr"][:] = 0.0
-        trace = forward_one(model, g, inputs, params)
+        trace = forward_one(model, g, inputs, provider, params)
         assert np.allclose(trace.attr_probs, 0.5)
 
     def test_zero_score_head_gives_zero(self, rng):
         model, _ = small_model()
         g = toy_graph(3, 4, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
         params = model.init_params(0)
         params["head.score"][:] = 0.0
-        trace = forward_one(model, g, inputs, params)
+        trace = forward_one(model, g, inputs, provider, params)
         assert np.all(trace.scores == 0.0)
 
     def test_probs_in_open_interval(self, rng):
         model, _ = small_model()
         g = toy_graph(2, 3, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
-        trace = forward_one(model, g, inputs, model.init_params(3))
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
+        trace = forward_one(model, g, inputs, provider, model.init_params(3))
         assert np.all(trace.attr_probs > 0.0) and np.all(trace.attr_probs < 1.0)
 
     def test_repeat_calls_bit_identical(self, rng):
         model, _ = small_model()
         g = toy_graph(3, 5, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
         params = model.init_params(7)
-        a = forward_one(model, g, inputs, params)
-        b = forward_one(model, g, inputs, params)
+        a = forward_one(model, g, inputs, provider, params)
+        b = forward_one(model, g, inputs, provider, params)
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.attr_probs, b.attr_probs)
 
@@ -473,10 +476,10 @@ class TestForward:
         # with no feature interaction the score head reads x0's rows past g
         model, _ = small_model(disable_gat=disable_gat, disable_dcn=True)
         g = toy_graph(3, 4, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
         params = model.init_params(2)
-        trace = forward_one(model, g, inputs, params)
-        x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
+        trace = forward_one(model, g, inputs, provider, params)
+        x0 = explicit_x0(model, g, inputs, provider, trace.states[0][-1])
         assert x0.shape == (4, model.d0)
         shared = np.tile(trace.shared, (4, 1))
         assert np.allclose(np.concatenate([shared, trace.rows], axis=1), x0, rtol=1e-13, atol=0.0)
@@ -497,9 +500,9 @@ class TestForward:
         assert params["head.attr"].tobytes() == attr.tobytes()
         for _ in range(5):
             g = toy_graph(int(rng.integers(1, 5)), int(rng.integers(1, 8)), rng)
-            inputs = toy_inputs(g, 3, 2, rng)
-            trace = forward_one(model, g, inputs, params)
-            x0 = explicit_x0(model, g, inputs, trace.states[0][-1])
+            [inputs], provider = toy_inputs([g], 3, 2, rng)
+            trace = forward_one(model, g, inputs, provider, params)
+            x0 = explicit_x0(model, g, inputs, provider, trace.states[0][-1])
             assert_rel_close(x0 @ full - trace.scores, np.full(len(g.sentence_ids), trace.shared[0] @ full[:ds]),
                              "shift", np.abs(x0 @ full).max())
 
@@ -524,9 +527,9 @@ class TestForward:
     def test_sentence_permutation_equivariance(self, rng):
         model, _ = small_model()
         g = toy_graph(3, 5, rng)
-        inputs = toy_inputs(g, 3, 2, rng)
+        [inputs], provider = toy_inputs([g], 3, 2, rng)
         params = model.init_params(5)
-        base = forward_one(model, g, inputs, params).scores
+        base = forward_one(model, g, inputs, provider, params).scores
 
         perm = rng.permutation(5)
         start = g.sent_slice.start
@@ -541,17 +544,16 @@ class TestForward:
             sentence_ids=tuple(g.sentence_ids[int(old)] for old in perm),
             edges=attention_edges(g.n_nodes, links),
         )
-        inputs2 = toy_inputs(g2, 3, 2, np.random.default_rng(0))
-        inputs2.attr_X = inputs.attr_X
-        inputs2.sent_X = inputs.sent_X[perm]
-        permuted = forward_one(model, g2, inputs2, params).scores
+        # the same table rows, the sentences' in the new order
+        inputs2 = GraphInputs(inputs.attr_rows, inputs.sent_rows[perm], inputs.user_row, inputs.item_row)
+        permuted = forward_one(model, g2, inputs2, provider, params).scores
         assert np.allclose(permuted, base[perm], atol=1e-9)
 
 
-def loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=0.4):
+def loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels, lam=0.4):
     """The summed losses of a chunk's graphs, each on its own rows, and
     their gradient from one backward."""
-    trace = model.forward(graphs, inputs, params)
+    trace = model.forward(graphs, inputs, params, provider)
     loss = 0.0
     d_scores = np.empty_like(trace.scores)
     d_probs = np.empty_like(trace.attr_probs)
@@ -565,11 +567,11 @@ def loss_through_model(model, graphs, inputs, params, targets, pairs, labels, la
     return loss, grads
 
 
-def finite_diff_check(model, graphs, inputs, params, targets, pairs, labels, eps=1e-5, tol=1e-4):
-    _, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
+def finite_diff_check(model, graphs, inputs, provider, params, targets, pairs, labels, eps=1e-5, tol=1e-4):
+    _, grads = loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels)
 
     def loss_only():
-        return loss_through_model(model, graphs, inputs, params, targets, pairs, labels)[0]
+        return loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels)[0]
 
     worst = 0.0
     for name, tensor in params.items():
@@ -597,17 +599,17 @@ def gradcheck_setup(rng, **model_kw):
     model, _ = small_model(**model_kw)
     g0, labels0 = toy_labelled_graph(3, 4, rng)
     g1, labels1 = toy_labelled_graph(2, 3, rng)
-    inputs = [toy_inputs(g0, 3, 2, rng, user_row=1, item_row=2), toy_inputs(g1, 3, 2, rng, user_row=0, item_row=2)]
+    inputs, provider = toy_inputs([g0, g1], 3, 2, rng, rows=[(1, 2), (0, 2)])
     params = model.init_params(13)
     targets = [rng.uniform(0, 1, size=4), rng.uniform(0, 1, size=3)]
     pairs = [np.array([[0, 1], [0, 2], [1, 3], [2, 3]]), np.array([[0, 1], [1, 2], [0, 2]])]
-    return model, [g0, g1], inputs, params, targets, pairs, [labels0, labels1]
+    return model, [g0, g1], inputs, provider, params, targets, pairs, [labels0, labels1]
 
 
 class TestGradients:
     def test_zero_upstream_zero_grads(self, rng):
-        model, graphs, inputs, params, *_ = gradcheck_setup(rng)
-        trace = model.forward(graphs, inputs, params)
+        model, graphs, inputs, provider, params, *_ = gradcheck_setup(rng)
+        trace = model.forward(graphs, inputs, params, provider)
         grads = model.zero_grads(params)
         model.backward(trace, params, np.zeros(7), np.zeros(5), grads)
         assert all(np.all(v == 0.0) for v in grads.values())
@@ -616,11 +618,11 @@ class TestGradients:
         # one `+=` per tensor element per chunk: adding into a dict that
         # already holds numbers gives its start plus the chunk's fresh
         # gradient, bit for bit, though the two graphs share the item row
-        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        _, fresh = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
+        model, graphs, inputs, provider, params, targets, pairs, labels = gradcheck_setup(rng)
+        _, fresh = loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels)
         start = {name: rng.normal(size=t.shape) for name, t in params.items()}
         grads = {name: t.copy() for name, t in start.items()}
-        trace = model.forward(graphs, inputs, params)
+        trace = model.forward(graphs, inputs, params, provider)
         d_scores = np.concatenate(
             [pairwise_rank_loss(trace.scores[trace.sentences(b)], targets[b], pairs[b])[1] for b in range(2)]
         )
@@ -632,15 +634,15 @@ class TestGradients:
             assert np.array_equal(grads[name], start[name] + fresh[name]), name
 
     def test_untouched_rows_zero(self, rng):
-        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        _, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels)
+        model, graphs, inputs, provider, params, targets, pairs, labels = gradcheck_setup(rng)
+        _, grads = loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels)
         for table, touched in (("embed.user", {1, 0}), ("embed.item", {2})):
             for row in range(3):
                 assert np.all(grads[table][row] == 0.0) == (row not in touched), (table, row)
 
     def test_attr_head_idle_when_attr_loss_off(self, rng):
-        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(rng)
-        loss, grads = loss_through_model(model, graphs, inputs, params, targets, pairs, labels, lam=1.0)
+        model, graphs, inputs, provider, params, targets, pairs, labels = gradcheck_setup(rng)
+        loss, grads = loss_through_model(model, graphs, inputs, provider, params, targets, pairs, labels, lam=1.0)
         assert np.all(grads["head.attr"] == 0.0)
 
     # small_model's heads (2, 1) under each ablation, then a multi-head last
@@ -661,7 +663,7 @@ class TestGradients:
     )
     def test_finite_difference(self, rng, disable_gat, disable_dcn, heads):
         # through a two-graph chunk, so a row-to-graph index error fails it
-        model, graphs, inputs, params, targets, pairs, labels = gradcheck_setup(
+        model, graphs, inputs, provider, params, targets, pairs, labels = gradcheck_setup(
             rng, heads=heads, disable_gat=disable_gat, disable_dcn=disable_dcn
         )
         assert model.d0 == (4 if disable_gat else 3) * model.node_dim
@@ -675,7 +677,7 @@ class TestGradients:
         for name, t in params.items():
             if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
                 t[:] = 0.1 * rng.normal(size=t.shape)
-        finite_diff_check(model, graphs, inputs, params, targets, pairs, labels)
+        finite_diff_check(model, graphs, inputs, provider, params, targets, pairs, labels)
 
 
 class TestChunkReadoutMatchesPerGraphOracle:
@@ -691,12 +693,12 @@ class TestChunkReadoutMatchesPerGraphOracle:
         graphs = [toy_graph(a, s, rng) for a, s in ((2, 5), (1, 1), (4, 9), (3, 2))]
         assert len(graphs[1].sentence_ids) == 1
         # users 0, 1, 0, 1: two graphs share each user row
-        inputs = [toy_inputs(g, 3, 2, rng, user_row=b % 2, item_row=b % 3) for b, g in enumerate(graphs)]
+        inputs, provider = toy_inputs(graphs, 3, 2, rng, rows=[(b % 2, b % 3) for b in range(len(graphs))])
         params = model.init_params(int(rng.integers(1000)))
         for name, t in params.items():
             if name.startswith(("cross.", "deep.")) and name.endswith(".b"):
                 t[:] = 0.1 * rng.normal(size=t.shape)
-        trace = model.forward(graphs, inputs, params)
+        trace = model.forward(graphs, inputs, params, provider)
         d_scores = rng.normal(size=trace.scores.shape)
         d_probs = rng.normal(size=trace.attr_probs.shape)
         grads = model.zero_grads(params)
@@ -776,7 +778,8 @@ class TestAttentionTraceMemory:
         g = toy_graph(6, 44, rng)  # n = 52
         n, n_edges = g.n_nodes, len(g.edge_arrays().dst)
         assert n_edges < n * n // 4
-        trace = model.forward([g], [toy_inputs(g, 8, 8, rng)], model.init_params(0))
+        [inputs], provider = toy_inputs([g], 8, 8, rng)
+        trace = model.forward([g], [inputs], model.init_params(0), provider)
         [states], [attention] = trace.states, trace.attention
         assert [H.shape for H in states] == [(n, width) for width in model.gat_in] + [(n, model.node_dim)]
         assert len(attention) == len(cfg.gat_heads)
@@ -806,7 +809,8 @@ class TestScores:
         model, _ = small_model()
         params = model.init_params(3)
         graphs = [toy_graph(a, s, rng) for a, s in ((2, 4), (1, 5), (3, 12), (2, 3), (1, 6))]
-        items = [(g, toy_inputs(g, 3, 2, rng)) for g in graphs]
+        inputs, provider = toy_inputs(graphs, 3, 2, rng)
+        items = list(zip(graphs, inputs))
         chunks = list(readout_chunks(items, lambda item: len(item[0].sentence_ids)))
         assert [len(chunk) for chunk in chunks] == [2, 1, 2]  # 12 rows form a chunk alone
         forward = Model.forward
@@ -819,7 +823,7 @@ class TestScores:
 
         monkeypatch.setattr(Model, "forward", recorded)
         got, forwards = [], []
-        for graph, scores in model.scores(iter(items), params):
+        for graph, scores in model.scores(iter(items), params, provider):
             assert traces[-1]() is None, "the chunk's trace is alive at a yield"
             forwards.append(len(traces))
             got.append((graph, scores))
@@ -827,7 +831,7 @@ class TestScores:
         assert all(graph is g for (graph, _), g in zip(got, graphs, strict=True))
         want = []
         for chunk in chunks:
-            trace = forward(model, [g for g, _ in chunk], [inputs for _, inputs in chunk], params)
+            trace = forward(model, [g for g, _ in chunk], [inputs for _, inputs in chunk], params, provider)
             want += [trace.scores[trace.sentences(b)] for b in range(len(chunk))]
         for (_, scores), expect in zip(got, want, strict=True):
             assert scores.shape == expect.shape and scores.tobytes() == expect.tobytes()

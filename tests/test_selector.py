@@ -86,6 +86,30 @@ class TestProblem:
         with pytest.raises(sel.SelectorError, match=message):
             sel.SelectionProblem(np.array(scores), np.array(sim), k=1, alpha=alpha)
 
+    @pytest.mark.parametrize(
+        "a, b, symmetric",
+        [
+            (0.0, 1e-12, True),
+            (0.0, np.nextafter(1e-12, 1.0), False),
+            (1.0, 1.000010000001, True),
+            (1.0, np.nextafter(1.000010000001, 2.0), False),
+            (-1.0, -1.000010000001, True),
+            (-1.0, np.nextafter(-1.000010000001, -2.0), False),
+        ],
+        ids=["absolute-inside", "absolute-outside", "relative-inside", "relative-outside",
+             "negative-inside", "negative-outside"],
+    )
+    def test_symmetry_tolerance_is_allclose_rule(self, a, b, symmetric):
+        # |s - s^T| <= 1e-12 + 1e-5 |s^T|: each pair sits one ulp inside or
+        # outside the absolute or the relative term, as np.allclose decides
+        sim = np.array([[0.0, a], [b, 0.0]])
+        assert np.allclose(sim, sim.T, atol=1e-12) == symmetric
+        if symmetric:
+            sel.SelectionProblem(np.zeros(2), sim, k=1, alpha=0.5)
+        else:
+            with pytest.raises(sel.SelectorError, match="similarity matrix must be symmetric"):
+                sel.SelectionProblem(np.zeros(2), sim, k=1, alpha=0.5)
+
 
 class TestExactSolver:
     def test_spec_instance(self):

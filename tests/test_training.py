@@ -3,6 +3,7 @@ import os
 import random
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,32 @@ class TestTrainer:
 
         assert written(tmp_path / "part") == written(tmp_path / "full")
 
+    def test_resume_reads_no_feature_tensor(self, tmp_path, monkeypatch):
+        make_trainer(tmp_path, epochs=1, seed=2).run()
+        loaded = []
+
+        def recorded(*args):
+            tensors, meta = load_tensors(*args)
+            loaded.extend(tensors)
+            return tensors, meta
+
+        monkeypatch.setattr(tr, "load_tensors", recorded)
+        make_trainer(tmp_path, epochs=2, seed=2).load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        stored = list(load_tensors(tmp_path / tr.LAST_CHECKPOINT)[0])
+        assert [name for name in stored if name.startswith("feature.")]
+        assert loaded == [name for name in stored if not name.startswith("feature.")]
+
+    def test_pairs_hold_no_provider_rows(self, tmp_path):
+        # a pair names its node inputs by row; the provider holds the floats
+        trainer = make_trainer(tmp_path)
+        for pair in trainer.train_pairs + trainer.valid_pairs:
+            inputs = pair.inputs
+            assert inputs.attr_rows.dtype == inputs.sent_rows.dtype == np.intp
+            assert isinstance(inputs.user_row, int) and isinstance(inputs.item_row, int)
+            held = [getattr(pair, f.name) for f in fields(pair)] + [getattr(inputs, f.name) for f in fields(inputs)]
+            floats = [value for value in held if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+            assert all(value.ndim == 1 for value in floats)  # targets and labels, one number per node
+
     def test_resume_from_final_epoch_trains_nothing(self, tmp_path):
         full = make_trainer(tmp_path, epochs=3, seed=2)
         best = full.run()
@@ -598,7 +625,7 @@ class TestTrainer:
         assert trainer.valid_pairs
         want = [0.0, 0.0, 0.0]
         for pair in trainer.valid_pairs:
-            scores = trainer.model.forward([pair.graph], [pair.inputs], trainer.params).scores
+            scores = trainer.model.forward([pair.graph], [pair.inputs], trainer.params, trainer.provider).scores
             top = pair.graph.sentence_ids[int(np.argmax(scores))]
             ref = [w for words in pair.truth_words for w in words]
             for slot, max_n in enumerate((1, 2, 4)):
