@@ -7,13 +7,16 @@ current config.
 
 train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
 `checkpoints/best.ntar`, which select reads (and hash-checks) unless
-`--checkpoint` names another; each is replaced atomically.  The vector
-files feed train and the train hash: train builds the attribute and
-sentence node inputs from them (`features.provider_from_vectors`) and
-stores them in every checkpoint, and select reads them from the checkpoint
-(`training.checkpoint_provider`), so it parses neither file.  Select reads
-a checkpoint's parameters and tables only, not Adam's moments, and checks
-the parameters against the shapes the model states (`Model.param_shapes`).
+`--checkpoint` names another; each is replaced atomically.  `--resume`
+passes its checkpoint to `training.Trainer`, which takes the parameters,
+Adam's state, start epoch and best record from it after checking its
+train hash.  The vector files feed train and the train hash: train builds
+the attribute and sentence node inputs from them
+(`features.provider_from_vectors`) and stores them in every checkpoint,
+and select reads them from the checkpoint (`training.checkpoint_provider`),
+so it parses neither file.  Select reads a checkpoint's parameters and
+tables only, not Adam's moments, and checks the parameters against the
+shapes the model states (`Model.param_shapes`).
 
 Ablations: --no-gat sets `model.disable_gat` (no attention layers; each
 sentence's row also carries its attributes' mean input), --no-dcn sets
@@ -104,7 +107,7 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
     cfg.validate_stage("train")
     corpus = _load_processed(cfg)
     provider = _build_provider(cfg, corpus)
-    trainer = Trainer(
+    return Trainer(
         corpus,
         provider,
         cfg.model,
@@ -113,10 +116,8 @@ def cmd_train(cfg: PipelineConfig, resume: str | None = None):
         seed=cfg.seed,
         config_hash=cfg.train_hash(),
         k=cfg.selection.k,
-    )
-    if resume:
-        trainer.load_checkpoint(resume)
-    return trainer.run()
+        resume=resume,
+    ).run()
 
 
 def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:

@@ -78,8 +78,8 @@ class CorpusConfig:
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
 
-_JSON_KEYS = {"lam": "lambda"}
-_FIELD_KEYS = {"lambda": "lam"}
+_JSON_KEYS = {"lam": "lambda"}  # field name -> JSON key, where they differ
+_FIELD_KEYS = {key: name for name, key in _JSON_KEYS.items()}
 _SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 

@@ -42,9 +42,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
-    def __len__(self) -> int:
-        return int(self.vectors.shape[0])
-
     def lookup(self, key: str) -> np.ndarray | None:
         row = self.index.get(key)
         return None if row is None else self.vectors[row]

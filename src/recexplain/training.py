@@ -12,7 +12,11 @@ bias-corrected Adam at beta1 0.9, beta2 0.999 and eps 1e-8 (Kingma & Ba
 `selection.k`.
 
 `Trainer` owns a train pair's supervision: it computes the relevance
-targets and the attribute labels from the pair's ground-truth sentences.
+targets and the attribute labels from the pair's ground-truth sentences
+and builds each `TrainPair` with them.  A validation pair is a
+`ValidPair`, which holds the held-out review's words, joined once, in
+their place.  Both records are frozen.  Training needs at least one
+validation pair, since without one no epoch could become best.
 
 Chunks.  A minibatch runs as chunks of consecutive graphs
 (`model.readout_chunks`, at most `model.READOUT_ROWS` sentence rows each):
@@ -37,11 +41,14 @@ A checkpoint holds the parameters (`param.*`), Adam's moments (`adam.m.*`,
 `feature.sent` in `Corpus.sentence_rows` order), which select scores with
 instead of re-reading the vector files (`checkpoint_provider` checks them
 against the corpus); its metadata holds the epoch, Adam's step count, the
-best record and the train config hash.  Resuming reads the parameters and
-Adam's state and skips the tables, unread (`archive.load_tensors` with
-prefixes); they come from the vector files again
-(`features.provider_from_vectors`), whose digests the hash covers.  Select
-reads the parameters and the tables and skips Adam's moments.
+best record and the train config hash.  A `Trainer` given `resume=`, a
+checkpoint, takes its parameters, Adam's moments and step count, start
+epoch and best record from it (`_resume_state`); only a fresh run
+draws parameters (`Model.init_params`) and zero moments.  Resume skips
+the tables, unread (`archive.load_tensors` with prefixes); they come from the
+vector files again (`features.provider_from_vectors`), whose digests the
+hash covers.  Select reads the parameters and the tables and skips Adam's
+moments.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -249,7 +257,6 @@ class AdamState:
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0,
         )
 
 
@@ -285,13 +292,19 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         p -= step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainPair:
     graph: PairGraph
     inputs: GraphInputs
-    targets: np.ndarray | None  # None for validation pairs
-    attr_labels: np.ndarray | None  # (M,) 0/1: a target sentence mentions the attribute; None for validation pairs
-    truth_words: list[tuple[str, ...]]
+    targets: np.ndarray  # (N,) each candidate's relevance target
+    attr_labels: np.ndarray  # (M,) 0/1: a target sentence mentions the attribute
+
+
+@dataclass(frozen=True)
+class ValidPair:
+    graph: PairGraph
+    inputs: GraphInputs
+    reference: list[str]  # the held-out review's words, its sentences joined
 
 
 @dataclass
@@ -310,7 +323,10 @@ class Trainer:
 
     Deterministic for a fixed seed: epoch shuffles and per-graph pair
     samples draw from generators keyed by (seed, epoch[, position]), so a
-    resumed run retraces the original trajectory bit for bit.
+    resumed run retraces the original trajectory bit for bit.  A fresh run
+    draws its parameters (`Model.init_params`) and starts Adam at zero; one
+    given `resume`, a checkpoint path, takes its parameters, Adam's state,
+    start epoch and best record from that checkpoint (`_resume_state`).
     """
 
     def __init__(
@@ -323,6 +339,7 @@ class Trainer:
         config_hash: str,
         seed: int = 0,
         k: int = SelectConfig.k,
+        resume=None,
     ):
         self.corpus = corpus
         self.provider = provider
@@ -334,43 +351,45 @@ class Trainer:
         self.model = Model(
             model_cfg, len(corpus.users), len(corpus.items), provider.sentence_dim
         )
-        self.params = self.model.init_params(seed)
-        self.adam = AdamState.init(self.params)
-        self.start_epoch = 0
-        self.best: EpochRecord | None = None
+        if resume is None:
+            params = self.model.init_params(seed)
+            state = params, AdamState.init(params), 0, None
+        else:
+            state = _resume_state(resume, self.model.param_shapes(), config_hash)
+        self.params, self.adam, self.start_epoch, self.best = state
 
-        self.train_pairs = self._assemble("train")
-        self.valid_pairs = self._assemble("valid")
+        sentences = corpus.sentences
+        train = list(self._graphs("train"))
+        problems = [
+            ([sentences[s].words for s in graph.sentence_ids], [sentences[s].words for s in truth])
+            for graph, _, truth in train
+        ]
+        self.train_pairs: list[TrainPair] = []
+        for (graph, inputs, truth), targets in zip(train, relevance_targets(problems)):
+            mentioned = set().union(*(sentences[s].attributes for s in truth))
+            labels = np.array([1.0 if a in mentioned else 0.0 for a in graph.attribute_ids])
+            self.train_pairs.append(TrainPair(graph, inputs, targets, labels))
+        self.valid_pairs = [
+            ValidPair(graph, inputs, [w for s in truth for w in sentences[s].words])
+            for graph, inputs, truth in self._graphs("valid")
+        ]
         if not self.train_pairs:
             raise TrainingError("no usable training pairs")
 
-    def _assemble(self, part: str) -> list[TrainPair]:
-        out: list[TrainPair] = []
+    def _graphs(self, part: str) -> Iterator[tuple[PairGraph, GraphInputs, list[str]]]:
+        """Each pair of `part` whose pool is not empty: its graph, its node
+        inputs and its ground-truth sentence ids.  The pairs with an empty
+        pool are skipped, with one warning once the last pair is yielded."""
         skipped = 0
         for user_id, item_id in self.corpus.pairs(part):
-            truth_ids = self.corpus.ground_truth_sentences(user_id, item_id, part)
-            truth_words = [self.corpus.sentences[s].words for s in truth_ids]
             try:
                 graph = build_pair_graph(self.corpus, user_id, item_id)
             except EmptyPoolError:
                 skipped += 1
                 continue
-            inputs = graph_inputs(graph, self.corpus)
-            labels = None
-            if part == "train":
-                mentioned = set().union(*(self.corpus.sentences[s].attributes for s in truth_ids))
-                labels = np.array([1.0 if a in mentioned else 0.0 for a in graph.attribute_ids])
-            out.append(TrainPair(graph, inputs, None, labels, truth_words))
+            yield graph, graph_inputs(graph, self.corpus), self.corpus.ground_truth_sentences(user_id, item_id, part)
         if skipped:
             log.warning("%s: skipped %d pairs with empty pools", part, skipped)
-        if part == "train":
-            problems = [
-                ([self.corpus.sentences[s].words for s in pair.graph.sentence_ids], pair.truth_words)
-                for pair in out
-            ]
-            for pair, targets in zip(out, relevance_targets(problems)):
-                pair.targets = targets
-        return out
 
     # -- one batch ----------------------------------------------------------
 
@@ -407,15 +426,12 @@ class Trainer:
         valid pairs; each pair's n-grams are counted once (`metrics.overlap`)
         and read at orders 1, 2 and 4.
         """
-        if not self.valid_pairs:
-            return 0.0, 0.0, 0.0
         sums = [0.0, 0.0, 0.0]
         items = ((pair.graph, pair.inputs) for pair in self.valid_pairs)
         for pair, (graph, scores) in zip(self.valid_pairs, self.model.scores(items, self.params, self.provider)):
             top = np.argsort(-scores, kind="stable")[: self.k]
             cand = [w for idx in top for w in self.corpus.sentences[graph.sentence_ids[idx]].words]
-            ref = [w for words in pair.truth_words for w in words]
-            cand_len, ref_len, matches = metrics.overlap(cand, ref)
+            cand_len, ref_len, matches = metrics.overlap(cand, pair.reference)
             for slot, max_n in enumerate((1, 2, 4)):
                 sums[slot] += metrics.bleu_from_matches(matches[:max_n], cand_len, ref_len)
         n = len(self.valid_pairs)
@@ -425,7 +441,13 @@ class Trainer:
 
     def run(self) -> EpochRecord:
         """Train from `start_epoch` to `epochs` or the early stop; return the
-        best record.  The log keeps only its lines of earlier epochs."""
+        best record.  The log keeps only its lines of earlier epochs.
+        Without a validation pair no epoch could become best, so that is an
+        error naming the cause."""
+        if not self.valid_pairs:
+            n = len(self.corpus.pairs("valid"))
+            cause = f"all {n} have empty pools" if n else "the valid split is empty (see corpus.ratios)"
+            raise TrainingError(f"no usable validation pairs: {cause}")
         cfg = self.train_cfg
         (self.workdir / LAST_CHECKPOINT).parent.mkdir(parents=True, exist_ok=True)
         log_path = self.workdir / "train_log.txt"
@@ -485,46 +507,6 @@ class Trainer:
         }
         save_tensors(path, tensors, meta)
 
-    def load_checkpoint(self, path) -> None:
-        """Resume from a checkpoint: parameters, Adam state, epoch and best
-        record.  The metadata must hold the current config's `config_hash`,
-        `adam_t` as an integer >= 1 (a saved run has taken a step), `epoch`
-        as an integer >= 0, and `best` as an object with
-        exactly `EpochRecord`'s fields: `epoch` an integer, the others
-        finite numbers (a bool is neither).
-        """
-        tensors, meta = load_tensors(path, ("param.", "adam."))
-        if meta.get("config_hash") != self.config_hash:
-            raise TrainingError(
-                f"checkpoint config hash {meta.get('config_hash')!r} does not match "
-                f"the current config's {self.config_hash!r}"
-            )
-        for key, kind in (("adam_t", int), ("epoch", int), ("best", dict)):
-            value = meta.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise TrainingError(f"checkpoint metadata {key!r} missing or not {kind.__name__}")
-        for key, least in (("adam_t", 1), ("epoch", 0)):
-            if meta[key] < least:
-                raise TrainingError(f"checkpoint metadata {key!r} is {meta[key]}, not an int >= {least}")
-        record_fields = sorted(f.name for f in fields(EpochRecord))
-        if sorted(meta["best"]) != record_fields:
-            raise TrainingError(
-                f"checkpoint metadata 'best' has fields {sorted(meta['best'])}, not {record_fields}"
-            )
-        for name in record_fields:
-            value = meta["best"][name]
-            kind, noun = (int, "an int") if name == "epoch" else ((int, float), "a finite number")
-            typed = isinstance(value, kind) and not isinstance(value, bool)
-            if not typed or isinstance(value, float) and not math.isfinite(value):
-                raise TrainingError(f"checkpoint metadata 'best.{name}' is {value!r}, not {noun}")
-        shapes = self.model.param_shapes()
-        self.params.update(checkpoint_params(tensors, shapes, "param"))
-        self.adam.m = checkpoint_params(tensors, shapes, "adam.m")
-        self.adam.v = checkpoint_params(tensors, shapes, "adam.v")
-        self.adam.t = meta["adam_t"]
-        self.start_epoch = meta["epoch"] + 1
-        self.best = EpochRecord(**meta["best"])
-
 
 def checkpoint_params(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], prefix: str) -> dict[str, np.ndarray]:
     """The checkpoint's `<prefix>.*` tensors (`param`, `adam.m` or
@@ -541,6 +523,44 @@ def checkpoint_params(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[in
             raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value")
         params[name] = tensors[key]
     return params
+
+
+def _resume_state(path, shapes: dict[str, tuple[int, ...]], config_hash: str) -> tuple[dict, AdamState, int, EpochRecord]:
+    """A checkpoint's parameters, Adam state, start epoch (the saved epoch
+    plus one) and best record; `shapes` is `Model.param_shapes`.  The
+    metadata must hold `config_hash`, `adam_t` as an integer >= 1 (a saved
+    run has taken a step), `epoch` as an integer >= 0, and `best` as an
+    object with exactly `EpochRecord`'s fields: `epoch` an integer, the
+    others finite numbers (a bool is neither).  The node input tables are
+    skipped unread.
+    """
+    tensors, meta = load_tensors(path, ("param.", "adam."))
+    if meta.get("config_hash") != config_hash:
+        raise TrainingError(
+            f"checkpoint config hash {meta.get('config_hash')!r} does not match "
+            f"the current config's {config_hash!r}"
+        )
+    for key, kind in (("adam_t", int), ("epoch", int), ("best", dict)):
+        value = meta.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TrainingError(f"checkpoint metadata {key!r} missing or not {kind.__name__}")
+    for key, least in (("adam_t", 1), ("epoch", 0)):
+        if meta[key] < least:
+            raise TrainingError(f"checkpoint metadata {key!r} is {meta[key]}, not an int >= {least}")
+    record_fields = sorted(f.name for f in fields(EpochRecord))
+    if sorted(meta["best"]) != record_fields:
+        raise TrainingError(
+            f"checkpoint metadata 'best' has fields {sorted(meta['best'])}, not {record_fields}"
+        )
+    for name in record_fields:
+        value = meta["best"][name]
+        kind, noun = (int, "an int") if name == "epoch" else ((int, float), "a finite number")
+        typed = isinstance(value, kind) and not isinstance(value, bool)
+        if not typed or isinstance(value, float) and not math.isfinite(value):
+            raise TrainingError(f"checkpoint metadata 'best.{name}' is {value!r}, not {noun}")
+    params = checkpoint_params(tensors, shapes, "param")
+    m, v = (checkpoint_params(tensors, shapes, f"adam.{moment}") for moment in "mv")
+    return params, AdamState(m, v, meta["adam_t"]), meta["epoch"] + 1, EpochRecord(**meta["best"])
 
 
 def checkpoint_provider(tensors: dict[str, np.ndarray], corpus: Corpus, hidden: int) -> NodeFeatureProvider:

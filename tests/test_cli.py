@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -553,6 +554,57 @@ class TestPipeline:
             assert cli.main(argv) == 1, stage
             err = capsys.readouterr().err
             assert err.startswith("error: checkpoint tensor 'param.head.score' holds a non-finite value"), stage
+
+    def test_resumed_train_matches_an_uninterrupted_run(self, planted, tmp_path, monkeypatch):
+        # train stopped after its first epoch, as by a kill at the next
+        # checkpoint replace, then train --resume and select
+        config, workdir, _, outputs = planted
+        work = tmp_path / "work"
+        shutil.copytree(workdir / "corpus", work / "corpus")
+        argv = ["--config", str(config), "--workdir", str(work)]
+        replace, count = os.replace, iter(range(3))
+
+        class Killed(BaseException):
+            pass
+
+        def killing_replace(src, dst):
+            if next(count, None) == 2:  # epoch 0 replaced best.ntar, then last.ntar
+                raise Killed(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killing_replace)
+        with pytest.raises(Killed):
+            cli.main(["train", *argv])
+        monkeypatch.setattr(os, "replace", replace)
+        assert load_tensors(work / LAST_CHECKPOINT)[1]["epoch"] == 0
+        assert cli.main(["train", *argv, "--resume", str(work / LAST_CHECKPOINT)]) == 0
+        assert cli.main(["select", *argv]) == 0
+        assert sorted(p.name for p in (work / "checkpoints").iterdir()) == ["best.ntar", "last.ntar"]
+        for name in ("train_log.txt", LAST_CHECKPOINT, BEST_CHECKPOINT):
+            assert (work / name).read_bytes() == (workdir / name).read_bytes(), name
+        assert (work / "selections.jsonl").read_text(encoding="utf-8") == outputs["selections.jsonl"]
+
+    @pytest.mark.parametrize("cause", ["no-valid-share", "empty-pools"])
+    def test_training_without_validation_pairs_is_an_error(self, planted, tmp_path, capsys, cause):
+        # no epoch could become best, so training would keep epoch 0's model
+        config, workdir, _, _ = planted
+        work = tmp_path / "work"
+        if cause == "no-valid-share":
+            config = changed_config(config, tmp_path, "corpus", "ratios", [0.85, 0.0, 0.15])
+            assert cli.main(["preprocess", "--config", str(config), "--workdir", str(work)]) == 0
+            message = "the valid split is empty (see corpus.ratios)"
+        else:  # every valid review moves to an item no training review names
+            shutil.copytree(workdir / "corpus", work / "corpus")
+            path = work / "corpus" / "corpus.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            for rid in doc["split"]["valid"]:
+                doc["reviews"][rid]["item_id"] = "cx"
+            path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+            message = f"all {len(load_corpus(work / 'corpus').pairs('valid'))} have empty pools"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config), "--workdir", str(work)]) == 1
+        assert capsys.readouterr().err == f"error: no usable validation pairs: {message}\n"
+        assert not (work / "checkpoints").exists() and not (work / "train_log.txt").exists()
 
     def test_sentence_id_missing_from_vectors_is_an_error(self, planted, tmp_path, capsys):
         # the planted sentence vectors are 16-d against hidden 32

@@ -26,7 +26,7 @@ class TestLoadVectorFile:
         path = tmp_path / "v.txt"
         write_vectors(path, [("a", [1, 0, 0]), ("b", [0, 1, 0])])
         table = ft.load_vector_file(path)
-        assert len(table) == 2 and table.dim == 3
+        assert table.vectors.shape[0] == 2 and table.dim == 3
         assert np.array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
         assert table.lookup("zz") is None
 

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import re
+import dataclasses
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -263,8 +264,7 @@ class TestAdam:
 
     def test_same_bytes_after_load_checkpoint(self, tmp_path):
         make_trainer(tmp_path, epochs=2, seed=4).run()
-        resumed = make_trainer(tmp_path, epochs=2, seed=4)
-        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        resumed = make_trainer(tmp_path, epochs=2, seed=4, resume=tmp_path / tr.LAST_CHECKPOINT)
         params, state = resumed.params, resumed.adam
         want = {name: t.copy() for name, t in params.items()}
         want_state = tr.AdamState(
@@ -342,9 +342,9 @@ def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, model_cfg=Non
     return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, config_hash=HASH, seed=seed, **kw)
 
 
-def early_stopping_trainer(workdir, epochs=8):
+def early_stopping_trainer(workdir, epochs=8, **kw):
     """A trainer whose run, left to its 8 epochs, stops early."""
-    trainer = make_trainer(workdir, epochs=epochs, seed=2)
+    trainer = make_trainer(workdir, epochs=epochs, seed=2, **kw)
     trainer.train_cfg.patience = 1
     return trainer
 
@@ -421,10 +421,18 @@ class TestTrainer:
 
         part = make_trainer(tmp_path / "part", epochs=2, seed=2)
         part.run()
-        resumed = make_trainer(tmp_path / "part", epochs=4, seed=2)
-        resumed.load_checkpoint(tmp_path / "part" / tr.LAST_CHECKPOINT)
+        resumed = make_trainer(tmp_path / "part", epochs=4, seed=2, resume=tmp_path / "part" / tr.LAST_CHECKPOINT)
         resumed.run()
 
+        assert written(tmp_path / "part") == written(tmp_path / "full")
+
+    def test_resume_draws_no_fresh_state(self, tmp_path, monkeypatch):
+        # the parameters and Adam's moments come from the checkpoint alone
+        make_trainer(tmp_path / "full", epochs=4, seed=2).run()
+        make_trainer(tmp_path / "part", epochs=2, seed=2).run()
+        monkeypatch.setattr(model_module.Model, "init_params", lambda *a: pytest.fail("drew fresh parameters"))
+        monkeypatch.setattr(tr.AdamState, "init", lambda *a: pytest.fail("drew fresh moments"))
+        make_trainer(tmp_path / "part", epochs=4, seed=2, resume=tmp_path / "part" / tr.LAST_CHECKPOINT).run()
         assert written(tmp_path / "part") == written(tmp_path / "full")
 
     def test_resume_reads_no_feature_tensor(self, tmp_path, monkeypatch):
@@ -437,7 +445,7 @@ class TestTrainer:
             return tensors, meta
 
         monkeypatch.setattr(tr, "load_tensors", recorded)
-        make_trainer(tmp_path, epochs=2, seed=2).load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        make_trainer(tmp_path, epochs=2, seed=2, resume=tmp_path / tr.LAST_CHECKPOINT)
         stored = list(load_tensors(tmp_path / tr.LAST_CHECKPOINT)[0])
         assert [name for name in stored if name.startswith("feature.")]
         assert loaded == [name for name in stored if not name.startswith("feature.")]
@@ -458,8 +466,7 @@ class TestTrainer:
         best = full.run()
         before = written(tmp_path)
 
-        resumed = make_trainer(tmp_path, epochs=3, seed=2)
-        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        resumed = make_trainer(tmp_path, epochs=3, seed=2, resume=tmp_path / tr.LAST_CHECKPOINT)
         assert resumed.run() == best
         assert written(tmp_path) == before
 
@@ -475,9 +482,8 @@ class TestTrainer:
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
         tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         save_tensors(tmp_path / "bad.ntar", edit(tensors), meta)
-        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=r"'adam\.m\.embed\.user' missing or misshapen"):
-            resumed.load_checkpoint(tmp_path / "bad.ntar")
+            make_trainer(tmp_path / "b", epochs=2, seed=2, resume=tmp_path / "bad.ntar")
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -504,9 +510,8 @@ class TestTrainer:
         make_trainer(tmp_path / "a", epochs=1, seed=2).run()
         tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
-        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=f"checkpoint metadata {message}"):
-            resumed.load_checkpoint(tmp_path / "bad.ntar")
+            make_trainer(tmp_path / "b", epochs=2, seed=2, resume=tmp_path / "bad.ntar")
 
     @pytest.mark.parametrize(
         "edit, found",
@@ -521,10 +526,9 @@ class TestTrainer:
         tensors, meta = load_tensors(tmp_path / "a" / tr.LAST_CHECKPOINT)
         assert meta["config_hash"] == HASH
         save_tensors(tmp_path / "bad.ntar", tensors, edit(meta))
-        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         message = f"checkpoint config hash {found!r} does not match the current config's {HASH!r}"
         with pytest.raises(tr.TrainingError, match=re.escape(message)):
-            resumed.load_checkpoint(tmp_path / "bad.ntar")
+            make_trainer(tmp_path / "b", epochs=2, seed=2, resume=tmp_path / "bad.ntar")
 
     @pytest.mark.parametrize("prefix", ["param", "adam.m", "adam.v"])
     def test_resume_rejects_non_finite_tensor(self, tmp_path, prefix):
@@ -534,9 +538,8 @@ class TestTrainer:
         tensors[key] = tensors[key].copy()
         tensors[key][-1] = np.inf
         save_tensors(tmp_path / "bad.ntar", tensors, meta)
-        resumed = make_trainer(tmp_path / "b", epochs=2, seed=2)
         with pytest.raises(tr.TrainingError, match=re.escape(f"checkpoint tensor {key!r} holds a non-finite value")):
-            resumed.load_checkpoint(tmp_path / "bad.ntar")
+            make_trainer(tmp_path / "b", epochs=2, seed=2, resume=tmp_path / "bad.ntar")
 
     def test_resume_keeps_early_stop_count(self, tmp_path):
         trainer = early_stopping_trainer(tmp_path / "full")
@@ -545,8 +548,7 @@ class TestTrainer:
         assert trained < 8  # stopped early, after two epochs without a new best
 
         early_stopping_trainer(tmp_path / "part", epochs=trained - 1).run()
-        resumed = early_stopping_trainer(tmp_path / "part")
-        resumed.load_checkpoint(tmp_path / "part" / tr.LAST_CHECKPOINT)
+        resumed = early_stopping_trainer(tmp_path / "part", resume=tmp_path / "part" / tr.LAST_CHECKPOINT)
         resumed.run()
         assert written(tmp_path / "part") == written(tmp_path / "full")
 
@@ -555,8 +557,7 @@ class TestTrainer:
         before = written(tmp_path)
         assert int(before["train_log.txt"].splitlines()[-1].split()[0]) < 7  # stopped early
 
-        resumed = early_stopping_trainer(tmp_path)
-        resumed.load_checkpoint(tmp_path / tr.LAST_CHECKPOINT)
+        resumed = early_stopping_trainer(tmp_path, resume=tmp_path / tr.LAST_CHECKPOINT)
         assert resumed.run() == best
         assert written(tmp_path) == before
 
@@ -597,10 +598,8 @@ class TestTrainer:
                 early_stopping_trainer(workdir).run()
             monkeypatch.setattr(os, "replace", replace)
             replace(workdir / "left.tmp", killed.value.args[0])  # a killed process leaves its temporary file
-            resumed = early_stopping_trainer(workdir)
-            if (workdir / tr.LAST_CHECKPOINT).exists():
-                resumed.load_checkpoint(workdir / tr.LAST_CHECKPOINT)
-            resumed.run()
+            last = workdir / tr.LAST_CHECKPOINT
+            early_stopping_trainer(workdir, resume=last if last.exists() else None).run()
             assert written(workdir) == want, kill_at
 
     def test_embeddings_stay_at_init_without_gat_and_dcn(self, tmp_path):
@@ -627,7 +626,9 @@ class TestTrainer:
         for pair in trainer.valid_pairs:
             scores = trainer.model.forward([pair.graph], [pair.inputs], trainer.params, trainer.provider).scores
             top = pair.graph.sentence_ids[int(np.argmax(scores))]
-            ref = [w for words in pair.truth_words for w in words]
+            truth = trainer.corpus.ground_truth_sentences(pair.graph.user_id, pair.graph.item_id, "valid")
+            ref = [w for sid in truth for w in trainer.corpus.sentences[sid].words]
+            assert pair.reference == ref
             for slot, max_n in enumerate((1, 2, 4)):
                 want[slot] += metrics.sentence_bleu(list(trainer.corpus.sentences[top].words), ref, max_n=max_n)
         n = len(trainer.valid_pairs)
@@ -685,4 +686,16 @@ class TestTrainer:
     def test_valid_pairs_have_no_labels(self, tmp_path):
         trainer = make_trainer(tmp_path)
         assert trainer.valid_pairs
-        assert all(pair.attr_labels is None and pair.targets is None for pair in trainer.valid_pairs)
+        assert all(type(pair) is tr.ValidPair for pair in trainer.valid_pairs)
+        assert [f.name for f in fields(tr.ValidPair)] == ["graph", "inputs", "reference"]
+
+    def test_pairs_are_built_whole(self, tmp_path):
+        # every field holds its final value from construction on
+        trainer = make_trainer(tmp_path)
+        for pair in trainer.train_pairs + trainer.valid_pairs:
+            assert all(getattr(pair, f.name) is not None for f in fields(pair))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pair.graph = None
+        for pair in trainer.train_pairs:
+            assert pair.targets.shape == (len(pair.graph.sentence_ids),)
+            assert pair.attr_labels.shape == (len(pair.graph.attribute_ids),)
