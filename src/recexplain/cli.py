@@ -3,7 +3,10 @@
 Each stage reads the same JSON config, writes its outputs under the
 workdir, and stamps them with a hash of the config sections it depends
 on; a later stage refuses artifacts whose stamp disagrees with the
-current config.
+current config.  preprocess refuses a split with no train or no valid
+review, which train could only refuse.  train and select skip the pairs
+whose candidate pool is empty and log one count per split, as
+`<part>: skipped N pairs with empty pools`.
 
 train keeps `checkpoints/last.ntar`, the latest epoch, for `--resume`, and
 `checkpoints/best.ntar`, which select reads (and hash-checks) unless
@@ -84,6 +87,12 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         ratios=cfg.corpus.ratios,
         seed=cfg.seed,
     )
+    for part in ("train", "valid"):
+        if not getattr(corpus.split, part):
+            raise CorpusError(
+                f"the {part} split is empty: corpus.ratios {list(cfg.corpus.ratios)} "
+                f"split the {len(corpus.reviews)} reviews left after the activity filter"
+            )
     stats = {**corpus.stats(), "ingest_errors": len(errors)}
     save_corpus(corpus, _corpus_dir(cfg), meta={"config_hash": cfg.preprocess_hash(), **stats})
     return stats
@@ -141,7 +150,6 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
             try:
                 graph = build_pair_graph(corpus, user_id, item_id)
             except EmptyPoolError:
-                log.warning("select: skipping (%s, %s): empty pool", user_id, item_id)
                 continue
             yield graph, graph_inputs(graph, corpus)
 
@@ -161,12 +169,15 @@ def cmd_select(cfg: PipelineConfig, checkpoint: str | None = None) -> dict:
                 "solver": sel.solver,
             }
         )
+    skipped = len(pairs) - len(results)
+    if skipped:
+        log.warning("test: skipped %d pairs with empty pools", skipped)
     out = Path(cfg.paths.workdir) / "selections.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config_hash": cfg.select_hash()}, sort_keys=True) + "\n")
         for rec in results:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return {"pairs": len(results), "skipped": len(pairs) - len(results), "path": str(out)}
+    return {"pairs": len(results), "skipped": skipped, "path": str(out)}
 
 
 def _read_selections(path: Path, corpus: Corpus) -> tuple[dict, list[dict]]:

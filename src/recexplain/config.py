@@ -8,20 +8,20 @@ outputs carry a hash of the config sections they depend on and of the
 bytes of the input files they read; downstream stages refuse to consume
 artifacts whose hash disagrees, so an input edited in place is stale.
 
-The 24 settable values are `seed` and the fields of five sections: paths
+The 23 settable values are `seed` and the fields of five sections: paths
 (reviews, lexicon, attribute_vectors, sentence_vectors, workdir), corpus
 (rating_threshold, min_activity, ratios), model (hidden, gat_heads,
 deep_hidden, disable_gat, disable_dcn), training (lambda, batch_size,
-learning_rate, epochs, pair_budget, patience) and selection (k, alpha,
-pool, exact_cap).  Any other key, or a value whose JSON type
-does not fit its field, is rejected by name, and so is a float field's
-NaN or infinity (Python's json reads `NaN`, `Infinity` and `-Infinity`).
+learning_rate, epochs, patience) and selection (k, alpha, pool,
+exact_cap).  Any other key, or a value whose JSON type does not fit its
+field, is rejected by name, and so is a float field's NaN or infinity
+(Python's json reads `NaN`, `Infinity` and `-Infinity`).
 So is a value outside its range, which every stage checks after the CLI
 overrides:
 - `seed`, `training.patience` and `selection.exact_cap` >= 0;
 - `corpus.min_activity`, `model.hidden`, `model.deep_hidden`,
-  `training.batch_size`, `training.epochs`, `training.pair_budget`,
-  `selection.k` and `selection.pool` >= 1;
+  `training.batch_size`, `training.epochs`, `selection.k` and
+  `selection.pool` >= 1;
 - `model.gat_heads` non-empty, every entry >= 1;
 - every entry of `corpus.ratios` >= 0 (preprocess also checks that they
   sum to 1);
@@ -30,9 +30,9 @@ overrides:
 
 The fixed parts of the design are constants where they are used: ELU, the
 0.2 LeakyReLU slope, the embedding init scale and the 2 cross + 2 deep
-layers in `model.py`; Adam's beta1, beta2 and eps and the balanced
-attribute loss in `training.py`; the restriction of each pair's pool to
-the item's attributes in `graphs.py`.
+layers in `model.py`; Adam's beta1, beta2 and eps, the rank-pair budget
+and the balanced attribute loss in `training.py`; the restriction of each
+pair's pool to the item's attributes in `graphs.py`.
 
 Each of the paper's ablation settings lives in one field, which a CLI flag
 also sets: `model.disable_gat` (--no-gat: no attention layers, and each
@@ -136,7 +136,6 @@ _RANGES = {
     "training.batch_size": _at_least(1),
     "training.learning_rate": (lambda v: v > 0, "> 0"),
     "training.epochs": _at_least(1),
-    "training.pair_budget": _at_least(1),
     "training.patience": _at_least(0),
     "selection.k": _at_least(1),
     "selection.alpha": _at_least(0),

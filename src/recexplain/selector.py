@@ -280,7 +280,7 @@ def _solve_split(problem: SelectionProblem, k: int) -> Selection:
     return Selection(chosen, objective(problem, chosen), "exact")
 
 
-def solve_exact(problem: SelectionProblem, cap: int = 100) -> Selection:
+def solve_exact(problem: SelectionProblem, cap: int) -> Selection:
     """Optimal subset, by split enumeration when C(n, K) <= ENUM_LIMIT and
     by depth-first branch and bound otherwise.  Both return the
     lexicographically smallest optimal set.

@@ -3,7 +3,8 @@
 Supervision: each candidate sentence's relevance target is its best
 smoothed sentence-BLEU against the target review's sentences, so target
 sentences themselves sit at exactly 1.  Ranking uses a pairwise logistic
-loss over sampled candidate pairs with distinct targets; attribute nodes
+loss over candidate pairs with distinct targets, of which each graph
+draws at most `PAIR_BUDGET` uniformly per epoch; attribute nodes
 get a balanced binary cross-entropy term, with both the positive and the
 negative class.  The combined objective is
 lambda * rank_loss + (1 - lambda) * attribute_loss, minimized with
@@ -69,11 +70,11 @@ from .features import GraphInputs, NodeFeatureProvider, graph_inputs
 from .graphs import EmptyPoolError, PairGraph, build_pair_graph
 from .metrics import MAX_N
 from .model import Model, ModelConfig, readout_chunks
-from .selector import SelectConfig
 
 log = logging.getLogger(__name__)
 
 TIE_TOL = 1e-6
+PAIR_BUDGET = 200  # most rank pairs one train graph draws in one epoch
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -93,7 +94,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 2e-4
     epochs: int = 50
-    pair_budget: int = 200
     patience: int = 10
 
 
@@ -337,8 +337,8 @@ class Trainer:
         train_cfg: TrainConfig,
         workdir,
         config_hash: str,
-        seed: int = 0,
-        k: int = SelectConfig.k,
+        seed: int,
+        k: int,
         resume=None,
     ):
         self.corpus = corpus
@@ -410,7 +410,7 @@ class Trainer:
             for b, (pos, pair) in enumerate(zip(chunk, pairs)):
                 rows, attrs = trace.sentences(b), trace.attributes(b)
                 rng = np.random.default_rng([self.seed, 2, epoch, int(pos)])
-                rank_pairs = sample_rank_pairs(pair.targets, cfg.pair_budget, rng)
+                rank_pairs = sample_rank_pairs(pair.targets, PAIR_BUDGET, rng)
                 l_rank, d_scores[rows] = pairwise_rank_loss(trace.scores[rows], pair.targets, rank_pairs)
                 l_attr, d_probs[attrs] = attribute_loss(trace.attr_probs[attrs], pair.attr_labels)
                 terms.append((combined_loss(l_rank, l_attr, cfg.lam), l_rank, l_attr))
@@ -508,21 +508,25 @@ class Trainer:
         save_tensors(path, tensors, meta)
 
 
+def _checkpoint_tensor(tensors: dict[str, np.ndarray], key: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The checkpoint's tensor `key`, which must be present, of `shape` (a
+    None entry allows any size) and finite; anything else is an error
+    naming the tensor."""
+    tensor = tensors.get(key)
+    if tensor is None or tensor.ndim != len(shape) or any(want not in (None, n) for want, n in zip(shape, tensor.shape)):
+        raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen; re-run train")
+    if not np.all(np.isfinite(tensor)):
+        raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value; re-run train")
+    return tensor
+
+
 def checkpoint_params(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], prefix: str) -> dict[str, np.ndarray]:
     """The checkpoint's `<prefix>.*` tensors (`param`, `adam.m` or
     `adam.v`), one per entry of `shapes` (`Model.param_shapes`) and of that
     shape; anything else means the checkpoint belongs to another model
     config.  A NaN or an infinity is an error naming its tensor.
     """
-    params = {}
-    for name, shape in shapes.items():
-        key = f"{prefix}.{name}"
-        if key not in tensors or tensors[key].shape != shape:
-            raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen")
-        if not np.all(np.isfinite(tensors[key])):
-            raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value")
-        params[name] = tensors[key]
-    return params
+    return {name: _checkpoint_tensor(tensors, f"{prefix}.{name}", shape) for name, shape in shapes.items()}
 
 
 def _resume_state(path, shapes: dict[str, tuple[int, ...]], config_hash: str) -> tuple[dict, AdamState, int, EpochRecord]:
@@ -570,13 +574,7 @@ def checkpoint_provider(tensors: dict[str, np.ndarray], corpus: Corpus, hidden: 
     order), and every value must be finite; anything else is an error
     naming the tensor.  The checkpoint's parameters fix the sentence width.
     """
-    for key, rows, width in (
-        ("feature.attr", len(corpus.lexicon), hidden),
-        ("feature.sent", len(corpus.sentence_rows), None),
-    ):
-        table = tensors.get(key)
-        if table is None or table.ndim != 2 or table.shape[0] != rows or width not in (None, table.shape[1]):
-            raise TrainingError(f"checkpoint tensor {key!r} missing or misshapen; re-run train")
-        if not np.all(np.isfinite(table)):
-            raise TrainingError(f"checkpoint tensor {key!r} holds a non-finite value; re-run train")
-    return NodeFeatureProvider(tensors["feature.attr"], tensors["feature.sent"])
+    return NodeFeatureProvider(
+        _checkpoint_tensor(tensors, "feature.attr", (len(corpus.lexicon), hidden)),
+        _checkpoint_tensor(tensors, "feature.sent", (len(corpus.sentence_rows), None)),
+    )

@@ -584,23 +584,35 @@ class TestPipeline:
             assert (work / name).read_bytes() == (workdir / name).read_bytes(), name
         assert (work / "selections.jsonl").read_text(encoding="utf-8") == outputs["selections.jsonl"]
 
-    @pytest.mark.parametrize("cause", ["no-valid-share", "empty-pools"])
+    @pytest.mark.parametrize("cause", ["no-valid-share", "valid-split-emptied", "empty-pools"])
     def test_training_without_validation_pairs_is_an_error(self, planted, tmp_path, capsys, cause):
-        # no epoch could become best, so training would keep epoch 0's model
+        # no epoch could become best, so training would keep epoch 0's model;
+        # preprocess refuses such a split, and an edited corpus.json reaches train
         config, workdir, _, _ = planted
         work = tmp_path / "work"
         if cause == "no-valid-share":
             config = changed_config(config, tmp_path, "corpus", "ratios", [0.85, 0.0, 0.15])
-            assert cli.main(["preprocess", "--config", str(config), "--workdir", str(work)]) == 0
+            left = len(load_corpus(workdir / "corpus").reviews)
+            capsys.readouterr()
+            assert cli.main(["preprocess", "--config", str(config), "--workdir", str(work)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: the valid split is empty: corpus.ratios [0.85, 0.0, 0.15] split the {left} reviews "
+                "left after the activity filter\n"
+            )
+            assert not work.exists()
+            return
+        shutil.copytree(workdir / "corpus", work / "corpus")
+        path = work / "corpus" / "corpus.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if cause == "valid-split-emptied":  # every valid review moves to the test split
+            doc["split"]["test"] += doc["split"]["valid"]
+            doc["split"]["valid"] = []
             message = "the valid split is empty (see corpus.ratios)"
         else:  # every valid review moves to an item no training review names
-            shutil.copytree(workdir / "corpus", work / "corpus")
-            path = work / "corpus" / "corpus.json"
-            doc = json.loads(path.read_text(encoding="utf-8"))
             for rid in doc["split"]["valid"]:
                 doc["reviews"][rid]["item_id"] = "cx"
-            path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-            message = f"all {len(load_corpus(work / 'corpus').pairs('valid'))} have empty pools"
+            message = f"all {len({doc['reviews'][rid]['user_id'] for rid in doc['split']['valid']})} have empty pools"
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["train", "--config", str(config), "--workdir", str(work)]) == 1
         assert capsys.readouterr().err == f"error: no usable validation pairs: {message}\n"
@@ -701,13 +713,13 @@ class TestPipeline:
         assert (tmp_path / "work" / corpus_json).read_bytes() == (workdir / corpus_json).read_bytes()
 
     def test_pairs_with_empty_pools_are_skipped(self, planted, tmp_path, caplog):
-        # a valid and a test review of an item no training review names:
-        # both pairs' pools are empty
+        # a valid and two test reviews of an item no training review names:
+        # those pairs' pools are empty
         config, workdir, _, _ = planted
         shutil.copytree(workdir / "corpus", tmp_path / "work" / "corpus")
         path = tmp_path / "work" / "corpus" / "corpus.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for rid, user_id, part in (("rx0", "u0", "valid"), ("rx1", "u1", "test")):
+        for rid, user_id, part in (("rx0", "u0", "valid"), ("rx1", "u1", "test"), ("rx2", "u2", "test")):
             doc["sentences"][f"{rid}.s0"] = {"attributes": [0], "words": list(sc.template_words(sc.ATTRS[0]))}
             doc["reviews"][rid] = {"user_id": user_id, "item_id": "cx", "sentence_ids": [f"{rid}.s0"]}
             doc["split"][part].append(rid)
@@ -719,9 +731,14 @@ class TestPipeline:
         assert [r.getMessage() for r in caplog.records if r.name == "recexplain.training"] == [
             "valid: skipped 1 pairs with empty pools"
         ]
-        info = cli.cmd_select(PipelineConfig.load(changed))
+        with caplog.at_level(logging.WARNING, logger="recexplain.cli"):
+            info = cli.cmd_select(PipelineConfig.load(changed))
+        # one count for the split, as train logs, not a line per pair
+        assert [r.getMessage() for r in caplog.records if r.name == "recexplain.cli"] == [
+            "test: skipped 2 pairs with empty pools"
+        ]
         _, records = selection_records(tmp_path / "work")
-        assert info["skipped"] == 1 and info["pairs"] == len(records) == len(load_corpus(path.parent).pairs("test")) - 1
+        assert info["skipped"] == 2 and info["pairs"] == len(records) == len(load_corpus(path.parent).pairs("test")) - 2
         assert "cx" not in {json.loads(line)["item_id"] for line in records}
         report = cli.cmd_evaluate(PipelineConfig.load(changed))
         assert report.pairs + report.excluded == len(records)
@@ -761,7 +778,6 @@ OUT_OF_RANGE = [
     ("training.learning_rate", 0),
     ("training.learning_rate", -1e-4),
     ("training.epochs", 0),
-    ("training.pair_budget", -1),
     ("training.patience", -1),
     ("selection.k", 0),
     ("selection.k", -2),
@@ -830,6 +846,7 @@ class TestConfig:
             ({"training": {"all_pairs": False}}, "training.all_pairs"),
             ({"training": {"balanced_bce": True}}, "training.balanced_bce"),
             ({"selection": {"disable_ilp": True}}, "selection.disable_ilp"),
+            ({"training": {"pair_budget": 200}}, "training.pair_budget"),
         ],
     )
     def test_removed_keys_rejected_by_name(self, doc, name):

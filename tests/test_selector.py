@@ -20,6 +20,7 @@ from oracles import (
 # absolute per-cell bound on the tf-idf matrix against the per-pair sums:
 # one BLAS product reorders each cell's sum, a few ulp of a cosine <= 1
 TFIDF_TOL = 1e-14
+CAP = sel.SelectConfig.exact_cap
 
 
 def spec_instance():
@@ -29,7 +30,7 @@ def spec_instance():
     return sel.SelectionProblem(scores, sim, k=2, alpha=0.5)
 
 
-def solve_each_path(problem, cap=100):
+def solve_each_path(problem, cap=CAP):
     """`solve_exact` once per exact path: ENUM_LIMIT 0 forces the branch and
     bound, a limit above every C(n, K) forces the split enumeration."""
     out = {}
@@ -114,7 +115,7 @@ class TestProblem:
 class TestExactSolver:
     def test_spec_instance(self):
         p = spec_instance()
-        out = sel.solve_exact(p)
+        out = sel.solve_exact(p, CAP)
         assert out.indices == (0, 2)
         assert out.objective == pytest.approx(1.4)
         assert out.solver == "exact"
@@ -125,22 +126,22 @@ class TestExactSolver:
     def test_k1_argmax(self):
         p = spec_instance()
         q = sel.SelectionProblem(p.scores, p.sim, k=1, alpha=0.5)
-        assert sel.solve_exact(q).indices == (0,)
+        assert sel.solve_exact(q, CAP).indices == (0,)
 
     def test_k_equals_n(self):
         p = spec_instance()
         q = sel.SelectionProblem(p.scores, p.sim, k=3, alpha=0.5)
-        assert sel.solve_exact(q).indices == (0, 1, 2)
+        assert sel.solve_exact(q, CAP).indices == (0, 1, 2)
 
     def test_n_below_k_selects_all(self):
         q = sel.SelectionProblem(np.array([0.3]), np.zeros((1, 1)), k=5, alpha=2.0)
-        assert sel.solve_exact(q).indices == (0,)
+        assert sel.solve_exact(q, CAP).indices == (0,)
 
     def test_alpha_zero_is_topk_ties_by_index(self):
         scores = np.array([0.5, 0.9, 0.5, 0.9, 0.1])
         sim = np.zeros((5, 5))
         q = sel.SelectionProblem(scores, sim, k=3, alpha=0.0)
-        assert sel.solve_exact(q).indices == (0, 1, 3)
+        assert sel.solve_exact(q, CAP).indices == (0, 1, 3)
 
     def test_matches_enumeration_randomized(self):
         rng = np.random.default_rng(2024)
@@ -165,9 +166,9 @@ class TestExactSolver:
         monkeypatch.setattr(sel, "ENUM_LIMIT", 0)  # C(12, 4) = 495 would enumerate
         rng = np.random.default_rng(0)
         p = random_problem(rng, n=12, k=4, alpha=0.5)
-        assert sel.solve_exact(p).solver == "exact"
+        assert sel.solve_exact(p, CAP).solver == "exact"
         monkeypatch.setattr(sel, "NODE_BUDGET", 5)
-        out = sel.solve_exact(p)
+        out = sel.solve_exact(p, CAP)
         assert out == sel.Selection(sel.solve_greedy(p).indices, sel.objective(p, out.indices), "greedy")
         assert "node budget 5 exceeded (n=12, K=4)" in caplog.text
 
@@ -175,9 +176,9 @@ class TestExactSolver:
         monkeypatch.setattr(sel, "ENUM_LIMIT", 0)
         rng = np.random.default_rng(0)
         p = random_problem(rng, n=12, k=4, alpha=0.5)
-        exact, greedy = sel.solve_exact(p), sel.solve_greedy(p)
+        exact, greedy = sel.solve_exact(p, CAP), sel.solve_greedy(p)
         monkeypatch.setattr(sel, "NODE_BUDGET", 13)
-        out = sel.solve_exact(p)
+        out = sel.solve_exact(p, CAP)
         assert out.solver == "greedy"
         assert out.objective == sel.objective(p, out.indices)
         assert greedy.objective + 0.1 < out.objective < exact.objective
@@ -198,9 +199,9 @@ class TestExactSolver:
         rng = np.random.default_rng(55)
         for _ in range(50):
             p = random_problem(rng, n=8, k=3)
-            base = sel.solve_exact(p)
+            base = sel.solve_exact(p, CAP)
             shifted = sel.SelectionProblem(p.scores + 2.5, p.sim, k=p.k, alpha=p.alpha)
-            out = sel.solve_exact(shifted)
+            out = sel.solve_exact(shifted, CAP)
             assert out.indices == base.indices
             assert out.objective == pytest.approx(base.objective + 3 * 2.5, abs=1e-9)
 
@@ -300,7 +301,7 @@ class TestSolverPaths:
         for n, k, want in [(24, 5, "split"), (25, 5, "search"), (18, 8, "split"), (19, 8, "search")]:
             assert (math.comb(n, k) <= sel.ENUM_LIMIT) == (want == "split")
             paths.clear()
-            assert sel.solve_exact(random_problem(rng, n=n, k=k, alpha=0.5)).solver == "exact"
+            assert sel.solve_exact(random_problem(rng, n=n, k=k, alpha=0.5), CAP).solver == "exact"
             assert paths == [want], (n, k)
 
     def test_split_arrays_stay_within_the_limit(self):
@@ -422,7 +423,7 @@ class TestGreedy:
         rng = np.random.default_rng(77)
         for _ in range(200):
             p = random_problem(rng)
-            exact = sel.solve_exact(p)
+            exact = sel.solve_exact(p, CAP)
             greedy = sel.solve_greedy(p)
             assert greedy.objective <= exact.objective + 1e-9
 
@@ -441,7 +442,7 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = random_problem(rng, k=1)
-            assert sel.solve_greedy(p).indices == sel.solve_exact(p).indices
+            assert sel.solve_greedy(p).indices == sel.solve_exact(p, CAP).indices
 
 
 class TestDuplicateSuppression:
@@ -451,7 +452,7 @@ class TestDuplicateSuppression:
         scores = np.array([0.9, 0.9, 0.1])
         sim = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         p = sel.SelectionProblem(scores, sim, k=2, alpha=0.5)
-        out = sel.solve_exact(p)
+        out = sel.solve_exact(p, CAP)
         assert out.indices == (0, 2)
         want_obj, want_set = enumerate_best_subset(list(scores), [list(r) for r in sim], 2, 0.5)
         assert out.indices == want_set

@@ -334,12 +334,12 @@ def make_provider(corpus, hidden=4, sent_dim=3, seed=0):
 HASH = "0123456789abcdef"  # stands in for PipelineConfig.train_hash()
 
 
-def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, model_cfg=None, **kw):
+def make_trainer(tmp_path, corpus=None, epochs=3, lam=0.5, seed=1, k=5, model_cfg=None, **kw):
     corpus = corpus or tiny_corpus()
     provider = make_provider(corpus)
     model_cfg = model_cfg or ModelConfig(hidden=4, gat_heads=(2, 1), deep_hidden=4)
-    train_cfg = tr.TrainConfig(lam=lam, batch_size=4, learning_rate=1e-3, epochs=epochs, pair_budget=20, patience=50)
-    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, config_hash=HASH, seed=seed, **kw)
+    train_cfg = tr.TrainConfig(lam=lam, batch_size=4, learning_rate=1e-3, epochs=epochs, patience=50)
+    return tr.Trainer(corpus, provider, model_cfg, train_cfg, workdir=tmp_path, config_hash=HASH, seed=seed, k=k, **kw)
 
 
 def early_stopping_trainer(workdir, epochs=8, **kw):
